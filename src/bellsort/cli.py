@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 from . import __version__
@@ -268,7 +269,14 @@ def _bell_index(text: str) -> BellIndex:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every ``main`` call.
+
+    argparse objects reference each other in cycles, so a parser built per
+    call is garbage that only the cyclic collector frees; when the rest of
+    a call allocates little, that garbage piles up between full collections.
+    """
     parser = argparse.ArgumentParser(
         prog="bellsort",
         description="Sort path-encoded Bell states by two-photon interference and "

@@ -15,9 +15,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .detection import MODEL_PNRD, MODELS, outcome_distribution, sample
-from .grouping import GroupTable, POLICIES, POLICY_STRICT, channel_capacity, classify
-from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, evolve, network_for_setup
+from .detection import MODEL_PNRD, MODELS, sample
+from .grouping import GroupTable, POLICIES, POLICY_STRICT, channel_capacity, distributions, partition
+from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, network_for_setup
 from .states import BellIndex, TwoPhotonState, all_bell_indices, encode, make_bell_state, make_hyper_state
 
 
@@ -95,10 +95,12 @@ def reference_state(setup: str) -> TwoPhotonState:
 def run_sdc(config: SdcConfig, messages: Sequence[BellIndex] | None = None) -> SdcReport:
     """Run the protocol for every message and decode by group membership.
 
-    Per-message sampling uses the derived seed ``config.seed + ordinal`` so
-    runs are reproducible yet messages are independent. An outcome missing
-    from every group support would mean the evolution and the partition
-    disagree and raises immediately.
+    Every encoded state is evolved once; its outcome distribution feeds both
+    the partition and the message's samples. Per-message sampling uses the
+    derived seed ``config.seed + ordinal`` so runs are reproducible yet
+    messages are independent. An outcome missing from every group support
+    would mean the evolution and the partition disagree and raises
+    immediately.
     """
     if messages is None:
         messages = all_bell_indices(4)
@@ -107,17 +109,18 @@ def run_sdc(config: SdcConfig, messages: Sequence[BellIndex] | None = None) -> S
 
     reference = reference_state(config.setup)
     network = network_for_setup(config.setup)
-    encoded = {idx.label: encode(reference, idx, "second") for idx in all_bell_indices(4)}
-    table = classify(list(encoded.items()), network, config.model, config.policy)
+    encoded = [(idx.label, encode(reference, idx, "second")) for idx in all_bell_indices(4)]
+    labelled = distributions(encoded, network, config.model)
+    table = partition(labelled, config.setup, config.policy)
     decoder = table.decoder()
+    dists = dict(labelled)
 
     message_counts: dict[str, dict[int, int]] = {}
     correct = 0
     total = 0
     for ordinal, idx in enumerate(messages):
         own_group = table.group_of(idx.label).index
-        dist = outcome_distribution(evolve(encoded[idx.label], network), config.model)
-        counts: Counter = sample(dist, config.shots, config.seed + ordinal)
+        counts: Counter = sample(dists[idx.label], config.shots, config.seed + ordinal)
         per_group: dict[int, int] = {}
         for outcome, count in counts.items():
             if outcome not in decoder:

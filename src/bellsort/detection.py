@@ -7,22 +7,30 @@ reports the full click multiset, so ``A0 A0`` is a valid outcome; a
 threshold detector only reports click/no-click and collapses that outcome
 to the singleton ``A0``.
 
+Outcomes of one output basis of M modes have integer ids: the detected
+mode pair (i, k), i <= k, has id i * M + k under either model (under the
+threshold model (i, i) stands for the single click i). Distributions made by
+:func:`outcome_distribution` keep their outcomes as these ids and build the
+:class:`Outcome` objects only when read, from a per-basis table.
+
 Sampling uses numpy's seeded PCG64 generator; identical (seed, shots) give
 bit-identical counts.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .modes import Mode
-from .states import NORM_TOL, TwoPhotonState
+from .modes import Mode, ModeBasis
+from .states import BORN_NORM_TOL, TwoPhotonState
 
 MODEL_PNRD = "pnrd"
 MODEL_THRESHOLD = "threshold"
@@ -105,23 +113,70 @@ class Outcome:
         return f"Outcome({self.label})"
 
 
-@dataclass(frozen=True)
+class OutcomeTable(dict):
+    """Outcome id -> Outcome for one output basis and detector model.
+
+    Entries are built on first lookup. ``outcome_table`` shares one table
+    per (basis, model), so equal ids mean equal outcomes.
+    """
+
+    def __init__(self, basis: ModeBasis, model: str) -> None:
+        super().__init__()
+        self.detectors = tuple(DetectorId.from_mode(m) for m in basis)
+        self.model = model
+
+    def __missing__(self, outcome_id: int) -> Outcome:
+        i, k = divmod(outcome_id, len(self.detectors))
+        if i == k and self.model == MODEL_THRESHOLD:
+            clicks = (self.detectors[i],)
+        else:
+            clicks = (self.detectors[i], self.detectors[k])
+        outcome = self[outcome_id] = Outcome(clicks)
+        return outcome
+
+
+outcome_table = lru_cache(maxsize=16)(OutcomeTable)
+
+
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Exact probability map over detection outcomes for one detector model."""
+    """Exact probability map over detection outcomes for one detector model.
+
+    Stored as arrays: outcome ``table[ids[t]]`` has probability ``p[t]``.
+    ``probs`` is the Outcome -> probability view, built on first use.
+    Build one from a mapping with :meth:`from_probs`.
+    """
 
     model: str
-    probs: Mapping[Outcome, float] = field(repr=False)
+    table: Mapping[int, Outcome] = field(repr=False)
+    ids: np.ndarray = field(repr=False)
+    p: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown detector model {self.model!r}")
-        cleaned = {o: float(p) for o, p in self.probs.items() if p > 0.0}
-        if any(p < 0 for p in self.probs.values()):
+
+    @classmethod
+    def from_probs(cls, model: str, probs: Mapping[Outcome, float]) -> "OutcomeDistribution":
+        """From an Outcome -> probability map; zeros are dropped, the rest must sum to 1."""
+        cleaned = {o: float(p) for o, p in probs.items() if p > 0.0}
+        if any(p < 0 for p in probs.values()):
             raise ValueError("negative probability")
         total = sum(cleaned.values())
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probs", MappingProxyType(cleaned))
+        table = dict(enumerate(cleaned))
+        return cls(model, table, np.arange(len(table)), np.array(list(cleaned.values())))
+
+    @cached_property
+    def probs(self) -> Mapping[Outcome, float]:
+        table = self.table
+        return MappingProxyType({table[i]: p for i, p in zip(self.ids.tolist(), self.p.tolist())})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OutcomeDistribution):
+            return NotImplemented
+        return self.model == other.model and self.probs == other.probs
 
     @property
     def support(self) -> frozenset[Outcome]:
@@ -140,30 +195,29 @@ class OutcomeDistribution:
     @classmethod
     def from_dict(cls, data: dict) -> "OutcomeDistribution":
         probs = {Outcome.from_label(label): p for label, p in data["probs"].items()}
-        return cls(data["model"], probs)
+        return cls.from_probs(data["model"], probs)
 
 
 def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> OutcomeDistribution:
     """Born-rule outcome probabilities of a post-network two-photon state.
 
     PNRD weights: P({m, m}) = |psi(m, m)|**2 and P({m1, m2}) =
-    2 |psi(m1, m2)|**2 for distinct modes. The threshold model additionally
-    collapses bunched outcomes to single clicks, merging probability.
+    2 |psi(m1, m2)|**2 for distinct modes. The threshold model reports the
+    bunched pair {m, m} as the single click m; each outcome still comes
+    from exactly one mode pair. The weights are normalised by their
+    left-to-right sum in the state's (row-major upper-triangle) order, so
+    the probabilities are reproducible to the last bit.
     """
     if model not in MODELS:
         raise ValueError(f"unknown detector model {model!r}")
-    deviation = abs(state.norm() - 1.0)
-    if deviation > 1e-6:
+    rows, cols = state.rows, state.cols
+    weights = np.where(rows == cols, 1.0, 2.0) * np.abs(state.vals) ** 2
+    total = sum(weights.tolist())  # the squared norm
+    deviation = abs(math.sqrt(total) - 1.0)
+    if deviation > BORN_NORM_TOL:
         raise ValueError(f"state is not normalized (norm off by {deviation:.3e})")
-    probs: dict[Outcome, float] = {}
-    for (m1, m2), a in state.amps.items():
-        weight = 1.0 if m1 == m2 else 2.0
-        outcome = Outcome.pair(DetectorId.from_mode(m1), DetectorId.from_mode(m2))
-        if model == MODEL_THRESHOLD:
-            outcome = outcome.collapse_multiplicity()
-        probs[outcome] = probs.get(outcome, 0.0) + weight * abs(a) ** 2
-    total = sum(probs.values())
-    return OutcomeDistribution(model, {o: p / total for o, p in probs.items()})
+    ids = rows * len(state.basis) + cols
+    return OutcomeDistribution(model, outcome_table(state.basis, model), ids, weights / total)
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> Counter[Outcome]:

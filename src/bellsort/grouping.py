@@ -20,7 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .detection import MODEL_PNRD, MODEL_THRESHOLD, Outcome, outcome_distribution
+from .detection import (
+    MODEL_PNRD,
+    MODEL_THRESHOLD,
+    Outcome,
+    OutcomeDistribution,
+    outcome_distribution,
+)
 from .networks import SETUP_FIG1, SETUP_FIG2, evolve
 from .states import SinglePhotonUnitary, TwoPhotonState
 
@@ -69,7 +75,10 @@ class GroupTable:
 
     @property
     def usable_groups(self) -> tuple[StateGroup, ...]:
-        return tuple(g for g in self.groups if not g.quarantined)
+        # Built from a list: tuple(generator) allocates a guessed size and
+        # resizes, so each call would park one tuple on the free list of its
+        # final size, which only a full garbage collection empties.
+        return tuple([g for g in self.groups if not g.quarantined])
 
     def group_of(self, label: str) -> StateGroup:
         for group in self.groups:
@@ -123,18 +132,44 @@ def classify(
     connected components of the confusability graph, numbered by first
     appearance in the input order.
     """
+    setup = SETUP_FIG2 if any(m.pol for m in network.in_modes) else SETUP_FIG1
+    return partition(distributions(states, network, model), setup, policy)
+
+
+def distributions(
+    states: Sequence[tuple[str, TwoPhotonState]],
+    network: SinglePhotonUnitary,
+    model: str = MODEL_PNRD,
+) -> list[tuple[str, OutcomeDistribution]]:
+    """Evolve every labelled state through the network once and detect it."""
+    return [(label, outcome_distribution(evolve(state, network), model)) for label, state in states]
+
+
+def partition(
+    labelled: Sequence[tuple[str, OutcomeDistribution]],
+    setup: str,
+    policy: str = POLICY_STRICT,
+) -> GroupTable:
+    """Group labelled distributions whose supports are connected by shared outcomes.
+
+    The distributions must come from :func:`outcome_distribution` over one
+    output basis and one detector model, so that equal outcome ids mean
+    equal outcomes. Groups are numbered by their first member in input
+    order; members keep input order.
+    """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if not states:
+    if not labelled:
         raise ValueError("no states to classify")
-    labels = [label for label, _ in states]
+    labels = [label for label, _ in labelled]
     if len(set(labels)) != len(labels):
         raise ValueError("state labels must be unique")
-    supports = [
-        outcome_distribution(evolve(state, network), model).support for _, state in states
-    ]
+    dists = [dist for _, dist in labelled]
+    table, model = dists[0].table, dists[0].model
+    if any(dist.table is not table for dist in dists):
+        raise ValueError("partition needs distributions of one output basis and detector model")
 
-    parent = list(range(len(states)))
+    parent = list(range(len(dists)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -142,22 +177,26 @@ def classify(
             i = parent[i]
         return i
 
-    for i in range(len(states)):
-        for k in range(i + 1, len(states)):
-            if supports[i] & supports[k]:
-                ri, rk = find(i), find(k)
-                if ri != rk:
-                    parent[max(ri, rk)] = min(ri, rk)
+    # Join every state to the first state that had one of its outcomes.
+    first: dict[int, int] = {}
+    for i, dist in enumerate(dists):
+        for outcome_id in dist.ids.tolist():
+            ri, rk = find(i), find(first.setdefault(outcome_id, i))
+            if ri != rk:
+                parent[max(ri, rk)] = min(ri, rk)
 
-    components: dict[int, list[int]] = {}
-    for i in range(len(states)):
-        components.setdefault(find(i), []).append(i)
+    # Roots are the smallest member index, so sorted roots number the groups.
+    roots = [find(i) for i in range(len(dists))]
+    members: dict[int, list[int]] = {}
+    for i, root in enumerate(roots):
+        members.setdefault(root, []).append(i)
+    supports: dict[int, list[Outcome]] = {}
+    for outcome_id, i in first.items():
+        supports.setdefault(roots[i], []).append(table[outcome_id])
 
-    setup = SETUP_FIG2 if any(m.pol for m in network.in_modes) else SETUP_FIG1
     groups = []
-    for index, root in enumerate(sorted(components), start=1):
-        member_ids = components[root]
-        support = frozenset().union(*(supports[i] for i in member_ids))
+    for index, root in enumerate(sorted(members), start=1):
+        support = frozenset(supports[root])
         quarantined = (
             policy == POLICY_LOSS_CONSERVATIVE
             and model == MODEL_THRESHOLD
@@ -166,7 +205,7 @@ def classify(
         groups.append(
             StateGroup(
                 index=index,
-                members=tuple(labels[i] for i in member_ids),
+                members=tuple([labels[i] for i in members[root]]),  # see usable_groups
                 support=support,
                 quarantined=quarantined,
             )

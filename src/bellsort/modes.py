@@ -8,13 +8,15 @@ states, ``"H"``/``"V"`` in the linear basis, and ``"+"``/``"-"`` in the
 diagonal basis used by the polarization analyzers.
 
 Modes are totally ordered by (arm, path, polarization rank) so that
-unordered photon pairs have a canonical storage order.
+unordered photon pairs have a canonical storage order. An ordered basis of
+modes is a :class:`ModeBasis`, a tuple that hashes in constant time, so the
+lookup tables derived from a basis can be cached per basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 ARM_FIRST = "A"
 ARM_SECOND = "B"
@@ -60,14 +62,35 @@ class Mode:
         return f"Mode({self.label})"
 
 
-def path_modes(dim: int) -> tuple[Mode, ...]:
+class ModeBasis(tuple):
+    """An ordered single-photon basis: a tuple whose hash is computed once."""
+
+    def __new__(cls, modes=()) -> "ModeBasis":
+        self = super().__new__(cls, modes)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ModeBasis, (tuple(self),)
+
+
+def as_basis(modes) -> ModeBasis:
+    return modes if isinstance(modes, ModeBasis) else ModeBasis(modes)
+
+
+@lru_cache(maxsize=64)
+def path_modes(dim: int) -> ModeBasis:
     """Canonical path-only mode basis: A0..A(d-1), B0..B(d-1)."""
-    return tuple(Mode(arm, x) for arm in ARMS for x in range(dim))
+    return ModeBasis(Mode(arm, x) for arm in ARMS for x in range(dim))
 
 
-def polarized_modes(dim: int, basis: tuple[str, str] = POL_LINEAR) -> tuple[Mode, ...]:
+@lru_cache(maxsize=64)
+def polarized_modes(dim: int, basis: tuple[str, str] = POL_LINEAR) -> ModeBasis:
     """Canonical polarized mode basis, polarization minor within each path."""
-    return tuple(Mode(arm, x, p) for arm in ARMS for x in range(dim) for p in basis)
+    return ModeBasis(Mode(arm, x, p) for arm in ARMS for x in range(dim) for p in basis)
 
 
 def canonical_pair(m1: Mode, m2: Mode) -> tuple[Mode, Mode]:

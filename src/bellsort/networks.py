@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,10 +48,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class NetworkStage:
-    """One optical element layer: its kind, the mode subsets it couples, its unitary."""
+    """One optical element layer: its kind and its unitary."""
 
     kind: str
-    couples: tuple[tuple[Mode, ...], ...]
     unitary: SinglePhotonUnitary
 
 
@@ -91,10 +91,7 @@ def _arm_hadamard(modes: tuple[Mode, ...]) -> SinglePhotonUnitary:
 
 
 def _bs_stage(modes: tuple[Mode, ...]) -> NetworkStage:
-    couples = tuple(
-        (m, Mode(ARMS[1], m.path, m.pol)) for m in modes if m.arm == ARMS[0]
-    )
-    return NetworkStage("bs_hadamard", couples, _arm_hadamard(modes))
+    return NetworkStage("bs_hadamard", _arm_hadamard(modes))
 
 
 def _pbs0_stage(dim: int) -> NetworkStage:
@@ -108,10 +105,7 @@ def _pbs0_stage(dim: int) -> NetworkStage:
         else:
             hopped = Mode(mode.arm, mode.path ^ 1, "V")
             mat[index[hopped], index[mode]] = 1.0
-    couples = tuple(
-        (Mode(arm, x, "V"), Mode(arm, x + 1, "V")) for arm in ARMS for x in range(0, dim, 2)
-    )
-    return NetworkStage("pbs0_rail_swap", couples, SinglePhotonUnitary(modes, modes, mat))
+    return NetworkStage("pbs0_rail_swap", SinglePhotonUnitary(modes, modes, mat))
 
 
 def _pbs45_stage(dim: int) -> NetworkStage:
@@ -129,8 +123,7 @@ def _pbs45_stage(dim: int) -> NetworkStage:
             mat[plus, v] = _INV_SQRT2
             mat[minus, h] = _INV_SQRT2
             mat[minus, v] = -_INV_SQRT2
-    couples = tuple((Mode(arm, x, "H"), Mode(arm, x, "V")) for arm in ARMS for x in range(dim))
-    return NetworkStage("pbs45_basis_change", couples, SinglePhotonUnitary(modes_in, modes_out, mat))
+    return NetworkStage("pbs45_basis_change", SinglePhotonUnitary(modes_in, modes_out, mat))
 
 
 def fig1_spec(dim: int) -> NetworkSpec:
@@ -163,7 +156,13 @@ def build_fig2_network() -> SinglePhotonUnitary:
     return fig2_spec().unitary()
 
 
+@lru_cache(maxsize=16)
 def network_for_setup(setup: str, dim: int = 4) -> SinglePhotonUnitary:
+    """The measurement network of a setup, built once per (setup, dim).
+
+    The result is shared between callers; it is immutable (a frozen
+    SinglePhotonUnitary with a read-only matrix).
+    """
     if setup == SETUP_FIG1:
         return build_fig1_network(dim)
     if setup == SETUP_FIG2:
@@ -178,13 +177,10 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
 
     The symmetric amplitude function transforms as
     psi'(o1, o2) = sum over i1, i2 of U[o1, i1] U[o2, i2] psi(i1, i2),
-    computed as the matrix sandwich U psi U^T. Norm is preserved and
-    amplitudes below 1e-12 are pruned.
+    computed as the matrix sandwich U psi U^T on a transient dense matrix.
+    Raises if the state has a mode outside ``network.in_modes``. Norm is
+    preserved (checked within 1e-9) and amplitudes below 1e-12 are pruned.
     """
-    missing = state.modes() - set(network.in_modes)
-    if missing:
-        labels = ", ".join(sorted(m.label for m in missing))
-        raise ValueError(f"state modes not covered by the network input basis: {labels}")
-    psi = state.to_matrix(tuple(network.in_modes))
+    psi = state.to_matrix(network.in_modes)
     out = network.matrix @ psi @ network.matrix.T
-    return TwoPhotonState.from_matrix(state.dim, tuple(network.out_modes), out)
+    return TwoPhotonState.from_matrix(state.dim, network.out_modes, out)

@@ -13,12 +13,18 @@ U(j, n, m)|x> = (-1)**(n*x0 + m*x1) |x XOR j>, which maps the reference
 state |psi(0, 0, 0)> onto any other member of the family when applied to
 one photon.
 
-States are stored as symmetric amplitude functions over unordered mode
-pairs. A Fock state with photons in distinct modes m1, m2 has psi(m1, m2) =
-psi(m2, m1) = 1/sqrt(2); a doubly occupied mode has psi(m, m) = 1. With
-this convention the Born weights are |psi(m, m)|**2 for a bunched pair and
+States are symmetric amplitude functions over unordered mode pairs. A Fock
+state with photons in distinct modes m1, m2 has psi(m1, m2) = psi(m2, m1) =
+1/sqrt(2); a doubly occupied mode has psi(m, m) = 1. With this convention
+the Born weights are |psi(m, m)|**2 for a bunched pair and
 2*|psi(m1, m2)|**2 otherwise, and single-photon unitaries act as
 psi -> U psi U^T on the amplitude matrix.
+
+A state is stored as arrays over the upper triangle of its mode basis:
+``vals[t]`` is psi(basis[rows[t]], basis[cols[t]]) with rows[t] <= cols[t].
+Evolution fills the dense symmetric matrix only for the matmul and reads
+the upper triangle back in row-major order; ``amps`` is a read-only
+Mode-pair view of the same data for inspection and tests.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -35,18 +42,21 @@ from .modes import (
     ARM_FIRST,
     ARM_SECOND,
     Mode,
+    ModeBasis,
     POL_DIAGONAL,
     POL_LINEAR,
+    as_basis,
     canonical_pair,
     path_modes,
     polarized_modes,
 )
 
-# Pruning / tolerance conventions shared across the package.
-AMP_PRUNE = 1e-12
-NORM_TOL = 1e-9
-PHASE_TOL = 1e-9
-UNITARY_TOL = 1e-10
+# Numeric thresholds shared across the package.
+AMP_PRUNE = 1e-12  # |psi| below this is dropped from a state's support
+NORM_TOL = 1e-9  # a constructed or evolved state must have norm 1 within this
+BORN_NORM_TOL = 1e-6  # outcome_distribution rejects states off unit norm by more
+PHASE_TOL = 1e-9  # per-amplitude slack of TwoPhotonState.approx_equal
+UNITARY_TOL = 1e-10  # max |U U^dagger - 1| entry of a SinglePhotonUnitary
 
 _LABEL_RE = re.compile(r"^psi(\d)(\d)(\d)$")
 
@@ -100,13 +110,15 @@ class BellIndex:
         return cls(j, n, m)
 
 
+@lru_cache(maxsize=16)
 def all_bell_indices(dim: int) -> tuple[BellIndex, ...]:
     """Enumeration order used everywhere: j major, then n, then m."""
     ms = (0,) if dim == 2 else (0, 1)
     return tuple(BellIndex(j, n, m) for j in range(dim) for n in (0, 1) for m in ms)
 
 
-def _sign(x: int, n: int, m: int) -> int:
+def _sign(x, n: int, m: int):
+    """(-1)**(n*x0 + m*x1) for a path index x or an integer array of them."""
     return 1 - 2 * ((n * (x & 1) + m * ((x >> 1) & 1)) & 1)
 
 
@@ -117,36 +129,75 @@ def _require_power_of_two(dim: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TwoPhotonState:
-    """Symmetric two-photon amplitude function over canonically ordered pairs.
+@lru_cache(maxsize=64)
+def _positions(basis: ModeBasis) -> dict:
+    return {m: i for i, m in enumerate(basis)}
 
-    ``amps`` maps pairs (m1, m2) with m1 <= m2 to the symmetric wavefunction
-    value psi(m1, m2). The squared norm is
-    sum over m1 < m2 of 2|psi|**2 plus sum over m of |psi(m, m)|**2,
-    and must equal 1 within 1e-9. Amplitudes below 1e-12 are pruned.
-    Instances are immutable; construct via :meth:`from_amplitudes` or
-    :meth:`from_kets`.
+
+@lru_cache(maxsize=16)
+def _triu(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major upper-triangle index arrays of a size x size matrix."""
+    return np.triu_indices(size)
+
+
+def _pol_basis(pols: set) -> tuple[str, str] | None:
+    if pols <= {None}:
+        return None
+    if pols <= set(POL_LINEAR):
+        return POL_LINEAR
+    if pols <= set(POL_DIAGONAL):
+        return POL_DIAGONAL
+    raise ValueError(f"mixed polarization labelling {sorted(map(str, pols))}")
+
+
+def _mode_space(dim: int, pol_basis: tuple[str, str] | None) -> ModeBasis:
+    return path_modes(dim) if pol_basis is None else polarized_modes(dim, pol_basis)
+
+
+@lru_cache(maxsize=64)
+def _check_basis(basis: ModeBasis, dim: int) -> None:
+    """Raise unless every mode of ``basis`` has path < dim and one polarization family."""
+    for m in basis:
+        if m.path >= dim:
+            raise ValueError(f"mode {m.label} outside dimension {dim}")
+    _pol_basis({m.pol for m in basis})
+
+
+@dataclass(frozen=True, eq=False)
+class TwoPhotonState:
+    """Symmetric two-photon amplitude function on the upper triangle of a basis.
+
+    ``vals[t]`` is psi(basis[rows[t]], basis[cols[t]]) with rows <= cols;
+    pairs absent from the arrays have zero amplitude. The squared norm is
+    sum over distinct pairs of 2|psi|**2 plus sum over m of |psi(m, m)|**2.
+    Every basis mode must have path < dim, and all must share one
+    polarization family (none, H/V or +/-). The arrays are read-only; build
+    states with :meth:`from_amplitudes`, :meth:`from_kets` or
+    :meth:`from_matrix`, which prune amplitudes below 1e-12 and check the norm.
     """
 
     dim: int
-    amps: Mapping[tuple[Mode, Mode], complex] = field(repr=False)
+    basis: ModeBasis = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    vals: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        pols = set()
-        for (m1, m2) in self.amps:
-            if m2 < m1:
-                raise ValueError(f"non-canonical pair ({m1.label}, {m2.label})")
-            for m in (m1, m2):
-                if m.path >= self.dim:
-                    raise ValueError(f"mode {m.label} outside dimension {self.dim}")
-                pols.add(m.pol)
-        if not pols:
+        object.__setattr__(self, "basis", as_basis(self.basis))
+        _check_basis(self.basis, self.dim)
+        for name, dtype in (("rows", np.intp), ("cols", np.intp), ("vals", complex)):
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        rows, cols = self.rows, self.cols
+        if not rows.ndim == 1 or not rows.shape == cols.shape == self.vals.shape:
+            raise ValueError("rows, cols and vals must be 1-d arrays of one length")
+        if not len(rows):
             raise ValueError("state has no amplitudes")
-        if pols not in ({None}, {"H", "V"}, {"H"}, {"V"}, {"+", "-"}, {"+"}, {"-"}):
-            raise ValueError(f"mixed polarization labelling {sorted(map(str, pols))}")
+        if rows.min() < 0 or cols.max() >= len(self.basis) or (rows > cols).any():
+            raise ValueError("pair indices must satisfy 0 <= row <= col < len(basis)")
 
     # -- constructors ------------------------------------------------------
 
@@ -163,7 +214,8 @@ class TwoPhotonState:
 
         Keys may be given in either order; duplicates of the same unordered
         pair are rejected. With ``normalize`` the amplitudes are rescaled to
-        unit norm, otherwise the norm must already be 1 within 1e-9.
+        unit norm, otherwise the norm must already be 1 within 1e-9. The
+        state lives in the canonical mode space of its modes' polarization.
         """
         canon: dict[tuple[Mode, Mode], complex] = {}
         for (m1, m2), a in amps.items():
@@ -171,15 +223,17 @@ class TwoPhotonState:
             if key in canon:
                 raise ValueError(f"duplicate amplitude for pair ({key[0].label}, {key[1].label})")
             canon[key] = complex(a)
-        norm = _norm_of(canon)
-        if normalize:
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero state")
-            canon = {k: a / norm for k, a in canon.items()}
-        elif require_normalized and abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
-        canon = {k: a for k, a in canon.items() if abs(a) >= AMP_PRUNE}
-        return cls(dim, MappingProxyType(canon))
+        basis = _mode_space(dim, _pol_basis({m.pol for pair in canon for m in pair}))
+        index = _positions(basis)
+        psi = np.zeros((len(basis), len(basis)), dtype=complex)
+        for (m1, m2), a in canon.items():
+            for m in (m1, m2):
+                if m not in index:
+                    raise ValueError(f"mode {m.label} outside dimension {dim}")
+            psi[index[m1], index[m2]] = psi[index[m2], index[m1]] = a
+        return cls.from_matrix(
+            dim, basis, psi, normalize=normalize, require_normalized=require_normalized
+        )
 
     @classmethod
     def from_kets(
@@ -205,59 +259,86 @@ class TwoPhotonState:
 
     @classmethod
     def from_matrix(
-        cls, dim: int, basis: tuple[Mode, ...], matrix: np.ndarray
+        cls,
+        dim: int,
+        basis: tuple,
+        matrix: np.ndarray,
+        *,
+        normalize: bool = False,
+        require_normalized: bool = True,
     ) -> "TwoPhotonState":
-        """Read a state back from its symmetric amplitude matrix."""
-        amps: dict[tuple[Mode, Mode], complex] = {}
-        n = len(basis)
-        for i in range(n):
-            for k in range(i, n):
-                a = complex(matrix[i, k])
-                if abs(a) >= AMP_PRUNE:
-                    amps[canonical_pair(basis[i], basis[k])] = a
-        return cls.from_amplitudes(dim, amps)
+        """Read a state from its symmetric amplitude matrix over ``basis``.
+
+        Takes the upper triangle in row-major order. With ``normalize`` the
+        amplitudes are rescaled to unit norm, otherwise the norm must be 1
+        within 1e-9 (unless ``require_normalized`` is false). Amplitudes
+        below 1e-12 are then pruned.
+        """
+        rows, cols = _triu(len(basis))
+        vals = matrix[rows, cols]
+        norm = _norm_of(rows, cols, vals)
+        if normalize:
+            if norm == 0.0:
+                raise ValueError("cannot normalize the zero state")
+            vals = vals / norm
+        elif require_normalized and abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
+        keep = np.abs(vals) >= AMP_PRUNE
+        return cls(dim, basis, rows[keep], cols[keep], vals[keep])
 
     # -- accessors ---------------------------------------------------------
+
+    @cached_property
+    def amps(self) -> Mapping[tuple[Mode, Mode], complex]:
+        """Read-only map from canonical mode pairs (m1 <= m2) to psi(m1, m2)."""
+        basis = self.basis
+        return MappingProxyType(
+            {
+                canonical_pair(basis[i], basis[k]): a
+                for i, k, a in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist())
+            }
+        )
 
     def amplitude(self, m1: Mode, m2: Mode) -> complex:
         """Symmetric lookup psi(m1, m2); zero off the stored support."""
         return self.amps.get(canonical_pair(m1, m2), 0.0 + 0.0j)
 
     def norm(self) -> float:
-        return _norm_of(self.amps)
+        return _norm_of(self.rows, self.cols, self.vals)
 
     @property
     def support(self) -> frozenset[tuple[Mode, Mode]]:
         return frozenset(self.amps)
 
     def modes(self) -> frozenset[Mode]:
-        return frozenset(m for pair in self.amps for m in pair)
+        used = np.unique(np.concatenate((self.rows, self.cols)))
+        return frozenset(self.basis[i] for i in used.tolist())
 
     @property
     def pol_basis(self) -> tuple[str, str] | None:
         """Which polarization basis the state lives in, None for path-only."""
-        pols = {m.pol for m in self.modes()}
-        if pols <= {None}:
-            return None
-        if pols <= set(POL_LINEAR):
-            return POL_LINEAR
-        return POL_DIAGONAL
+        return _pol_basis({self.basis[0].pol})
 
-    def mode_space(self) -> tuple[Mode, ...]:
+    def mode_space(self) -> ModeBasis:
         """The canonical full single-photon basis this state is expressed in."""
-        basis = self.pol_basis
-        if basis is None:
-            return path_modes(self.dim)
-        return polarized_modes(self.dim, basis)
+        return _mode_space(self.dim, self.pol_basis)
 
-    def to_matrix(self, basis: tuple[Mode, ...]) -> np.ndarray:
-        """Dense symmetric amplitude matrix over ``basis``."""
-        index = {m: i for i, m in enumerate(basis)}
+    def to_matrix(self, basis: tuple) -> np.ndarray:
+        """Dense symmetric amplitude matrix over ``basis``.
+
+        Raises if a mode of the support is not in ``basis``.
+        """
+        rows, cols = self.rows, self.cols
+        if basis is not self.basis and basis != self.basis:
+            index = _positions(as_basis(basis))
+            missing = sorted(m.label for m in self.modes() if m not in index)
+            if missing:
+                raise ValueError(f"state modes not covered by the basis: {', '.join(missing)}")
+            remap = np.array([index.get(m, -1) for m in self.basis], dtype=np.intp)
+            rows, cols = remap[rows], remap[cols]
         out = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (m1, m2), a in self.amps.items():
-            i, k = index[m1], index[m2]
-            out[i, k] = a
-            out[k, i] = a
+        out[rows, cols] = self.vals
+        out[cols, rows] = self.vals
         return out
 
     # -- comparison --------------------------------------------------------
@@ -291,12 +372,9 @@ class TwoPhotonState:
         return True
 
 
-def _norm_of(amps: Mapping[tuple[Mode, Mode], complex]) -> float:
-    total = 0.0
-    for (m1, m2), a in amps.items():
-        weight = 1.0 if m1 == m2 else 2.0
-        total += weight * (a.real * a.real + a.imag * a.imag)
-    return math.sqrt(total)
+def _norm_of(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
+    weights = np.where(rows == cols, 1.0, 2.0)
+    return math.sqrt(float(weights @ (vals.real**2 + vals.imag**2)))
 
 
 @dataclass(frozen=True)
@@ -306,16 +384,18 @@ class SinglePhotonUnitary:
     ``matrix[o, i]`` is the amplitude from input mode ``in_modes[i]`` to
     output mode ``out_modes[o]``. Input and output bases may differ (the
     polarization analyzers relabel H/V to +/-). Unitarity is enforced at
-    construction within 1e-10.
+    construction within 1e-10; the matrix is read-only.
     """
 
-    in_modes: tuple
-    out_modes: tuple
+    in_modes: ModeBasis
+    out_modes: ModeBasis
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "in_modes", as_basis(self.in_modes))
+        object.__setattr__(self, "out_modes", as_basis(self.out_modes))
         n_in, n_out = len(self.in_modes), len(self.out_modes)
         if mat.shape != (n_out, n_in) or n_in != n_out:
             raise ValueError(f"matrix shape {mat.shape} does not match mode counts ({n_out}, {n_in})")
@@ -330,11 +410,7 @@ class SinglePhotonUnitary:
 
     @classmethod
     def identity(cls, modes: tuple) -> "SinglePhotonUnitary":
-        return cls(tuple(modes), tuple(modes), np.eye(len(modes)))
-
-    @property
-    def dagger(self) -> "SinglePhotonUnitary":
-        return SinglePhotonUnitary(self.out_modes, self.in_modes, self.matrix.conj().T)
+        return cls(modes, modes, np.eye(len(modes)))
 
     def __matmul__(self, earlier: "SinglePhotonUnitary") -> "SinglePhotonUnitary":
         """Compose: ``later @ earlier`` applies ``earlier`` first."""
@@ -344,6 +420,20 @@ class SinglePhotonUnitary:
 
 
 # -- Bell family construction ------------------------------------------------
+
+
+def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, slots: int, coeff: float) -> TwoPhotonState:
+    """The state sum_x (-1)**(n*x0 + m*x1) coeff |x>_A |x XOR j>_B.
+
+    Each ket is repeated in each of ``slots`` polarization slots; ``basis``
+    is ordered arm, path, slot.
+    """
+    rows = np.arange(dim * slots)
+    x, slot = np.divmod(rows, slots)
+    cols = slots * (dim + (x ^ idx.j)) + slot
+    # c * |1_a, 1_b> with a != b is stored as c / sqrt(2)
+    vals = _sign(x, idx.n, idx.m) * coeff / math.sqrt(2.0)
+    return TwoPhotonState(dim, basis, rows, cols, vals)
 
 
 def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
@@ -356,24 +446,13 @@ def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
     """
     _require_power_of_two(dim)
     idx.validate_for(dim)
-    coeff = 1.0 / math.sqrt(dim)
-    kets = [
-        (Mode(ARM_FIRST, x), Mode(ARM_SECOND, x ^ idx.j), _sign(x, idx.n, idx.m) * coeff)
-        for x in range(dim)
-    ]
-    return TwoPhotonState.from_kets(dim, kets)
+    return _xor_paired(dim, idx, path_modes(dim), 1, 1.0 / math.sqrt(dim))
 
 
 def make_hyper_state(idx: BellIndex) -> TwoPhotonState:
     """A d=4 path Bell state tensored with the polarization pair (|HH>+|VV>)/sqrt(2)."""
     idx.validate_for(4)
-    coeff = 1.0 / (2.0 * math.sqrt(2.0))
-    kets = [
-        (Mode(ARM_FIRST, x, p), Mode(ARM_SECOND, x ^ idx.j, p), _sign(x, idx.n, idx.m) * coeff)
-        for x in range(4)
-        for p in POL_LINEAR
-    ]
-    return TwoPhotonState.from_kets(4, kets)
+    return _xor_paired(4, idx, polarized_modes(4, POL_LINEAR), 2, 1.0 / (2.0 * math.sqrt(2.0)))
 
 
 def encoding_unitary(dim: int, idx: BellIndex) -> SinglePhotonUnitary:
@@ -385,9 +464,9 @@ def encoding_unitary(dim: int, idx: BellIndex) -> SinglePhotonUnitary:
     """
     _require_power_of_two(dim)
     idx.validate_for(dim)
+    x = np.arange(dim)
     mat = np.zeros((dim, dim))
-    for x in range(dim):
-        mat[x ^ idx.j, x] = _sign(x, idx.n, idx.m)
+    mat[x ^ idx.j, x] = _sign(x, idx.n, idx.m)
     paths = tuple(range(dim))
     return SinglePhotonUnitary(paths, paths, mat)
 
@@ -406,22 +485,20 @@ def apply_local_unitary(
     """
     if which_photon not in _ARM_OF_PHOTON:
         raise ValueError(f"which_photon must be 'first' or 'second', got {which_photon!r}")
-    arm = _ARM_OF_PHOTON[which_photon]
     path_matrix = np.asarray(path_matrix, dtype=complex)
     if path_matrix.shape != (state.dim, state.dim):
         raise ValueError(
             f"path matrix shape {path_matrix.shape} does not match dimension {state.dim}"
         )
     basis = state.mode_space()
-    full = np.zeros((len(basis), len(basis)), dtype=complex)
-    for i, mo in enumerate(basis):
-        for k, mi in enumerate(basis):
-            if mo.arm != mi.arm or mo.pol != mi.pol:
-                continue
-            if mo.arm == arm:
-                full[i, k] = path_matrix[mo.path, mi.path]
-            elif mo.path == mi.path:
-                full[i, k] = 1.0
+    arms = np.array([m.arm for m in basis])
+    paths = np.array([m.path for m in basis])
+    pols = np.array([str(m.pol) for m in basis])
+    # U couples mode i to mode o only within one (arm, polarization) rail set:
+    # by path_matrix in the chosen arm, by the identity in the other.
+    same_rail = (arms[:, None] == arms) & (pols[:, None] == pols)
+    in_arm = same_rail & (arms == _ARM_OF_PHOTON[which_photon])[:, None]
+    full = np.where(in_arm, path_matrix[paths[:, None], paths], same_rail & (paths[:, None] == paths))
     psi = state.to_matrix(basis)
     return TwoPhotonState.from_matrix(state.dim, basis, full @ psi @ full.T)
 

@@ -96,6 +96,20 @@ class TestRoundTrip:
                 observed.append(frozenset(sample(dist, shots, seed=77).keys()))
             assert len(set(observed)) == 1
 
+    def test_every_message_is_evolved_once(self, monkeypatch):
+        from bellsort import grouping
+
+        evolved = []
+        real_evolve = grouping.evolve
+
+        def counting_evolve(state, network):
+            evolved.append(state)
+            return real_evolve(state, network)
+
+        monkeypatch.setattr(grouping, "evolve", counting_evolve)
+        run_sdc(SdcConfig(setup="fig2", shots=10))
+        assert len(evolved) == 16
+
     def test_invalid_message_rejected(self):
         with pytest.raises(ValueError):
             run_sdc(SdcConfig(shots=1), messages=[BellIndex(5, 0, 0)])

@@ -127,7 +127,7 @@ class TestDistributions:
 
 class TestSampling:
     def test_point_mass(self):
-        dist = OutcomeDistribution("pnrd", {Outcome.from_label("A0 A0"): 1.0})
+        dist = OutcomeDistribution.from_probs("pnrd", {Outcome.from_label("A0 A0"): 1.0})
         counts = sample(dist, 500, seed=3)
         assert counts == Counter({Outcome.from_label("A0 A0"): 500})
 

@@ -62,6 +62,31 @@ class TestTableReproduction:
         assert len(table.groups) == 1
         assert table.groups[0].members == ("psi210",)
 
+    def test_partition_of_the_distributions_equals_classify(self):
+        from bellsort.grouping import distributions, partition
+
+        states = labelled_states("fig2", 4)
+        network = network_for_setup("fig2")
+        table = classify(states, network, "threshold", "loss_conservative")
+        split = partition(distributions(states, network, "threshold"), "fig2", "loss_conservative")
+        assert split == table
+
+    def test_partition_of_a_single_distribution_from_a_mapping(self):
+        from bellsort import OutcomeDistribution
+        from bellsort.grouping import partition
+
+        dist = OutcomeDistribution.from_probs("threshold", {Outcome.from_label("A0"): 1.0})
+        table = partition([("psi000", dist)], "fig1", "loss_conservative")
+        assert table.groups[0].quarantined
+
+    def test_partition_needs_one_output_basis(self):
+        from bellsort.grouping import distributions, partition
+
+        d4 = distributions(labelled_states("fig1", 4)[:1], network_for_setup("fig1", 4))
+        d2 = distributions([("other", make_bell_state(2, BellIndex(1, 0, 0)))], network_for_setup("fig1", 2))
+        with pytest.raises(ValueError, match="one output basis"):
+            partition(d4 + d2, "fig1")
+
     def test_duplicate_labels_rejected(self):
         state = make_bell_state(4, BellIndex(0, 0, 0))
         with pytest.raises(ValueError):

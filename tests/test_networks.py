@@ -17,8 +17,9 @@ from bellsort import (
     fig2_spec,
     make_bell_state,
     make_hyper_state,
+    network_for_setup,
 )
-from bellsort.modes import Mode, path_modes, polarized_modes
+from bellsort.modes import Mode, canonical_pair, path_modes, polarized_modes
 from conftest import oracle_evolve, random_two_photon_state, random_unitary
 
 A, B = "A", "B"
@@ -103,6 +104,12 @@ class TestEvolutionArchetypes:
         with pytest.raises(ValueError):
             evolve(state, build_fig1_network(4))
 
+    def test_paths_outside_the_network_rejected(self):
+        # A d=4 state has photons on paths 2 and 3, which a d=2 network lacks.
+        state = make_bell_state(4, BellIndex(2, 0, 0))
+        with pytest.raises(ValueError, match="not covered"):
+            evolve(state, build_fig1_network(2))
+
 
 class TestEvolutionProperties:
     def test_norm_preserved_on_random_states(self):
@@ -128,6 +135,31 @@ class TestEvolutionProperties:
                 got = evolved.amps.get(key, 0.0)
                 want = expected.get(key, 0.0)
                 assert abs(got - want) < 1e-10
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_oracle_equivalence_on_the_benchmark_sizes(self, dim):
+        # every state all_bell_indices(dim) builds, through fig1; kron(U, U)
+        # is 1024 x 1024 at d=16 (d=32 would need 256 MB and is left out)
+        net = build_fig1_network(dim)
+        for idx in all_bell_indices(dim):
+            state = make_bell_state(dim, idx)
+            evolved = evolve(state, net)
+            expected = oracle_evolve(state, net)
+            assert set(evolved.amps) == set(expected)
+            for key, amp in expected.items():
+                assert abs(evolved.amps[key] - amp) < 1e-10
+
+    def test_network_basis_in_another_order(self):
+        # the state is re-indexed onto the network's input basis
+        rng = np.random.default_rng(7)
+        basis = path_modes(4)[::-1]
+        net = random_unitary(basis, rng)
+        state = make_bell_state(4, BellIndex(3, 1, 1))
+        evolved = evolve(state, net)
+        expected = {canonical_pair(*key): a for key, a in oracle_evolve(state, net).items()}
+        assert set(evolved.amps) == set(expected)
+        for key, amp in expected.items():
+            assert abs(evolved.amps[key] - amp) < 1e-10
 
     def test_oracle_equivalence_on_the_measurement_networks(self):
         for idx in all_bell_indices(4):
@@ -199,6 +231,12 @@ class TestEvolutionProperties:
 
 
 class TestFig2Network:
+    def test_network_for_setup_is_built_once_and_read_only(self):
+        net = network_for_setup("fig2")
+        assert network_for_setup("fig2") is net
+        with pytest.raises(ValueError):
+            net.matrix[0, 0] = 0.0
+
     def test_composed_matrix_unitary(self):
         net = build_fig2_network()
         assert net.dim == 16

@@ -247,6 +247,25 @@ class TestStateRepresentation:
         assert not state.approx_equal(flipped, up_to_phase=False)
         assert not state.approx_equal(make_bell_state(4, BellIndex(2, 0, 0)))
 
+    def test_modes_outside_dimension_rejected(self):
+        with pytest.raises(ValueError, match="outside dimension"):
+            TwoPhotonState.from_amplitudes(2, {(Mode(A, 0), Mode(B, 3)): 1.0 / math.sqrt(2.0)})
+
+    def test_mixed_polarization_rejected(self):
+        amps = {(Mode(A, 0, "H"), Mode(B, 0, "+")): 1.0 / math.sqrt(2.0)}
+        with pytest.raises(ValueError, match="mixed polarization"):
+            TwoPhotonState.from_amplitudes(4, amps)
+
+    def test_array_form_is_upper_triangle_of_the_basis(self):
+        state = make_bell_state(4, BellIndex(2, 1, 0))
+        assert state.basis == path_modes(4)
+        assert np.all(state.rows <= state.cols)
+        assert not state.vals.flags.writeable
+        for i, k, a in zip(state.rows, state.cols, state.vals):
+            assert state.amplitude(state.basis[i], state.basis[k]) == a
+        with pytest.raises(ValueError):
+            TwoPhotonState(4, state.basis, state.cols, state.rows, state.vals)
+
     def test_mode_space_tracks_polarization(self):
         assert make_bell_state(4, BellIndex(0, 0, 0)).mode_space() == path_modes(4)
         assert make_hyper_state(BellIndex(0, 0, 0)).mode_space() == polarized_modes(4)
