@@ -53,13 +53,16 @@ class ReferenceTables:
 
 
 def _parse_table(data: dict) -> tuple[ReferenceGroup, ...]:
+    # from a list, not a generator: see GroupTable.usable_groups
     return tuple(
-        ReferenceGroup(
-            index=g["id"],
-            members=frozenset(g["members"]),
-            outcomes=frozenset(g["outcomes"]),
-        )
-        for g in data["groups"]
+        [
+            ReferenceGroup(
+                index=g["id"],
+                members=frozenset(g["members"]),
+                outcomes=frozenset(g["outcomes"]),
+            )
+            for g in data["groups"]
+        ]
     )
 
 

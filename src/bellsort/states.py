@@ -25,6 +25,13 @@ A state is stored as arrays over the upper triangle of its mode basis:
 Evolution fills the dense symmetric matrix only for the matmul and reads
 the upper triangle back in row-major order; ``amps`` is a read-only
 Mode-pair view of the same data for inspection and tests.
+
+Amplitudes and unitary matrices are float64 when every imaginary part is
+exactly zero and complex128 otherwise. Every element and state of the paper
+is real, so its evolution runs as real matrix products; a complex state or
+network promotes the product to complex. On real data the complex product
+only adds exact zeros, and tests/test_exact_real.py checks that both give
+the same bits for every state and network the CLI evolves.
 """
 
 from __future__ import annotations
@@ -134,10 +141,28 @@ def _positions(basis: ModeBasis) -> dict:
     return {m: i for i, m in enumerate(basis)}
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark arrays that caches share between callers read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=16)
-def _triu(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major upper-triangle index arrays of a size x size matrix."""
-    return np.triu_indices(size)
+def _triu(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major upper triangle of a size x size matrix: rows, cols, flat offsets, pair weights."""
+    rows, cols = np.triu_indices(size)
+    return _frozen(rows, cols, rows * size + cols, _pair_weights(rows, cols))
+
+
+def _exact_dtype(array) -> np.ndarray:
+    """``array`` as float64 if every imaginary part is exactly zero, else complex128."""
+    array = np.asarray(array)
+    if np.iscomplexobj(array):
+        if array.imag.any():
+            return array.astype(complex, copy=False)
+        array = array.real
+    return np.ascontiguousarray(array, dtype=float)
 
 
 def _pol_basis(pols: set) -> tuple[str, str] | None:
@@ -187,8 +212,11 @@ class TwoPhotonState:
             raise ValueError("dimension must be positive")
         object.__setattr__(self, "basis", as_basis(self.basis))
         _check_basis(self.basis, self.dim)
-        for name, dtype in (("rows", np.intp), ("cols", np.intp), ("vals", complex)):
-            array = np.asarray(getattr(self, name), dtype=dtype)
+        for name, array in (
+            ("rows", np.asarray(self.rows, dtype=np.intp)),
+            ("cols", np.asarray(self.cols, dtype=np.intp)),
+            ("vals", _exact_dtype(self.vals)),
+        ):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         rows, cols = self.rows, self.cols
@@ -274,9 +302,9 @@ class TwoPhotonState:
         within 1e-9 (unless ``require_normalized`` is false). Amplitudes
         below 1e-12 are then pruned.
         """
-        rows, cols = _triu(len(basis))
-        vals = matrix[rows, cols]
-        norm = _norm_of(rows, cols, vals)
+        rows, cols, flat, weights = _triu(len(basis))
+        vals = matrix.ravel().take(flat)
+        norm = _norm_of(weights, vals)
         if normalize:
             if norm == 0.0:
                 raise ValueError("cannot normalize the zero state")
@@ -290,12 +318,13 @@ class TwoPhotonState:
 
     @cached_property
     def amps(self) -> Mapping[tuple[Mode, Mode], complex]:
-        """Read-only map from canonical mode pairs (m1 <= m2) to psi(m1, m2)."""
+        """Read-only map from canonical mode pairs (m1 <= m2) to complex psi(m1, m2)."""
         basis = self.basis
+        vals = self.vals.astype(complex).tolist()
         return MappingProxyType(
             {
                 canonical_pair(basis[i], basis[k]): a
-                for i, k, a in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist())
+                for i, k, a in zip(self.rows.tolist(), self.cols.tolist(), vals)
             }
         )
 
@@ -304,7 +333,7 @@ class TwoPhotonState:
         return self.amps.get(canonical_pair(m1, m2), 0.0 + 0.0j)
 
     def norm(self) -> float:
-        return _norm_of(self.rows, self.cols, self.vals)
+        return _norm_of(_pair_weights(self.rows, self.cols), self.vals)
 
     @property
     def support(self) -> frozenset[tuple[Mode, Mode]]:
@@ -336,7 +365,7 @@ class TwoPhotonState:
                 raise ValueError(f"state modes not covered by the basis: {', '.join(missing)}")
             remap = np.array([index.get(m, -1) for m in self.basis], dtype=np.intp)
             rows, cols = remap[rows], remap[cols]
-        out = np.zeros((len(basis), len(basis)), dtype=complex)
+        out = np.zeros((len(basis), len(basis)), dtype=self.vals.dtype)
         out[rows, cols] = self.vals
         out[cols, rows] = self.vals
         return out
@@ -372,9 +401,16 @@ class TwoPhotonState:
         return True
 
 
-def _norm_of(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
-    weights = np.where(rows == cols, 1.0, 2.0)
-    return math.sqrt(float(weights @ (vals.real**2 + vals.imag**2)))
+def _pair_weights(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Norm weight of each stored pair: 1 for psi(m, m), 2 for a distinct pair."""
+    return np.where(rows == cols, 1.0, 2.0)
+
+
+def _norm_of(weights: np.ndarray, vals: np.ndarray) -> float:
+    squares = vals.real**2
+    if np.iscomplexobj(vals):
+        squares += vals.imag**2
+    return math.sqrt(float(weights @ squares))
 
 
 @dataclass(frozen=True)
@@ -384,7 +420,8 @@ class SinglePhotonUnitary:
     ``matrix[o, i]`` is the amplitude from input mode ``in_modes[i]`` to
     output mode ``out_modes[o]``. Input and output bases may differ (the
     polarization analyzers relabel H/V to +/-). Unitarity is enforced at
-    construction within 1e-10; the matrix is read-only.
+    construction within 1e-10; the matrix is a read-only copy, float64 when
+    exactly real and complex128 otherwise.
     """
 
     in_modes: ModeBasis
@@ -392,7 +429,7 @@ class SinglePhotonUnitary:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
+        mat = np.array(_exact_dtype(self.matrix))
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "in_modes", as_basis(self.in_modes))
         object.__setattr__(self, "out_modes", as_basis(self.out_modes))
@@ -422,6 +459,19 @@ class SinglePhotonUnitary:
 # -- Bell family construction ------------------------------------------------
 
 
+@lru_cache(maxsize=128)
+def _xor_cols(dim: int, slots: int, j: int) -> np.ndarray:
+    """Arm-B position of path x XOR j, same slot, for each arm-A position x * slots + slot."""
+    x, slot = np.divmod(np.arange(dim * slots), slots)
+    return _frozen(slots * (dim + (x ^ j)) + slot)[0]
+
+
+@lru_cache(maxsize=64)
+def _signs(dim: int, slots: int, n: int, m: int) -> np.ndarray:
+    """(-1)**(n*x0 + m*x1) for each arm-A position x * slots + slot."""
+    return _frozen(_sign(np.arange(dim * slots) // slots, n, m))[0]
+
+
 def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, slots: int, coeff: float) -> TwoPhotonState:
     """The state sum_x (-1)**(n*x0 + m*x1) coeff |x>_A |x XOR j>_B.
 
@@ -429,11 +479,10 @@ def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, slots: int, coeff: f
     is ordered arm, path, slot.
     """
     rows = np.arange(dim * slots)
-    x, slot = np.divmod(rows, slots)
-    cols = slots * (dim + (x ^ idx.j)) + slot
-    # c * |1_a, 1_b> with a != b is stored as c / sqrt(2)
-    vals = _sign(x, idx.n, idx.m) * coeff / math.sqrt(2.0)
-    return TwoPhotonState(dim, basis, rows, cols, vals)
+    # c * |1_a, 1_b> with a != b is stored as c / sqrt(2); the signs are
+    # +-1, so scaling them by one rounded factor is exact
+    vals = _signs(dim, slots, idx.n, idx.m) * (coeff / math.sqrt(2.0))
+    return TwoPhotonState(dim, basis, rows, _xor_cols(dim, slots, idx.j), vals)
 
 
 def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
@@ -455,6 +504,16 @@ def make_hyper_state(idx: BellIndex) -> TwoPhotonState:
     return _xor_paired(4, idx, polarized_modes(4, POL_LINEAR), 2, 1.0 / (2.0 * math.sqrt(2.0)))
 
 
+def _encoding_matrix(dim: int, idx: BellIndex) -> np.ndarray:
+    """The signed permutation matrix of U(j, n, m) over path indices."""
+    _require_power_of_two(dim)
+    idx.validate_for(dim)
+    x = np.arange(dim)
+    mat = np.zeros((dim, dim))
+    mat[x ^ idx.j, x] = _sign(x, idx.n, idx.m)
+    return mat
+
+
 def encoding_unitary(dim: int, idx: BellIndex) -> SinglePhotonUnitary:
     """The local path unitary U(j, n, m)|x> = (-1)**(n*x0 + m*x1) |x XOR j>.
 
@@ -462,16 +521,27 @@ def encoding_unitary(dim: int, idx: BellIndex) -> SinglePhotonUnitary:
     polarization when applied to a polarized state); in/out modes are the
     path indices 0..d-1.
     """
-    _require_power_of_two(dim)
-    idx.validate_for(dim)
-    x = np.arange(dim)
-    mat = np.zeros((dim, dim))
-    mat[x ^ idx.j, x] = _sign(x, idx.n, idx.m)
     paths = tuple(range(dim))
-    return SinglePhotonUnitary(paths, paths, mat)
+    return SinglePhotonUnitary(paths, paths, _encoding_matrix(dim, idx))
 
 
 _ARM_OF_PHOTON = {"first": ARM_FIRST, "second": ARM_SECOND}
+
+
+@lru_cache(maxsize=64)
+def _rails(basis: ModeBasis, arm: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks placing a path unitary on the rails of ``arm`` and the identity elsewhere.
+
+    A mode map couples mode i to mode o only within one (arm, polarization)
+    rail set. Returns ``in_arm`` (same rail set, in ``arm``), ``identity``
+    (same rail set and path) and each mode's path.
+    """
+    arms = np.array([m.arm for m in basis])
+    paths = np.array([m.path for m in basis])
+    pols = np.array([str(m.pol) for m in basis])
+    same_rail = (arms[:, None] == arms) & (pols[:, None] == pols)
+    in_arm = same_rail & (arms == arm)[:, None]
+    return _frozen(in_arm, same_rail & (paths[:, None] == paths), paths)
 
 
 def apply_local_unitary(
@@ -485,20 +555,14 @@ def apply_local_unitary(
     """
     if which_photon not in _ARM_OF_PHOTON:
         raise ValueError(f"which_photon must be 'first' or 'second', got {which_photon!r}")
-    path_matrix = np.asarray(path_matrix, dtype=complex)
+    path_matrix = _exact_dtype(path_matrix)
     if path_matrix.shape != (state.dim, state.dim):
         raise ValueError(
             f"path matrix shape {path_matrix.shape} does not match dimension {state.dim}"
         )
     basis = state.mode_space()
-    arms = np.array([m.arm for m in basis])
-    paths = np.array([m.path for m in basis])
-    pols = np.array([str(m.pol) for m in basis])
-    # U couples mode i to mode o only within one (arm, polarization) rail set:
-    # by path_matrix in the chosen arm, by the identity in the other.
-    same_rail = (arms[:, None] == arms) & (pols[:, None] == pols)
-    in_arm = same_rail & (arms == _ARM_OF_PHOTON[which_photon])[:, None]
-    full = np.where(in_arm, path_matrix[paths[:, None], paths], same_rail & (paths[:, None] == paths))
+    in_arm, identity, paths = _rails(basis, _ARM_OF_PHOTON[which_photon])
+    full = np.where(in_arm, path_matrix[paths[:, None], paths], identity)
     psi = state.to_matrix(basis)
     return TwoPhotonState.from_matrix(state.dim, basis, full @ psi @ full.T)
 
@@ -510,5 +574,4 @@ def encode(state: TwoPhotonState, idx: BellIndex, which_photon: str) -> TwoPhoto
     |psi(0,0,0)> yields make_bell_state(d, idx); on a hyperentangled
     reference the polarization factor rides along unchanged.
     """
-    idx.validate_for(state.dim)
-    return apply_local_unitary(state, encoding_unitary(state.dim, idx).matrix, which_photon)
+    return apply_local_unitary(state, _encoding_matrix(state.dim, idx), which_photon)

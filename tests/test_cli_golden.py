@@ -6,6 +6,10 @@ amplitude's bits, to the order in which Born weights are summed, or to the
 rendering shows up here. In particular the weights must be normalised by a
 left-to-right sum in row-major upper-triangle order: a pairwise sum
 (``np.sum``) changes the probabilities of most d=4 states in the last bit.
+
+The last three digests (d=2 sample, fig2 pnrd sample, fig1 threshold sdc)
+were recorded from the complex128-only representation, before states and
+networks with exactly real amplitudes were stored as float64.
 """
 
 import hashlib
@@ -46,6 +50,19 @@ GOLDEN = [
         "39ba80bf0adc7a7bf5d150af491fc2345fe4ca7e89645ec5a3547faa891c4524",
     ),
     (("sdc", "--setup", "fig1", "--seed", "5"), "199241903cc0b2bdd053c0164803eda8ff827f82b3c1fe349bc4f28818eff3aa"),
+    (
+        ("sample", "--dim", "2", "--state", "1,1,0", "--format", "json"),
+        "eeb4b39a8ce130f9244c7c003e2327139a77f00fac987284764bdeb34e5bb9f3",
+    ),
+    (
+        ("sample", "--setup", "fig2", "--state", "3,0,1", "--format", "json"),
+        "9566f94367cbd3b324a4fa7896cf40fbb8adefcd63cc5a2b0019f4145e49921f",
+    ),
+    (
+        ("sdc", "--setup", "fig1", "--model", "threshold", "--policy", "loss-conservative",
+         "--shots", "100000", "--seed", "9", "--format", "json"),
+        "9d5ca461c02152d9146e73b9c1ddd8f67d83cfa8c7bd3980c0725ac9314dec21",
+    ),
 ]
 
 

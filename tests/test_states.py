@@ -154,6 +154,14 @@ class TestEncoding:
             mat = encoding_unitary(4, idx).matrix
             assert np.max(np.abs(mat @ mat.conj().T - np.eye(4))) < 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 8, 16, 32])
+    def test_all_unitary_at_other_dimensions(self, dim):
+        # each one passes SinglePhotonUnitary's unitarity check and is an exact signed permutation
+        for idx in all_bell_indices(dim):
+            mat = encoding_unitary(dim, idx).matrix
+            assert mat.dtype == np.float64
+            assert np.array_equal(mat @ mat.T, np.eye(dim))
+
     def test_encode_identity_message(self):
         ref = make_bell_state(4, BellIndex(0, 0, 0))
         assert encode(ref, BellIndex(0, 0, 0), "second").approx_equal(ref, up_to_phase=False)
