@@ -20,7 +20,6 @@ from .states import (
     SinglePhotonUnitary,
     TwoPhotonState,
     all_bell_indices,
-    apply_local_unitary,
     encode,
     encoding_unitary,
     make_bell_state,
@@ -86,7 +85,6 @@ __all__ = [
     "StateGroup",
     "TwoPhotonState",
     "all_bell_indices",
-    "apply_local_unitary",
     "build_fig1_network",
     "build_fig2_network",
     "channel_capacity",

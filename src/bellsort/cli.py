@@ -41,25 +41,17 @@ from .grouping import (
     channel_capacity,
     classify,
 )
-from .dense_coding import SdcConfig, run_sdc
+from .dense_coding import SdcConfig, prepared_state, run_sdc
 from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, evolve, network_for_setup
 from .references import load_reference_tables, diff_against_reference
-from .states import (
-    BellIndex,
-    all_bell_indices,
-    make_bell_state,
-    make_hyper_state,
-)
+from .states import BellIndex, all_bell_indices
 
 _CAPACITY_TEXT_TOL = 0.01  # two-decimal quotes are checked at this slack
 
 
 def labelled_states(setup: str, dim: int):
     """The full labelled Bell family prepared for a setup, enumeration order."""
-    indices = all_bell_indices(dim)
-    if setup == SETUP_FIG2:
-        return [(idx.label, make_hyper_state(idx)) for idx in indices]
-    return [(idx.label, make_bell_state(dim, idx)) for idx in indices]
+    return [(idx.label, prepared_state(setup, dim, idx)) for idx in all_bell_indices(dim)]
 
 
 def compute_table(setup: str, dim: int, model: str, policy: str) -> GroupTable:
@@ -171,10 +163,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     idx = args.state
-    if args.setup == SETUP_FIG2:
-        state = make_hyper_state(idx)
-    else:
-        state = make_bell_state(args.dim, idx)
+    state = prepared_state(args.setup, args.dim, idx)
     network = network_for_setup(args.setup, args.dim)
     dist = outcome_distribution(evolve(state, network), args.model)
     counts = sample(dist, args.shots, args.seed)

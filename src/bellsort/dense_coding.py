@@ -86,10 +86,14 @@ class SdcReport:
         )
 
 
+def prepared_state(setup: str, dim: int, idx: BellIndex) -> TwoPhotonState:
+    """Bell state ``idx`` as a setup takes it: with the polarization ancilla for fig2."""
+    return make_hyper_state(idx) if setup == SETUP_FIG2 else make_bell_state(dim, idx)
+
+
 def reference_state(setup: str) -> TwoPhotonState:
     """The shared pair the receiver prepares before any encoding."""
-    origin = BellIndex(0, 0, 0)
-    return make_hyper_state(origin) if setup == SETUP_FIG2 else make_bell_state(4, origin)
+    return prepared_state(setup, 4, BellIndex(0, 0, 0))
 
 
 def run_sdc(config: SdcConfig, messages: Sequence[BellIndex] | None = None) -> SdcReport:
@@ -114,20 +118,21 @@ def run_sdc(config: SdcConfig, messages: Sequence[BellIndex] | None = None) -> S
     table = partition(labelled, config.setup, config.policy)
     decoder = table.decoder()
     dists = dict(labelled)
+    own_groups = {label: g.index for g in table.groups for label in g.members}
 
     message_counts: dict[str, dict[int, int]] = {}
     correct = 0
     total = 0
     for ordinal, idx in enumerate(messages):
-        own_group = table.group_of(idx.label).index
+        own_group = own_groups[idx.label]
         counts: Counter = sample(dists[idx.label], config.shots, config.seed + ordinal)
         per_group: dict[int, int] = {}
         for outcome, count in counts.items():
-            if outcome not in decoder:
+            gid = decoder.get(outcome)
+            if gid is None:
                 raise RuntimeError(
                     f"outcome {outcome.label} of message {idx.label} lies outside every group support"
                 )
-            gid = decoder[outcome]
             per_group[gid] = per_group.get(gid, 0) + count
             if gid == own_group:
                 correct += count

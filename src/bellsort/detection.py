@@ -14,7 +14,9 @@ threshold model (i, i) stands for the single click i). Distributions made by
 :class:`Outcome` objects only when read, from a per-basis table.
 
 Sampling uses numpy's seeded PCG64 generator; identical (seed, shots) give
-bit-identical counts.
+bit-identical counts. It draws one multinomial over the outcomes in label
+order, which each distribution computes once (``OutcomeDistribution.order``)
+and shares with rendering.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .modes import Mode, ModeBasis
-from .states import BORN_NORM_TOL, TwoPhotonState
+from .states import BORN_NORM_TOL, PROB_TOL, TwoPhotonState
 
 MODEL_PNRD = "pnrd"
 MODEL_THRESHOLD = "threshold"
@@ -39,7 +41,6 @@ MODELS = (MODEL_PNRD, MODEL_THRESHOLD)
 RNG_ALGORITHM = "PCG64"
 
 _DETECTOR_RE = re.compile(r"^([AB])(\d+)([+-]?)$")
-_PROB_TOL = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -76,14 +77,26 @@ class DetectorId:
 
 @dataclass(frozen=True)
 class Outcome:
-    """A detection event: the sorted clicks, with multiplicity under PNRD."""
+    """A detection event: the sorted clicks, with multiplicity under PNRD.
+
+    Hashed once at construction and again on unpickling (string hashes
+    differ between processes); the label is built on first use.
+    """
 
     clicks: tuple[DetectorId, ...]
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.clicks) <= 2:
             raise ValueError("an outcome carries one or two clicks")
-        object.__setattr__(self, "clicks", tuple(sorted(self.clicks)))
+        clicks = tuple(sorted(self.clicks))
+        object.__setattr__(self, "clicks", clicks)
+        object.__setattr__(self, "_hash", hash(clicks))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Outcome, (self.clicks,)
 
     @classmethod
     def pair(cls, d1: DetectorId, d2: DetectorId) -> "Outcome":
@@ -93,9 +106,9 @@ class Outcome:
     def from_label(cls, label: str) -> "Outcome":
         return cls(tuple(DetectorId.from_label(part) for part in label.split()))
 
-    @property
+    @cached_property
     def label(self) -> str:
-        return " ".join(d.label for d in self.clicks)
+        return " ".join([d.label for d in self.clicks])
 
     @property
     def is_single_click(self) -> bool:
@@ -163,7 +176,7 @@ class OutcomeDistribution:
         if any(p < 0 for p in probs.values()):
             raise ValueError("negative probability")
         total = sum(cleaned.values())
-        if abs(total - 1.0) > _PROB_TOL:
+        if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         table = dict(enumerate(cleaned))
         return cls(model, table, np.arange(len(table)), np.array(list(cleaned.values())))
@@ -182,9 +195,19 @@ class OutcomeDistribution:
     def support(self) -> frozenset[Outcome]:
         return frozenset(self.probs)
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Positions into ``ids`` and ``p`` in outcome-label order, used for sampling and rendering."""
+        table = self.table
+        labels = [table[i].label for i in self.ids.tolist()]
+        order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
+        order.flags.writeable = False
+        return order
+
     def sorted_items(self) -> list[tuple[Outcome, float]]:
-        """Deterministic (label-sorted) iteration order, used for sampling and rendering."""
-        return sorted(self.probs.items(), key=lambda kv: kv[0].label)
+        """(outcome, probability) pairs in label order."""
+        table, order = self.table, self.order
+        return [(table[i], p) for i, p in zip(self.ids[order].tolist(), self.p[order].tolist())]
 
     def to_dict(self) -> dict:
         return {
@@ -228,9 +251,7 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> Counter[Outcome]
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    items = dist.sorted_items()
-    pvals = np.array([p for _, p in items])
-    pvals = pvals / pvals.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, pvals)
-    return Counter({o: int(c) for (o, _), c in zip(items, counts) if c})
+    table, order = dist.table, dist.order
+    pvals = dist.p[order]
+    counts = np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
+    return Counter({table[i]: c for i, c in zip(dist.ids[order].tolist(), counts.tolist()) if c})

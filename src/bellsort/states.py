@@ -24,7 +24,10 @@ A state is stored as arrays over the upper triangle of its mode basis:
 ``vals[t]`` is psi(basis[rows[t]], basis[cols[t]]) with rows[t] <= cols[t].
 Evolution fills the dense symmetric matrix only for the matmul and reads
 the upper triangle back in row-major order; ``amps`` is a read-only
-Mode-pair view of the same data for inspection and tests.
+Mode-pair view of the same data for inspection and tests. An encoding
+unitary is a signed permutation of modes, so :func:`encode` never builds a
+matrix: it maps each stored pair's indices to their images, flips the sign
+of its amplitude where U does, and sorts the pairs back into that order.
 
 Amplitudes and unitary matrices are float64 when every imaginary part is
 exactly zero and complex128 otherwise. Every element and state of the paper
@@ -64,6 +67,7 @@ NORM_TOL = 1e-9  # a constructed or evolved state must have norm 1 within this
 BORN_NORM_TOL = 1e-6  # outcome_distribution rejects states off unit norm by more
 PHASE_TOL = 1e-9  # per-amplitude slack of TwoPhotonState.approx_equal
 UNITARY_TOL = 1e-10  # max |U U^dagger - 1| entry of a SinglePhotonUnitary
+PROB_TOL = 1e-9  # OutcomeDistribution.from_probs rejects probabilities summing off 1 by more
 
 _LABEL_RE = re.compile(r"^psi(\d)(\d)(\d)$")
 
@@ -352,19 +356,23 @@ class TwoPhotonState:
         """The canonical full single-photon basis this state is expressed in."""
         return _mode_space(self.dim, self.pol_basis)
 
-    def to_matrix(self, basis: tuple) -> np.ndarray:
-        """Dense symmetric amplitude matrix over ``basis``.
+    def _pairs_in(self, basis: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The stored pairs' rows and cols as positions in ``basis`` (not reordered).
 
         Raises if a mode of the support is not in ``basis``.
         """
-        rows, cols = self.rows, self.cols
-        if basis is not self.basis and basis != self.basis:
-            index = _positions(as_basis(basis))
-            missing = sorted(m.label for m in self.modes() if m not in index)
-            if missing:
-                raise ValueError(f"state modes not covered by the basis: {', '.join(missing)}")
-            remap = np.array([index.get(m, -1) for m in self.basis], dtype=np.intp)
-            rows, cols = remap[rows], remap[cols]
+        if basis is self.basis or basis == self.basis:
+            return self.rows, self.cols
+        index = _positions(as_basis(basis))
+        missing = sorted(m.label for m in self.modes() if m not in index)
+        if missing:
+            raise ValueError(f"state modes not covered by the basis: {', '.join(missing)}")
+        remap = np.array([index.get(m, -1) for m in self.basis], dtype=np.intp)
+        return remap[self.rows], remap[self.cols]
+
+    def to_matrix(self, basis: tuple) -> np.ndarray:
+        """Dense symmetric amplitude matrix over ``basis``; raises as :meth:`_pairs_in`."""
+        rows, cols = self._pairs_in(basis)
         out = np.zeros((len(basis), len(basis)), dtype=self.vals.dtype)
         out[rows, cols] = self.vals
         out[cols, rows] = self.vals
@@ -459,30 +467,37 @@ class SinglePhotonUnitary:
 # -- Bell family construction ------------------------------------------------
 
 
+_ARM_OF_PHOTON = {"first": ARM_FIRST, "second": ARM_SECOND}
+
+
 @lru_cache(maxsize=128)
-def _xor_cols(dim: int, slots: int, j: int) -> np.ndarray:
-    """Arm-B position of path x XOR j, same slot, for each arm-A position x * slots + slot."""
-    x, slot = np.divmod(np.arange(dim * slots), slots)
-    return _frozen(slots * (dim + (x ^ j)) + slot)[0]
+def _xor_positions(basis: ModeBasis, arm: str, j: int) -> np.ndarray:
+    """Position of (arm, x XOR j, pol) for each mode (arm, x, pol) of ``basis``; others stay."""
+    index = _positions(basis)
+    moved = [index[Mode(m.arm, m.path ^ j, m.pol)] if m.arm == arm else i for i, m in enumerate(basis)]
+    return _frozen(np.array(moved))[0]
 
 
-@lru_cache(maxsize=64)
-def _signs(dim: int, slots: int, n: int, m: int) -> np.ndarray:
-    """(-1)**(n*x0 + m*x1) for each arm-A position x * slots + slot."""
-    return _frozen(_sign(np.arange(dim * slots) // slots, n, m))[0]
+@lru_cache(maxsize=128)
+def _arm_signs(basis: ModeBasis, arm: str, n: int, m: int) -> np.ndarray:
+    """(-1)**(n*x0 + m*x1) for each mode of ``basis`` in ``arm``, 1 elsewhere."""
+    paths = np.array([mode.path for mode in basis])
+    in_arm = np.array([mode.arm == arm for mode in basis])
+    return _frozen(np.where(in_arm, _sign(paths, n, m), 1).astype(float))[0]
 
 
-def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, slots: int, coeff: float) -> TwoPhotonState:
-    """The state sum_x (-1)**(n*x0 + m*x1) coeff |x>_A |x XOR j>_B.
+def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, coeff: float) -> TwoPhotonState:
+    """The state sum_x (-1)**(n*x0 + m*x1) coeff |x>_A |x XOR j>_B in every slot of ``basis``.
 
-    Each ket is repeated in each of ``slots`` polarization slots; ``basis``
-    is ordered arm, path, slot.
+    ``basis`` is ordered arm, path, slot: arm-A mode p pairs with arm-B mode
+    p + half, moved the way encoding the second photon moves it.
     """
-    rows = np.arange(dim * slots)
+    half = len(basis) // 2
     # c * |1_a, 1_b> with a != b is stored as c / sqrt(2); the signs are
     # +-1, so scaling them by one rounded factor is exact
-    vals = _signs(dim, slots, idx.n, idx.m) * (coeff / math.sqrt(2.0))
-    return TwoPhotonState(dim, basis, rows, _xor_cols(dim, slots, idx.j), vals)
+    vals = _arm_signs(basis, ARM_FIRST, idx.n, idx.m)[:half] * (coeff / math.sqrt(2.0))
+    cols = _xor_positions(basis, ARM_SECOND, idx.j)[half:]
+    return TwoPhotonState(dim, basis, np.arange(half), cols, vals)
 
 
 def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
@@ -495,23 +510,13 @@ def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
     """
     _require_power_of_two(dim)
     idx.validate_for(dim)
-    return _xor_paired(dim, idx, path_modes(dim), 1, 1.0 / math.sqrt(dim))
+    return _xor_paired(dim, idx, path_modes(dim), 1.0 / math.sqrt(dim))
 
 
 def make_hyper_state(idx: BellIndex) -> TwoPhotonState:
     """A d=4 path Bell state tensored with the polarization pair (|HH>+|VV>)/sqrt(2)."""
     idx.validate_for(4)
-    return _xor_paired(4, idx, polarized_modes(4, POL_LINEAR), 2, 1.0 / (2.0 * math.sqrt(2.0)))
-
-
-def _encoding_matrix(dim: int, idx: BellIndex) -> np.ndarray:
-    """The signed permutation matrix of U(j, n, m) over path indices."""
-    _require_power_of_two(dim)
-    idx.validate_for(dim)
-    x = np.arange(dim)
-    mat = np.zeros((dim, dim))
-    mat[x ^ idx.j, x] = _sign(x, idx.n, idx.m)
-    return mat
+    return _xor_paired(4, idx, polarized_modes(4, POL_LINEAR), 1.0 / (2.0 * math.sqrt(2.0)))
 
 
 def encoding_unitary(dim: int, idx: BellIndex) -> SinglePhotonUnitary:
@@ -521,50 +526,13 @@ def encoding_unitary(dim: int, idx: BellIndex) -> SinglePhotonUnitary:
     polarization when applied to a polarized state); in/out modes are the
     path indices 0..d-1.
     """
+    _require_power_of_two(dim)
+    idx.validate_for(dim)
+    x = np.arange(dim)
+    mat = np.zeros((dim, dim))
+    mat[x ^ idx.j, x] = _sign(x, idx.n, idx.m)
     paths = tuple(range(dim))
-    return SinglePhotonUnitary(paths, paths, _encoding_matrix(dim, idx))
-
-
-_ARM_OF_PHOTON = {"first": ARM_FIRST, "second": ARM_SECOND}
-
-
-@lru_cache(maxsize=64)
-def _rails(basis: ModeBasis, arm: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks placing a path unitary on the rails of ``arm`` and the identity elsewhere.
-
-    A mode map couples mode i to mode o only within one (arm, polarization)
-    rail set. Returns ``in_arm`` (same rail set, in ``arm``), ``identity``
-    (same rail set and path) and each mode's path.
-    """
-    arms = np.array([m.arm for m in basis])
-    paths = np.array([m.path for m in basis])
-    pols = np.array([str(m.pol) for m in basis])
-    same_rail = (arms[:, None] == arms) & (pols[:, None] == pols)
-    in_arm = same_rail & (arms == arm)[:, None]
-    return _frozen(in_arm, same_rail & (paths[:, None] == paths), paths)
-
-
-def apply_local_unitary(
-    state: TwoPhotonState, path_matrix: np.ndarray, which_photon: str
-) -> TwoPhotonState:
-    """Apply a path unitary to the photon in one arm, identity elsewhere.
-
-    ``path_matrix`` is d x d over path indices; it extends by identity over
-    polarization and over the other arm, then acts on the symmetric
-    amplitude matrix as psi -> U psi U^T.
-    """
-    if which_photon not in _ARM_OF_PHOTON:
-        raise ValueError(f"which_photon must be 'first' or 'second', got {which_photon!r}")
-    path_matrix = _exact_dtype(path_matrix)
-    if path_matrix.shape != (state.dim, state.dim):
-        raise ValueError(
-            f"path matrix shape {path_matrix.shape} does not match dimension {state.dim}"
-        )
-    basis = state.mode_space()
-    in_arm, identity, paths = _rails(basis, _ARM_OF_PHOTON[which_photon])
-    full = np.where(in_arm, path_matrix[paths[:, None], paths], identity)
-    psi = state.to_matrix(basis)
-    return TwoPhotonState.from_matrix(state.dim, basis, full @ psi @ full.T)
+    return SinglePhotonUnitary(paths, paths, mat)
 
 
 def encode(state: TwoPhotonState, idx: BellIndex, which_photon: str) -> TwoPhotonState:
@@ -572,6 +540,23 @@ def encode(state: TwoPhotonState, idx: BellIndex, which_photon: str) -> TwoPhoto
 
     Applying ``encode(reference, idx, 'second')`` to the reference state
     |psi(0,0,0)> yields make_bell_state(d, idx); on a hyperentangled
-    reference the polarization factor rides along unchanged.
+    reference the polarization factor rides along unchanged. U is a signed
+    permutation of modes, so psi -> U psi U^T moves each pair and flips signs:
+    exactly the bits of the dense product, in the state's mode space. The
+    norm is unchanged, so it is checked where states are evolved and detected.
     """
-    return apply_local_unitary(state, _encoding_matrix(state.dim, idx), which_photon)
+    _require_power_of_two(state.dim)
+    idx.validate_for(state.dim)
+    if which_photon not in _ARM_OF_PHOTON:
+        raise ValueError(f"which_photon must be 'first' or 'second', got {which_photon!r}")
+    arm = _ARM_OF_PHOTON[which_photon]
+    basis = state.mode_space()
+    rows, cols = state._pairs_in(basis)
+    signs = _arm_signs(basis, arm, idx.n, idx.m)
+    vals = state.vals * signs[rows] * signs[cols]
+    positions = _xor_positions(basis, arm, idx.j)
+    rows, cols = positions[rows], positions[cols]
+    low, high = np.minimum(rows, cols), np.maximum(rows, cols)
+    order = np.argsort(low * len(basis) + high)
+    order = order[np.abs(vals[order]) >= AMP_PRUNE]
+    return TwoPhotonState(state.dim, basis, low[order], high[order], vals[order])

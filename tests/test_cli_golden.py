@@ -7,9 +7,14 @@ rendering shows up here. In particular the weights must be normalised by a
 left-to-right sum in row-major upper-triangle order: a pairwise sum
 (``np.sum``) changes the probabilities of most d=4 states in the last bit.
 
-The last three digests (d=2 sample, fig2 pnrd sample, fig1 threshold sdc)
+The next three digests (d=2 sample, fig2 pnrd sample, fig1 threshold sdc)
 were recorded from the complex128-only representation, before states and
 networks with exactly real amplitudes were stored as float64.
+
+The last two (fig2 threshold sdc as text, fig2 threshold sample as csv)
+were recorded from a checkout of the commit before ``encode`` became an
+index permutation and sampling read a cached label order, when ``encode``
+still multiplied dense matrices and ``sample`` sorted an Outcome map.
 """
 
 import hashlib
@@ -62,6 +67,14 @@ GOLDEN = [
         ("sdc", "--setup", "fig1", "--model", "threshold", "--policy", "loss-conservative",
          "--shots", "100000", "--seed", "9", "--format", "json"),
         "9d5ca461c02152d9146e73b9c1ddd8f67d83cfa8c7bd3980c0725ac9314dec21",
+    ),
+    (
+        ("sdc", "--setup", "fig2", "--model", "threshold", "--shots", "1000", "--seed", "4"),
+        "8573e5e9306fc6572b66296970b8367236da3e1c3940e32c1ed09379a9fb729d",
+    ),
+    (
+        ("sample", "--setup", "fig2", "--model", "threshold", "--state", "1,1,1", "--format", "csv"),
+        "cf96d6cbb780166f87b1b389313ccd846704d41edbcbc58e3c5742e11b5d40f2",
     ),
 ]
 

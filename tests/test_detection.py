@@ -1,7 +1,13 @@
 """Tests for outcome distributions and seeded sampling."""
 
+import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +28,8 @@ from bellsort import (
     outcome_distribution,
     sample,
 )
-from bellsort.modes import Mode
+from bellsort.detection import OutcomeTable
+from bellsort.modes import Mode, path_modes
 
 A, B = "A", "B"
 
@@ -30,6 +37,29 @@ A, B = "A", "B"
 def fig1_distribution(idx, model="pnrd", dim=4):
     state = make_bell_state(dim, idx)
     return outcome_distribution(evolve(state, build_fig1_network(dim)), model)
+
+
+def label_sorted_sample(dist, shots, seed):
+    """Sampling as first written: sort the Outcome map by label, normalise, draw."""
+    items = sorted(dist.probs.items(), key=lambda kv: kv[0].label)
+    pvals = np.array([p for _, p in items])
+    pvals = pvals / pvals.sum()
+    counts = np.random.default_rng(seed).multinomial(shots, pvals)
+    return items, Counter({o: int(c) for (o, _), c in zip(items, counts) if c})
+
+
+def guarded_distributions():
+    """Every fig1 (d = 2, 4) and fig2 distribution under both detector models, and fig1 at d = 16.
+
+    Below ten paths the label order equals the outcome-id order; at d = 16
+    ("A10" sorts before "A2") it does not.
+    """
+    for model in ("pnrd", "threshold"):
+        for dim in (2, 4, 16):
+            for idx in all_bell_indices(dim):
+                yield fig1_distribution(idx, model, dim)
+        for idx in all_bell_indices(4):
+            yield outcome_distribution(evolve(make_hyper_state(idx), build_fig2_network()), model)
 
 
 class TestOutcomeLabels:
@@ -46,6 +76,34 @@ class TestOutcomeLabels:
         assert Outcome.pair(d1, d2).label == "A3 B1"
         plus, minus = DetectorId.from_label("A0+"), DetectorId.from_label("A0-")
         assert Outcome.pair(minus, plus).label == "A0+ A0-"
+
+    def test_outcome_hash_contract(self):
+        tabled = OutcomeTable(path_modes(4), "pnrd")[0 * 8 + 5]
+        parsed = Outcome.from_label("A0 B1")
+        unpickled = pickle.loads(pickle.dumps(tabled))
+        copied = copy.deepcopy(tabled)
+        outcomes = (tabled, parsed, unpickled, copied)
+        assert len({id(o) for o in outcomes}) == 4
+        for outcome in outcomes:
+            assert outcome == tabled
+            assert hash(outcome) == hash(tabled) == hash(tabled.clicks)
+            assert outcome.label == "A0 B1"
+        for key in outcomes:
+            keyed = {key: "found"}
+            assert all(keyed.get(o) == "found" for o in outcomes)
+
+    def test_outcome_unpickled_from_another_process_hashes_here(self):
+        # string hashes are salted per process, so the stored hash cannot travel
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
+        code = (
+            "import pickle, sys; from bellsort import Outcome; "
+            "sys.stdout.buffer.write(pickle.dumps(Outcome.from_label('A1+ B3-')))"
+        )
+        data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        outcome = pickle.loads(data.stdout)
+        assert hash(outcome) == hash(Outcome.from_label("A1+ B3-"))
+        assert {Outcome.from_label("A1+ B3-"): 1}[outcome] == 1
 
     def test_multiplicity_collapse(self):
         double = Outcome.from_label("A0 A0")
@@ -165,6 +223,18 @@ class TestSampling:
             if stat > threshold:
                 exceedances += 1
         assert exceedances / 100 < 0.01
+
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_counts_match_the_label_sorted_draw(self, seed):
+        count = 0
+        for dist in guarded_distributions():
+            items, expected = label_sorted_sample(dist, 100_000, seed)
+            counts = sample(dist, 100_000, seed)
+            assert dist.sorted_items() == items
+            assert counts == expected
+            assert list(counts) == list(expected)  # the decode loop reads this order
+            count += 1
+        assert count == 2 * (4 + 16 + 64 + 16)
 
     def test_counts_total_equals_shots(self):
         rng = np.random.default_rng(5)

@@ -32,6 +32,21 @@ from conftest import oracle_evolve, random_two_photon_state, random_unitary
 DIMS = (2, 4, 8, 16, 32)
 
 
+# The reference pairs of both setups encoded on the second photon (ids "fig1",
+# "fig2"), then the first photon, and fig1 references at the other dimensions.
+ENCODE_CASES = [
+    pytest.param("fig1", 4, "second", id="fig1"),
+    pytest.param("fig2", 4, "second", id="fig2"),
+    pytest.param("fig1", 4, "first", id="fig1-first"),
+    pytest.param("fig2", 4, "first", id="fig2-first"),
+] + [
+    pytest.param("fig1", dim, which, id=f"fig1-d{dim}-{which}")
+    for dim in DIMS
+    if dim != 4
+    for which in ("first", "second")
+]
+
+
 def complex_upper_triangle(matrix):
     """Upper triangle of a complex amplitude matrix, pruned as ``from_matrix`` prunes."""
     rows, cols = np.triu_indices(len(matrix))
@@ -82,18 +97,22 @@ class TestBitIdentityWithComplexEvolution:
         assert not composed.imag.any()
         assert net.matrix.tobytes() == composed.real.tobytes()
 
-    @pytest.mark.parametrize("setup", ["fig1", "fig2"])
-    def test_encode_matches_complex_local_unitary(self, setup):
-        # basis order is arm, path, slot: identity on arm A, U x 1_slot on arm B
-        reference = reference_state(setup)
-        dim, slots = reference.dim, len(reference.basis) // (2 * reference.dim)
+    @pytest.mark.parametrize("setup,dim,which_photon", ENCODE_CASES)
+    def test_encode_matches_complex_local_unitary(self, setup, dim, which_photon):
+        # basis order is arm, path, slot: U x 1_slot on the encoded arm, identity on the other
+        if dim == 4:
+            reference = reference_state(setup)
+        else:
+            reference = make_bell_state(dim, BellIndex(0, 0, 0))
+        slots = len(reference.basis) // (2 * dim)
+        encoded_arm = np.diag([1.0, 0.0] if which_photon == "first" else [0.0, 1.0])
         psic = reference.to_matrix(reference.basis).astype(np.complex128)
         for idx in all_bell_indices(dim):
             path = encoding_unitary(dim, idx).matrix.astype(np.complex128)
-            full = np.kron(np.diag([1.0, 0.0]), np.eye(dim * slots)) + np.kron(
-                np.diag([0.0, 1.0]), np.kron(path, np.eye(slots))
+            full = np.kron(np.eye(2) - encoded_arm, np.eye(dim * slots)) + np.kron(
+                encoded_arm, np.kron(path, np.eye(slots))
             )
-            encoded = encode(reference, idx, "second")
+            encoded = encode(reference, idx, which_photon)
             assert_same_bits(encoded, *complex_upper_triangle(full @ psic @ full.T))
 
 

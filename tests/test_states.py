@@ -7,16 +7,16 @@ import pytest
 
 from bellsort import (
     BellIndex,
+    SinglePhotonUnitary,
     TwoPhotonState,
     all_bell_indices,
-    apply_local_unitary,
     encode,
     encoding_unitary,
     make_bell_state,
     make_hyper_state,
 )
-from bellsort.modes import Mode, path_modes, polarized_modes
-from conftest import oracle_inner
+from bellsort.modes import Mode, ModeBasis, path_modes, polarized_modes
+from conftest import oracle_evolve, oracle_inner
 
 A, B = "A", "B"
 HALF = 0.5
@@ -194,11 +194,15 @@ class TestEncoding:
         assert encode(ref, idx, "second").approx_equal(make_hyper_state(idx))
 
     def test_matrix_inverse_undoes_encoding(self):
+        # the inverse path matrix on arm B and the identity on arm A, through kron(U, U)
         ref = make_bell_state(4, BellIndex(0, 0, 0))
+        modes = path_modes(4)
         for idx in all_bell_indices(4):
             encoded = encode(ref, idx, "second")
             inverse = encoding_unitary(4, idx).matrix.conj().T
-            assert apply_local_unitary(encoded, inverse, "second").approx_equal(ref)
+            full = np.kron(np.diag([1.0, 0.0]), np.eye(4)) + np.kron(np.diag([0.0, 1.0]), inverse)
+            undone = oracle_evolve(encoded, SinglePhotonUnitary(modes, modes, full))
+            assert TwoPhotonState.from_amplitudes(4, undone).approx_equal(ref)
 
     def test_encode_first_photon_lands_in_the_family(self):
         ref = make_bell_state(4, BellIndex(0, 0, 0))
@@ -216,6 +220,31 @@ class TestEncoding:
             encode(ref, BellIndex(2, 0, 0), "second")
         with pytest.raises(ValueError):
             encode(ref, BellIndex(1, 0, 0), "third")
+
+    def test_encode_state_in_another_basis_order(self):
+        # the result lives in the canonical mode space, whatever order the input used
+        ref = make_hyper_state(BellIndex(3, 1, 1))
+        perm = np.random.default_rng(8).permutation(len(ref.basis))
+        shuffled = ModeBasis(ref.basis[i] for i in perm)
+        position = np.argsort(perm)  # canonical position -> position in shuffled
+        rows, cols = position[ref.rows], position[ref.cols]
+        low, high = np.minimum(rows, cols), np.maximum(rows, cols)
+        moved = TwoPhotonState(4, shuffled, low, high, ref.vals)
+        assert moved.approx_equal(ref, up_to_phase=False)
+        for idx in all_bell_indices(4):
+            for which in ("first", "second"):
+                expected, got = encode(ref, idx, which), encode(moved, idx, which)
+                assert got.basis == expected.basis == polarized_modes(4)
+                assert np.array_equal(got.rows, expected.rows)
+                assert np.array_equal(got.cols, expected.cols)
+                assert got.vals.tobytes() == expected.vals.tobytes()
+
+    def test_encode_rejects_non_power_of_two_dimension(self):
+        state = TwoPhotonState.from_amplitudes(
+            3, {(Mode(A, 0), Mode(B, 2)): HALF, (Mode(A, 2), Mode(B, 0)): HALF}
+        )
+        with pytest.raises(ValueError, match="power of two"):
+            encode(state, BellIndex(1, 0, 0), "second")
 
 
 class TestStateRepresentation:
