@@ -12,9 +12,10 @@ The script walks one state through the network stage by stage, then prints
 the full 12-group table.
 """
 
-from bellsort import BellIndex, channel_capacity, evolve, make_hyper_state, outcome_distribution
+from bellsort import (
+    BellIndex, channel_capacity, evolve, make_hyper_state, network_for_setup, outcome_distribution,
+)
 from bellsort.cli import compute_table, render_table_text
-from bellsort.networks import fig2_spec
 
 
 def print_amps(state, indent="    "):
@@ -28,7 +29,7 @@ def main() -> None:
     print(f"input: {idx.label} tensored with (|HH> + |VV>)/sqrt(2)")
     print_amps(state)
 
-    for stage in fig2_spec().stages:
+    for stage in network_for_setup("fig2").stages:
         state = evolve(state, stage.unitary)
         print(f"\nafter {stage.kind}:")
         print_amps(state)

@@ -13,14 +13,14 @@ This script evolves each archetype and prints the exact output amplitudes.
 
 import math
 
-from bellsort import TwoPhotonState, build_fig1_network, evolve, outcome_distribution
+from bellsort import TwoPhotonState, evolve, network_for_setup, outcome_distribution
 from bellsort.modes import Mode
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def show(title: str, state: TwoPhotonState) -> None:
-    out = evolve(state, build_fig1_network(4))
+    out = evolve(state, network_for_setup("fig1", 4).unitary)
     print(title)
     for (m1, m2), amp in sorted(out.amps.items(), key=lambda kv: (kv[0][0].label, kv[0][1].label)):
         print(f"    psi({m1.label}, {m2.label}) = {amp.real:+.4f}")

@@ -55,8 +55,7 @@ def labelled_states(setup: str, dim: int):
 
 
 def compute_table(setup: str, dim: int, model: str, policy: str) -> GroupTable:
-    network = network_for_setup(setup, dim)
-    return classify(labelled_states(setup, dim), network, model, policy)
+    return classify(labelled_states(setup, dim), network_for_setup(setup, dim), model, policy)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -165,7 +164,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     idx = args.state
     state = prepared_state(args.setup, args.dim, idx)
     network = network_for_setup(args.setup, args.dim)
-    dist = outcome_distribution(evolve(state, network), args.model)
+    dist = outcome_distribution(evolve(state, network.unitary), args.model)
     counts = sample(dist, args.shots, args.seed)
 
     rows = []

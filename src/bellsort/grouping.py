@@ -27,8 +27,8 @@ from .detection import (
     OutcomeDistribution,
     outcome_distribution,
 )
-from .networks import SETUP_FIG1, SETUP_FIG2, evolve
-from .states import SinglePhotonUnitary, TwoPhotonState
+from .networks import NetworkSpec, evolve
+from .states import TwoPhotonState
 
 POLICY_STRICT = "strict"
 POLICY_LOSS_CONSERVATIVE = "loss_conservative"
@@ -122,27 +122,28 @@ class GroupTable:
 
 def classify(
     states: Sequence[tuple[str, TwoPhotonState]],
-    network: SinglePhotonUnitary,
+    network: NetworkSpec,
     model: str = MODEL_PNRD,
     policy: str = POLICY_STRICT,
 ) -> GroupTable:
     """Partition labelled states into distinguishable groups under a setup.
 
-    Evolves every state, computes its outcome support, and returns the
-    connected components of the confusability graph, numbered by first
-    appearance in the input order.
+    ``network`` is the :class:`NetworkSpec` from ``network_for_setup``; the
+    table is labelled with its setup. Evolves every state, computes its
+    outcome support, and returns the connected components of the
+    confusability graph, numbered by first appearance in the input order.
     """
-    setup = SETUP_FIG2 if any(m.pol for m in network.in_modes) else SETUP_FIG1
-    return partition(distributions(states, network, model), setup, policy)
+    return partition(distributions(states, network, model), network.setup, policy)
 
 
 def distributions(
     states: Sequence[tuple[str, TwoPhotonState]],
-    network: SinglePhotonUnitary,
+    network: NetworkSpec,
     model: str = MODEL_PNRD,
 ) -> list[tuple[str, OutcomeDistribution]]:
-    """Evolve every labelled state through the network once and detect it."""
-    return [(label, outcome_distribution(evolve(state, network), model)) for label, state in states]
+    """Evolve every labelled state once through the network's unitary and detect it."""
+    unitary = network.unitary
+    return [(label, outcome_distribution(evolve(state, unitary), model)) for label, state in states]
 
 
 def partition(

@@ -23,6 +23,12 @@ three stages:
    shows up as same-sign (+/+, -/-) versus opposite-sign (+/-) detector
    pairs.
 
+:func:`network_for_setup` is the one way to get either network. It returns
+a cached :class:`NetworkSpec` that names its setup, so the code that
+classifies with it need not guess the setup; ``NetworkSpec.stages`` is for
+inspecting the layers one at a time and ``NetworkSpec.unitary`` is their
+product.
+
 Evolution is exact: the symmetric two-photon amplitude matrix transforms as
 psi -> U psi U^T, which keeps bosonic exchange statistics (and hence the
 bunching interference) automatic.
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,12 +62,18 @@ class NetworkStage:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Ordered stage list of a measurement setup; stages[0] is applied first."""
+    """The network of a measurement setup, as returned by :func:`network_for_setup`.
+
+    ``stages`` lists the optical layers in the order a photon meets them
+    (stages[0] first), for inspection; ``unitary`` is their product, the
+    single-photon map that classification and sampling evolve through.
+    """
 
     setup: str
     dim: int
     stages: tuple[NetworkStage, ...]
 
+    @cached_property
     def unitary(self) -> SinglePhotonUnitary:
         composed = self.stages[0].unitary
         for stage in self.stages[1:]:
@@ -90,11 +102,7 @@ def _arm_hadamard(modes: tuple[Mode, ...]) -> SinglePhotonUnitary:
     return SinglePhotonUnitary(modes, modes, mat)
 
 
-def _bs_stage(modes: tuple[Mode, ...]) -> NetworkStage:
-    return NetworkStage("bs_hadamard", _arm_hadamard(modes))
-
-
-def _pbs0_stage(dim: int) -> NetworkStage:
+def _pbs0_rail_swap(dim: int) -> SinglePhotonUnitary:
     """PBS at 0 degrees between paired rails: H stays, V hops path x -> x XOR 1."""
     modes = polarized_modes(dim, POL_LINEAR)
     index = {m: i for i, m in enumerate(modes)}
@@ -105,10 +113,10 @@ def _pbs0_stage(dim: int) -> NetworkStage:
         else:
             hopped = Mode(mode.arm, mode.path ^ 1, "V")
             mat[index[hopped], index[mode]] = 1.0
-    return NetworkStage("pbs0_rail_swap", SinglePhotonUnitary(modes, modes, mat))
+    return SinglePhotonUnitary(modes, modes, mat)
 
 
-def _pbs45_stage(dim: int) -> NetworkStage:
+def _pbs45_basis_change(dim: int) -> SinglePhotonUnitary:
     """PBS at 45 degrees on every rail: relabels H/V into the +/- basis."""
     modes_in = polarized_modes(dim, POL_LINEAR)
     modes_out = polarized_modes(dim, POL_DIAGONAL)
@@ -123,53 +131,34 @@ def _pbs45_stage(dim: int) -> NetworkStage:
             mat[plus, v] = _INV_SQRT2
             mat[minus, h] = _INV_SQRT2
             mat[minus, v] = -_INV_SQRT2
-    return NetworkStage("pbs45_basis_change", SinglePhotonUnitary(modes_in, modes_out, mat))
-
-
-def fig1_spec(dim: int) -> NetworkSpec:
-    if dim < 2:
-        raise ValueError(f"need at least two paths, got dimension {dim}")
-    return NetworkSpec(SETUP_FIG1, dim, (_bs_stage(path_modes(dim)),))
-
-
-def fig2_spec() -> NetworkSpec:
-    dim = 4
-    stages = (
-        _pbs0_stage(dim),
-        _bs_stage(polarized_modes(dim, POL_LINEAR)),
-        _pbs45_stage(dim),
-    )
-    return NetworkSpec(SETUP_FIG2, dim, stages)
-
-
-def build_fig1_network(dim: int) -> SinglePhotonUnitary:
-    """The beam-splitter-only measurement network for d paths (2d modes)."""
-    return fig1_spec(dim).unitary()
-
-
-def build_fig2_network() -> SinglePhotonUnitary:
-    """The ancilla-assisted network: PBS@0 rail swap, beam splitters, PBS@45.
-
-    Maps the 16 polarized input modes (H/V basis) onto the 16 detector
-    modes (+/- basis).
-    """
-    return fig2_spec().unitary()
+    return SinglePhotonUnitary(modes_in, modes_out, mat)
 
 
 @lru_cache(maxsize=16)
-def network_for_setup(setup: str, dim: int = 4) -> SinglePhotonUnitary:
+def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
     """The measurement network of a setup, built once per (setup, dim).
 
-    The result is shared between callers; it is immutable (a frozen
-    SinglePhotonUnitary with a read-only matrix).
+    fig1 is the beam-splitter array on d paths (2d modes); fig2 maps the 16
+    polarized input modes (H/V basis) through the PBS@0 rail swap, the beam
+    splitters and the PBS@45 analyzers onto the 16 detector modes (+/-
+    basis). The result is shared between callers and immutable: frozen
+    stages with read-only matrices, and a product composed once.
     """
     if setup == SETUP_FIG1:
-        return build_fig1_network(dim)
-    if setup == SETUP_FIG2:
+        if dim < 2:
+            raise ValueError(f"need at least two paths, got dimension {dim}")
+        stages = (NetworkStage("bs_hadamard", _arm_hadamard(path_modes(dim))),)
+    elif setup == SETUP_FIG2:
         if dim != 4:
             raise ValueError("the ancilla-assisted setup is defined for dimension 4")
-        return build_fig2_network()
-    raise ValueError(f"unknown setup {setup!r}, expected one of {SETUPS}")
+        stages = (
+            NetworkStage("pbs0_rail_swap", _pbs0_rail_swap(dim)),
+            NetworkStage("bs_hadamard", _arm_hadamard(polarized_modes(dim, POL_LINEAR))),
+            NetworkStage("pbs45_basis_change", _pbs45_basis_change(dim)),
+        )
+    else:
+        raise ValueError(f"unknown setup {setup!r}, expected one of {SETUPS}")
+    return NetworkSpec(setup, dim, stages)
 
 
 def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonState:

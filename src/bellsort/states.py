@@ -69,7 +69,7 @@ PHASE_TOL = 1e-9  # per-amplitude slack of TwoPhotonState.approx_equal
 UNITARY_TOL = 1e-10  # max |U U^dagger - 1| entry of a SinglePhotonUnitary
 PROB_TOL = 1e-9  # OutcomeDistribution.from_probs rejects probabilities summing off 1 by more
 
-_LABEL_RE = re.compile(r"^psi(\d)(\d)(\d)$")
+_LABEL_RE = re.compile(r"^psi(0|[1-9]\d*)([01])([01])$")  # n and m are bits, so j takes the rest
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,9 @@ class TwoPhotonState:
     Every basis mode must have path < dim, and all must share one
     polarization family (none, H/V or +/-). The arrays are read-only; build
     states with :meth:`from_amplitudes`, :meth:`from_kets` or
-    :meth:`from_matrix`, which prune amplitudes below 1e-12 and check the norm.
+    :meth:`from_matrix`, which prune amplitudes below 1e-12 and reject a norm
+    off 1; they never rescale. Calling the class directly checks the arrays
+    but not the norm.
     """
 
     dim: int
@@ -234,19 +236,11 @@ class TwoPhotonState:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_amplitudes(
-        cls,
-        dim: int,
-        amps: Mapping[tuple[Mode, Mode], complex],
-        *,
-        normalize: bool = False,
-        require_normalized: bool = True,
-    ) -> "TwoPhotonState":
+    def from_amplitudes(cls, dim: int, amps: Mapping[tuple[Mode, Mode], complex]) -> "TwoPhotonState":
         """Build a state from symmetric-wavefunction values.
 
         Keys may be given in either order; duplicates of the same unordered
-        pair are rejected. With ``normalize`` the amplitudes are rescaled to
-        unit norm, otherwise the norm must already be 1 within 1e-9. The
+        pair are rejected. The norm must already be 1 within 1e-9. The
         state lives in the canonical mode space of its modes' polarization.
         """
         canon: dict[tuple[Mode, Mode], complex] = {}
@@ -263,57 +257,37 @@ class TwoPhotonState:
                 if m not in index:
                     raise ValueError(f"mode {m.label} outside dimension {dim}")
             psi[index[m1], index[m2]] = psi[index[m2], index[m1]] = a
-        return cls.from_matrix(
-            dim, basis, psi, normalize=normalize, require_normalized=require_normalized
-        )
+        return cls.from_matrix(dim, basis, psi)
 
     @classmethod
-    def from_kets(
-        cls,
-        dim: int,
-        kets: Iterable[tuple[Mode, Mode, complex]],
-        *,
-        normalize: bool = False,
-    ) -> "TwoPhotonState":
+    def from_kets(cls, dim: int, kets: Iterable[tuple[Mode, Mode, complex]]) -> "TwoPhotonState":
         """Build a state from Fock-ket terms ``c * |1_m1, 1_m2>``.
 
         Each term puts one photon in ``m1`` and one in ``m2`` with amplitude
         ``c``; repeated pairs accumulate. For distinct modes the stored
         symmetric amplitude is ``c / sqrt(2)``, for ``m1 == m2`` the term
-        means ``c * |2_m>`` and is stored as ``c``.
+        means ``c * |2_m>`` and is stored as ``c``. The norm must be 1
+        within 1e-9.
         """
         acc: dict[tuple[Mode, Mode], complex] = {}
         for m1, m2, c in kets:
             key = canonical_pair(m1, m2)
             stored = complex(c) if m1 == m2 else complex(c) / math.sqrt(2.0)
             acc[key] = acc.get(key, 0.0) + stored
-        return cls.from_amplitudes(dim, acc, normalize=normalize)
+        return cls.from_amplitudes(dim, acc)
 
     @classmethod
-    def from_matrix(
-        cls,
-        dim: int,
-        basis: tuple,
-        matrix: np.ndarray,
-        *,
-        normalize: bool = False,
-        require_normalized: bool = True,
-    ) -> "TwoPhotonState":
+    def from_matrix(cls, dim: int, basis: tuple, matrix: np.ndarray) -> "TwoPhotonState":
         """Read a state from its symmetric amplitude matrix over ``basis``.
 
-        Takes the upper triangle in row-major order. With ``normalize`` the
-        amplitudes are rescaled to unit norm, otherwise the norm must be 1
-        within 1e-9 (unless ``require_normalized`` is false). Amplitudes
-        below 1e-12 are then pruned.
+        Takes the upper triangle in row-major order. The norm must be 1
+        within 1e-9, which also guards every evolved state; amplitudes below
+        1e-12 are then pruned.
         """
         rows, cols, flat, weights = _triu(len(basis))
         vals = matrix.ravel().take(flat)
         norm = _norm_of(weights, vals)
-        if normalize:
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero state")
-            vals = vals / norm
-        elif require_normalized and abs(norm - 1.0) > NORM_TOL:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
         keep = np.abs(vals) >= AMP_PRUNE
         return cls(dim, basis, rows[keep], cols[keep], vals[keep])

@@ -13,8 +13,6 @@ from bellsort import (
     BellIndex,
     SdcConfig,
     all_bell_indices,
-    build_fig1_network,
-    build_fig2_network,
     channel_capacity,
     classify,
     diff_against_reference,
@@ -107,7 +105,7 @@ def test_criterion_4_two_dimensional_baseline():
 
 def test_criterion_5_worked_example_support_and_uniformity():
     state = make_hyper_state(BellIndex(2, 1, 0))
-    network = build_fig2_network()
+    network = network_for_setup("fig2").unitary
     dist = outcome_distribution(evolve(state, network))
     expected_support = {
         "A0+ A2-", "A0- A2+", "A1+ A3-", "A1- A3+",
@@ -151,7 +149,8 @@ def test_criterion_7_property_suites():
 
     # unitarity of both networks and all 16 encoding operators
     unitarity_ok = True
-    for net in (build_fig1_network(4), build_fig1_network(2), build_fig2_network()):
+    for setup, dim in (("fig1", 4), ("fig1", 2), ("fig2", 4)):
+        net = network_for_setup(setup, dim).unitary
         defect = np.max(np.abs(net.matrix @ net.matrix.conj().T - np.eye(net.dim)))
         unitarity_ok = unitarity_ok and defect <= 1e-10
     for idx in all_bell_indices(4):
@@ -163,10 +162,10 @@ def test_criterion_7_property_suites():
     for idx in all_bell_indices(4):
         for model in ("pnrd", "threshold"):
             d1 = outcome_distribution(
-                evolve(make_bell_state(4, idx), build_fig1_network(4)), model
+                evolve(make_bell_state(4, idx), network_for_setup("fig1", 4).unitary), model
             )
             d2 = outcome_distribution(
-                evolve(make_hyper_state(idx), build_fig2_network()), model
+                evolve(make_hyper_state(idx), network_for_setup("fig2").unitary), model
             )
             norm_ok = norm_ok and abs(sum(d1.probs.values()) - 1.0) <= 1e-9
             norm_ok = norm_ok and abs(sum(d2.probs.values()) - 1.0) <= 1e-9
@@ -187,7 +186,7 @@ def test_criterion_7_property_suites():
 
 def test_criterion_8_monte_carlo_and_reproducibility(capsys):
     dist = outcome_distribution(
-        evolve(make_bell_state(4, BellIndex(1, 0, 0)), build_fig1_network(4))
+        evolve(make_bell_state(4, BellIndex(1, 0, 0)), network_for_setup("fig1", 4).unitary)
     )
     shots = 100_000
     counts = sample(dist, shots, seed=7)
@@ -215,7 +214,7 @@ def test_criterion_9_superdense_coding_round_trip():
         ok = ok and rep.accuracy == 1.0 and len(rep.message_counts) == 16
 
         # messages inside one group are pairwise support-indistinguishable
-        network = network_for_setup(setup)
+        network = network_for_setup(setup).unitary
         ref = reference_state(setup)
         for group in rep.table.groups:
             seen = set()

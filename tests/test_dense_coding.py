@@ -84,7 +84,7 @@ class TestRoundTrip:
         # messages sharing a group produce the same empirical outcome sets
         from bellsort import encode, evolve, network_for_setup, outcome_distribution, sample
 
-        network = network_for_setup(setup)
+        network = network_for_setup(setup).unitary
         ref = reference_state(setup)
         report = run_sdc(SdcConfig(setup=setup, shots=1), messages=[BellIndex(0, 0, 0)])
         shots = 10_000

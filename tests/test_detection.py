@@ -20,11 +20,10 @@ from bellsort import (
     OutcomeDistribution,
     TwoPhotonState,
     all_bell_indices,
-    build_fig1_network,
-    build_fig2_network,
     evolve,
     make_bell_state,
     make_hyper_state,
+    network_for_setup,
     outcome_distribution,
     sample,
 )
@@ -36,7 +35,7 @@ A, B = "A", "B"
 
 def fig1_distribution(idx, model="pnrd", dim=4):
     state = make_bell_state(dim, idx)
-    return outcome_distribution(evolve(state, build_fig1_network(dim)), model)
+    return outcome_distribution(evolve(state, network_for_setup("fig1", dim).unitary), model)
 
 
 def label_sorted_sample(dist, shots, seed):
@@ -59,7 +58,8 @@ def guarded_distributions():
             for idx in all_bell_indices(dim):
                 yield fig1_distribution(idx, model, dim)
         for idx in all_bell_indices(4):
-            yield outcome_distribution(evolve(make_hyper_state(idx), build_fig2_network()), model)
+            network = network_for_setup("fig2").unitary
+            yield outcome_distribution(evolve(make_hyper_state(idx), network), model)
 
 
 class TestOutcomeLabels:
@@ -131,7 +131,7 @@ class TestDistributions:
 
     def test_worked_hyper_example_eighth_each(self):
         state = make_hyper_state(BellIndex(2, 1, 0))
-        dist = outcome_distribution(evolve(state, build_fig2_network()))
+        dist = outcome_distribution(evolve(state, network_for_setup("fig2").unitary))
         assert {o.label for o in dist.support} == {
             "A0+ A2-", "A0- A2+", "A1+ A3-", "A1- A3+",
             "B0+ B2-", "B0- B2+", "B1+ B3-", "B1- B3+",
@@ -165,15 +165,12 @@ class TestDistributions:
                 total = sum(fig1_distribution(idx, model).probs.values())
                 assert abs(total - 1.0) < 1e-9
                 state = make_hyper_state(idx)
-                dist = outcome_distribution(evolve(state, build_fig2_network()), model)
+                dist = outcome_distribution(evolve(state, network_for_setup("fig2").unitary), model)
                 assert abs(sum(dist.probs.values()) - 1.0) < 1e-9
 
     def test_unnormalized_state_rejected(self):
-        bad = TwoPhotonState.from_amplitudes(
-            2,
-            {(Mode(A, 0), Mode(B, 0)): 0.7, (Mode(A, 1), Mode(B, 1)): 0.2},
-            require_normalized=False,
-        )
+        # psi(A0, B0) = 0.7, psi(A1, B1) = 0.2; the raw constructor skips the norm check
+        bad = TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7, 0.2])
         with pytest.raises(ValueError):
             outcome_distribution(bad)
 

@@ -19,7 +19,6 @@ from bellsort import (
     encode,
     encoding_unitary,
     evolve,
-    fig2_spec,
     make_bell_state,
     make_hyper_state,
     network_for_setup,
@@ -72,12 +71,12 @@ def cli_pairs():
     """Every (state, network) the CLI evolves, plus fig1 at the benchmark sizes."""
     for dim in DIMS:
         for idx in all_bell_indices(dim):
-            yield make_bell_state(dim, idx), network_for_setup("fig1", dim)
+            yield make_bell_state(dim, idx), network_for_setup("fig1", dim).unitary
     for idx in all_bell_indices(4):
-        yield make_hyper_state(idx), network_for_setup("fig2")
+        yield make_hyper_state(idx), network_for_setup("fig2").unitary
     for setup in ("fig1", "fig2"):
         for idx in all_bell_indices(4):
-            yield encode(reference_state(setup), idx, "second"), network_for_setup(setup)
+            yield encode(reference_state(setup), idx, "second"), network_for_setup(setup).unitary
 
 
 class TestBitIdentityWithComplexEvolution:
@@ -89,11 +88,12 @@ class TestBitIdentityWithComplexEvolution:
         assert count == (4 + 16 + 32 + 64 + 128) + 16 + 2 * 16
 
     def test_fig2_network_matches_complex_composition(self):
-        stages = [stage.unitary.matrix.astype(np.complex128) for stage in fig2_spec().stages]
+        spec = network_for_setup("fig2")
+        stages = [stage.unitary.matrix.astype(np.complex128) for stage in spec.stages]
         composed = stages[0]
         for mat in stages[1:]:
             composed = mat @ composed
-        net = network_for_setup("fig2")
+        net = spec.unitary
         assert not composed.imag.any()
         assert net.matrix.tobytes() == composed.real.tobytes()
 
@@ -119,11 +119,11 @@ class TestBitIdentityWithComplexEvolution:
 class TestDtypeRule:
     @pytest.mark.parametrize("dim", DIMS)
     def test_fig1_network_and_bell_states_are_real(self, dim):
-        assert network_for_setup("fig1", dim).matrix.dtype == np.float64
+        assert network_for_setup("fig1", dim).unitary.matrix.dtype == np.float64
         assert all(make_bell_state(dim, idx).vals.dtype == np.float64 for idx in all_bell_indices(dim))
 
     def test_fig2_network_and_hyper_states_are_real(self):
-        assert network_for_setup("fig2").matrix.dtype == np.float64
+        assert network_for_setup("fig2").unitary.matrix.dtype == np.float64
         assert all(make_hyper_state(idx).vals.dtype == np.float64 for idx in all_bell_indices(4))
 
     @pytest.mark.parametrize("setup", ["fig1", "fig2"])
@@ -169,7 +169,7 @@ class TestDtypeRule:
     def test_complex_state_through_fig1_matches_oracle(self):
         rng = np.random.default_rng(6)
         state = random_two_photon_state(4, path_modes(4), rng)
-        net = network_for_setup("fig1", 4)
+        net = network_for_setup("fig1", 4).unitary
         evolved = evolve(state, net)
         assert evolved.vals.dtype == np.complex128
         expected = oracle_evolve(state, net)

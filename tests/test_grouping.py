@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bellsort import (
@@ -10,7 +11,6 @@ from bellsort import (
     StateGroup,
     Outcome,
     all_bell_indices,
-    build_fig1_network,
     channel_capacity,
     classify,
     load_reference_tables,
@@ -47,6 +47,43 @@ class TestTableReproduction:
             ref.members: ref.outcomes for ref in REFERENCE.groups_for("fig2")
         }
 
+    def test_fig2_matches_its_closed_form(self):
+        # An independent gate on table2: the PBS rail swap reads the phase bit
+        # n, and the beam splitters the parity of the signs over j's bits
+        # (j0, j1), so psi<j><n><m> has key (0, n) for j = 0 and
+        # (j, (n*j0 + m*j1) mod 2, n) otherwise.
+        def key(idx):
+            if idx.j == 0:
+                return (0, idx.n)
+            return (idx.j, (idx.n * (idx.j & 1) + idx.m * (idx.j >> 1)) % 2, idx.n)
+
+        closed_form: dict = {}
+        for idx in all_bell_indices(4):
+            closed_form.setdefault(key(idx), set()).add(idx.label)
+        expected = {frozenset(members) for members in closed_form.values()}
+        assert len(expected) == 12
+
+        strict = compute_table("fig2", 4, "pnrd", "strict")
+        assert {frozenset(g.members) for g in strict.groups} == expected
+
+        lossy = compute_table("fig2", 4, "threshold", "loss_conservative")
+        assert {frozenset(g.members) for g in lossy.groups} == expected
+        quarantined = [set(g.members) for g in lossy.groups if g.quarantined]
+        assert quarantined == [{"psi000", "psi001"}]
+        assert len(lossy.usable_groups) == 11
+
+    def test_classify_takes_the_setup_from_the_network(self):
+        for setup in ("fig1", "fig2"):
+            network = network_for_setup(setup, 4)
+            assert classify(labelled_states(setup, 4), network).setup == setup
+            assert network.unitary is network.unitary
+            product = network.stages[0].unitary.matrix
+            for stage in network.stages[1:]:
+                product = stage.unitary.matrix @ product
+            assert np.array_equal(network.unitary.matrix, product)
+            assert network.unitary.in_modes == network.stages[0].unitary.in_modes
+            assert network.unitary.out_modes == network.stages[-1].unitary.out_modes
+
     def test_d2_baseline_three_groups(self):
         table = compute_table("fig1", 2, "pnrd", "strict")
         memberships = {frozenset(g.members) for g in table.groups}
@@ -58,7 +95,7 @@ class TestTableReproduction:
 
     def test_single_state_input(self):
         states = [("psi210", make_bell_state(4, BellIndex(2, 1, 0)))]
-        table = classify(states, build_fig1_network(4))
+        table = classify(states, network_for_setup("fig1", 4))
         assert len(table.groups) == 1
         assert table.groups[0].members == ("psi210",)
 
@@ -90,7 +127,7 @@ class TestTableReproduction:
     def test_duplicate_labels_rejected(self):
         state = make_bell_state(4, BellIndex(0, 0, 0))
         with pytest.raises(ValueError):
-            classify([("x", state), ("x", state)], build_fig1_network(4))
+            classify([("x", state), ("x", state)], network_for_setup("fig1", 4))
 
 
 class TestPartitionProperties:
@@ -108,7 +145,7 @@ class TestPartitionProperties:
     def test_members_of_a_group_share_their_support(self, setup):
         from bellsort import evolve, outcome_distribution
 
-        network = network_for_setup(setup)
+        network = network_for_setup(setup).unitary
         states = dict(labelled_states(setup, 4))
         table = compute_table(setup, 4, "pnrd", "strict")
         for group in table.groups:
@@ -141,7 +178,7 @@ class TestPartitionProperties:
         from bellsort import evolve, outcome_distribution
 
         for setup in ("fig1", "fig2"):
-            network = network_for_setup(setup)
+            network = network_for_setup(setup).unitary
             states = dict(labelled_states(setup, 4))
             table = compute_table(setup, 4, "pnrd", "strict")
             for group in table.groups:

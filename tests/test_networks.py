@@ -10,11 +10,7 @@ from bellsort import (
     SinglePhotonUnitary,
     TwoPhotonState,
     all_bell_indices,
-    build_fig1_network,
-    build_fig2_network,
     evolve,
-    fig1_spec,
-    fig2_spec,
     make_bell_state,
     make_hyper_state,
     network_for_setup,
@@ -32,7 +28,7 @@ def arm_pattern(pair):
 
 class TestFig1Structure:
     def test_matrix_is_blockwise_hadamard(self):
-        net = build_fig1_network(4)
+        net = network_for_setup("fig1", 4).unitary
         assert net.dim == 8
         mat = net.matrix
         assert np.allclose(mat.imag, 0.0)
@@ -48,13 +44,13 @@ class TestFig1Structure:
                     assert mat[index[mo], index[mi]] == 0.0
 
     def test_unitary_and_involution(self):
-        net = build_fig1_network(4)
+        net = network_for_setup("fig1", 4).unitary
         eye = np.eye(net.dim)
         assert np.max(np.abs(net.matrix @ net.matrix.conj().T - eye)) < 1e-10
         assert np.max(np.abs(net.matrix @ net.matrix - eye)) < 1e-10
 
     def test_spec_stages(self):
-        spec = fig1_spec(4)
+        spec = network_for_setup("fig1", 4)
         assert [s.kind for s in spec.stages] == ["bs_hadamard"]
         assert all(m.pol is None for m in spec.stages[0].unitary.in_modes)
 
@@ -64,7 +60,7 @@ class TestEvolutionArchetypes:
     def test_identical_paths_bunch(self, x):
         # |x>_A |x>_B -> |x>_a|x>_a - |x>_b|x>_b, probability 1/2 each side
         state = TwoPhotonState.from_kets(4, [(Mode(A, x), Mode(B, x), 1.0)])
-        out = evolve(state, build_fig1_network(4))
+        out = evolve(state, network_for_setup("fig1", 4).unitary)
         assert out.support == {
             (Mode(A, x), Mode(A, x)),
             (Mode(B, x), Mode(B, x)),
@@ -77,7 +73,7 @@ class TestEvolutionArchetypes:
         state = TwoPhotonState.from_kets(
             4, [(Mode(A, x), Mode(B, y), INV_SQRT2), (Mode(A, y), Mode(B, x), INV_SQRT2)]
         )
-        out = evolve(state, build_fig1_network(4))
+        out = evolve(state, network_for_setup("fig1", 4).unitary)
         assert out.support == {
             (Mode(A, x), Mode(A, y)),
             (Mode(B, x), Mode(B, y)),
@@ -88,7 +84,7 @@ class TestEvolutionArchetypes:
         state = TwoPhotonState.from_kets(
             4, [(Mode(A, x), Mode(B, y), INV_SQRT2), (Mode(A, y), Mode(B, x), -INV_SQRT2)]
         )
-        out = evolve(state, build_fig1_network(4))
+        out = evolve(state, network_for_setup("fig1", 4).unitary)
         assert out.support == {
             (Mode(A, x), Mode(B, y)),
             (Mode(A, y), Mode(B, x)),
@@ -102,20 +98,20 @@ class TestEvolutionArchetypes:
     def test_mode_mismatch_rejected(self):
         state = make_hyper_state(BellIndex(0, 0, 0))
         with pytest.raises(ValueError):
-            evolve(state, build_fig1_network(4))
+            evolve(state, network_for_setup("fig1", 4).unitary)
 
     def test_paths_outside_the_network_rejected(self):
         # A d=4 state has photons on paths 2 and 3, which a d=2 network lacks.
         state = make_bell_state(4, BellIndex(2, 0, 0))
         with pytest.raises(ValueError, match="not covered"):
-            evolve(state, build_fig1_network(2))
+            evolve(state, network_for_setup("fig1", 2).unitary)
 
 
 class TestEvolutionProperties:
     def test_norm_preserved_on_random_states(self):
         rng = np.random.default_rng(11)
         basis = path_modes(4)
-        net = build_fig1_network(4)
+        net = network_for_setup("fig1", 4).unitary
         for _ in range(20):
             state = random_two_photon_state(4, basis, rng)
             assert abs(evolve(state, net).norm() - 1.0) < 1e-9
@@ -140,7 +136,7 @@ class TestEvolutionProperties:
     def test_oracle_equivalence_on_the_benchmark_sizes(self, dim):
         # every state all_bell_indices(dim) builds, through fig1; kron(U, U)
         # is 1024 x 1024 at d=16 (d=32 would need 256 MB and is left out)
-        net = build_fig1_network(dim)
+        net = network_for_setup("fig1", dim).unitary
         for idx in all_bell_indices(dim):
             state = make_bell_state(dim, idx)
             evolved = evolve(state, net)
@@ -164,18 +160,18 @@ class TestEvolutionProperties:
     def test_oracle_equivalence_on_the_measurement_networks(self):
         for idx in all_bell_indices(4):
             state = make_bell_state(4, BellIndex(idx.j, idx.n, idx.m))
-            evolved = evolve(state, build_fig1_network(4))
-            expected = oracle_evolve(state, build_fig1_network(4))
+            evolved = evolve(state, network_for_setup("fig1", 4).unitary)
+            expected = oracle_evolve(state, network_for_setup("fig1", 4).unitary)
             for key in set(evolved.amps) | set(expected):
                 assert abs(evolved.amps.get(key, 0.0) - expected.get(key, 0.0)) < 1e-10
             hyper = make_hyper_state(idx)
-            evolved = evolve(hyper, build_fig2_network())
-            expected = oracle_evolve(hyper, build_fig2_network())
+            evolved = evolve(hyper, network_for_setup("fig2").unitary)
+            expected = oracle_evolve(hyper, network_for_setup("fig2").unitary)
             for key in set(evolved.amps) | set(expected):
                 assert abs(evolved.amps.get(key, 0.0) - expected.get(key, 0.0)) < 1e-10
 
     def test_hom_bunching_no_cross_arm_amplitude(self):
-        net = build_fig1_network(4)
+        net = network_for_setup("fig1", 4).unitary
         for x in range(4):
             state = TwoPhotonState.from_kets(4, [(Mode(A, x), Mode(B, x), 1.0)])
             out = evolve(state, net)
@@ -183,7 +179,7 @@ class TestEvolutionProperties:
 
     def test_exchange_symmetry_dichotomy_over_component_pairs(self):
         # (|xy> + s|yx>)/sqrt(2): same-arm support iff s=+1, cross-arm iff s=-1
-        net = build_fig1_network(4)
+        net = network_for_setup("fig1", 4).unitary
         for x in range(4):
             for y in range(x + 1, 4):
                 for s in (1.0, -1.0):
@@ -195,7 +191,7 @@ class TestEvolutionProperties:
                     assert patterns == ({(A, A), (B, B)} if s > 0 else {(A, B)})
 
     def test_exchange_symmetry_dichotomy_over_bell_states(self):
-        net = build_fig1_network(4)
+        net = network_for_setup("fig1", 4).unitary
         for idx in all_bell_indices(4):
             state = make_bell_state(4, idx)
             swapped = TwoPhotonState.from_amplitudes(
@@ -213,7 +209,7 @@ class TestEvolutionProperties:
                 assert patterns == {(A, B)}
 
     def test_support_invariant_under_swapped_bs_sign_convention(self):
-        plus_first = build_fig1_network(4)
+        plus_first = network_for_setup("fig1", 4).unitary
         # move the minus sign to the A row instead of the B row
         modes = path_modes(4)
         index = {m: i for i, m in enumerate(modes)}
@@ -235,28 +231,28 @@ class TestFig2Network:
         net = network_for_setup("fig2")
         assert network_for_setup("fig2") is net
         with pytest.raises(ValueError):
-            net.matrix[0, 0] = 0.0
+            net.unitary.matrix[0, 0] = 0.0
 
     def test_composed_matrix_unitary(self):
-        net = build_fig2_network()
+        net = network_for_setup("fig2").unitary
         assert net.dim == 16
         assert np.max(np.abs(net.matrix @ net.matrix.conj().T - np.eye(16))) < 1e-10
 
     def test_stage_order_and_bases(self):
-        spec = fig2_spec()
+        spec = network_for_setup("fig2")
         assert [s.kind for s in spec.stages] == [
             "pbs0_rail_swap",
             "bs_hadamard",
             "pbs45_basis_change",
         ]
-        net = spec.unitary()
+        net = spec.unitary
         assert tuple(net.in_modes) == polarized_modes(4, ("H", "V"))
         assert tuple(net.out_modes) == polarized_modes(4, ("+", "-"))
 
     def test_rail_swap_flips_ancilla_sign_exactly_for_odd_phase_bit(self):
         # On the worked-example state the first stage sends the polarization
         # pair |HH> + |VV> to |HH> - |VV> with all path amplitudes untouched.
-        stage = fig2_spec().stages[0].unitary
+        stage = network_for_setup("fig2").stages[0].unitary
         state = make_hyper_state(BellIndex(2, 1, 0))
         out = evolve(state, stage)
         for (m1, m2), amp in state.amps.items():
@@ -264,7 +260,7 @@ class TestFig2Network:
             assert out.amplitude(m1, m2) == pytest.approx(sign * amp)
 
     def test_rail_swap_preserves_ancilla_sign_for_even_phase_bit(self):
-        stage = fig2_spec().stages[0].unitary
+        stage = network_for_setup("fig2").stages[0].unitary
         state = make_hyper_state(BellIndex(2, 0, 0))
         assert evolve(state, stage).approx_equal(state, up_to_phase=False)
 
@@ -285,5 +281,5 @@ class TestFig2Network:
         expected = TwoPhotonState.from_kets(
             4, [(Mode(*m1), Mode(*m2), c) for m1, m2, c in terms]
         )
-        out = evolve(make_hyper_state(BellIndex(2, 1, 0)), build_fig2_network())
+        out = evolve(make_hyper_state(BellIndex(2, 1, 0)), network_for_setup("fig2").unitary)
         assert out.approx_equal(expected, up_to_phase=False, tol=1e-10)

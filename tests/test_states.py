@@ -314,5 +314,12 @@ class TestStateRepresentation:
         assert BellIndex.parse("2,1,0") == idx
         with pytest.raises(ValueError):
             BellIndex.parse("2,1")
-        with pytest.raises(ValueError):
-            BellIndex.from_label("psi21")
+        for label in ("psi21", "psi12", "psi123", "psi0100"):
+            with pytest.raises(ValueError):
+                BellIndex.from_label(label)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+    def test_bell_labels_round_trip(self, dim):
+        # n and m are single bits, so every digit before the last two is j
+        for idx in all_bell_indices(dim):
+            assert BellIndex.from_label(idx.label) == idx
