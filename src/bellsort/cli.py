@@ -29,6 +29,7 @@ from typing import Sequence
 from . import __version__
 from .detection import (
     MODEL_PNRD,
+    MODEL_THRESHOLD,
     MODELS,
     RNG_ALGORITHM,
     outcome_distribution,
@@ -140,7 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     capacities = []
     for setup in (SETUP_FIG1, SETUP_FIG2):
-        for model, policy in ((MODEL_PNRD, POLICY_STRICT), ("threshold", POLICY_LOSS_CONSERVATIVE)):
+        for model, policy in ((MODEL_PNRD, POLICY_STRICT), (MODEL_THRESHOLD, POLICY_LOSS_CONSERVATIVE)):
             table = compute_table(setup, 4, model, policy)
             cap = channel_capacity(table)
             capacities.append(cap)

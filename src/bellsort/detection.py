@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .modes import Mode, ModeBasis
-from .states import BORN_NORM_TOL, PROB_TOL, TwoPhotonState
+from .states import BORN_NORM_TOL, PROB_TOL, TwoPhotonState, _pair_weights
 
 MODEL_PNRD = "pnrd"
 MODEL_THRESHOLD = "threshold"
@@ -234,7 +234,7 @@ def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> Outc
     if model not in MODELS:
         raise ValueError(f"unknown detector model {model!r}")
     rows, cols = state.rows, state.cols
-    weights = np.where(rows == cols, 1.0, 2.0) * np.abs(state.vals) ** 2
+    weights = _pair_weights(rows, cols) * np.abs(state.vals) ** 2
     total = sum(weights.tolist())  # the squared norm
     deviation = abs(math.sqrt(total) - 1.0)
     if deviation > BORN_NORM_TOL:

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .modes import ARMS, Mode, POL_DIAGONAL, POL_LINEAR, path_modes, polarized_modes
-from .states import SinglePhotonUnitary, TwoPhotonState
+from .states import SinglePhotonUnitary, TwoPhotonState, _exact_dtype, _upper_triangle
 
 SETUP_FIG1 = "fig1"
 SETUP_FIG2 = "fig2"
@@ -67,6 +67,8 @@ class NetworkSpec:
     ``stages`` lists the optical layers in the order a photon meets them
     (stages[0] first), for inspection; ``unitary`` is their product, the
     single-photon map that classification and sampling evolve through.
+    Specs and stages compare and hash by their fields and a unitary by
+    identity, so two specs are equal when they hold the same stage objects.
     """
 
     setup: str
@@ -172,4 +174,6 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
     """
     psi = state.to_matrix(network.in_modes)
     out = network.matrix @ psi @ network.matrix.T
-    return TwoPhotonState.from_matrix(state.dim, network.out_modes, out)
+    rows, cols, vals = _upper_triangle(len(network.out_modes), out)
+    # a complex network can still give exactly real amplitudes
+    return TwoPhotonState._build(state.dim, network.out_modes, rows, cols, _exact_dtype(vals))

@@ -28,6 +28,10 @@ Mode-pair view of the same data for inspection and tests. An encoding
 unitary is a signed permutation of modes, so :func:`encode` never builds a
 matrix: it maps each stored pair's indices to their images, flips the sign
 of its amplitude where U does, and sorts the pairs back into that order.
+Calling :class:`TwoPhotonState` checks the arrays; the Bell and hyper
+states, :func:`encode` and evolution build arrays that hold those checks by
+construction and pass them to the private ``TwoPhotonState._build``, which
+checks only the basis against the dimension.
 
 Amplitudes and unitary matrices are float64 when every imaginary part is
 exactly zero and complex128 otherwise. Every element and state of the paper
@@ -203,8 +207,10 @@ class TwoPhotonState:
     polarization family (none, H/V or +/-). The arrays are read-only; build
     states with :meth:`from_amplitudes`, :meth:`from_kets` or
     :meth:`from_matrix`, which prune amplitudes below 1e-12 and reject a norm
-    off 1; they never rescale. Calling the class directly checks the arrays
-    but not the norm.
+    off 1; they never rescale. Calling the class checks the arrays but not
+    the norm. The package's own builders skip the array checks through the
+    private :meth:`_build`; tests/test_builder.py runs what they make back
+    through the class. Equality and hashing are by identity.
     """
 
     dim: int
@@ -232,6 +238,24 @@ class TwoPhotonState:
             raise ValueError("state has no amplitudes")
         if rows.min() < 0 or cols.max() >= len(self.basis) or (rows > cols).any():
             raise ValueError("pair indices must satisfy 0 <= row <= col < len(basis)")
+
+    @classmethod
+    def _build(
+        cls, dim: int, basis: ModeBasis, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+    ) -> "TwoPhotonState":
+        """A state from arrays the package made itself, frozen in place.
+
+        The caller guarantees what the class would check: a ModeBasis, intp
+        ``rows`` and ``cols`` and exact-dtype ``vals`` of one nonzero
+        length, with 0 <= row <= col < len(basis). Only the basis is checked
+        against ``dim``, which is what rejects evolving a state through a
+        network of a larger dimension.
+        """
+        _check_basis(basis, dim)
+        _frozen(rows, cols, vals)
+        state = object.__new__(cls)
+        vars(state).update(dim=dim, basis=basis, rows=rows, cols=cols, vals=vals)
+        return state
 
     # -- constructors ------------------------------------------------------
 
@@ -281,16 +305,10 @@ class TwoPhotonState:
         """Read a state from its symmetric amplitude matrix over ``basis``.
 
         Takes the upper triangle in row-major order. The norm must be 1
-        within 1e-9, which also guards every evolved state; amplitudes below
-        1e-12 are then pruned.
+        within 1e-9, as for every evolved state, which is read the same way;
+        amplitudes below 1e-12 are then pruned.
         """
-        rows, cols, flat, weights = _triu(len(basis))
-        vals = matrix.ravel().take(flat)
-        norm = _norm_of(weights, vals)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
-        keep = np.abs(vals) >= AMP_PRUNE
-        return cls(dim, basis, rows[keep], cols[keep], vals[keep])
+        return cls(dim, basis, *_upper_triangle(len(basis), matrix))
 
     # -- accessors ---------------------------------------------------------
 
@@ -383,6 +401,17 @@ class TwoPhotonState:
         return True
 
 
+def _upper_triangle(size: int, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, cols and values of the upper triangle, pruned; raises if the norm is off 1."""
+    rows, cols, flat, weights = _triu(size)
+    vals = matrix.ravel().take(flat)
+    norm = _norm_of(weights, vals)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
+    keep = np.abs(vals) >= AMP_PRUNE
+    return rows[keep], cols[keep], vals[keep]
+
+
 def _pair_weights(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Norm weight of each stored pair: 1 for psi(m, m), 2 for a distinct pair."""
     return np.where(rows == cols, 1.0, 2.0)
@@ -395,7 +424,7 @@ def _norm_of(weights: np.ndarray, vals: np.ndarray) -> float:
     return math.sqrt(float(weights @ squares))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SinglePhotonUnitary:
     """A passive linear-optical element as a single-photon mode map.
 
@@ -403,7 +432,8 @@ class SinglePhotonUnitary:
     output mode ``out_modes[o]``. Input and output bases may differ (the
     polarization analyzers relabel H/V to +/-). Unitarity is enforced at
     construction within 1e-10; the matrix is a read-only copy, float64 when
-    exactly real and complex128 otherwise.
+    exactly real and complex128 otherwise. Equality and hashing are by
+    identity, as for :class:`TwoPhotonState`; compare matrices with numpy.
     """
 
     in_modes: ModeBasis
@@ -449,7 +479,7 @@ def _xor_positions(basis: ModeBasis, arm: str, j: int) -> np.ndarray:
     """Position of (arm, x XOR j, pol) for each mode (arm, x, pol) of ``basis``; others stay."""
     index = _positions(basis)
     moved = [index[Mode(m.arm, m.path ^ j, m.pol)] if m.arm == arm else i for i, m in enumerate(basis)]
-    return _frozen(np.array(moved))[0]
+    return _frozen(np.array(moved, dtype=np.intp))[0]
 
 
 @lru_cache(maxsize=128)
@@ -471,7 +501,7 @@ def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, coeff: float) -> Two
     # +-1, so scaling them by one rounded factor is exact
     vals = _arm_signs(basis, ARM_FIRST, idx.n, idx.m)[:half] * (coeff / math.sqrt(2.0))
     cols = _xor_positions(basis, ARM_SECOND, idx.j)[half:]
-    return TwoPhotonState(dim, basis, np.arange(half), cols, vals)
+    return TwoPhotonState._build(dim, basis, np.arange(half, dtype=np.intp), cols, vals)
 
 
 def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
@@ -533,4 +563,7 @@ def encode(state: TwoPhotonState, idx: BellIndex, which_photon: str) -> TwoPhoto
     low, high = np.minimum(rows, cols), np.maximum(rows, cols)
     order = np.argsort(low * len(basis) + high)
     order = order[np.abs(vals[order]) >= AMP_PRUNE]
-    return TwoPhotonState(state.dim, basis, low[order], high[order], vals[order])
+    if not len(order):
+        raise ValueError("state has no amplitudes")
+    # pruning can drop the last complex amplitude of a state built by hand
+    return TwoPhotonState._build(state.dim, basis, low[order], high[order], _exact_dtype(vals[order]))

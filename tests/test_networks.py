@@ -16,6 +16,7 @@ from bellsort import (
     network_for_setup,
 )
 from bellsort.modes import Mode, canonical_pair, path_modes, polarized_modes
+from bellsort.networks import NetworkSpec, NetworkStage
 from conftest import oracle_evolve, random_two_photon_state, random_unitary
 
 A, B = "A", "B"
@@ -105,6 +106,13 @@ class TestEvolutionArchetypes:
         state = make_bell_state(4, BellIndex(2, 0, 0))
         with pytest.raises(ValueError, match="not covered"):
             evolve(state, network_for_setup("fig1", 2).unitary)
+
+    def test_network_of_a_larger_dimension_rejected(self):
+        # every mode of the d=4 state is an input of the d=8 network, but the
+        # evolved state would have photons on paths 4..7
+        state = make_bell_state(4, BellIndex(1, 0, 0))
+        with pytest.raises(ValueError, match="outside dimension"):
+            evolve(state, network_for_setup("fig1", 8).unitary)
 
 
 class TestEvolutionProperties:
@@ -283,3 +291,24 @@ class TestFig2Network:
         )
         out = evolve(make_hyper_state(BellIndex(2, 1, 0)), network_for_setup("fig2").unitary)
         assert out.approx_equal(expected, up_to_phase=False, tol=1e-10)
+
+
+class TestIdentitySemantics:
+    def test_unitaries_compare_and_hash_by_identity(self):
+        fig1 = network_for_setup("fig1", 4).unitary
+        identity = SinglePhotonUnitary.identity(path_modes(4))
+        assert fig1 == fig1 and fig1 != identity
+        assert len({fig1, identity, fig1}) == 2
+
+    def test_stages_compare_and_hash_by_kind_and_unitary_object(self):
+        fig1 = network_for_setup("fig1", 4).unitary
+        stage = NetworkStage("bs_hadamard", fig1)
+        assert stage == NetworkStage("bs_hadamard", fig1)
+        assert hash(stage) == hash(NetworkStage("bs_hadamard", fig1))
+        assert stage != NetworkStage("bs_hadamard", SinglePhotonUnitary.identity(path_modes(4)))
+
+    def test_specs_compare_and_hash_by_fields(self):
+        spec = network_for_setup("fig1", 4)
+        same = NetworkSpec(spec.setup, spec.dim, spec.stages)
+        assert spec == same and hash(spec) == hash(same)
+        assert len({spec, same, network_for_setup("fig1", 8), network_for_setup("fig2")}) == 3
