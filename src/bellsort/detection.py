@@ -1,11 +1,12 @@
 """Detector outcomes, exact Born-rule distributions, and seeded sampling.
 
-One detector sits on every output mode; labels follow the output arm and
-path (``A0`` .. ``B3``) with a ``+``/``-`` suffix in the ancilla-assisted
-setup (``A0+`` .. ``B3-``). A photon-number-resolving detector (PNRD)
-reports the full click multiset, so ``A0 A0`` is a valid outcome; a
-threshold detector only reports click/no-click and collapses that outcome
-to the singleton ``A0``.
+One detector sits on every output mode, so a click is the output
+:class:`~bellsort.modes.Mode` that fired, labelled as the mode is: output
+arm and path (``A0`` .. ``B3``) with a ``+``/``-`` suffix in the
+ancilla-assisted setup (``A0+`` .. ``B3-``). A photon-number-resolving
+detector (PNRD) reports the full click multiset, so ``A0 A0`` is a valid
+outcome; a threshold detector only reports click/no-click and collapses
+that outcome to the singleton ``A0``.
 
 Outcomes of one output basis of M modes have integer ids: the detected
 mode pair (i, k), i <= k, has id i * M + k under either model (under the
@@ -31,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .modes import Mode, ModeBasis
+from .modes import Mode, ModeBasis, POL_LINEAR
 from .states import BORN_NORM_TOL, PROB_TOL, TwoPhotonState, _pair_weights
 
 MODEL_PNRD = "pnrd"
@@ -43,47 +44,15 @@ RNG_ALGORITHM = "PCG64"
 _DETECTOR_RE = re.compile(r"^([AB])(\d+)([+-]?)$")
 
 
-@dataclass(frozen=True, order=True)
-class DetectorId:
-    """One detector: output arm, path, and optional +/- polarization port."""
-
-    arm: str
-    path: int
-    pol: str | None = None
-
-    @classmethod
-    def from_mode(cls, mode: Mode) -> "DetectorId":
-        if mode.pol in ("H", "V"):
-            raise ValueError(
-                f"mode {mode.label} is not in a detector basis (apply the 45-degree analyzers first)"
-            )
-        return cls(mode.arm, mode.path, mode.pol)
-
-    @classmethod
-    def from_label(cls, label: str) -> "DetectorId":
-        match = _DETECTOR_RE.match(label)
-        if not match:
-            raise ValueError(f"not a detector label: {label!r}")
-        arm, path, pol = match.groups()
-        return cls(arm, int(path), pol or None)
-
-    @property
-    def label(self) -> str:
-        return f"{self.arm}{self.path}{self.pol or ''}"
-
-    def __repr__(self) -> str:
-        return f"DetectorId({self.label})"
-
-
 @dataclass(frozen=True)
 class Outcome:
-    """A detection event: the sorted clicks, with multiplicity under PNRD.
+    """A detection event: the sorted clicked output modes, with multiplicity under PNRD.
 
     Hashed once at construction and again on unpickling (string hashes
     differ between processes); the label is built on first use.
     """
 
-    clicks: tuple[DetectorId, ...]
+    clicks: tuple[Mode, ...]
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.clicks) <= 2:
@@ -99,16 +68,20 @@ class Outcome:
         return Outcome, (self.clicks,)
 
     @classmethod
-    def pair(cls, d1: DetectorId, d2: DetectorId) -> "Outcome":
-        return cls((d1, d2))
-
-    @classmethod
     def from_label(cls, label: str) -> "Outcome":
-        return cls(tuple(DetectorId.from_label(part) for part in label.split()))
+        """Parse space-separated detector labels such as ``"A0+ B2-"``."""
+        clicks = []
+        for part in label.split():
+            match = _DETECTOR_RE.match(part)
+            if not match:
+                raise ValueError(f"not a detector label: {part!r}")
+            arm, path, pol = match.groups()
+            clicks.append(Mode(arm, int(path), pol or None))
+        return cls(tuple(clicks))
 
     @cached_property
     def label(self) -> str:
-        return " ".join([d.label for d in self.clicks])
+        return " ".join([m.label for m in self.clicks])
 
     @property
     def is_single_click(self) -> bool:
@@ -135,15 +108,21 @@ class OutcomeTable(dict):
 
     def __init__(self, basis: ModeBasis, model: str) -> None:
         super().__init__()
-        self.detectors = tuple(DetectorId.from_mode(m) for m in basis)
+        for mode in basis:
+            if mode.pol in POL_LINEAR:
+                raise ValueError(
+                    f"mode {mode.label} is not in a detector basis"
+                    " (apply the 45-degree analyzers first)"
+                )
+        self.basis = basis
         self.model = model
 
     def __missing__(self, outcome_id: int) -> Outcome:
-        i, k = divmod(outcome_id, len(self.detectors))
+        i, k = divmod(outcome_id, len(self.basis))
         if i == k and self.model == MODEL_THRESHOLD:
-            clicks = (self.detectors[i],)
+            clicks = (self.basis[i],)
         else:
-            clicks = (self.detectors[i], self.detectors[k])
+            clicks = (self.basis[i], self.basis[k])
         outcome = self[outcome_id] = Outcome(clicks)
         return outcome
 

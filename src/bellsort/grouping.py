@@ -44,10 +44,6 @@ class StateGroup:
     support: frozenset[Outcome]
     quarantined: bool = False
 
-    @property
-    def needs_number_resolution(self) -> bool:
-        return any(o.is_bunched for o in self.support)
-
 
 @dataclass(frozen=True)
 class GroupTable:
@@ -68,10 +64,6 @@ class GroupTable:
                 raise ValueError("group supports are not pairwise disjoint")
             seen_members |= set(group.members)
             seen_outcomes |= group.support
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for group in self.groups for label in group.members)
 
     @property
     def usable_groups(self) -> tuple[StateGroup, ...]:

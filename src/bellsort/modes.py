@@ -2,7 +2,8 @@
 
 A photon occupies one mode identified by (arm, path, polarization). The two
 input arms are labelled "A" and "B"; after the beam-splitter stage the same
-labels denote the two output ports (detectors keep the uppercase names).
+labels denote the two output ports. Detectors are output modes: one sits on
+each, and a click is recorded as the output mode that fired, with its label.
 Paths are integers in ``[0, d)``. Polarization is ``None`` for path-only
 states, ``"H"``/``"V"`` in the linear basis, and ``"+"``/``"-"`` in the
 diagonal basis used by the polarization analyzers.

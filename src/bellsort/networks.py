@@ -27,7 +27,9 @@ three stages:
 a cached :class:`NetworkSpec` that names its setup, so the code that
 classifies with it need not guess the setup; ``NetworkSpec.stages`` is for
 inspecting the layers one at a time and ``NetworkSpec.unitary`` is their
-product.
+product. Every stage is written as a per-mode rule, mapping one input mode
+to its (output mode, weight) images, and one helper fills the stage matrix
+from that rule.
 
 Evolution is exact: the symmetric two-photon amplitude matrix transforms as
 psi -> U psi U^T, which keeps bosonic exchange statistics (and hence the
@@ -39,17 +41,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .modes import ARMS, Mode, POL_DIAGONAL, POL_LINEAR, path_modes, polarized_modes
-from .states import SinglePhotonUnitary, TwoPhotonState, _exact_dtype, _upper_triangle
+from .modes import ARMS, Mode, ModeBasis, POL_DIAGONAL, POL_LINEAR, path_modes, polarized_modes
+from .states import SinglePhotonUnitary, TwoPhotonState, _exact_dtype, _positions, _upper_triangle
 
 SETUP_FIG1 = "fig1"
 SETUP_FIG2 = "fig2"
 SETUPS = (SETUP_FIG1, SETUP_FIG2)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+_Images = tuple[tuple[Mode, float], ...]  # a mode's (output mode, weight) pairs
 
 
 @dataclass(frozen=True)
@@ -83,57 +88,44 @@ class NetworkSpec:
         return composed
 
 
-def _arm_hadamard(modes: tuple[Mode, ...]) -> SinglePhotonUnitary:
-    """Beam splitter between arms on every (path, pol) rail pair.
+def _stage(
+    modes_in: ModeBasis, modes_out: ModeBasis, images: Callable[[Mode], _Images]
+) -> SinglePhotonUnitary:
+    """The stage matrix of a per-mode rule: input mode m goes to the weighted ``images(m)``.
+
+    ``images(m)`` gives the (output mode, weight) pairs of m; every other
+    entry of m's column is zero.
+    """
+    rows = _positions(modes_out)
+    mat = np.zeros((len(modes_out), len(modes_in)))
+    for i, mode in enumerate(modes_in):
+        for out, weight in images(mode):
+            mat[rows[out], i] = weight
+    return SinglePhotonUnitary(modes_in, modes_out, mat)
+
+
+def _beam_splitter(mode: Mode) -> _Images:
+    """Beam splitter between the arms on the mode's (path, pol) rail.
 
     Convention: the first arm carries the + superposition and the second
     the - superposition; all derived supports are invariant under moving
     the minus sign to the first arm instead.
     """
-    index = {m: i for i, m in enumerate(modes)}
-    mat = np.zeros((len(modes), len(modes)))
-    for mode in modes:
-        if mode.arm != ARMS[0]:
-            continue
-        partner = Mode(ARMS[1], mode.path, mode.pol)
-        i_a, i_b = index[mode], index[partner]
-        mat[i_a, i_a] = _INV_SQRT2
-        mat[i_b, i_a] = _INV_SQRT2
-        mat[i_a, i_b] = _INV_SQRT2
-        mat[i_b, i_b] = -_INV_SQRT2
-    return SinglePhotonUnitary(modes, modes, mat)
+    sign = 1.0 if mode.arm == ARMS[0] else -1.0
+    a, b = (Mode(arm, mode.path, mode.pol) for arm in ARMS)
+    return ((a, _INV_SQRT2), (b, sign * _INV_SQRT2))
 
 
-def _pbs0_rail_swap(dim: int) -> SinglePhotonUnitary:
+def _rail_swap(mode: Mode) -> _Images:
     """PBS at 0 degrees between paired rails: H stays, V hops path x -> x XOR 1."""
-    modes = polarized_modes(dim, POL_LINEAR)
-    index = {m: i for i, m in enumerate(modes)}
-    mat = np.zeros((len(modes), len(modes)))
-    for mode in modes:
-        if mode.pol == "H":
-            mat[index[mode], index[mode]] = 1.0
-        else:
-            hopped = Mode(mode.arm, mode.path ^ 1, "V")
-            mat[index[hopped], index[mode]] = 1.0
-    return SinglePhotonUnitary(modes, modes, mat)
+    return ((mode if mode.pol == "H" else Mode(mode.arm, mode.path ^ 1, "V"), 1.0),)
 
 
-def _pbs45_basis_change(dim: int) -> SinglePhotonUnitary:
-    """PBS at 45 degrees on every rail: relabels H/V into the +/- basis."""
-    modes_in = polarized_modes(dim, POL_LINEAR)
-    modes_out = polarized_modes(dim, POL_DIAGONAL)
-    idx_in = {m: i for i, m in enumerate(modes_in)}
-    idx_out = {m: i for i, m in enumerate(modes_out)}
-    mat = np.zeros((len(modes_out), len(modes_in)))
-    for arm in ARMS:
-        for x in range(dim):
-            h, v = idx_in[Mode(arm, x, "H")], idx_in[Mode(arm, x, "V")]
-            plus, minus = idx_out[Mode(arm, x, "+")], idx_out[Mode(arm, x, "-")]
-            mat[plus, h] = _INV_SQRT2
-            mat[plus, v] = _INV_SQRT2
-            mat[minus, h] = _INV_SQRT2
-            mat[minus, v] = -_INV_SQRT2
-    return SinglePhotonUnitary(modes_in, modes_out, mat)
+def _analyzer(mode: Mode) -> _Images:
+    """PBS at 45 degrees: H -> (|+> + |->)/sqrt(2), V -> (|+> - |->)/sqrt(2)."""
+    sign = 1.0 if mode.pol == "H" else -1.0
+    plus, minus = (Mode(mode.arm, mode.path, pol) for pol in POL_DIAGONAL)
+    return ((plus, _INV_SQRT2), (minus, sign * _INV_SQRT2))
 
 
 @lru_cache(maxsize=16)
@@ -149,14 +141,16 @@ def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
     if setup == SETUP_FIG1:
         if dim < 2:
             raise ValueError(f"need at least two paths, got dimension {dim}")
-        stages = (NetworkStage("bs_hadamard", _arm_hadamard(path_modes(dim))),)
+        modes = path_modes(dim)
+        stages = (NetworkStage("bs_hadamard", _stage(modes, modes, _beam_splitter)),)
     elif setup == SETUP_FIG2:
         if dim != 4:
             raise ValueError("the ancilla-assisted setup is defined for dimension 4")
+        linear, diagonal = polarized_modes(dim, POL_LINEAR), polarized_modes(dim, POL_DIAGONAL)
         stages = (
-            NetworkStage("pbs0_rail_swap", _pbs0_rail_swap(dim)),
-            NetworkStage("bs_hadamard", _arm_hadamard(polarized_modes(dim, POL_LINEAR))),
-            NetworkStage("pbs45_basis_change", _pbs45_basis_change(dim)),
+            NetworkStage("pbs0_rail_swap", _stage(linear, linear, _rail_swap)),
+            NetworkStage("bs_hadamard", _stage(linear, linear, _beam_splitter)),
+            NetworkStage("pbs45_basis_change", _stage(linear, diagonal, _analyzer)),
         )
     else:
         raise ValueError(f"unknown setup {setup!r}, expected one of {SETUPS}")

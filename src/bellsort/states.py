@@ -205,12 +205,12 @@ class TwoPhotonState:
     sum over distinct pairs of 2|psi|**2 plus sum over m of |psi(m, m)|**2.
     Every basis mode must have path < dim, and all must share one
     polarization family (none, H/V or +/-). The arrays are read-only; build
-    states with :meth:`from_amplitudes`, :meth:`from_kets` or
-    :meth:`from_matrix`, which prune amplitudes below 1e-12 and reject a norm
-    off 1; they never rescale. Calling the class checks the arrays but not
-    the norm. The package's own builders skip the array checks through the
-    private :meth:`_build`; tests/test_builder.py runs what they make back
-    through the class. Equality and hashing are by identity.
+    states with :meth:`from_amplitudes` or :meth:`from_kets`, which prune
+    amplitudes below 1e-12 and reject a norm off 1; they never rescale.
+    Calling the class checks the arrays but not the norm. The package's own
+    builders skip the array checks through the private :meth:`_build`;
+    tests/test_builder.py runs what they make back through the class.
+    Equality and hashing are by identity.
     """
 
     dim: int
@@ -281,7 +281,7 @@ class TwoPhotonState:
                 if m not in index:
                     raise ValueError(f"mode {m.label} outside dimension {dim}")
             psi[index[m1], index[m2]] = psi[index[m2], index[m1]] = a
-        return cls.from_matrix(dim, basis, psi)
+        return cls(dim, basis, *_upper_triangle(len(basis), psi))
 
     @classmethod
     def from_kets(cls, dim: int, kets: Iterable[tuple[Mode, Mode, complex]]) -> "TwoPhotonState":
@@ -299,16 +299,6 @@ class TwoPhotonState:
             stored = complex(c) if m1 == m2 else complex(c) / math.sqrt(2.0)
             acc[key] = acc.get(key, 0.0) + stored
         return cls.from_amplitudes(dim, acc)
-
-    @classmethod
-    def from_matrix(cls, dim: int, basis: tuple, matrix: np.ndarray) -> "TwoPhotonState":
-        """Read a state from its symmetric amplitude matrix over ``basis``.
-
-        Takes the upper triangle in row-major order. The norm must be 1
-        within 1e-9, as for every evolved state, which is read the same way;
-        amplitudes below 1e-12 are then pruned.
-        """
-        return cls(dim, basis, *_upper_triangle(len(basis), matrix))
 
     # -- accessors ---------------------------------------------------------
 

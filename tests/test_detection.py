@@ -15,7 +15,6 @@ from scipy.stats import chi2
 
 from bellsort import (
     BellIndex,
-    DetectorId,
     Outcome,
     OutcomeDistribution,
     TwoPhotonState,
@@ -28,7 +27,7 @@ from bellsort import (
     sample,
 )
 from bellsort.detection import OutcomeTable
-from bellsort.modes import Mode, path_modes
+from bellsort.modes import Mode, path_modes, polarized_modes
 
 A, B = "A", "B"
 
@@ -65,17 +64,16 @@ def guarded_distributions():
 class TestOutcomeLabels:
     def test_detector_parsing_round_trip(self):
         for label in ("A0", "B3", "A0+", "B3-"):
-            assert DetectorId.from_label(label).label == label
-        with pytest.raises(ValueError):
-            DetectorId.from_label("C0")
-        with pytest.raises(ValueError):
-            DetectorId.from_mode(Mode(A, 0, "H"))
+            assert Outcome.from_label(label).label == label
+        for bad in ("C0", "A0H", "A"):
+            with pytest.raises(ValueError, match="not a detector label"):
+                Outcome.from_label(bad)
+        with pytest.raises(ValueError, match="A0H is not in a detector basis"):
+            OutcomeTable(polarized_modes(4), "pnrd")
 
     def test_outcome_sorted_canonically(self):
-        d1, d2 = DetectorId.from_label("B1"), DetectorId.from_label("A3")
-        assert Outcome.pair(d1, d2).label == "A3 B1"
-        plus, minus = DetectorId.from_label("A0+"), DetectorId.from_label("A0-")
-        assert Outcome.pair(minus, plus).label == "A0+ A0-"
+        assert Outcome((Mode(B, 1), Mode(A, 3))).label == "A3 B1"
+        assert Outcome((Mode(A, 0, "-"), Mode(A, 0, "+"))).label == "A0+ A0-"
 
     def test_outcome_hash_contract(self):
         tabled = OutcomeTable(path_modes(4), "pnrd")[0 * 8 + 5]

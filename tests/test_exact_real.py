@@ -47,7 +47,7 @@ ENCODE_CASES = [
 
 
 def complex_upper_triangle(matrix):
-    """Upper triangle of a complex amplitude matrix, pruned as ``from_matrix`` prunes."""
+    """Upper triangle of a complex amplitude matrix, pruned as ``evolve`` prunes."""
     rows, cols = np.triu_indices(len(matrix))
     vals = matrix[rows, cols]
     keep = np.abs(vals) >= AMP_PRUNE

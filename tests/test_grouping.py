@@ -135,7 +135,7 @@ class TestPartitionProperties:
     def test_partition_is_valid(self, setup, dim):
         table = compute_table(setup, dim, "pnrd", "strict")
         labels = [label for label, _ in labelled_states(setup, dim)]
-        assert sorted(table.labels) == sorted(labels)
+        assert sorted(label for g in table.groups for label in g.members) == sorted(labels)
         supports = [g.support for g in table.groups]
         for i in range(len(supports)):
             for k in range(i + 1, len(supports)):
@@ -159,7 +159,7 @@ class TestPartitionProperties:
     @pytest.mark.parametrize("setup", ["fig1", "fig2"])
     def test_only_the_first_group_needs_number_resolution(self, setup):
         table = compute_table(setup, 4, "pnrd", "strict")
-        flagged = [g.index for g in table.groups if g.needs_number_resolution]
+        flagged = [g.index for g in table.groups if any(o.is_bunched for o in g.support)]
         assert flagged == [1]
 
     def test_fig2_refines_fig1(self):

@@ -1,5 +1,6 @@
 """Tests for the interferometer unitaries and two-photon evolution."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,42 @@ from conftest import oracle_evolve, random_two_photon_state, random_unitary
 
 A, B = "A", "B"
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+# sha256 over every stage of a network (its kind, input and output mode
+# labels, matrix dtype and matrix bytes) and then over its composed unitary,
+# recorded from the networks as they were built before every stage became a
+# per-mode rule filled in by one helper.
+NETWORK_DIGESTS = {
+    ("fig1", 2): "d2d3acb1ed0827dcae5b26dfee86da1f3a926b7976648a0dec589705e1c0f697",
+    ("fig1", 4): "7cc14189005490bacc3914d3c36d15c4688515ea403ac50b5bddbb061713a268",
+    ("fig1", 8): "248da1a384302229461b9a7f4d930ba8950b500d8ac1c79406c066e283c8a40e",
+    ("fig1", 16): "ca41d23f6a643f9a7b446020200c4ba0bd3dce02f628bb037ec6ce82dd28cd30",
+    ("fig1", 32): "4fd57af59170b934f955c49d528f04b05d09cc3ab3bd0726e978d692433c8ddc",
+    ("fig1", 64): "6fe8cde72ed7b79b6f221869546fdfff9a693223191213e7f02882040af86c88",
+    ("fig2", 4): "3aaf7cb235cacaa8ad69aa02fe44205ea12170bc20d4059f60f0d158334aa3ee",
+}
+
+
+def network_digest(spec):
+    digest = hashlib.sha256()
+    for kind, unitary in [(s.kind, s.unitary) for s in spec.stages] + [("unitary", spec.unitary)]:
+        for field in (
+            kind,
+            " ".join(m.label for m in unitary.in_modes),
+            " ".join(m.label for m in unitary.out_modes),
+            str(unitary.matrix.dtype),
+        ):
+            digest.update(field.encode() + b"\n")
+        digest.update(unitary.matrix.tobytes())
+    return digest.hexdigest()
+
+
+def network_digest_mismatches():
+    """The (setup, dim) keys whose ``network_for_setup`` network differs from its digest."""
+    return [
+        key for key, pinned in NETWORK_DIGESTS.items() if network_digest(network_for_setup(*key)) != pinned
+    ]
 
 
 def arm_pattern(pair):
@@ -232,6 +269,10 @@ class TestEvolutionProperties:
         for idx in all_bell_indices(4):
             state = make_bell_state(4, idx)
             assert evolve(state, plus_first).support == evolve(state, swapped).support
+
+
+def test_networks_are_bit_identical_to_the_pinned_digests():
+    assert network_digest_mismatches() == []
 
 
 class TestFig2Network:
