@@ -41,7 +41,7 @@ MODELS = (MODEL_PNRD, MODEL_THRESHOLD)
 
 RNG_ALGORITHM = "PCG64"
 
-_DETECTOR_RE = re.compile(r"^([AB])(\d+)([+-]?)$")
+_DETECTOR_RE = re.compile(r"^([AB])(0|[1-9]\d*)([+-]?)$")  # no leading zeros, so labels round-trip
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,12 @@ class OutcomeDistribution:
     @classmethod
     def from_probs(cls, model: str, probs: Mapping[Outcome, float]) -> "OutcomeDistribution":
         """From an Outcome -> probability map; zeros are dropped, the rest must sum to 1."""
-        cleaned = {o: float(p) for o, p in probs.items() if p > 0.0}
-        if any(p < 0 for p in probs.values()):
+        given = {o: float(p) for o, p in probs.items()}
+        if not all(math.isfinite(p) for p in given.values()):
+            raise ValueError("non-finite probability")
+        if any(p < 0 for p in given.values()):
             raise ValueError("negative probability")
+        cleaned = {o: p for o, p in given.items() if p > 0.0}
         total = sum(cleaned.values())
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -216,7 +219,7 @@ def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> Outc
     weights = _pair_weights(rows, cols) * np.abs(state.vals) ** 2
     total = sum(weights.tolist())  # the squared norm
     deviation = abs(math.sqrt(total) - 1.0)
-    if deviation > BORN_NORM_TOL:
+    if not deviation <= BORN_NORM_TOL:  # a NaN amplitude fails too
         raise ValueError(f"state is not normalized (norm off by {deviation:.3e})")
     ids = rows * len(state.basis) + cols
     return OutcomeDistribution(model, outcome_table(state.basis, model), ids, weights / total)

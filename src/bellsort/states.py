@@ -173,6 +173,14 @@ def _exact_dtype(array) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=float)
 
 
+def _pair_indices(array) -> np.ndarray:
+    """``array`` as intp; raises unless it holds integers (an empty list passes)."""
+    array = np.asarray(array)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"pair indices must be integers, got dtype {array.dtype}")
+    return array.astype(np.intp, copy=False)
+
+
 def _pol_basis(pols: set) -> tuple[str, str] | None:
     if pols <= {None}:
         return None
@@ -225,8 +233,8 @@ class TwoPhotonState:
         object.__setattr__(self, "basis", as_basis(self.basis))
         _check_basis(self.basis, self.dim)
         for name, array in (
-            ("rows", np.asarray(self.rows, dtype=np.intp)),
-            ("cols", np.asarray(self.cols, dtype=np.intp)),
+            ("rows", _pair_indices(self.rows)),
+            ("cols", _pair_indices(self.cols)),
             ("vals", _exact_dtype(self.vals)),
         ):
             array.flags.writeable = False
@@ -396,7 +404,7 @@ def _upper_triangle(size: int, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarr
     rows, cols, flat, weights = _triu(size)
     vals = matrix.ravel().take(flat)
     norm = _norm_of(weights, vals)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
         raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
     keep = np.abs(vals) >= AMP_PRUNE
     return rows[keep], cols[keep], vals[keep]
@@ -424,6 +432,8 @@ class SinglePhotonUnitary:
     construction within 1e-10; the matrix is a read-only copy, float64 when
     exactly real and complex128 otherwise. Equality and hashing are by
     identity, as for :class:`TwoPhotonState`; compare matrices with numpy.
+    ``transposed`` is a read-only C-contiguous copy of ``matrix.T``, made
+    on first use for :func:`~bellsort.networks.evolve`.
     """
 
     in_modes: ModeBasis
@@ -439,9 +449,13 @@ class SinglePhotonUnitary:
         if mat.shape != (n_out, n_in) or n_in != n_out:
             raise ValueError(f"matrix shape {mat.shape} does not match mode counts ({n_out}, {n_in})")
         defect = np.max(np.abs(mat @ mat.conj().T - np.eye(n_in)))
-        if defect > UNITARY_TOL:
+        if not defect <= UNITARY_TOL:  # a NaN defect fails too
             raise ValueError(f"matrix is not unitary (max defect {defect:.3e})")
         mat.flags.writeable = False
+
+    @cached_property
+    def transposed(self) -> np.ndarray:
+        return _frozen(np.ascontiguousarray(self.matrix.T))[0]
 
     @property
     def dim(self) -> int:

@@ -27,7 +27,7 @@ from bellsort import (
     sample,
 )
 from bellsort.detection import OutcomeTable
-from bellsort.modes import Mode, path_modes, polarized_modes
+from bellsort.modes import POL_DIAGONAL, Mode, path_modes, polarized_modes
 
 A, B = "A", "B"
 
@@ -63,13 +63,25 @@ def guarded_distributions():
 
 class TestOutcomeLabels:
     def test_detector_parsing_round_trip(self):
-        for label in ("A0", "B3", "A0+", "B3-"):
+        for label in ("A0", "B3", "A0+", "B3-", "A10 B0"):
             assert Outcome.from_label(label).label == label
-        for bad in ("C0", "A0H", "A"):
+        # a leading zero would read back as another label ("A01" as "A1")
+        for bad in ("C0", "A0H", "A", "A01", "B00", "A007+"):
             with pytest.raises(ValueError, match="not a detector label"):
                 Outcome.from_label(bad)
         with pytest.raises(ValueError, match="A0H is not in a detector basis"):
             OutcomeTable(polarized_modes(4), "pnrd")
+
+    @pytest.mark.parametrize("model", ["pnrd", "threshold"])
+    def test_every_outcome_table_label_round_trips(self, model):
+        bases = [path_modes(dim) for dim in (2, 4, 16, 32)] + [polarized_modes(4, POL_DIAGONAL)]
+        for basis in bases:
+            table = OutcomeTable(basis, model)
+            size = len(basis)
+            for i in range(size):
+                for k in range(i, size):
+                    outcome = table[i * size + k]
+                    assert Outcome.from_label(outcome.label) == outcome
 
     def test_outcome_sorted_canonically(self):
         assert Outcome((Mode(B, 1), Mode(A, 3))).label == "A3 B1"
@@ -171,6 +183,18 @@ class TestDistributions:
         bad = TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7, 0.2])
         with pytest.raises(ValueError):
             outcome_distribution(bad)
+
+    def test_nan_amplitude_fails_the_norm_check(self):
+        # |sqrt(nan) - 1| > tol is False, so the check must be written to fail on NaN
+        bad = TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7071, math.nan])
+        with pytest.raises(ValueError, match="not normalized"):
+            outcome_distribution(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        o1, o2 = Outcome.from_label("A0 B1"), Outcome.from_label("A1 B0")
+        with pytest.raises(ValueError, match="non-finite probability"):
+            OutcomeDistribution.from_probs("pnrd", {o1: 1.0, o2: bad})
 
     def test_distribution_round_trip(self):
         dist = fig1_distribution(BellIndex(2, 1, 0))

@@ -1,6 +1,7 @@
 """Tests for the distinguishability partition and channel capacities."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bellsort import (
     GroupTable,
     StateGroup,
     Outcome,
+    OutcomeDistribution,
     all_bell_indices,
     channel_capacity,
     classify,
@@ -19,6 +21,9 @@ from bellsort import (
     network_for_setup,
 )
 from bellsort.cli import compute_table, labelled_states
+from bellsort.detection import outcome_table
+from bellsort.grouping import partition
+from bellsort.modes import path_modes
 
 REFERENCE = load_reference_tables()
 
@@ -198,6 +203,84 @@ class TestPartitionProperties:
                             reached.add(other)
                             frontier.append(other)
                 assert reached == set(members)
+
+
+def fig1_closed_form_key(idx):
+    """fig1 reveals the pair class j and, for j != 0, the exchange parity (n*j0 + m*j1) mod 2."""
+    if idx.j == 0:
+        return (0,)
+    return (idx.j, (idx.n * (idx.j & 1) + idx.m * ((idx.j >> 1) & 1)) % 2)
+
+
+def pairwise_partition(labelled):
+    """(members, support) per group, by searching every pair of supports for a shared outcome.
+
+    Groups are found from their first member in input order, as partition numbers them.
+    """
+    supports = [dist.support for _, dist in labelled]
+    placed: set[int] = set()
+    groups = []
+    for start in range(len(supports)):
+        if start in placed:
+            continue
+        placed.add(start)
+        members, frontier = [start], [start]
+        while frontier:
+            current = frontier.pop()
+            for other in range(len(supports)):
+                if other not in placed and supports[current] & supports[other]:
+                    placed.add(other)
+                    members.append(other)
+                    frontier.append(other)
+        members.sort()
+        groups.append(
+            (
+                tuple(labelled[i][0] for i in members),
+                frozenset().union(*(supports[i] for i in members)),
+            )
+        )
+    return groups
+
+
+class TestPartitionAtScale:
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["enumerated", "shuffled"])
+    @pytest.mark.parametrize("dim,expected_groups", [(8, 14), (16, 28), (32, 56)])
+    def test_fig1_matches_its_closed_form(self, dim, expected_groups, shuffled):
+        # every nonzero j splits into two groups except those with
+        # j0 = j1 = 0 (j = 4, 8, ...), whose states all have parity 0
+        indices = list(all_bell_indices(dim))
+        if shuffled:
+            random.Random(dim).shuffle(indices)
+        table = classify(
+            [(idx.label, make_bell_state(dim, idx)) for idx in indices], network_for_setup("fig1", dim)
+        )
+        closed_form: dict = {}
+        for idx in indices:
+            closed_form.setdefault(fig1_closed_form_key(idx), []).append(idx.label)
+        # numbered by first member in input order, members in input order
+        assert [g.members for g in table.groups] == [tuple(m) for m in closed_form.values()]
+        assert [g.index for g in table.groups] == list(range(1, expected_groups + 1))
+
+    @pytest.mark.parametrize("model", ["pnrd", "threshold"])
+    def test_partition_equals_a_pairwise_search(self, model):
+        basis = path_modes(8)
+        size = len(basis)
+        upper = np.array([i * size + k for i in range(size) for k in range(i, size)])
+        table = outcome_table(basis, model)
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            pool = rng.choice(upper, size=rng.integers(4, len(upper)), replace=False)
+            labelled = []
+            for s in range(rng.integers(1, 40)):
+                ids = rng.choice(pool, size=rng.integers(1, 6), replace=False)
+                dist = OutcomeDistribution(model, table, ids, np.full(len(ids), 1 / len(ids)))
+                labelled.append((f"s{s}", dist))
+            got = partition(labelled, "fig1", "loss_conservative")
+            expected = pairwise_partition(labelled)
+            assert [(g.members, g.support) for g in got.groups] == expected
+            assert [g.quarantined for g in got.groups] == [
+                model == "threshold" and any(o.is_single_click for o in support) for _, support in expected
+            ]
 
 
 class TestPoliciesAndCapacity:

@@ -144,6 +144,12 @@ class TestEvolutionArchetypes:
         with pytest.raises(ValueError, match="not covered"):
             evolve(state, network_for_setup("fig1", 2).unitary)
 
+    def test_nan_amplitude_fails_the_norm_check(self):
+        # |nan - 1| > tol is False; written that way, this evolved to an empty state
+        state = TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7071, math.nan])
+        with pytest.raises(ValueError, match="state norm nan"):
+            evolve(state, network_for_setup("fig1", 2).unitary)
+
     def test_network_of_a_larger_dimension_rejected(self):
         # every mode of the d=4 state is an input of the d=8 network, but the
         # evolved state would have photons on paths 4..7

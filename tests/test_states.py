@@ -154,6 +154,21 @@ class TestEncoding:
             mat = encoding_unitary(4, idx).matrix
             assert np.max(np.abs(mat @ mat.conj().T - np.eye(4))) < 1e-12
 
+    def test_nan_entry_fails_the_unitarity_check(self):
+        # a NaN defect compares False against the tolerance either way round
+        mat = np.eye(4)
+        mat[1, 2] = math.nan
+        with pytest.raises(ValueError, match="not unitary"):
+            SinglePhotonUnitary(path_modes(2), path_modes(2), mat)
+
+    def test_transposed_is_a_cached_read_only_contiguous_copy(self):
+        unitary = encoding_unitary(4, BellIndex(3, 1, 1))
+        transposed = unitary.transposed
+        assert transposed is unitary.transposed
+        assert transposed.flags.c_contiguous and not transposed.flags.writeable
+        assert np.array_equal(transposed, unitary.matrix.T)
+        assert not np.shares_memory(transposed, unitary.matrix)
+
     @pytest.mark.parametrize("dim", [2, 8, 16, 32])
     def test_all_unitary_at_other_dimensions(self, dim):
         # each one passes SinglePhotonUnitary's unitarity check and is an exact signed permutation
@@ -302,6 +317,17 @@ class TestStateRepresentation:
             assert state.amplitude(state.basis[i], state.basis[k]) == a
         with pytest.raises(ValueError):
             TwoPhotonState(4, state.basis, state.cols, state.rows, state.vals)
+
+    def test_non_integer_pair_indices_rejected(self):
+        # np.asarray(..., dtype=intp) would truncate these to the pair (0, 2)
+        with pytest.raises(ValueError, match="pair indices must be integers"):
+            TwoPhotonState(2, path_modes(2), [0.6], [2.7], [1.0])
+        with pytest.raises(ValueError, match="pair indices must be integers"):
+            TwoPhotonState(2, path_modes(2), np.array([0]), np.array([2.0]), [1.0])
+        with pytest.raises(ValueError, match="pair indices must be integers"):
+            TwoPhotonState(2, path_modes(2), [False], [True], [1.0])
+        state = TwoPhotonState(2, path_modes(2), np.array([0], dtype=np.uint8), [2], [1.0])
+        assert state.rows.dtype == np.intp
 
     def test_mode_space_tracks_polarization(self):
         assert make_bell_state(4, BellIndex(0, 0, 0)).mode_space() == path_modes(4)
