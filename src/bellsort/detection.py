@@ -215,14 +215,18 @@ def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> Outc
     """
     if model not in MODELS:
         raise ValueError(f"unknown detector model {model!r}")
-    rows, cols = state.rows, state.cols
-    weights = _pair_weights(rows, cols) * np.abs(state.vals) ** 2
+    weights = _pair_weights(state.rows, state.cols) * np.abs(state.vals) ** 2
     total = sum(weights.tolist())  # the squared norm
     deviation = abs(math.sqrt(total) - 1.0)
     if not deviation <= BORN_NORM_TOL:  # a NaN amplitude fails too
         raise ValueError(f"state is not normalized (norm off by {deviation:.3e})")
-    ids = rows * len(state.basis) + cols
-    return OutcomeDistribution(model, outcome_table(state.basis, model), ids, weights / total)
+    table = outcome_table(state.basis, model)
+    return OutcomeDistribution(model, table, _outcome_ids(state), weights / total)
+
+
+def _outcome_ids(state: TwoPhotonState) -> np.ndarray:
+    """Outcome id of each stored pair (i, k): i * M + k over the state's M modes."""
+    return state.rows * len(state.basis) + state.cols
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> Counter[Outcome]:

@@ -6,6 +6,10 @@ groups are the connected components of the confusability graph (states as
 vertices, edges where supports intersect). The channel capacity of the
 resulting superdense-coding scheme is log2 of the number of usable groups.
 
+One algorithm partitions outcome ids (see :mod:`bellsort.detection`):
+:func:`classify` reads them from each evolved state and builds no
+distribution; :func:`partition` reads them from ready distributions.
+
 Policies: ``strict`` counts every group. ``loss_conservative`` models
 threshold (non-number-resolving) detectors that cannot certify two-photon
 arrival: any group whose support contains a single-click outcome is
@@ -19,14 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .detection import (
-    MODEL_PNRD,
-    MODEL_THRESHOLD,
-    Outcome,
-    OutcomeDistribution,
-    outcome_distribution,
+    MODEL_PNRD, MODEL_THRESHOLD, MODELS, Outcome, OutcomeDistribution,
+    _outcome_ids, outcome_distribution, outcome_table,
 )
 from .networks import NetworkSpec, evolve
 from .states import TwoPhotonState
@@ -122,11 +123,16 @@ def classify(
     """Partition labelled states into distinguishable groups under a setup.
 
     ``network`` is the :class:`NetworkSpec` from ``network_for_setup``; the
-    table is labelled with its setup. Evolves every state, computes its
-    outcome support, and returns the connected components of the
-    confusability graph, numbered by first appearance in the input order.
+    table is labelled with its setup. Each state is evolved once (``evolve``
+    checks its norm) and its support ids are partitioned directly, building
+    no per-state distribution; :func:`partition` of the distributions agrees.
     """
-    return partition(distributions(states, network, model), network.setup, policy)
+    if model not in MODELS:
+        raise ValueError(f"unknown detector model {model!r}")
+    unitary = network.unitary
+    table = outcome_table(unitary.out_modes, model)
+    supports = [(label, _outcome_ids(evolve(state, unitary)).tolist()) for label, state in states]
+    return _partition(supports, table, model, network.setup, policy)
 
 
 def distributions(
@@ -147,30 +153,38 @@ def partition(
     """Group labelled distributions whose supports are connected by shared outcomes.
 
     The distributions must come from :func:`outcome_distribution` over one
-    output basis and one detector model, so that equal outcome ids mean
-    equal outcomes. Groups are numbered by their first member in input
-    order; members keep input order.
+    output basis and one detector model, so that equal ids mean equal outcomes.
+    """
+    table, model = (labelled[0][1].table, labelled[0][1].model) if labelled else (None, None)
+    if any(dist.table is not table for _, dist in labelled):
+        raise ValueError("partition needs distributions of one output basis and detector model")
+    supports = [(label, dist.ids.tolist()) for label, dist in labelled]
+    return _partition(supports, table, model, setup, policy)
 
-    The first state to have an outcome owns it. Each state is joined, by
-    union-find, to each distinct owner of its outcomes, and a group's
-    support is the union of its members' outcomes. Both touch each outcome
-    id only through C-level dict and set calls, so Python loops once per
-    link: 128 times for the 128 fig1 states at d = 32, against 4,224 ids.
+
+def _partition(
+    supports: Sequence[tuple[str, list[int]]], table: Mapping[int, Outcome],
+    model: str, setup: str, policy: str,
+) -> GroupTable:
+    """Group labelled outcome-id lists by shared ids; ``table`` maps an id to its Outcome.
+
+    Groups are numbered by their first member in input order; members keep
+    input order. The first state to have an outcome owns it. Each state is
+    joined, by union-find, to each distinct owner of its outcomes, and a
+    group's support is the union of its members' outcomes. Both touch each
+    outcome id only through C-level dict and set calls, so Python loops once
+    per link: 128 times for the 128 fig1 states at d = 32, against 4,224 ids.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if not labelled:
+    if not supports:
         raise ValueError("no states to classify")
-    labels = [label for label, _ in labelled]
+    labels = [label for label, _ in supports]
     if len(set(labels)) != len(labels):
         raise ValueError("state labels must be unique")
-    dists = [dist for _, dist in labelled]
-    table, model = dists[0].table, dists[0].model
-    if any(dist.table is not table for dist in dists):
-        raise ValueError("partition needs distributions of one output basis and detector model")
 
-    id_lists = [dist.ids.tolist() for dist in dists]
-    parent = list(range(len(dists)))
+    id_lists = [ids for _, ids in supports]
+    parent = list(range(len(supports)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -188,7 +202,7 @@ def partition(
 
     # Roots are the smallest member index, so sorted roots number the groups.
     members: dict[int, list[int]] = {}
-    for i in range(len(dists)):
+    for i in range(len(supports)):
         members.setdefault(find(i), []).append(i)
 
     groups = []

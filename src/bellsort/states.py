@@ -448,6 +448,8 @@ class SinglePhotonUnitary:
         n_in, n_out = len(self.in_modes), len(self.out_modes)
         if mat.shape != (n_out, n_in) or n_in != n_out:
             raise ValueError(f"matrix shape {mat.shape} does not match mode counts ({n_out}, {n_in})")
+        if not np.isfinite(mat).all():  # before the product, which would warn on inf
+            raise ValueError("matrix is not unitary (non-finite entries)")
         defect = np.max(np.abs(mat @ mat.conj().T - np.eye(n_in)))
         if not defect <= UNITARY_TOL:  # a NaN defect fails too
             raise ValueError(f"matrix is not unitary (max defect {defect:.3e})")

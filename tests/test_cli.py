@@ -1,5 +1,6 @@
 """Tests for the command-line surface: flags, formats, exit codes, round trips."""
 
+import hashlib
 import json
 import re
 import shutil
@@ -7,8 +8,9 @@ from importlib import resources
 
 import pytest
 
-from bellsort import GroupTable, OutcomeDistribution, SdcReport
+from bellsort import GroupTable, OutcomeDistribution, SdcReport, dense_coding, grouping
 from bellsort.cli import main
+from test_cli_golden import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +75,27 @@ class TestVerify:
         assert code == 0
         assert "2/2 tables match" in out
         assert "capacities: 2.807, 2.585, 3.585, 3.459" in out
+
+    def test_prepares_each_family_once_and_evolves_it_per_table(self, capsys, monkeypatch):
+        calls = {"make_bell_state": 0, "make_hyper_state": 0, "evolve": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(dense_coding, "make_bell_state")
+        counted(dense_coding, "make_hyper_state")
+        counted(grouping, "evolve")
+        code, out = run_cli(capsys, "verify")
+        assert code == 0
+        # 16 states per setup, each classified for three tables
+        assert calls == {"make_bell_state": 16, "make_hyper_state": 16, "evolve": 96}
+        assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN)[("verify",)]
 
     def test_perturbed_reference_detected(self, capsys, tmp_path):
         source = resources.files("bellsort") / "references"

@@ -6,8 +6,10 @@ the one its test asserts empty, reports a failure. This is mutation testing in
 miniature (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
 """
 
-from bellsort import SinglePhotonUnitary, network_for_setup, networks
+from bellsort import SinglePhotonUnitary, grouping, network_for_setup, networks
+from bellsort.detection import MODEL_PNRD, outcome_table
 from bellsort.modes import ARMS, Mode
+from test_cli_golden import golden_digest_mismatches
 from test_exact_real import cli_pairs, complex_evolution_mismatches
 from test_networks import INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches
 
@@ -46,3 +48,19 @@ def test_exact_real_guard_catches_a_one_ulp_scaled_transpose(monkeypatch):
         mismatches = complex_evolution_mismatches(pairs)
     assert [position for position, _ in mismatches] == list(range(len(pairs)))
     assert complex_evolution_mismatches(pairs) == []
+
+
+def test_golden_digests_catch_threshold_classify_reading_pnrd_outcomes(monkeypatch):
+    # the PNRD table keeps a bunched pair as two clicks, so classify under the
+    # threshold model sees no single click: nothing is quarantined and the
+    # bunched outcomes are labelled "A0 A0" instead of "A0"
+    with monkeypatch.context() as patch:
+        patch.setattr(grouping, "outcome_table", lambda basis, model: outcome_table(basis, MODEL_PNRD))
+        mismatches = golden_digest_mismatches()
+    # the threshold commands that classify; sdc and sample detect through outcome_distribution
+    assert mismatches == [
+        ("verify",),
+        ("tables", "--setup", "fig2", "--model", "threshold", "--policy", "loss-conservative",
+         "--format", "csv"),
+    ]
+    assert golden_digest_mismatches() == []

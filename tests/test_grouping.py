@@ -1,5 +1,6 @@
 """Tests for the distinguishability partition and channel capacities."""
 
+import dataclasses
 import math
 import random
 
@@ -18,11 +19,12 @@ from bellsort import (
     load_reference_tables,
     diff_against_reference,
     make_bell_state,
+    grouping,
     network_for_setup,
 )
 from bellsort.cli import compute_table, labelled_states
 from bellsort.detection import outcome_table
-from bellsort.grouping import partition
+from bellsort.grouping import distributions, partition
 from bellsort.modes import path_modes
 
 REFERENCE = load_reference_tables()
@@ -32,6 +34,11 @@ def as_content(table):
     return {
         frozenset(g.members): frozenset(o.label for o in g.support) for g in table.groups
     }
+
+
+def assert_supports_hold_the_shared_outcomes(table, network, model):
+    shared = {id(o) for o in outcome_table(network.unitary.out_modes, model).values()}
+    assert {id(o) for g in table.groups for o in g.support} <= shared
 
 
 class TestTableReproduction:
@@ -104,14 +111,16 @@ class TestTableReproduction:
         assert len(table.groups) == 1
         assert table.groups[0].members == ("psi210",)
 
-    def test_partition_of_the_distributions_equals_classify(self):
-        from bellsort.grouping import distributions, partition
-
-        states = labelled_states("fig2", 4)
-        network = network_for_setup("fig2")
-        table = classify(states, network, "threshold", "loss_conservative")
-        split = partition(distributions(states, network, "threshold"), "fig2", "loss_conservative")
-        assert split == table
+    @pytest.mark.parametrize("policy", ["strict", "loss_conservative"])
+    @pytest.mark.parametrize("model", ["pnrd", "threshold"])
+    @pytest.mark.parametrize("setup", ["fig1", "fig2"])
+    def test_partition_of_the_distributions_equals_classify(self, setup, model, policy):
+        # classify partitions evolved support ids; partition reads full distributions
+        states = labelled_states(setup, 4)
+        network = network_for_setup(setup, 4)
+        table = classify(states, network, model, policy)
+        assert table == partition(distributions(states, network, model), setup, policy)
+        assert_supports_hold_the_shared_outcomes(table, network, model)
 
     def test_partition_of_a_single_distribution_from_a_mapping(self):
         from bellsort import OutcomeDistribution
@@ -122,8 +131,6 @@ class TestTableReproduction:
         assert table.groups[0].quarantined
 
     def test_partition_needs_one_output_basis(self):
-        from bellsort.grouping import distributions, partition
-
         d4 = distributions(labelled_states("fig1", 4)[:1], network_for_setup("fig1", 4))
         d2 = distributions([("other", make_bell_state(2, BellIndex(1, 0, 0)))], network_for_setup("fig1", 2))
         with pytest.raises(ValueError, match="one output basis"):
@@ -261,6 +268,16 @@ class TestPartitionAtScale:
         assert [g.members for g in table.groups] == [tuple(m) for m in closed_form.values()]
         assert [g.index for g in table.groups] == list(range(1, expected_groups + 1))
 
+    def test_classify_equals_the_partition_of_the_distributions(self):
+        indices = list(all_bell_indices(32))
+        random.Random(5).shuffle(indices)
+        states = [(idx.label, make_bell_state(32, idx)) for idx in indices]
+        network = network_for_setup("fig1", 32)
+        table = classify(states, network)
+        assert len(states) == 128 and len(table.groups) == 56
+        assert table == partition(distributions(states, network), "fig1")
+        assert_supports_hold_the_shared_outcomes(table, network, "pnrd")
+
     @pytest.mark.parametrize("model", ["pnrd", "threshold"])
     def test_partition_equals_a_pairwise_search(self, model):
         basis = path_modes(8)
@@ -281,6 +298,34 @@ class TestPartitionAtScale:
             assert [g.quarantined for g in got.groups] == [
                 model == "threshold" and any(o.is_single_click for o in support) for _, support in expected
             ]
+
+
+class TestClassifyInputErrors:
+    def test_empty_input(self):
+        with pytest.raises(ValueError, match="no states to classify"):
+            classify([], network_for_setup("fig1", 4))
+
+    def test_unknown_model_fails_before_any_evolution(self, monkeypatch):
+        evolved = []
+        evolve = grouping.evolve
+        monkeypatch.setattr(grouping, "evolve", lambda *args: evolved.append(args) or evolve(*args))
+        states, network = labelled_states("fig1", 4), network_for_setup("fig1", 4)
+        with pytest.raises(ValueError, match="unknown detector model 'ideal'"):
+            classify(states, network, "ideal")
+        assert evolved == []
+        classify(states[:2], network)  # the counter sees evolutions
+        assert len(evolved) == 2
+
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown policy 'lenient'"):
+            classify(labelled_states("fig1", 4), network_for_setup("fig1", 4), "pnrd", "lenient")
+
+    def test_output_basis_before_the_analyzers(self):
+        # fig2 without its PBS@45 stage ends in the H/V basis, where no detector sits
+        full = network_for_setup("fig2", 4)
+        truncated = dataclasses.replace(full, stages=full.stages[:2])
+        with pytest.raises(ValueError, match="not in a detector basis"):
+            classify(labelled_states("fig2", 4), truncated)
 
 
 class TestPoliciesAndCapacity:

@@ -161,6 +161,15 @@ class TestEncoding:
         with pytest.raises(ValueError, match="not unitary"):
             SinglePhotonUnitary(path_modes(2), path_modes(2), mat)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_is_rejected_before_the_product(self, bad):
+        # an inf entry would make the unitarity product warn (an error under
+        # this suite's filterwarnings) before the defect check could raise
+        mat = np.eye(4)
+        mat[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            SinglePhotonUnitary(path_modes(2), path_modes(2), mat)
+
     def test_transposed_is_a_cached_read_only_contiguous_copy(self):
         unitary = encoding_unitary(4, BellIndex(3, 1, 1))
         transposed = unitary.transposed
