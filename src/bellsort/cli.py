@@ -11,8 +11,8 @@ sample   Monte Carlo detection statistics for one encoded state, with
 sdc      End-to-end superdense-coding run over all 16 messages.
 
 Exit codes: 0 success (and verification match), 1 verification mismatch,
-2 usage error. Output is a pure function of the flags; JSON payloads carry
-no timestamps.
+2 usage error (an unreadable ``--references`` directory is one). Output is
+a pure function of the flags; JSON payloads carry no timestamps.
 """
 
 from __future__ import annotations
@@ -122,7 +122,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reference = load_reference_tables(args.references)
+    try:
+        reference = load_reference_tables(args.references)
+    except (OSError, ValueError) as exc:
+        print(f"bellsort verify: error: cannot load {args.references}: {exc}", file=sys.stderr)
+        return 2
     failures: list[str] = []
     matched = 0
     # each setup's family is prepared once and classified three times

@@ -15,9 +15,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .detection import MODEL_PNRD, MODELS, sample
-from .grouping import GroupTable, POLICIES, POLICY_STRICT, channel_capacity, distributions, partition
-from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, network_for_setup
+from .detection import MODEL_PNRD, MODELS, outcome_distribution, outcome_table, sample
+from .grouping import GroupTable, POLICIES, POLICY_STRICT, _partition, channel_capacity
+from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, evolve, network_for_setup
 from .states import BellIndex, TwoPhotonState, all_bell_indices, encode, make_bell_state, make_hyper_state
 
 
@@ -102,22 +102,29 @@ def run_sdc(config: SdcConfig, messages: Sequence[BellIndex] | None = None) -> S
     Every encoded state is evolved once; its outcome distribution feeds both
     the partition and the message's samples. Per-message sampling uses the
     derived seed ``config.seed + ordinal`` so runs are reproducible yet
-    messages are independent. An outcome missing from every group support
-    would mean the evolution and the partition disagree and raises
-    immediately.
+    messages are independent. Each message may be sent once, so that every
+    shot is reported; a repeated one raises before anything is evolved. An
+    outcome missing from every group support would mean the evolution and
+    the partition disagree and raises immediately.
     """
     if messages is None:
         messages = all_bell_indices(4)
     for idx in messages:
         idx.validate_for(4)
+    if len(set(messages)) != len(messages):
+        raise ValueError("each message may be sent only once")
 
     reference = reference_state(config.setup)
-    network = network_for_setup(config.setup)
-    encoded = [(idx.label, encode(reference, idx, "second")) for idx in all_bell_indices(4)]
-    labelled = distributions(encoded, network, config.model)
-    table = partition(labelled, config.setup, config.policy)
+    unitary = network_for_setup(config.setup).unitary
+    dists = {
+        idx.label: outcome_distribution(evolve(encode(reference, idx, "second"), unitary), config.model)
+        for idx in all_bell_indices(4)
+    }
+    table = _partition(
+        [(label, dist.ids.tolist()) for label, dist in dists.items()],
+        outcome_table(unitary.out_modes, config.model), config.setup, config.policy,
+    )
     decoder = table.decoder()
-    dists = dict(labelled)
     own_groups = {label: g.index for g in table.groups for label in g.members}
 
     message_counts: dict[str, dict[int, int]] = {}

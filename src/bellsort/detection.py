@@ -87,14 +87,6 @@ class Outcome:
     def is_single_click(self) -> bool:
         return len(self.clicks) == 1
 
-    @property
-    def is_bunched(self) -> bool:
-        return len(self.clicks) == 2 and self.clicks[0] == self.clicks[1]
-
-    def collapse_multiplicity(self) -> "Outcome":
-        """The threshold-detector view: drop repeated clicks."""
-        return Outcome(tuple(sorted(set(self.clicks))))
-
     def __repr__(self) -> str:
         return f"Outcome({self.label})"
 

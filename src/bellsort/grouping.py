@@ -6,9 +6,9 @@ groups are the connected components of the confusability graph (states as
 vertices, edges where supports intersect). The channel capacity of the
 resulting superdense-coding scheme is log2 of the number of usable groups.
 
-One algorithm partitions outcome ids (see :mod:`bellsort.detection`):
+One function partitions outcome ids (see :mod:`bellsort.detection`):
 :func:`classify` reads them from each evolved state and builds no
-distribution; :func:`partition` reads them from ready distributions.
+distribution; ``run_sdc`` reads them from the distributions it samples.
 
 Policies: ``strict`` counts every group. ``loss_conservative`` models
 threshold (non-number-resolving) detectors that cannot certify two-photon
@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .detection import (
-    MODEL_PNRD, MODEL_THRESHOLD, MODELS, Outcome, OutcomeDistribution,
-    _outcome_ids, outcome_distribution, outcome_table,
+    MODEL_PNRD, MODEL_THRESHOLD, MODELS, Outcome, OutcomeTable, _outcome_ids, outcome_table,
 )
 from .networks import NetworkSpec, evolve
 from .states import TwoPhotonState
@@ -123,60 +122,35 @@ def classify(
     """Partition labelled states into distinguishable groups under a setup.
 
     ``network`` is the :class:`NetworkSpec` from ``network_for_setup``; the
-    table is labelled with its setup. Each state is evolved once (``evolve``
+    table is labelled with its setup. The model and policy are checked
+    before anything is evolved. Each state is evolved once (``evolve``
     checks its norm) and its support ids are partitioned directly, building
-    no per-state distribution; :func:`partition` of the distributions agrees.
+    no per-state distribution.
     """
     if model not in MODELS:
         raise ValueError(f"unknown detector model {model!r}")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
     unitary = network.unitary
     table = outcome_table(unitary.out_modes, model)
     supports = [(label, _outcome_ids(evolve(state, unitary)).tolist()) for label, state in states]
-    return _partition(supports, table, model, network.setup, policy)
-
-
-def distributions(
-    states: Sequence[tuple[str, TwoPhotonState]],
-    network: NetworkSpec,
-    model: str = MODEL_PNRD,
-) -> list[tuple[str, OutcomeDistribution]]:
-    """Evolve every labelled state once through the network's unitary and detect it."""
-    unitary = network.unitary
-    return [(label, outcome_distribution(evolve(state, unitary), model)) for label, state in states]
-
-
-def partition(
-    labelled: Sequence[tuple[str, OutcomeDistribution]],
-    setup: str,
-    policy: str = POLICY_STRICT,
-) -> GroupTable:
-    """Group labelled distributions whose supports are connected by shared outcomes.
-
-    The distributions must come from :func:`outcome_distribution` over one
-    output basis and one detector model, so that equal ids mean equal outcomes.
-    """
-    table, model = (labelled[0][1].table, labelled[0][1].model) if labelled else (None, None)
-    if any(dist.table is not table for _, dist in labelled):
-        raise ValueError("partition needs distributions of one output basis and detector model")
-    supports = [(label, dist.ids.tolist()) for label, dist in labelled]
-    return _partition(supports, table, model, setup, policy)
+    return _partition(supports, table, network.setup, policy)
 
 
 def _partition(
-    supports: Sequence[tuple[str, list[int]]], table: Mapping[int, Outcome],
-    model: str, setup: str, policy: str,
+    supports: Sequence[tuple[str, list[int]]], table: OutcomeTable, setup: str, policy: str
 ) -> GroupTable:
     """Group labelled outcome-id lists by shared ids; ``table`` maps an id to its Outcome.
 
-    Groups are numbered by their first member in input order; members keep
-    input order. The first state to have an outcome owns it. Each state is
-    joined, by union-find, to each distinct owner of its outcomes, and a
-    group's support is the union of its members' outcomes. Both touch each
-    outcome id only through C-level dict and set calls, so Python loops once
-    per link: 128 times for the 128 fig1 states at d = 32, against 4,224 ids.
+    The table's ``model`` labels the result, so the two cannot disagree;
+    callers check ``policy``. Groups are numbered by their first member in
+    input order; members keep input order. The first state to have an
+    outcome owns it. Each state is joined, by union-find, to each distinct
+    owner of its outcomes, and a group's support is the union of its
+    members' outcomes. Both touch each outcome id only through C-level dict
+    and set calls, so Python loops once per link: 128 times for the 128 fig1
+    states at d = 32, against 4,224 ids.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
     if not supports:
         raise ValueError("no states to classify")
     labels = [label for label, _ in supports]
@@ -212,7 +186,7 @@ def _partition(
         support = frozenset(map(table.__getitem__, ids))
         quarantined = (
             policy == POLICY_LOSS_CONSERVATIVE
-            and model == MODEL_THRESHOLD
+            and table.model == MODEL_THRESHOLD
             and any(o.is_single_click for o in support)
         )
         groups.append(
@@ -223,7 +197,7 @@ def _partition(
                 quarantined=quarantined,
             )
         )
-    return GroupTable(setup, model, policy, tuple(groups))
+    return GroupTable(setup, table.model, policy, tuple(groups))
 
 
 def channel_capacity(table: GroupTable) -> float:

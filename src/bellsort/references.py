@@ -77,16 +77,21 @@ def load_reference_tables(directory: str | Path | None = None) -> ReferenceTable
         root = resources.files("bellsort") / "references"
     else:
         root = Path(directory)
-    with (root / "table1.json").open(encoding="utf-8") as fh:
-        table1 = json.load(fh)
-    with (root / "table2.json").open(encoding="utf-8") as fh:
-        table2 = json.load(fh)
-    with (root / "capacities.json").open(encoding="utf-8") as fh:
-        capacities = json.load(fh)
+    table1, table2, capacities = (
+        _read_json(root, name) for name in ("table1.json", "table2.json", "capacities.json")
+    )
     return ReferenceTables(
         tables={SETUP_FIG1: _parse_table(table1), SETUP_FIG2: _parse_table(table2)},
         capacities=capacities,
     )
+
+
+def _read_json(root, name: str):
+    """One reference file; a parse error names the file."""
+    try:
+        return json.loads((root / name).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def diff_against_reference(table: GroupTable, reference: tuple[ReferenceGroup, ...]) -> list[str]:

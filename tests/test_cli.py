@@ -111,6 +111,25 @@ class TestVerify:
         assert "reference group 4" in out
         assert "A0 A1" in out
 
+    def test_missing_reference_directory_is_a_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "nowhere"
+        code = main(["verify", "--references", str(missing)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and str(missing) in err
+
+    def test_malformed_reference_json_is_a_usage_error(self, capsys, tmp_path):
+        source = resources.files("bellsort") / "references"
+        for name in ("table1.json", "table2.json", "capacities.json"):
+            shutil.copy(str(source / name), tmp_path / name)
+        (tmp_path / "table1.json").write_text('{"groups": [')
+        code = main(["verify", "--references", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and str(tmp_path) in err and "table1.json" in err
+
 
 class TestSample:
     def test_near_uniform(self, capsys):

@@ -12,8 +12,27 @@ from bellsort import (
     make_bell_state,
     make_hyper_state,
     reference_state,
+    dense_coding,
     run_sdc,
 )
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls to the named functions as ``run_sdc`` makes them."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        real = getattr(dense_coding, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(dense_coding, name, counted(name))
+    return calls
 
 
 class TestConfig:
@@ -97,18 +116,15 @@ class TestRoundTrip:
             assert len(set(observed)) == 1
 
     def test_every_message_is_evolved_once(self, monkeypatch):
-        from bellsort import grouping
-
-        evolved = []
-        real_evolve = grouping.evolve
-
-        def counting_evolve(state, network):
-            evolved.append(state)
-            return real_evolve(state, network)
-
-        monkeypatch.setattr(grouping, "evolve", counting_evolve)
+        calls = count_calls(monkeypatch, "evolve", "outcome_distribution")
         run_sdc(SdcConfig(setup="fig2", shots=10))
-        assert len(evolved) == 16
+        assert calls == {"evolve": 16, "outcome_distribution": 16}
+
+    def test_repeated_message_rejected_before_any_evolution(self, monkeypatch):
+        calls = count_calls(monkeypatch, "evolve")
+        with pytest.raises(ValueError, match="only once"):
+            run_sdc(SdcConfig(shots=10), messages=[BellIndex(1, 0, 0)] * 2)
+        assert calls == {"evolve": 0}
 
     def test_invalid_message_rejected(self):
         with pytest.raises(ValueError):

