@@ -70,21 +70,6 @@ class SdcReport:
             "bits_per_photon": self.bits_per_photon,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SdcReport":
-        cfg = SdcConfig(**data["config"])
-        counts = {
-            label: {int(gid): c for gid, c in per.items()}
-            for label, per in data["message_counts"].items()
-        }
-        return cls(
-            config=cfg,
-            table=GroupTable.from_dict(data["table"]),
-            message_counts=counts,
-            accuracy=data["accuracy"],
-            bits_per_photon=data["bits_per_photon"],
-        )
-
 
 def prepared_state(setup: str, dim: int, idx: BellIndex) -> TwoPhotonState:
     """Bell state ``idx`` as a setup takes it: with the polarization ancilla for fig2."""

@@ -23,7 +23,6 @@ and shares with rendering.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -33,15 +32,13 @@ from typing import Mapping
 import numpy as np
 
 from .modes import Mode, ModeBasis, POL_LINEAR
-from .states import BORN_NORM_TOL, PROB_TOL, TwoPhotonState, _pair_weights
+from .states import BORN_NORM_TOL, TwoPhotonState, _pair_weights
 
 MODEL_PNRD = "pnrd"
 MODEL_THRESHOLD = "threshold"
 MODELS = (MODEL_PNRD, MODEL_THRESHOLD)
 
 RNG_ALGORITHM = "PCG64"
-
-_DETECTOR_RE = re.compile(r"^([AB])(0|[1-9]\d*)([+-]?)$")  # no leading zeros, so labels round-trip
 
 
 @dataclass(frozen=True)
@@ -67,18 +64,6 @@ class Outcome:
     def __reduce__(self):
         return Outcome, (self.clicks,)
 
-    @classmethod
-    def from_label(cls, label: str) -> "Outcome":
-        """Parse space-separated detector labels such as ``"A0+ B2-"``."""
-        clicks = []
-        for part in label.split():
-            match = _DETECTOR_RE.match(part)
-            if not match:
-                raise ValueError(f"not a detector label: {part!r}")
-            arm, path, pol = match.groups()
-            clicks.append(Mode(arm, int(path), pol or None))
-        return cls(tuple(clicks))
-
     @cached_property
     def label(self) -> str:
         return " ".join([m.label for m in self.clicks])
@@ -100,6 +85,8 @@ class OutcomeTable(dict):
 
     def __init__(self, basis: ModeBasis, model: str) -> None:
         super().__init__()
+        if model not in MODELS:
+            raise ValueError(f"unknown detector model {model!r}")
         for mode in basis:
             if mode.pol in POL_LINEAR:
                 raise ValueError(
@@ -126,44 +113,20 @@ outcome_table = lru_cache(maxsize=16)(OutcomeTable)
 class OutcomeDistribution:
     """Exact probability map over detection outcomes for one detector model.
 
-    Stored as arrays: outcome ``table[ids[t]]`` has probability ``p[t]``.
-    ``probs`` is the Outcome -> probability view, built on first use.
-    Build one from a mapping with :meth:`from_probs`.
+    Stored as arrays: outcome ``table[ids[t]]`` has probability ``p[t]``,
+    and the model is ``table.model``. ``probs`` is the Outcome ->
+    probability view, built on first use. Only :func:`outcome_distribution`
+    makes one; results are written as JSON (``to_dict``) and not parsed back.
     """
 
-    model: str
-    table: Mapping[int, Outcome] = field(repr=False)
+    table: OutcomeTable = field(repr=False)
     ids: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"unknown detector model {self.model!r}")
-
-    @classmethod
-    def from_probs(cls, model: str, probs: Mapping[Outcome, float]) -> "OutcomeDistribution":
-        """From an Outcome -> probability map; zeros are dropped, the rest must sum to 1."""
-        given = {o: float(p) for o, p in probs.items()}
-        if not all(math.isfinite(p) for p in given.values()):
-            raise ValueError("non-finite probability")
-        if any(p < 0 for p in given.values()):
-            raise ValueError("negative probability")
-        cleaned = {o: p for o, p in given.items() if p > 0.0}
-        total = sum(cleaned.values())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        table = dict(enumerate(cleaned))
-        return cls(model, table, np.arange(len(table)), np.array(list(cleaned.values())))
 
     @cached_property
     def probs(self) -> Mapping[Outcome, float]:
         table = self.table
         return MappingProxyType({table[i]: p for i, p in zip(self.ids.tolist(), self.p.tolist())})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OutcomeDistribution):
-            return NotImplemented
-        return self.model == other.model and self.probs == other.probs
 
     @property
     def support(self) -> frozenset[Outcome]:
@@ -185,14 +148,9 @@ class OutcomeDistribution:
 
     def to_dict(self) -> dict:
         return {
-            "model": self.model,
+            "model": self.table.model,
             "probs": {o.label: p for o, p in self.sorted_items()},
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OutcomeDistribution":
-        probs = {Outcome.from_label(label): p for label, p in data["probs"].items()}
-        return cls.from_probs(data["model"], probs)
 
 
 def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> OutcomeDistribution:
@@ -205,15 +163,13 @@ def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> Outc
     left-to-right sum in the state's (row-major upper-triangle) order, so
     the probabilities are reproducible to the last bit.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown detector model {model!r}")
+    table = outcome_table(state.basis, model)
     weights = _pair_weights(state.rows, state.cols) * np.abs(state.vals) ** 2
     total = sum(weights.tolist())  # the squared norm
     deviation = abs(math.sqrt(total) - 1.0)
     if not deviation <= BORN_NORM_TOL:  # a NaN amplitude fails too
         raise ValueError(f"state is not normalized (norm off by {deviation:.3e})")
-    table = outcome_table(state.basis, model)
-    return OutcomeDistribution(model, table, _outcome_ids(state), weights / total)
+    return OutcomeDistribution(table, _outcome_ids(state), weights / total)
 
 
 def _outcome_ids(state: TwoPhotonState) -> np.ndarray:

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from .detection import (
-    MODEL_PNRD, MODEL_THRESHOLD, MODELS, Outcome, OutcomeTable, _outcome_ids, outcome_table,
-)
+from .detection import MODEL_PNRD, MODEL_THRESHOLD, Outcome, OutcomeTable, _outcome_ids, outcome_table
 from .networks import NetworkSpec, evolve
 from .states import TwoPhotonState
 
@@ -99,19 +97,6 @@ class GroupTable:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GroupTable":
-        groups = tuple(
-            StateGroup(
-                index=g["id"],
-                members=tuple(g["members"]),
-                support=frozenset(Outcome.from_label(lbl) for lbl in g["outcomes"]),
-                quarantined=g.get("quarantined", False),
-            )
-            for g in data["groups"]
-        )
-        return cls(data["setup"], data["model"], data["policy"], groups)
-
 
 def classify(
     states: Sequence[tuple[str, TwoPhotonState]],
@@ -127,12 +112,10 @@ def classify(
     checks its norm) and its support ids are partitioned directly, building
     no per-state distribution.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown detector model {model!r}")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
     unitary = network.unitary
     table = outcome_table(unitary.out_modes, model)
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
     supports = [(label, _outcome_ids(evolve(state, unitary)).tolist()) for label, state in states]
     return _partition(supports, table, network.setup, policy)
 

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
+from importlib.resources import files
 from pathlib import Path
 
+from .detection import MODELS
 from .grouping import GroupTable
 from .networks import SETUP_FIG1, SETUP_FIG2
 
@@ -52,18 +53,48 @@ class ReferenceTables:
         return self.tables[setup]
 
 
-def _parse_table(data: dict) -> tuple[ReferenceGroup, ...]:
+_TABLE_SHAPE = '{"groups": [{"id": int, "members": [str], "outcomes": [str]}, ...]}'
+_CAPACITIES_SHAPE = '{"fig1"|"fig2": {"pnrd"|"threshold": {"groups": int >= 1, "bits_text": "2.81"}}}'
+
+
+def _parse_table(name: str, data) -> tuple[ReferenceGroup, ...]:
+    """The groups of one table file; a file of another shape raises ValueError naming it."""
+    groups = data.get("groups") if isinstance(data, dict) else None
+    if not (isinstance(groups, list) and all(map(_is_group_row, groups))):
+        raise ValueError(f"{name}: expected {_TABLE_SHAPE}")
     # from a list, not a generator: see GroupTable.usable_groups
     return tuple(
         [
-            ReferenceGroup(
-                index=g["id"],
-                members=frozenset(g["members"]),
-                outcomes=frozenset(g["outcomes"]),
-            )
-            for g in data["groups"]
+            ReferenceGroup(g["id"], frozenset(g["members"]), frozenset(g["outcomes"]))
+            for g in groups
         ]
     )
+
+
+def _is_group_row(row) -> bool:
+    return (
+        isinstance(row, dict)
+        and isinstance(row.get("id"), int)
+        and all(_is_str_list(row.get(key)) for key in ("members", "outcomes"))
+    )
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+def _check_capacities(data) -> dict:
+    """The capacities file; a file of another shape raises ValueError naming it."""
+    try:
+        entries = [data[setup][model] for setup in (SETUP_FIG1, SETUP_FIG2) for model in MODELS]
+        for entry in entries:
+            float(entry["bits_text"])  # verify compares it as a number
+        ok = all(isinstance(e["groups"], int) and e["groups"] >= 1 for e in entries)
+    except (KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"capacities.json: expected {_CAPACITIES_SHAPE}")
+    return data
 
 
 def load_reference_tables(directory: str | Path | None = None) -> ReferenceTables:
@@ -71,18 +102,23 @@ def load_reference_tables(directory: str | Path | None = None) -> ReferenceTable
 
     The override (used by the verification tests and the ``--references``
     CLI flag) must contain ``table1.json``, ``table2.json`` and
-    ``capacities.json`` in the packaged schema.
+    ``capacities.json`` in the packaged schema. All three are read and
+    checked before anything is returned: a missing file raises OSError, and
+    a file that is not JSON or not of the schema raises ValueError naming it.
     """
     if directory is None:
-        root = resources.files("bellsort") / "references"
+        root = files("bellsort") / "references"
     else:
         root = Path(directory)
     table1, table2, capacities = (
         _read_json(root, name) for name in ("table1.json", "table2.json", "capacities.json")
     )
     return ReferenceTables(
-        tables={SETUP_FIG1: _parse_table(table1), SETUP_FIG2: _parse_table(table2)},
-        capacities=capacities,
+        tables={
+            SETUP_FIG1: _parse_table("table1.json", table1),
+            SETUP_FIG2: _parse_table("table2.json", table2),
+        },
+        capacities=_check_capacities(capacities),
     )
 
 

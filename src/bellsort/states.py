@@ -44,7 +44,6 @@ the same bits for every state and network the CLI evolves.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -71,9 +70,6 @@ NORM_TOL = 1e-9  # a constructed or evolved state must have norm 1 within this
 BORN_NORM_TOL = 1e-6  # outcome_distribution rejects states off unit norm by more
 PHASE_TOL = 1e-9  # per-amplitude slack of TwoPhotonState.approx_equal
 UNITARY_TOL = 1e-10  # max |U U^dagger - 1| entry of a SinglePhotonUnitary
-PROB_TOL = 1e-9  # OutcomeDistribution.from_probs rejects probabilities summing off 1 by more
-
-_LABEL_RE = re.compile(r"^psi(0|[1-9]\d*)([01])([01])$")  # n and m are bits, so j takes the rest
 
 
 @dataclass(frozen=True)
@@ -106,13 +102,6 @@ class BellIndex:
         return f"psi{self.j}{self.n}{self.m}"
 
     @classmethod
-    def from_label(cls, label: str) -> "BellIndex":
-        match = _LABEL_RE.match(label)
-        if not match:
-            raise ValueError(f"not a Bell state label: {label!r} (expected e.g. 'psi210')")
-        return cls(*(int(g) for g in match.groups()))
-
-    @classmethod
     def parse(cls, text: str) -> "BellIndex":
         """Parse the CLI syntax 'j,n,m'."""
         parts = text.split(",")
@@ -127,7 +116,12 @@ class BellIndex:
 
 @lru_cache(maxsize=16)
 def all_bell_indices(dim: int) -> tuple[BellIndex, ...]:
-    """Enumeration order used everywhere: j major, then n, then m."""
+    """Enumeration order used everywhere: j major, then n, then m.
+
+    n and m are single bits, so this is the full d² Bell basis only for
+    d = 2 (m = 0) and d = 4. For d ≥ 8 it is the 4·d states with bits n and
+    m, not the d² of the full basis.
+    """
     ms = (0,) if dim == 2 else (0, 1)
     return tuple(BellIndex(j, n, m) for j in range(dim) for n in (0, 1) for m in ms)
 
@@ -515,8 +509,10 @@ def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
 
     Component kets are |x>_A |x XOR j>_B with coefficient
     (-1)**(n*x0 + m*x1) / sqrt(d). The dimension must be a power of two
-    (the XOR pairing is not closed otherwise); d = 2 and d = 4 are the
-    supported configurations, d = 2 forcing m = 0.
+    (the XOR pairing is not closed otherwise). The phase reads only path
+    bits x0 and x1, so this gives the full d² Bell basis for d = 2 (m must
+    be 0) and d = 4, and for d ≥ 8 only the 4·d states with bits n and m,
+    not the d² of the full basis.
     """
     _require_power_of_two(dim)
     idx.validate_for(dim)

@@ -216,10 +216,11 @@ def test_criterion_9_superdense_coding_round_trip():
         # messages inside one group are pairwise support-indistinguishable
         network = network_for_setup(setup).unitary
         ref = reference_state(setup)
+        index_of = {idx.label: idx for idx in all_bell_indices(4)}
         for group in rep.table.groups:
             seen = set()
             for label in group.members:
-                idx = BellIndex.from_label(label)
+                idx = index_of[label]
                 dist = outcome_distribution(evolve(encode(ref, idx, "second"), network))
                 seen.add(frozenset(sample(dist, 10_000, seed=11).keys()))
             ok = ok and len(seen) == 1

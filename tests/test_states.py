@@ -345,16 +345,13 @@ class TestStateRepresentation:
     def test_bell_index_labels(self):
         idx = BellIndex(2, 1, 0)
         assert idx.label == "psi210"
-        assert BellIndex.from_label("psi210") == idx
         assert BellIndex.parse("2,1,0") == idx
         with pytest.raises(ValueError):
             BellIndex.parse("2,1")
-        for label in ("psi21", "psi12", "psi123", "psi0100"):
-            with pytest.raises(ValueError):
-                BellIndex.from_label(label)
 
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
-    def test_bell_labels_round_trip(self, dim):
-        # n and m are single bits, so every digit before the last two is j
-        for idx in all_bell_indices(dim):
-            assert BellIndex.from_label(idx.label) == idx
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+    def test_bell_labels_are_distinct(self, dim):
+        # classify rejects duplicate labels and rendering keys on them; n and m
+        # are single bits, so every digit before the last two is j
+        labels = [idx.label for idx in all_bell_indices(dim)]
+        assert len(set(labels)) == len(labels)
