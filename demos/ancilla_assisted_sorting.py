@@ -37,7 +37,7 @@ def main() -> None:
     dist = outcome_distribution(state)
     print("\ndetection outcomes (all uniform):")
     for outcome, p in dist.sorted_items():
-        print(f"    {outcome.label}: {p:.4f}")
+        print(f"    {outcome}: {p:.4f}")
 
     print("\n--- full 12-group table ---")
     table = compute_table("fig2", 4, "pnrd", "strict")

@@ -25,7 +25,7 @@ from .states import (
     make_hyper_state,
 )
 from .networks import NetworkSpec, evolve, network_for_setup
-from .detection import Outcome, OutcomeDistribution, outcome_distribution, sample
+from .detection import OutcomeDistribution, outcome_distribution, sample
 from .grouping import GroupTable, StateGroup, channel_capacity, classify
 from .dense_coding import SdcConfig, SdcReport, reference_state, run_sdc
 from .references import diff_against_reference, load_reference_tables
@@ -36,7 +36,6 @@ __all__ = [
     "BellIndex",
     "GroupTable",
     "NetworkSpec",
-    "Outcome",
     "OutcomeDistribution",
     "SdcConfig",
     "SdcReport",

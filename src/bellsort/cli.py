@@ -73,7 +73,7 @@ def render_table_text(table: GroupTable, capacity: float) -> str:
     ]
     for g in table.groups:
         members = " ".join(g.members)
-        outcomes = ", ".join(sorted(o.label for o in g.support))
+        outcomes = ", ".join(sorted(g.support))
         mark = "  [quarantined]" if g.quarantined else ""
         lines.append(f"{g.index:<6} {members:<31} {outcomes}{mark}")
     usable = len(table.usable_groups)
@@ -99,7 +99,7 @@ def render_table_csv(table: GroupTable) -> str:
             [
                 g.index,
                 " ".join(g.members),
-                ", ".join(sorted(o.label for o in g.support)),
+                ", ".join(sorted(g.support)),
                 str(g.quarantined).lower(),
             ]
         )
@@ -179,7 +179,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         freq = counts.get(outcome, 0) / args.shots
         sigma = math.sqrt(p * (1.0 - p) / args.shots) if 0.0 < p < 1.0 else float("inf")
         z = (freq - p) / sigma if sigma > 0 else 0.0
-        rows.append((outcome.label, p, freq, z))
+        rows.append((outcome, p, freq, z))
 
     if args.format == "json":
         payload = {
@@ -193,7 +193,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 rng=RNG_ALGORITHM,
             ),
             "distribution": dist.to_dict(),
-            "counts": {o.label: counts.get(o, 0) for o, _ in dist.sorted_items()},
+            "counts": {o: counts.get(o, 0) for o, _ in dist.sorted_items()},
             "frequencies": {label: freq for label, _, freq, _ in rows},
             "z_scores": {label: z for label, _, _, z in rows},
         }
@@ -257,6 +257,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _bell_index(text: str) -> BellIndex:
     try:
         return BellIndex.parse(text)
@@ -305,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sample, with_policy=False)
     p_sample.add_argument("--dim", type=int, choices=[2, 4], default=4)
     p_sample.add_argument("--shots", type=_positive_int, default=100000)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sample.set_defaults(func=cmd_sample)
 
     p_sdc = sub.add_parser("sdc", help="run the superdense-coding protocol end to end")
     add_common(p_sdc)
     p_sdc.add_argument("--shots", type=_positive_int, default=1000)
-    p_sdc.add_argument("--seed", type=int, default=0)
+    p_sdc.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sdc.set_defaults(func=cmd_sdc)
 
     return parser

@@ -88,14 +88,16 @@ def run_sdc(config: SdcConfig, messages: Sequence[BellIndex] | None = None) -> S
     the partition and the message's samples. Per-message sampling uses the
     derived seed ``config.seed + ordinal`` so runs are reproducible yet
     messages are independent. Each message may be sent once, so that every
-    shot is reported; a repeated one raises before anything is evolved. An
-    outcome missing from every group support would mean the evolution and
-    the partition disagree and raises immediately.
+    shot is reported; a repeated one, or none at all, raises before anything
+    is evolved. An outcome missing from every group support would mean the
+    evolution and the partition disagree and raises immediately.
     """
     if messages is None:
         messages = all_bell_indices(4)
     for idx in messages:
         idx.validate_for(4)
+    if not messages:
+        raise ValueError("no messages to send")
     if len(set(messages)) != len(messages):
         raise ValueError("each message may be sent only once")
 
@@ -123,7 +125,7 @@ def run_sdc(config: SdcConfig, messages: Sequence[BellIndex] | None = None) -> S
             gid = decoder.get(outcome)
             if gid is None:
                 raise RuntimeError(
-                    f"outcome {outcome.label} of message {idx.label} lies outside every group support"
+                    f"outcome {outcome} of message {idx.label} lies outside every group support"
                 )
             per_group[gid] = per_group.get(gid, 0) + count
             if gid == own_group:

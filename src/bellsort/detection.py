@@ -8,11 +8,13 @@ detector (PNRD) reports the full click multiset, so ``A0 A0`` is a valid
 outcome; a threshold detector only reports click/no-click and collapses
 that outcome to the singleton ``A0``.
 
-Outcomes of one output basis of M modes have integer ids: the detected
-mode pair (i, k), i <= k, has id i * M + k under either model (under the
-threshold model (i, i) stands for the single click i). Distributions made by
-:func:`outcome_distribution` keep their outcomes as these ids and build the
-:class:`Outcome` objects only when read, from a per-basis table.
+An outcome is its label: the clicked modes' labels in mode order,
+space-separated (``A3 B1``, ``A0 A0``, threshold ``A0``). Outcomes of one
+output basis of M modes have integer ids: the detected mode pair (i, k),
+i <= k, has id i * M + k under either model (under the threshold model
+(i, i) stands for the single click i). Distributions made by
+:func:`outcome_distribution` keep their outcomes as these ids; an
+:class:`OutcomeTable` turns an id into its label when read.
 
 Sampling uses numpy's seeded PCG64 generator; identical (seed, shots) give
 bit-identical counts. It draws one multinomial over the outcomes in label
@@ -27,11 +29,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .modes import Mode, ModeBasis, POL_LINEAR
+from .modes import ModeBasis, POL_LINEAR, canonical_pair
 from .states import BORN_NORM_TOL, TwoPhotonState, _pair_weights
 
 MODEL_PNRD = "pnrd"
@@ -41,46 +43,11 @@ MODELS = (MODEL_PNRD, MODEL_THRESHOLD)
 RNG_ALGORITHM = "PCG64"
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """A detection event: the sorted clicked output modes, with multiplicity under PNRD.
-
-    Hashed once at construction and again on unpickling (string hashes
-    differ between processes); the label is built on first use.
-    """
-
-    clicks: tuple[Mode, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.clicks) <= 2:
-            raise ValueError("an outcome carries one or two clicks")
-        clicks = tuple(sorted(self.clicks))
-        object.__setattr__(self, "clicks", clicks)
-        object.__setattr__(self, "_hash", hash(clicks))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Outcome, (self.clicks,)
-
-    @cached_property
-    def label(self) -> str:
-        return " ".join([m.label for m in self.clicks])
-
-    @property
-    def is_single_click(self) -> bool:
-        return len(self.clicks) == 1
-
-    def __repr__(self) -> str:
-        return f"Outcome({self.label})"
-
-
 class OutcomeTable(dict):
-    """Outcome id -> Outcome for one output basis and detector model.
+    """Outcome id -> outcome label for one output basis and detector model.
 
     Entries are built on first lookup. ``outcome_table`` shares one table
-    per (basis, model), so equal ids mean equal outcomes.
+    per (basis, model), so each label is built once.
     """
 
     def __init__(self, basis: ModeBasis, model: str) -> None:
@@ -96,14 +63,15 @@ class OutcomeTable(dict):
         self.basis = basis
         self.model = model
 
-    def __missing__(self, outcome_id: int) -> Outcome:
+    def __missing__(self, outcome_id: int) -> str:
         i, k = divmod(outcome_id, len(self.basis))
         if i == k and self.model == MODEL_THRESHOLD:
             clicks = (self.basis[i],)
         else:
-            clicks = (self.basis[i], self.basis[k])
-        outcome = self[outcome_id] = Outcome(clicks)
-        return outcome
+            # a network's output basis need not be in mode order
+            clicks = canonical_pair(self.basis[i], self.basis[k])
+        label = self[outcome_id] = " ".join([m.label for m in clicks])
+        return label
 
 
 outcome_table = lru_cache(maxsize=16)(OutcomeTable)
@@ -114,7 +82,7 @@ class OutcomeDistribution:
     """Exact probability map over detection outcomes for one detector model.
 
     Stored as arrays: outcome ``table[ids[t]]`` has probability ``p[t]``,
-    and the model is ``table.model``. ``probs`` is the Outcome ->
+    and the model is ``table.model``. ``probs`` is the label ->
     probability view, built on first use. Only :func:`outcome_distribution`
     makes one; results are written as JSON (``to_dict``) and not parsed back.
     """
@@ -124,24 +92,24 @@ class OutcomeDistribution:
     p: np.ndarray = field(repr=False)
 
     @cached_property
-    def probs(self) -> Mapping[Outcome, float]:
+    def probs(self) -> Mapping[str, float]:
         table = self.table
         return MappingProxyType({table[i]: p for i, p in zip(self.ids.tolist(), self.p.tolist())})
 
     @property
-    def support(self) -> frozenset[Outcome]:
+    def support(self) -> frozenset[str]:
         return frozenset(self.probs)
 
     @cached_property
     def order(self) -> np.ndarray:
         """Positions into ``ids`` and ``p`` in outcome-label order, used for sampling and rendering."""
         table = self.table
-        labels = [table[i].label for i in self.ids.tolist()]
+        labels = [table[i] for i in self.ids.tolist()]
         order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
         order.flags.writeable = False
         return order
 
-    def sorted_items(self) -> list[tuple[Outcome, float]]:
+    def sorted_items(self) -> list[tuple[str, float]]:
         """(outcome, probability) pairs in label order."""
         table, order = self.table, self.order
         return [(table[i], p) for i, p in zip(self.ids[order].tolist(), self.p[order].tolist())]
@@ -149,7 +117,7 @@ class OutcomeDistribution:
     def to_dict(self) -> dict:
         return {
             "model": self.table.model,
-            "probs": {o.label: p for o, p in self.sorted_items()},
+            "probs": dict(self.sorted_items()),
         }
 
 
@@ -177,7 +145,13 @@ def _outcome_ids(state: TwoPhotonState) -> np.ndarray:
     return state.rows * len(state.basis) + state.cols
 
 
-def sample(dist: OutcomeDistribution, shots: int, seed: int) -> Counter[Outcome]:
+def _has_single_click(ids: Iterable[int], table: OutcomeTable) -> bool:
+    """Whether any outcome id is a single click: under the threshold model, the id i * M + i."""
+    stride = len(table.basis) + 1
+    return table.model == MODEL_THRESHOLD and any(i % stride == 0 for i in ids)
+
+
+def sample(dist: OutcomeDistribution, shots: int, seed: int) -> Counter[str]:
     """Draw i.i.d. detection outcomes; returns the outcome multiset.
 
     The generator is numpy's PCG64 seeded with ``seed``; identical

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from .detection import MODEL_PNRD, MODEL_THRESHOLD, Outcome, OutcomeTable, _outcome_ids, outcome_table
+from .detection import MODEL_PNRD, OutcomeTable, _has_single_click, _outcome_ids, outcome_table
 from .networks import NetworkSpec, evolve
 from .states import TwoPhotonState
 
@@ -40,7 +40,7 @@ class StateGroup:
 
     index: int
     members: tuple[str, ...]
-    support: frozenset[Outcome]
+    support: frozenset[str]
     quarantined: bool = False
 
 
@@ -55,7 +55,7 @@ class GroupTable:
 
     def __post_init__(self) -> None:
         seen_members: set[str] = set()
-        seen_outcomes: set[Outcome] = set()
+        seen_outcomes: set[str] = set()
         for group in self.groups:
             if seen_members & set(group.members):
                 raise ValueError("groups do not partition the state labels")
@@ -77,8 +77,8 @@ class GroupTable:
                 return group
         raise KeyError(label)
 
-    def decoder(self) -> dict[Outcome, int]:
-        """Outcome -> group index map; total over the union of supports."""
+    def decoder(self) -> dict[str, int]:
+        """Outcome label -> group index map; total over the union of supports."""
         return {o: g.index for g in self.groups for o in g.support}
 
     def to_dict(self) -> dict:
@@ -90,7 +90,7 @@ class GroupTable:
                 {
                     "id": g.index,
                     "members": list(g.members),
-                    "outcomes": sorted(o.label for o in g.support),
+                    "outcomes": sorted(g.support),
                     "quarantined": g.quarantined,
                 }
                 for g in self.groups
@@ -123,7 +123,7 @@ def classify(
 def _partition(
     supports: Sequence[tuple[str, list[int]]], table: OutcomeTable, setup: str, policy: str
 ) -> GroupTable:
-    """Group labelled outcome-id lists by shared ids; ``table`` maps an id to its Outcome.
+    """Group labelled outcome-id lists by shared ids; ``table`` maps an id to its label.
 
     The table's ``model`` labels the result, so the two cannot disagree;
     callers check ``policy``. Groups are numbered by their first member in
@@ -166,18 +166,12 @@ def _partition(
     for index, root in enumerate(sorted(members), start=1):
         # ids in first-seen order, so the frozenset is built in one order
         ids = dict.fromkeys(chain.from_iterable([id_lists[i] for i in members[root]]))
-        support = frozenset(map(table.__getitem__, ids))
-        quarantined = (
-            policy == POLICY_LOSS_CONSERVATIVE
-            and table.model == MODEL_THRESHOLD
-            and any(o.is_single_click for o in support)
-        )
         groups.append(
             StateGroup(
                 index=index,
                 members=tuple([labels[i] for i in members[root]]),  # see usable_groups
-                support=support,
-                quarantined=quarantined,
+                support=frozenset(map(table.__getitem__, ids)),
+                quarantined=policy == POLICY_LOSS_CONSERVATIVE and _has_single_click(ids, table),
             )
         )
     return GroupTable(setup, table.model, policy, tuple(groups))

@@ -137,9 +137,7 @@ def diff_against_reference(table: GroupTable, reference: tuple[ReferenceGroup, .
     as sets of (member set, outcome support) pairs.
     """
     diffs: list[str] = []
-    computed = {
-        frozenset(g.members): frozenset(o.label for o in g.support) for g in table.groups
-    }
+    computed = {frozenset(g.members): g.support for g in table.groups}
     expected = {g.members: g for g in reference}
 
     if len(computed) != len(reference):

@@ -86,6 +86,11 @@ class BellIndex:
     m: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("j", "n", "m"):
+            value = getattr(self, name)
+            # a bool is an int, but would print into the label as "True"
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n not in (0, 1) or self.m not in (0, 1):
             raise ValueError(f"n and m must be bits, got n={self.n}, m={self.m}")
         if self.j < 0:

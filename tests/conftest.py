@@ -1,13 +1,19 @@
-"""Shared test helpers: an independent first-quantized oracle and generators.
+"""Shared test helpers: two independent oracles and generators.
 
-The oracle deliberately avoids the library's matrix-sandwich evolution: it
-expands a state into the ordered two-photon basis |i1>|i2> (symmetrizing the
-stored upper-triangle amplitudes), applies kron(U, U), and reads the
-symmetric amplitudes back. Agreement between the two paths is itself one of
-the required properties.
+The first-quantized oracle deliberately avoids the library's matrix-sandwich
+evolution: it expands a state into the ordered two-photon basis |i1>|i2>
+(symmetrizing the stored upper-triangle amplitudes), applies kron(U, U), and
+reads the symmetric amplitudes back. Agreement between the two paths is
+itself one of the required properties.
+
+The Fock oracle shares not even the storage convention: it starts from
+Fock-ket terms and the single-photon matrix and returns outcome label ->
+probability from two-boson permanents.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,6 +47,31 @@ def oracle_evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> dict:
             if abs(amp) > 1e-12:
                 amps[(out_basis[i], out_basis[k])] = amp
     return amps
+
+
+def fock_outcome_probabilities(kets, network: SinglePhotonUnitary, model: str = "pnrd") -> dict:
+    """Outcome label -> probability for Fock-ket input terms through ``network``.
+
+    ``kets`` are (m1, m2, c) terms c |1_m1, 1_m2>, or c |2_m> when m1 == m2.
+    Input |i1 i2> goes to output |o1 o2> with amplitude
+    perm(U[{o1, o2}, {i1, i2}]) / sqrt(n_o! n_i!), where n! is 2 for a doubly
+    occupied mode and 1 otherwise. A label is the clicked modes' labels in mode
+    order; the threshold model reports a doubly occupied mode as one click.
+    """
+    column = {m: i for i, m in enumerate(network.in_modes)}
+    out, u = network.out_modes, network.matrix
+    probs = {}
+    for a in range(len(out)):
+        for b in range(a, len(out)):
+            amp = 0j
+            for m1, m2, c in kets:
+                i, k = column[m1], column[m2]
+                perm = u[a, i] * u[b, k] + u[a, k] * u[b, i]
+                amp += c * perm / math.sqrt((2 if a == b else 1) * (2 if i == k else 1))
+            if abs(amp) ** 2 > 1e-20:
+                clicks = sorted({out[a], out[b]} if model == "threshold" else (out[a], out[b]))
+                probs[" ".join(m.label for m in clicks)] = abs(amp) ** 2
+    return probs
 
 
 def oracle_inner(a: TwoPhotonState, b: TwoPhotonState, basis: tuple[Mode, ...]) -> complex:

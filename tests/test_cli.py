@@ -194,6 +194,14 @@ class TestSample:
             main(["sample", "--state", "1,0,0", "--shots", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", [["sample", "--state", "1,0,0"], ["sdc"]])
+    def test_negative_seed_usage_error(self, command, capsys):
+        # numpy's generator rejects a negative seed with a traceback and exit 1
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--seed", "-3"])
+        assert excinfo.value.code == 2
+        assert "must be >= 0, got -3" in capsys.readouterr().err
+
     def test_bad_state_label_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["sample", "--state", "1;0;0"])

@@ -127,6 +127,13 @@ class TestRoundTrip:
             run_sdc(SdcConfig(shots=10), messages=[BellIndex(1, 0, 0)] * 2)
         assert calls == {"evolve": 0}
 
+    def test_empty_message_list_rejected_before_any_evolution(self, monkeypatch):
+        # nothing sent means no accuracy to report (it divided by zero shots)
+        calls = count_calls(monkeypatch, "evolve")
+        with pytest.raises(ValueError, match="no messages"):
+            run_sdc(SdcConfig(shots=10), messages=[])
+        assert calls == {"evolve": 0}
+
     def test_invalid_message_rejected(self):
         with pytest.raises(ValueError):
             run_sdc(SdcConfig(shots=1), messages=[BellIndex(5, 0, 0)])

@@ -1,14 +1,8 @@
 """Tests for outcome distributions and seeded sampling."""
 
-import copy
 import json
 import math
-import os
-import pickle
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +10,6 @@ from scipy.stats import chi2
 
 from bellsort import (
     BellIndex,
-    Outcome,
     TwoPhotonState,
     all_bell_indices,
     evolve,
@@ -26,8 +19,9 @@ from bellsort import (
     outcome_distribution,
     sample,
 )
-from bellsort.detection import OutcomeTable
+from bellsort.detection import OutcomeTable, _has_single_click, outcome_table
 from bellsort.modes import POL_DIAGONAL, Mode, path_modes, polarized_modes
+from conftest import fock_outcome_probabilities, random_unitary
 
 A, B = "A", "B"
 
@@ -38,13 +32,13 @@ def fig1_distribution(idx, model="pnrd", dim=4):
 
 
 def collapse(outcome):
-    """The threshold-detector view of an outcome: repeated clicks dropped."""
-    return Outcome(tuple(set(outcome.clicks)))
+    """The threshold-detector view of an outcome label: a repeated click dropped."""
+    return " ".join(dict.fromkeys(outcome.split()))
 
 
 def label_sorted_sample(dist, shots, seed):
-    """Sampling as first written: sort the Outcome map by label, normalise, draw."""
-    items = sorted(dist.probs.items(), key=lambda kv: kv[0].label)
+    """Sampling as first written: sort the outcome map by label, normalise, draw."""
+    items = sorted(dist.probs.items())
     pvals = np.array([p for _, p in items])
     pvals = pvals / pvals.sum()
     counts = np.random.default_rng(seed).multinomial(shots, pvals)
@@ -84,51 +78,36 @@ class TestOutcomeLabels:
         for basis in bases:
             table = OutcomeTable(basis, model)
             size = len(basis)
-            labels = [table[i * size + k].label for i in range(size) for k in range(i, size)]
+            labels = [table[i * size + k] for i in range(size) for k in range(i, size)]
             assert len(set(labels)) == len(labels)
 
     def test_outcome_sorted_canonically(self):
-        assert Outcome((Mode(B, 1), Mode(A, 3))).label == "A3 B1"
-        assert Outcome((Mode(A, 0, "-"), Mode(A, 0, "+"))).label == "A0+ A0-"
-        assert Outcome((Mode(B, 0), Mode(A, 10))).label == "A10 B0"
-
-    def test_outcome_hash_contract(self):
-        tabled = OutcomeTable(path_modes(4), "pnrd")[0 * 8 + 5]
-        built = Outcome((Mode(A, 0), Mode(B, 1)))
-        unpickled = pickle.loads(pickle.dumps(tabled))
-        copied = copy.deepcopy(tabled)
-        outcomes = (tabled, built, unpickled, copied)
-        assert len({id(o) for o in outcomes}) == 4
-        for outcome in outcomes:
-            assert outcome == tabled
-            assert hash(outcome) == hash(tabled) == hash(tabled.clicks)
-            assert outcome.label == "A0 B1"
-        for key in outcomes:
-            keyed = {key: "found"}
-            assert all(keyed.get(o) == "found" for o in outcomes)
-
-    def test_outcome_unpickled_from_another_process_hashes_here(self):
-        # string hashes are salted per process, so the stored hash cannot travel
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
-        code = (
-            "import pickle, sys; from bellsort import Outcome; from bellsort.modes import Mode; "
-            "outcome = Outcome((Mode('A', 1, '+'), Mode('B', 3, '-'))); "
-            "sys.stdout.buffer.write(pickle.dumps(outcome))"
-        )
-        data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
-        outcome = pickle.loads(data.stdout)
-        here = Outcome((Mode(A, 1, "+"), Mode(B, 3, "-")))
-        assert hash(outcome) == hash(here)
-        assert {here: 1}[outcome] == 1
+        # reversed bases put the higher mode first, so the table must sort the pair
+        reversed_paths = outcome_table(path_modes(4)[::-1], "pnrd")
+        assert reversed_paths[2 * 8 + 4] == "A3 B1"  # (B1, A3)
+        reversed_signs = outcome_table(polarized_modes(4, POL_DIAGONAL)[::-1], "pnrd")
+        assert reversed_signs[14 * 16 + 15] == "A0+ A0-"  # (A0-, A0+)
+        assert outcome_table(path_modes(16)[::-1], "pnrd")[15 * 32 + 21] == "A10 B0"  # (B0, A10)
+        assert outcome_table(path_modes(16), "pnrd")[2 * 32 + 10] == "A2 A10"  # mode order, not text
+        assert outcome_table(path_modes(4), "threshold")[0] == "A0"
+        assert outcome_table(path_modes(4)[::-1], "threshold")[7 * 8 + 7] == "A0"
 
     def test_multiplicity_collapse(self):
-        double = Outcome((Mode(A, 0), Mode(A, 0)))
-        single = collapse(double)
-        assert single.label == "A0"
-        assert single.is_single_click
-        split = Outcome((Mode(A, 0), Mode(A, 1)))
-        assert collapse(split) == split
+        pnrd, threshold = (outcome_table(path_modes(4), model) for model in ("pnrd", "threshold"))
+        assert pnrd[0] == "A0 A0"
+        assert threshold[0] == collapse(pnrd[0]) == "A0"
+        assert threshold[1] == pnrd[1] == collapse(pnrd[1]) == "A0 A1"
+
+    @pytest.mark.parametrize("model", ["pnrd", "threshold"])
+    def test_single_clicks_are_read_from_ids(self, model):
+        # the quarantine never looks inside a label; the id rule must agree with it
+        for basis in (path_modes(4), path_modes(4)[::-1], polarized_modes(4, POL_DIAGONAL)):
+            table = outcome_table(basis, model)
+            size = len(basis)
+            ids = [i * size + k for i in range(size) for k in range(i, size)]
+            flags = [_has_single_click([i], table) for i in ids]
+            assert flags == [len(table[i].split()) == 1 for i in ids]
+            assert sum(flags) == (size if model == "threshold" else 0)
 
 
 class TestDistributions:
@@ -136,19 +115,20 @@ class TestDistributions:
         # four outcomes of probability 1/4: A0 A1, B0 B1, A2 A3, B2 B3
         dist = fig1_distribution(BellIndex(1, 0, 0))
         expected = {"A0 A1": 0.25, "B0 B1": 0.25, "A2 A3": 0.25, "B2 B3": 0.25}
-        assert {o.label: pytest.approx(p) for o, p in dist.probs.items()} == expected
+        assert {o: pytest.approx(p) for o, p in dist.probs.items()} == expected
 
     def test_bunched_state_eighth_each(self):
         dist = fig1_distribution(BellIndex(0, 0, 0))
         assert len(dist.probs) == 8
         for outcome, p in dist.probs.items():
-            assert len(outcome.clicks) == 2 and outcome.clicks[0] == outcome.clicks[1]
+            first, second = outcome.split()
+            assert first == second
             assert p == pytest.approx(0.125)
 
     def test_worked_hyper_example_eighth_each(self):
         state = make_hyper_state(BellIndex(2, 1, 0))
         dist = outcome_distribution(evolve(state, network_for_setup("fig2").unitary))
-        assert {o.label for o in dist.support} == {
+        assert dist.support == {
             "A0+ A2-", "A0- A2+", "A1+ A3-", "A1- A3+",
             "B0+ B2-", "B0- B2+", "B1+ B3-", "B1- B3+",
         }
@@ -157,7 +137,7 @@ class TestDistributions:
 
     def test_threshold_collapses_bunched_outcomes(self):
         dist = fig1_distribution(BellIndex(0, 0, 0), model="threshold")
-        assert {o.label for o in dist.support} == {
+        assert dist.support == {
             "A0", "A1", "A2", "A3", "B0", "B1", "B2", "B3"
         }
         for p in dist.probs.values():
@@ -203,8 +183,62 @@ class TestDistributions:
         data = dist.to_dict()
         assert json.loads(json.dumps(data)) == data
         assert data["model"] == "pnrd"
-        assert data["probs"] == {o.label: p for o, p in dist.probs.items()}
+        assert data["probs"] == dict(dist.probs)
         assert list(data["probs"]) == sorted(data["probs"])
+
+
+def bell_kets(idx, dim, pols=(None,)):
+    """Bell state ``idx`` as Fock kets, from its definition: every x and pol of
+    (-1)**(n*x0 + m*x1) |1_(A, x, pol), 1_(B, x XOR j, pol)>, normalised."""
+    c = 1 / math.sqrt(dim * len(pols))
+    return [
+        (Mode(A, x, p), Mode(B, x ^ idx.j, p), (-1) ** (idx.n * (x & 1) + idx.m * (x >> 1 & 1)) * c)
+        for x in range(dim)
+        for p in pols
+    ]
+
+
+@pytest.mark.parametrize("model", ["pnrd", "threshold"])
+class TestFockOracle:
+    """``outcome_distribution`` against two-boson permanents over Fock kets."""
+
+    @staticmethod
+    def assert_matches(state, kets, network, model):
+        dist = outcome_distribution(evolve(state, network), model)
+        assert dict(dist.probs) == pytest.approx(fock_outcome_probabilities(kets, network, model), abs=1e-12)
+
+    def test_single_kets(self, model):
+        net = network_for_setup("fig1", 4).unitary
+        a0, a1, b0, b3 = Mode(A, 0), Mode(A, 1), Mode(B, 0), Mode(B, 3)
+        for m1, m2 in [(a0, a1), (b3, a1), (a1, a1), (b0, b3), (b3, b3)]:
+            kets = [(m1, m2, 1.0)]
+            self.assert_matches(TwoPhotonState.from_kets(4, kets), kets, net, model)
+
+    def test_hom_pair(self, model):
+        # one photon in each input port of a 50:50 splitter: both leave together
+        kets = [(Mode(A, 0), Mode(B, 0), 1.0)]
+        net = network_for_setup("fig1", 4).unitary
+        bunched = {"pnrd": {"A0 A0": 0.5, "B0 B0": 0.5}, "threshold": {"A0": 0.5, "B0": 0.5}}[model]
+        assert fock_outcome_probabilities(kets, net, model) == pytest.approx(bunched)
+        self.assert_matches(TwoPhotonState.from_kets(4, kets), kets, net, model)
+
+    def test_every_d4_bell_state_through_fig1_and_fig2(self, model):
+        fig1, fig2 = network_for_setup("fig1", 4).unitary, network_for_setup("fig2").unitary
+        for idx in all_bell_indices(4):
+            self.assert_matches(make_bell_state(4, idx), bell_kets(idx, 4), fig1, model)
+            self.assert_matches(make_hyper_state(idx), bell_kets(idx, 4, ("H", "V")), fig2, model)
+
+    def test_random_unitaries(self, model):
+        # every other network lists its modes in reverse, and labels stay in mode order
+        rng = np.random.default_rng(23)
+        basis = path_modes(3)
+        pairs = [(basis[i], basis[k]) for i in range(len(basis)) for k in range(i, len(basis))]
+        for trial in range(10):
+            chosen = rng.choice(len(pairs), size=4, replace=False)
+            coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+            kets = [(*pairs[t], c) for t, c in zip(chosen, coeffs / np.linalg.norm(coeffs))]
+            net = random_unitary(basis[::-1] if trial % 2 else basis, rng)
+            self.assert_matches(TwoPhotonState.from_kets(3, kets), kets, net, model)
 
 
 class TestSampling:
@@ -212,7 +246,7 @@ class TestSampling:
         a0 = Mode(A, 0)
         dist = outcome_distribution(TwoPhotonState.from_kets(2, [(a0, a0, 1.0)]))
         counts = sample(dist, 500, seed=3)
-        assert counts == Counter({Outcome((a0, a0)): 500})
+        assert counts == Counter({"A0 A0": 500})
 
     def test_same_seed_identical(self):
         dist = fig1_distribution(BellIndex(1, 0, 0))

@@ -8,18 +8,23 @@ miniature (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
 """
 
 import json
+import math
+
+import numpy as np
 
 from bellsort import (
-    SinglePhotonUnitary, diff_against_reference, grouping, load_reference_tables,
+    SinglePhotonUnitary, TwoPhotonState, diff_against_reference, grouping, load_reference_tables,
     network_for_setup, networks,
 )
 from bellsort.cli import compute_table
 from bellsort.detection import MODEL_PNRD, outcome_table
-from bellsort.modes import ARMS, Mode
+from bellsort.modes import ARMS, Mode, path_modes
 from test_cli import copy_references
 from test_cli_golden import golden_digest_mismatches
 from test_exact_real import cli_pairs, complex_evolution_mismatches
-from test_networks import INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches
+from test_networks import (
+    INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches, oracle_mismatches, random_oracle_cases,
+)
 
 ONE_ULP_UP = 1 + 2**-52  # the next float64 after 1
 
@@ -56,6 +61,26 @@ def test_exact_real_guard_catches_a_one_ulp_scaled_transpose(monkeypatch):
         mismatches = complex_evolution_mismatches(pairs)
     assert [position for position, _ in mismatches] == list(range(len(pairs)))
     assert complex_evolution_mismatches(pairs) == []
+
+
+def test_kron_oracle_catches_evolution_by_the_untransposed_matrix(monkeypatch):
+    # U psi U instead of U psi U^T. Every fig1 matrix is symmetric, so only
+    # networks like these random unitaries can show it. On them evolve's own
+    # norm check fails too; the last case passes it (rotating A0 into A1 on a
+    # diagonal psi leaves U psi U with equal off-diagonal magnitudes), so
+    # only the amplitude comparison can catch that one
+    cases = random_oracle_cases(4, 104, count=10)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotation = np.eye(4)
+    rotation[:2, :2] = [[c, -s], [s, c]]
+    modes = path_modes(2)
+    bunched = TwoPhotonState.from_kets(2, [(modes[0], modes[0], INV_SQRT2), (modes[1], modes[1], INV_SQRT2)])
+    cases.append((bunched, SinglePhotonUnitary(modes, modes, rotation)))
+    with monkeypatch.context() as patch:
+        patch.setattr(SinglePhotonUnitary, "transposed", property(lambda u: u.matrix))
+        mismatches = oracle_mismatches(cases)
+    assert mismatches == list(range(len(cases)))
+    assert oracle_mismatches(cases) == []
 
 
 def test_golden_digests_catch_threshold_classify_reading_pnrd_outcomes(monkeypatch):

@@ -12,7 +12,6 @@ from bellsort import (
     BellIndex,
     GroupTable,
     StateGroup,
-    Outcome,
     all_bell_indices,
     channel_capacity,
     classify,
@@ -27,15 +26,13 @@ from bellsort import (
 from bellsort.cli import compute_table, labelled_states
 from bellsort.detection import outcome_table
 from bellsort.grouping import _partition
-from bellsort.modes import Mode, path_modes
+from bellsort.modes import path_modes
 
 REFERENCE = load_reference_tables()
 
 
 def as_content(table):
-    return {
-        frozenset(g.members): frozenset(o.label for o in g.support) for g in table.groups
-    }
+    return {frozenset(g.members): g.support for g in table.groups}
 
 
 def assert_supports_hold_the_shared_outcomes(table, network, model):
@@ -51,7 +48,7 @@ class TestTableReproduction:
         # the 7-row enumeration order also matches the reference numbering
         for group, ref in zip(table.groups, REFERENCE.groups_for("fig1")):
             assert frozenset(group.members) == ref.members
-            assert {o.label for o in group.support} == set(ref.outcomes)
+            assert group.support == ref.outcomes
 
     def test_fig2_reproduces_reference_table(self):
         table = compute_table("fig2", 4, "pnrd", "strict")
@@ -160,7 +157,7 @@ class TestPartitionProperties:
     def test_only_the_first_group_needs_number_resolution(self, setup):
         table = compute_table(setup, 4, "pnrd", "strict")
         flagged = [
-            g.index for g in table.groups if any(len(set(o.clicks)) < len(o.clicks) for o in g.support)
+            g.index for g in table.groups if any(len(set(o.split())) < 2 for o in g.support)
         ]
         assert flagged == [1]
 
@@ -284,7 +281,7 @@ class TestPartitionAtScale:
             expected = pairwise_partition(labelled, table)
             assert [(g.members, g.support) for g in got.groups] == expected
             assert [g.quarantined for g in got.groups] == [
-                model == "threshold" and any(o.is_single_click for o in support) for _, support in expected
+                model == "threshold" and any(" " not in o for o in support) for _, support in expected
             ]
 
 
@@ -357,9 +354,7 @@ class TestPoliciesAndCapacity:
         assert len(table.usable_groups) == 12
 
     def test_empty_capacity_rejected(self):
-        quarantined = StateGroup(
-            1, ("psi000",), frozenset({Outcome((Mode("A", 0),))}), quarantined=True
-        )
+        quarantined = StateGroup(1, ("psi000",), frozenset({"A0"}), quarantined=True)
         table = GroupTable("fig1", "threshold", "loss_conservative", (quarantined,))
         with pytest.raises(ValueError):
             channel_capacity(table)
@@ -381,16 +376,15 @@ class TestSerialization:
             for g in data["groups"]
         ]
         assert written == [
-            (g.index, g.members, frozenset(o.label for o in g.support), g.quarantined)
+            (g.index, g.members, g.support, g.quarantined)
             for g in table.groups
         ]
 
     def test_invalid_partition_rejected(self):
-        a0_a1 = Outcome((Mode("A", 0), Mode("A", 1)))
-        g1 = StateGroup(1, ("a",), frozenset({a0_a1}))
-        g2 = StateGroup(2, ("a",), frozenset({Outcome((Mode("A", 2), Mode("A", 3)))}))
+        g1 = StateGroup(1, ("a",), frozenset({"A0 A1"}))
+        g2 = StateGroup(2, ("a",), frozenset({"A2 A3"}))
         with pytest.raises(ValueError):
             GroupTable("fig1", "pnrd", "strict", (g1, g2))
-        g3 = StateGroup(2, ("b",), frozenset({a0_a1}))
+        g3 = StateGroup(2, ("b",), frozenset({"A0 A1"}))
         with pytest.raises(ValueError):
             GroupTable("fig1", "pnrd", "strict", (g1, g3))

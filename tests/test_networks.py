@@ -15,6 +15,7 @@ from bellsort import (
     make_bell_state,
     make_hyper_state,
     network_for_setup,
+    outcome_distribution,
 )
 from bellsort.modes import Mode, canonical_pair, path_modes, polarized_modes
 from bellsort.networks import NetworkSpec, NetworkStage
@@ -62,6 +63,32 @@ def network_digest_mismatches():
 
 def arm_pattern(pair):
     return tuple(sorted(m.arm for m in pair))
+
+
+def oracle_mismatches(cases):
+    """Positions of the (state, network) cases where ``evolve`` and the kron(U, U) oracle disagree.
+
+    A case ``evolve`` rejects (its norm check raises) counts as a disagreement.
+    """
+    mismatches = []
+    for position, (state, net) in enumerate(cases):
+        try:
+            evolved = evolve(state, net).amps
+        except ValueError:
+            mismatches.append(position)
+            continue
+        expected = {canonical_pair(*key): a for key, a in oracle_evolve(state, net).items()}
+        keys = set(evolved) | set(expected)
+        if any(abs(evolved.get(key, 0.0) - expected.get(key, 0.0)) >= 1e-10 for key in keys):
+            mismatches.append(position)
+    return mismatches
+
+
+def random_oracle_cases(dim, seed, count=40):
+    """``count`` random (state, unitary) pairs over the path modes of ``dim``."""
+    rng = np.random.default_rng(seed)
+    basis = path_modes(dim)
+    return [(random_two_photon_state(dim, basis, rng), random_unitary(basis, rng)) for _ in range(count)]
 
 
 class TestFig1Structure:
@@ -170,18 +197,7 @@ class TestEvolutionProperties:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_oracle_equivalence_random(self, dim):
         # matrix sandwich vs first-quantized kron oracle
-        rng = np.random.default_rng(100 + dim)
-        basis = path_modes(dim)
-        for _ in range(40):
-            state = random_two_photon_state(dim, basis, rng)
-            net = random_unitary(basis, rng)
-            evolved = evolve(state, net)
-            expected = oracle_evolve(state, net)
-            keys = set(evolved.amps) | set(expected)
-            for key in keys:
-                got = evolved.amps.get(key, 0.0)
-                want = expected.get(key, 0.0)
-                assert abs(got - want) < 1e-10
+        assert oracle_mismatches(random_oracle_cases(dim, 100 + dim)) == []
 
     @pytest.mark.parametrize("dim", [8, 16])
     def test_oracle_equivalence_on_the_benchmark_sizes(self, dim):
@@ -207,19 +223,15 @@ class TestEvolutionProperties:
         assert set(evolved.amps) == set(expected)
         for key, amp in expected.items():
             assert abs(evolved.amps[key] - amp) < 1e-10
+        # outcome labels keep canonical click order on the reversed output basis
+        labels = {" ".join([m1.label, m2.label]) for m1, m2 in expected}
+        assert outcome_distribution(evolved).support == labels
 
     def test_oracle_equivalence_on_the_measurement_networks(self):
-        for idx in all_bell_indices(4):
-            state = make_bell_state(4, BellIndex(idx.j, idx.n, idx.m))
-            evolved = evolve(state, network_for_setup("fig1", 4).unitary)
-            expected = oracle_evolve(state, network_for_setup("fig1", 4).unitary)
-            for key in set(evolved.amps) | set(expected):
-                assert abs(evolved.amps.get(key, 0.0) - expected.get(key, 0.0)) < 1e-10
-            hyper = make_hyper_state(idx)
-            evolved = evolve(hyper, network_for_setup("fig2").unitary)
-            expected = oracle_evolve(hyper, network_for_setup("fig2").unitary)
-            for key in set(evolved.amps) | set(expected):
-                assert abs(evolved.amps.get(key, 0.0) - expected.get(key, 0.0)) < 1e-10
+        fig1, fig2 = network_for_setup("fig1", 4).unitary, network_for_setup("fig2").unitary
+        cases = [(make_bell_state(4, idx), fig1) for idx in all_bell_indices(4)]
+        cases += [(make_hyper_state(idx), fig2) for idx in all_bell_indices(4)]
+        assert oracle_mismatches(cases) == []
 
     def test_hom_bunching_no_cross_arm_amplitude(self):
         net = network_for_setup("fig1", 4).unitary

@@ -349,6 +349,14 @@ class TestStateRepresentation:
         with pytest.raises(ValueError):
             BellIndex.parse("2,1")
 
+    @pytest.mark.parametrize(
+        "jnm", [(0, True, 0), (0, 0, False), (True, 0, 0), (0, 1.0, 0), (1.0, 0, 0), (0, 0, np.int64(1))]
+    )
+    def test_bell_index_rejects_non_integer_bits(self, jnm):
+        # a label is "psi" followed by digits: not "psi0True0" or "psi01.00"
+        with pytest.raises(ValueError, match="must be an integer"):
+            BellIndex(*jnm)
+
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
     def test_bell_labels_are_distinct(self, dim):
         # classify rejects duplicate labels and rendering keys on them; n and m
