@@ -287,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bellsort {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, with_policy: bool = True) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, *, with_policy: bool = True, formats=("text", "json", "csv")
+    ) -> None:
         p.add_argument("--setup", choices=SETUPS, default=SETUP_FIG1)
         p.add_argument("--model", choices=MODELS, default=MODEL_PNRD)
         if with_policy:
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=["strict", "loss-conservative"],
                 default="strict",
             )
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=formats, default="text")
 
     p_tables = sub.add_parser("tables", help="recompute a distinguishability table")
     add_common(p_tables)
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_sdc = sub.add_parser("sdc", help="run the superdense-coding protocol end to end")
-    add_common(p_sdc)
+    add_common(p_sdc, formats=("text", "json"))
     p_sdc.add_argument("--shots", type=_positive_int, default=1000)
     p_sdc.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sdc.set_defaults(func=cmd_sdc)

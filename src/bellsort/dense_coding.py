@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .detection import MODEL_PNRD, MODELS, outcome_distribution, outcome_table, sample
+from .detection import (
+    MODEL_PNRD, MODELS, _check_shots_and_seed, outcome_distribution, outcome_table, sample,
+)
 from .grouping import GroupTable, POLICIES, POLICY_STRICT, _partition, channel_capacity
 from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, evolve, network_for_setup
 from .states import BellIndex, TwoPhotonState, all_bell_indices, encode, make_bell_state, make_hyper_state
@@ -38,8 +40,7 @@ class SdcConfig:
             raise ValueError(f"unknown detector model {self.model!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        _check_shots_and_seed(self.shots, self.seed)
 
 
 @dataclass(frozen=True)
@@ -81,26 +82,16 @@ def reference_state(setup: str) -> TwoPhotonState:
     return prepared_state(setup, 4, BellIndex(0, 0, 0))
 
 
-def run_sdc(config: SdcConfig, messages: Sequence[BellIndex] | None = None) -> SdcReport:
-    """Run the protocol for every message and decode by group membership.
+def run_sdc(config: SdcConfig) -> SdcReport:
+    """Send each of the 16 messages ``config.shots`` times and decode by group membership.
 
     Every encoded state is evolved once; its outcome distribution feeds both
     the partition and the message's samples. Per-message sampling uses the
     derived seed ``config.seed + ordinal`` so runs are reproducible yet
-    messages are independent. Each message may be sent once, so that every
-    shot is reported; a repeated one, or none at all, raises before anything
-    is evolved. An outcome missing from every group support would mean the
-    evolution and the partition disagree and raises immediately.
+    messages are independent. An outcome missing from every group support
+    would mean the evolution and the partition disagree and raises
+    immediately.
     """
-    if messages is None:
-        messages = all_bell_indices(4)
-    for idx in messages:
-        idx.validate_for(4)
-    if not messages:
-        raise ValueError("no messages to send")
-    if len(set(messages)) != len(messages):
-        raise ValueError("each message may be sent only once")
-
     reference = reference_state(config.setup)
     unitary = network_for_setup(config.setup).unitary
     dists = {
@@ -116,27 +107,25 @@ def run_sdc(config: SdcConfig, messages: Sequence[BellIndex] | None = None) -> S
 
     message_counts: dict[str, dict[int, int]] = {}
     correct = 0
-    total = 0
-    for ordinal, idx in enumerate(messages):
-        own_group = own_groups[idx.label]
-        counts: Counter = sample(dists[idx.label], config.shots, config.seed + ordinal)
+    for ordinal, (label, dist) in enumerate(dists.items()):
+        own_group = own_groups[label]
+        counts: Counter = sample(dist, config.shots, config.seed + ordinal)
         per_group: dict[int, int] = {}
         for outcome, count in counts.items():
             gid = decoder.get(outcome)
             if gid is None:
                 raise RuntimeError(
-                    f"outcome {outcome} of message {idx.label} lies outside every group support"
+                    f"outcome {outcome} of message {label} lies outside every group support"
                 )
             per_group[gid] = per_group.get(gid, 0) + count
             if gid == own_group:
                 correct += count
-        total += config.shots
-        message_counts[idx.label] = per_group
+        message_counts[label] = per_group
 
     return SdcReport(
         config=config,
         table=table,
         message_counts=message_counts,
-        accuracy=correct / total,
+        accuracy=correct / (config.shots * len(dists)),
         bits_per_photon=channel_capacity(table),
     )

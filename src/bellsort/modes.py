@@ -41,7 +41,8 @@ class Mode:
     def __post_init__(self) -> None:
         if self.arm not in ARMS:
             raise ValueError(f"unknown arm {self.arm!r}, expected one of {ARMS}")
-        if not isinstance(self.path, int) or self.path < 0:
+        # a bool is an int, but would print into the label as "True"
+        if isinstance(self.path, bool) or not isinstance(self.path, int) or self.path < 0:
             raise ValueError(f"path index must be a nonnegative integer, got {self.path!r}")
         if self.pol not in (None, "H", "V", "+", "-"):
             raise ValueError(f"unknown polarization {self.pol!r}")

@@ -28,10 +28,12 @@ Mode-pair view of the same data for inspection and tests. An encoding
 unitary is a signed permutation of modes, so :func:`encode` never builds a
 matrix: it maps each stored pair's indices to their images, flips the sign
 of its amplitude where U does, and sorts the pairs back into that order.
-Calling :class:`TwoPhotonState` checks the arrays; the Bell and hyper
-states, :func:`encode` and evolution build arrays that hold those checks by
-construction and pass them to the private ``TwoPhotonState._build``, which
-checks only the basis against the dimension.
+Every state has unit norm within ``NORM_TOL``, so Born probabilities can
+be read off it without a second check. Calling :class:`TwoPhotonState`
+checks the arrays and the norm; the Bell and hyper states, :func:`encode`
+and evolution build arrays that hold those checks by construction (evolution
+checks the norm it produces) and pass them to the private
+``TwoPhotonState._build``, which checks only the basis against the dimension.
 
 Amplitudes and unitary matrices are float64 when every imaginary part is
 exactly zero and complex128 otherwise. Every element and state of the paper
@@ -67,7 +69,6 @@ from .modes import (
 # Numeric thresholds shared across the package.
 AMP_PRUNE = 1e-12  # |psi| below this is dropped from a state's support
 NORM_TOL = 1e-9  # a constructed or evolved state must have norm 1 within this
-BORN_NORM_TOL = 1e-6  # outcome_distribution rejects states off unit norm by more
 PHASE_TOL = 1e-9  # per-amplitude slack of TwoPhotonState.approx_equal
 UNITARY_TOL = 1e-10  # max |U U^dagger - 1| entry of a SinglePhotonUnitary
 
@@ -180,7 +181,7 @@ def _pair_indices(array) -> np.ndarray:
     return array.astype(np.intp, copy=False)
 
 
-def _pol_basis(pols: set) -> tuple[str, str] | None:
+def _pol_family(pols: set) -> tuple[str, str] | None:
     if pols <= {None}:
         return None
     if pols <= set(POL_LINEAR):
@@ -190,8 +191,10 @@ def _pol_basis(pols: set) -> tuple[str, str] | None:
     raise ValueError(f"mixed polarization labelling {sorted(map(str, pols))}")
 
 
-def _mode_space(dim: int, pol_basis: tuple[str, str] | None) -> ModeBasis:
-    return path_modes(dim) if pol_basis is None else polarized_modes(dim, pol_basis)
+def _mode_space(dim: int, pols: set) -> ModeBasis:
+    """The canonical full single-photon basis of the polarization family of ``pols``."""
+    family = _pol_family(pols)
+    return path_modes(dim) if family is None else polarized_modes(dim, family)
 
 
 @lru_cache(maxsize=64)
@@ -200,7 +203,7 @@ def _check_basis(basis: ModeBasis, dim: int) -> None:
     for m in basis:
         if m.path >= dim:
             raise ValueError(f"mode {m.label} outside dimension {dim}")
-    _pol_basis({m.pol for m in basis})
+    _pol_family({m.pol for m in basis})
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,11 +214,11 @@ class TwoPhotonState:
     pairs absent from the arrays have zero amplitude. The squared norm is
     sum over distinct pairs of 2|psi|**2 plus sum over m of |psi(m, m)|**2.
     Every basis mode must have path < dim, and all must share one
-    polarization family (none, H/V or +/-). The arrays are read-only; build
-    states with :meth:`from_amplitudes` or :meth:`from_kets`, which prune
-    amplitudes below 1e-12 and reject a norm off 1; they never rescale.
-    Calling the class checks the arrays but not the norm. The package's own
-    builders skip the array checks through the private :meth:`_build`;
+    polarization family (none, H/V or +/-). The arrays are read-only.
+    Calling the class checks the arrays and rejects a norm off 1 by more
+    than 1e-9 (or NaN); nothing rescales. :meth:`from_amplitudes` and
+    :meth:`from_kets` also prune amplitudes below 1e-12. The package's own
+    builders skip the checks through the private :meth:`_build`;
     tests/test_builder.py runs what they make back through the class.
     Equality and hashing are by identity.
     """
@@ -245,6 +248,7 @@ class TwoPhotonState:
             raise ValueError("state has no amplitudes")
         if rows.min() < 0 or cols.max() >= len(self.basis) or (rows > cols).any():
             raise ValueError("pair indices must satisfy 0 <= row <= col < len(basis)")
+        _check_norm(_norm_of(_pair_weights(rows, cols), self.vals))
 
     @classmethod
     def _build(
@@ -280,7 +284,7 @@ class TwoPhotonState:
             if key in canon:
                 raise ValueError(f"duplicate amplitude for pair ({key[0].label}, {key[1].label})")
             canon[key] = complex(a)
-        basis = _mode_space(dim, _pol_basis({m.pol for pair in canon for m in pair}))
+        basis = _mode_space(dim, {m.pol for pair in canon for m in pair})
         index = _positions(basis)
         psi = np.zeros((len(basis), len(basis)), dtype=complex)
         for (m1, m2), a in canon.items():
@@ -321,30 +325,6 @@ class TwoPhotonState:
             }
         )
 
-    def amplitude(self, m1: Mode, m2: Mode) -> complex:
-        """Symmetric lookup psi(m1, m2); zero off the stored support."""
-        return self.amps.get(canonical_pair(m1, m2), 0.0 + 0.0j)
-
-    def norm(self) -> float:
-        return _norm_of(_pair_weights(self.rows, self.cols), self.vals)
-
-    @property
-    def support(self) -> frozenset[tuple[Mode, Mode]]:
-        return frozenset(self.amps)
-
-    def modes(self) -> frozenset[Mode]:
-        used = np.unique(np.concatenate((self.rows, self.cols)))
-        return frozenset(self.basis[i] for i in used.tolist())
-
-    @property
-    def pol_basis(self) -> tuple[str, str] | None:
-        """Which polarization basis the state lives in, None for path-only."""
-        return _pol_basis({self.basis[0].pol})
-
-    def mode_space(self) -> ModeBasis:
-        """The canonical full single-photon basis this state is expressed in."""
-        return _mode_space(self.dim, self.pol_basis)
-
     def _pairs_in(self, basis: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The stored pairs' rows and cols as positions in ``basis`` (not reordered).
 
@@ -353,7 +333,8 @@ class TwoPhotonState:
         if basis is self.basis or basis == self.basis:
             return self.rows, self.cols
         index = _positions(as_basis(basis))
-        missing = sorted(m.label for m in self.modes() if m not in index)
+        used = np.unique(np.concatenate((self.rows, self.cols))).tolist()
+        missing = sorted(self.basis[i].label for i in used if self.basis[i] not in index)
         if missing:
             raise ValueError(f"state modes not covered by the basis: {', '.join(missing)}")
         remap = np.array([index.get(m, -1) for m in self.basis], dtype=np.intp)
@@ -386,7 +367,7 @@ class TwoPhotonState:
         phase_self = phase_other = 1.0 + 0.0j
         if up_to_phase:
             ref = max(self.amps, key=lambda k: abs(self.amps[k]))
-            a, b = self.amps[ref], other.amplitude(*ref)
+            a, b = self.amps[ref], other.amps.get(ref, 0.0)
             if abs(b) < AMP_PRUNE:
                 return False
             phase_self, phase_other = a / abs(a), b / abs(b)
@@ -402,11 +383,14 @@ def _upper_triangle(size: int, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Rows, cols and values of the upper triangle, pruned; raises if the norm is off 1."""
     rows, cols, flat, weights = _triu(size)
     vals = matrix.ravel().take(flat)
-    norm = _norm_of(weights, vals)
-    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
-        raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
+    _check_norm(_norm_of(weights, vals))
     keep = np.abs(vals) >= AMP_PRUNE
     return rows[keep], cols[keep], vals[keep]
+
+
+def _check_norm(norm: float) -> None:
+    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
+        raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
 
 
 def _pair_weights(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -457,14 +441,6 @@ class SinglePhotonUnitary:
     @cached_property
     def transposed(self) -> np.ndarray:
         return _frozen(np.ascontiguousarray(self.matrix.T))[0]
-
-    @property
-    def dim(self) -> int:
-        return len(self.in_modes)
-
-    @classmethod
-    def identity(cls, modes: tuple) -> "SinglePhotonUnitary":
-        return cls(modes, modes, np.eye(len(modes)))
 
     def __matmul__(self, earlier: "SinglePhotonUnitary") -> "SinglePhotonUnitary":
         """Compose: ``later @ earlier`` applies ``earlier`` first."""
@@ -554,14 +530,15 @@ def encode(state: TwoPhotonState, idx: BellIndex, which_photon: str) -> TwoPhoto
     reference the polarization factor rides along unchanged. U is a signed
     permutation of modes, so psi -> U psi U^T moves each pair and flips signs:
     exactly the bits of the dense product, in the state's mode space. The
-    norm is unchanged, so it is checked where states are evolved and detected.
+    norm is unchanged, so it is not checked again and the result is never
+    empty.
     """
     _require_power_of_two(state.dim)
     idx.validate_for(state.dim)
     if which_photon not in _ARM_OF_PHOTON:
         raise ValueError(f"which_photon must be 'first' or 'second', got {which_photon!r}")
     arm = _ARM_OF_PHOTON[which_photon]
-    basis = state.mode_space()
+    basis = _mode_space(state.dim, {state.basis[0].pol})
     rows, cols = state._pairs_in(basis)
     signs = _arm_signs(basis, arm, idx.n, idx.m)
     vals = state.vals * signs[rows] * signs[cols]
@@ -570,7 +547,5 @@ def encode(state: TwoPhotonState, idx: BellIndex, which_photon: str) -> TwoPhoto
     low, high = np.minimum(rows, cols), np.maximum(rows, cols)
     order = np.argsort(low * len(basis) + high)
     order = order[np.abs(vals[order]) >= AMP_PRUNE]
-    if not len(order):
-        raise ValueError("state has no amplitudes")
     # pruning can drop the last complex amplitude of a state built by hand
     return TwoPhotonState._build(state.dim, basis, low[order], high[order], _exact_dtype(vals[order]))

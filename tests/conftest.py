@@ -79,6 +79,11 @@ def oracle_inner(a: TwoPhotonState, b: TwoPhotonState, basis: tuple[Mode, ...]) 
     return complex(np.vdot(first_quantized_vector(a, basis), first_quantized_vector(b, basis)))
 
 
+def oracle_norm(state: TwoPhotonState) -> float:
+    """sqrt(<s|s>) from the ordered expansion, independent of the library's norm code."""
+    return math.sqrt(oracle_inner(state, state, state.basis).real)
+
+
 def random_two_photon_state(
     dim: int, basis: tuple[Mode, ...], rng: np.random.Generator
 ) -> TwoPhotonState:

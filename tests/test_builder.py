@@ -1,11 +1,11 @@
 """Every state the package builds itself passes the public constructor.
 
 ``make_bell_state``, ``make_hyper_state``, ``encode`` and ``evolve`` make
-their arrays in bounds and hand them to the private ``TwoPhotonState._build``,
-which skips the array checks of ``TwoPhotonState(...)``. This gate runs each
-such state, and its evolution through its setup's network, back through the
-class: it must be accepted with the same dtypes and bytes, and the built
-arrays must be read-only.
+their arrays in bounds and of unit norm and hand them to the private
+``TwoPhotonState._build``, which skips the array and norm checks of
+``TwoPhotonState(...)``. This gate runs each such state, and its evolution
+through its setup's network, back through the class: it must be accepted
+with the same dtypes and bytes, and the built arrays must be read-only.
 """
 
 import numpy as np
@@ -99,15 +99,15 @@ class TestBuilderGate:
 
 
 class TestEncodeOfHandBuiltStates:
-    # the class checks the arrays but not the norm, so a state built by hand
-    # can hold amplitudes that encode prunes
+    # the class does not prune, so a state built by hand can hold amplitudes
+    # below the threshold that encode prunes
     def test_pruning_the_only_complex_amplitude_gives_a_real_state(self):
         state = TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [2**-0.5, 1e-13j])
         encoded = encode(state, BellIndex(1, 1), "second")
         assert encoded.vals.dtype == np.float64
         assert builder_defects(encoded) == []
 
-    def test_pruning_every_amplitude_raises(self):
-        state = TwoPhotonState(2, path_modes(2), [0], [2], [1e-13])
-        with pytest.raises(ValueError, match="no amplitudes"):
-            encode(state, BellIndex(1, 0), "second")
+    def test_a_state_pruning_would_empty_is_rejected_when_built(self):
+        # so encode can never prune a state to nothing
+        with pytest.raises(ValueError, match="deviates from 1"):
+            TwoPhotonState(2, path_modes(2), [0], [2], [1e-13])

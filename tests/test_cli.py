@@ -241,6 +241,13 @@ class TestSdc:
         assert code == 0
         assert "accuracy 1.0" in out
 
+    def test_csv_is_a_usage_error(self, capsys):
+        # sdc renders text and JSON only; csv used to print the text report
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sdc", "--shots", "1", "--format", "csv"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_json_report_payload(self, capsys):
         _, out = run_cli(capsys, "sdc", "--setup", "fig1", "--shots", "5", "--format", "json")
         report = json.loads(out)["report"]

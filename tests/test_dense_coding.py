@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bellsort import (
@@ -48,6 +49,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SdcConfig(policy="lossy")
 
+    @pytest.mark.parametrize("shots", [1.5, 2.0, True, "10", None])
+    def test_non_integer_shots_rejected(self, shots):
+        # numpy drew 1 shot per message for shots=1.5 while accuracy counted 1.5
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+            SdcConfig(shots=shots)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 0.0, True, "3", None])
+    def test_negative_or_non_integer_seed_rejected(self, seed):
+        # seed=-1 used to evolve all 16 messages and then fail inside numpy
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SdcConfig(seed=seed)
+
+    def test_numpy_integers_are_valid(self):
+        report = run_sdc(SdcConfig(shots=np.int64(3), seed=np.uint8(5)))
+        assert report.message_counts == run_sdc(SdcConfig(shots=3, seed=5)).message_counts
+
 
 class TestReferenceState:
     def test_fig1_reference(self):
@@ -70,10 +87,11 @@ class TestRoundTrip:
             own = report.table.group_of(label).index
             assert per_group == {own: 200}
 
-    def test_single_message_single_shot(self):
-        report = run_sdc(SdcConfig(shots=1), messages=[BellIndex(0, 0, 0)])
+    def test_every_message_single_shot(self):
+        report = run_sdc(SdcConfig(shots=1))
         assert report.accuracy == 1.0
-        assert report.message_counts == {"psi000": {1: 1}}
+        assert report.message_counts["psi000"] == {1: 1}
+        assert [sum(c.values()) for c in report.message_counts.values()] == [1] * 16
 
     def test_counts_sum_to_shots(self):
         report = run_sdc(SdcConfig(setup="fig2", shots=321, seed=9))
@@ -105,7 +123,7 @@ class TestRoundTrip:
 
         network = network_for_setup(setup).unitary
         ref = reference_state(setup)
-        report = run_sdc(SdcConfig(setup=setup, shots=1), messages=[BellIndex(0, 0, 0)])
+        report = run_sdc(SdcConfig(setup=setup, shots=1))
         shots = 10_000
         index_of = {idx.label: idx for idx in all_bell_indices(4)}
         for group in report.table.groups:
@@ -120,23 +138,6 @@ class TestRoundTrip:
         calls = count_calls(monkeypatch, "evolve", "outcome_distribution")
         run_sdc(SdcConfig(setup="fig2", shots=10))
         assert calls == {"evolve": 16, "outcome_distribution": 16}
-
-    def test_repeated_message_rejected_before_any_evolution(self, monkeypatch):
-        calls = count_calls(monkeypatch, "evolve")
-        with pytest.raises(ValueError, match="only once"):
-            run_sdc(SdcConfig(shots=10), messages=[BellIndex(1, 0, 0)] * 2)
-        assert calls == {"evolve": 0}
-
-    def test_empty_message_list_rejected_before_any_evolution(self, monkeypatch):
-        # nothing sent means no accuracy to report (it divided by zero shots)
-        calls = count_calls(monkeypatch, "evolve")
-        with pytest.raises(ValueError, match="no messages"):
-            run_sdc(SdcConfig(shots=10), messages=[])
-        assert calls == {"evolve": 0}
-
-    def test_invalid_message_rejected(self):
-        with pytest.raises(ValueError):
-            run_sdc(SdcConfig(shots=1), messages=[BellIndex(5, 0, 0)])
 
 
 class TestReportSerialization:

@@ -38,7 +38,8 @@ def collapse(outcome):
 
 def label_sorted_sample(dist, shots, seed):
     """Sampling as first written: sort the outcome map by label, normalise, draw."""
-    items = sorted(dist.probs.items())
+    # the map is read from the arrays, not through the order sampling uses
+    items = sorted(zip(map(dist.table.__getitem__, dist.ids.tolist()), dist.p.tolist()))
     pvals = np.array([p for _, p in items])
     pvals = pvals / pvals.sum()
     counts = np.random.default_rng(seed).multinomial(shots, pvals)
@@ -115,12 +116,12 @@ class TestDistributions:
         # four outcomes of probability 1/4: A0 A1, B0 B1, A2 A3, B2 B3
         dist = fig1_distribution(BellIndex(1, 0, 0))
         expected = {"A0 A1": 0.25, "B0 B1": 0.25, "A2 A3": 0.25, "B2 B3": 0.25}
-        assert {o: pytest.approx(p) for o, p in dist.probs.items()} == expected
+        assert {o: pytest.approx(p) for o, p in dist.sorted_items()} == expected
 
     def test_bunched_state_eighth_each(self):
         dist = fig1_distribution(BellIndex(0, 0, 0))
-        assert len(dist.probs) == 8
-        for outcome, p in dist.probs.items():
+        assert len(dist.sorted_items()) == 8
+        for outcome, p in dist.sorted_items():
             first, second = outcome.split()
             assert first == second
             assert p == pytest.approx(0.125)
@@ -128,19 +129,19 @@ class TestDistributions:
     def test_worked_hyper_example_eighth_each(self):
         state = make_hyper_state(BellIndex(2, 1, 0))
         dist = outcome_distribution(evolve(state, network_for_setup("fig2").unitary))
-        assert dist.support == {
+        assert {o for o, _ in dist.sorted_items()} == {
             "A0+ A2-", "A0- A2+", "A1+ A3-", "A1- A3+",
             "B0+ B2-", "B0- B2+", "B1+ B3-", "B1- B3+",
         }
-        for p in dist.probs.values():
+        for _, p in dist.sorted_items():
             assert p == pytest.approx(0.125, abs=1e-10)
 
     def test_threshold_collapses_bunched_outcomes(self):
         dist = fig1_distribution(BellIndex(0, 0, 0), model="threshold")
-        assert dist.support == {
+        assert {o for o, _ in dist.sorted_items()} == {
             "A0", "A1", "A2", "A3", "B0", "B1", "B2", "B3"
         }
-        for p in dist.probs.values():
+        for _, p in dist.sorted_items():
             assert p == pytest.approx(0.125)
 
     def test_threshold_is_probability_preserving_collapse(self):
@@ -148,33 +149,32 @@ class TestDistributions:
             pnrd = fig1_distribution(idx)
             thresh = fig1_distribution(idx, model="threshold")
             merged: dict = {}
-            for o, p in pnrd.probs.items():
+            for o, p in pnrd.sorted_items():
                 key = collapse(o)
                 merged[key] = merged.get(key, 0.0) + p
-            assert set(merged) == set(thresh.probs)
+            thresh_probs = dict(thresh.sorted_items())
+            assert set(merged) == set(thresh_probs)
             for o, p in merged.items():
-                assert thresh.probs[o] == pytest.approx(p)
+                assert thresh_probs[o] == pytest.approx(p)
 
     def test_probabilities_sum_to_one_everywhere(self):
         for idx in all_bell_indices(4):
             for model in ("pnrd", "threshold"):
-                total = sum(fig1_distribution(idx, model).probs.values())
+                total = sum(p for _, p in fig1_distribution(idx, model).sorted_items())
                 assert abs(total - 1.0) < 1e-9
                 state = make_hyper_state(idx)
                 dist = outcome_distribution(evolve(state, network_for_setup("fig2").unitary), model)
-                assert abs(sum(dist.probs.values()) - 1.0) < 1e-9
+                assert abs(sum(p for _, p in dist.sorted_items()) - 1.0) < 1e-9
 
     def test_unnormalized_state_rejected(self):
-        # psi(A0, B0) = 0.7, psi(A1, B1) = 0.2; the raw constructor skips the norm check
-        bad = TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7, 0.2])
-        with pytest.raises(ValueError):
-            outcome_distribution(bad)
+        # psi(A0, B0) = 0.7, psi(A1, B1) = 0.2: no such state reaches outcome_distribution
+        with pytest.raises(ValueError, match="deviates from 1"):
+            TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7, 0.2])
 
     def test_nan_amplitude_fails_the_norm_check(self):
         # |sqrt(nan) - 1| > tol is False, so the check must be written to fail on NaN
-        bad = TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7071, math.nan])
-        with pytest.raises(ValueError, match="not normalized"):
-            outcome_distribution(bad)
+        with pytest.raises(ValueError, match="deviates from 1"):
+            TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7071, math.nan])
 
     def test_distribution_round_trip(self):
         # written as JSON and not read back: every probability must survive
@@ -183,7 +183,8 @@ class TestDistributions:
         data = dist.to_dict()
         assert json.loads(json.dumps(data)) == data
         assert data["model"] == "pnrd"
-        assert data["probs"] == dict(dist.probs)
+        # every outcome's probability, read from the arrays rather than through to_dict's order
+        assert data["probs"] == {dist.table[i]: p for i, p in zip(dist.ids.tolist(), dist.p.tolist())}
         assert list(data["probs"]) == sorted(data["probs"])
 
 
@@ -205,7 +206,8 @@ class TestFockOracle:
     @staticmethod
     def assert_matches(state, kets, network, model):
         dist = outcome_distribution(evolve(state, network), model)
-        assert dict(dist.probs) == pytest.approx(fock_outcome_probabilities(kets, network, model), abs=1e-12)
+        expected = fock_outcome_probabilities(kets, network, model)
+        assert dict(dist.sorted_items()) == pytest.approx(expected, abs=1e-12)
 
     def test_single_kets(self, model):
         net = network_for_setup("fig1", 4).unitary
@@ -258,7 +260,7 @@ class TestSampling:
         shots = 100_000
         counts = sample(dist, shots, seed=7)
         sigma = math.sqrt(0.25 * 0.75 / shots)
-        for outcome in dist.support:
+        for outcome, _ in dist.sorted_items():
             freq = counts[outcome] / shots
             assert abs(freq - 0.25) < 5 * sigma
 
@@ -266,6 +268,26 @@ class TestSampling:
         dist = fig1_distribution(BellIndex(1, 0, 0))
         with pytest.raises(ValueError):
             sample(dist, 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "shots,seed,message",
+        [
+            (2.5, 0, "shots"),  # numpy drew 2 shots
+            (2.0, 0, "shots"),
+            (True, 0, "shots"),
+            (10, -1, "seed"),
+            (10, 1.5, "seed"),
+            (10, True, "seed"),
+        ],
+    )
+    def test_non_integer_shots_and_bad_seeds_rejected(self, shots, seed, message):
+        dist = fig1_distribution(BellIndex(1, 0, 0))
+        with pytest.raises(ValueError, match=f"{message} must be an integer"):
+            sample(dist, shots, seed)
+
+    def test_numpy_integers_are_valid(self):
+        dist = fig1_distribution(BellIndex(1, 0, 0))
+        assert sample(dist, np.int64(1000), np.uint32(7)) == sample(dist, 1000, 7)
 
     def test_chi_square_consistency_over_100_seeds(self):
         # stat should beat the 0.999 quantile in fewer than 1% of runs

@@ -13,12 +13,13 @@ import math
 import numpy as np
 
 from bellsort import (
-    SinglePhotonUnitary, TwoPhotonState, diff_against_reference, grouping, load_reference_tables,
-    network_for_setup, networks,
+    SinglePhotonUnitary, TwoPhotonState, all_bell_indices, diff_against_reference, grouping,
+    load_reference_tables, make_bell_state, make_hyper_state, network_for_setup, networks, states,
 )
 from bellsort.cli import compute_table
 from bellsort.detection import MODEL_PNRD, outcome_table
 from bellsort.modes import ARMS, Mode, path_modes
+from test_builder import builder_defects
 from test_cli import copy_references
 from test_cli_golden import golden_digest_mismatches
 from test_exact_real import cli_pairs, complex_evolution_mismatches
@@ -47,6 +48,22 @@ def test_network_digests_catch_a_moved_beam_splitter_sign(monkeypatch):
     # every network has a beam-splitter stage
     assert mismatches == list(NETWORK_DIGESTS)
     assert network_digest_mismatches() == []
+
+
+def test_builder_gate_catches_built_states_of_norm_two(monkeypatch):
+    # doubling the Bell signs keeps every array in bounds and doubles the norm
+    def built():
+        return [make_bell_state(4, idx) for idx in all_bell_indices(4)] + [
+            make_hyper_state(idx) for idx in all_bell_indices(4)
+        ]
+
+    arm_signs = states._arm_signs
+    with monkeypatch.context() as patch:
+        patch.setattr(states, "_arm_signs", lambda *key: 2 * arm_signs(*key))
+        defects = [builder_defects(state) for state in built()]
+    norms = [float(d[0].split()[3]) for d in defects if len(d) == 1 and d[0].startswith("rejected: state norm")]
+    assert len(norms) == 32 and np.allclose(norms, 2.0)
+    assert [builder_defects(state) for state in built()] == [[]] * 32
 
 
 def test_exact_real_guard_catches_a_one_ulp_scaled_transpose(monkeypatch):

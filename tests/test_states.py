@@ -15,8 +15,9 @@ from bellsort import (
     make_bell_state,
     make_hyper_state,
 )
-from bellsort.modes import Mode, ModeBasis, path_modes, polarized_modes
-from conftest import oracle_evolve, oracle_inner
+from bellsort.modes import POL_DIAGONAL, Mode, ModeBasis, canonical_pair, path_modes, polarized_modes
+from bellsort.states import NORM_TOL
+from conftest import oracle_evolve, oracle_inner, oracle_norm
 
 A, B = "A", "B"
 HALF = 0.5
@@ -75,12 +76,12 @@ class TestBellConstruction:
     @pytest.mark.parametrize("dim", [2, 4])
     def test_normalized(self, dim):
         for idx in all_bell_indices(dim):
-            assert abs(make_bell_state(dim, idx).norm() - 1.0) < 1e-12
+            assert abs(oracle_norm(make_bell_state(dim, idx)) - 1.0) < 1e-12
 
     def test_exchange_symmetric_by_representation(self):
         state = make_bell_state(4, BellIndex(3, 1, 1))
-        for (m1, m2) in state.support:
-            assert state.amplitude(m1, m2) == state.amplitude(m2, m1)
+        for (m1, m2) in set(state.amps):
+            assert state.amps.get(canonical_pair(m1, m2), 0) == state.amps.get(canonical_pair(m2, m1), 0)
 
     def test_invalid_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -121,7 +122,7 @@ class TestHyperState:
 
     def test_normalized(self):
         for idx in all_bell_indices(4):
-            assert abs(make_hyper_state(idx).norm() - 1.0) < 1e-12
+            assert abs(oracle_norm(make_hyper_state(idx)) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("idx", all_bell_indices(4), ids=lambda i: i.label)
     def test_path_restriction_recovers_bell_state(self, idx):
@@ -279,7 +280,7 @@ class TestStateRepresentation:
             (Mode(A, 1), Mode(B, 1)): 0.5,
         }
         state = TwoPhotonState.from_amplitudes(4, amps)
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(oracle_norm(state) - 1.0) < 1e-12
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
@@ -296,7 +297,7 @@ class TestStateRepresentation:
 
     def test_keys_canonicalized(self):
         state = TwoPhotonState.from_amplitudes(4, {(Mode(B, 1), Mode(A, 0)): INV_SQRT2})
-        ((m1, m2),) = state.support
+        ((m1, m2),) = set(state.amps)
         assert (m1.arm, m2.arm) == (A, B)
 
     def test_equality_up_to_global_phase(self):
@@ -323,24 +324,46 @@ class TestStateRepresentation:
         assert np.all(state.rows <= state.cols)
         assert not state.vals.flags.writeable
         for i, k, a in zip(state.rows, state.cols, state.vals):
-            assert state.amplitude(state.basis[i], state.basis[k]) == a
+            assert state.amps.get(canonical_pair(state.basis[i], state.basis[k]), 0) == a
         with pytest.raises(ValueError):
             TwoPhotonState(4, state.basis, state.cols, state.rows, state.vals)
 
     def test_non_integer_pair_indices_rejected(self):
         # np.asarray(..., dtype=intp) would truncate these to the pair (0, 2)
         with pytest.raises(ValueError, match="pair indices must be integers"):
-            TwoPhotonState(2, path_modes(2), [0.6], [2.7], [1.0])
+            TwoPhotonState(2, path_modes(2), [0.6], [2.7], [INV_SQRT2])
         with pytest.raises(ValueError, match="pair indices must be integers"):
-            TwoPhotonState(2, path_modes(2), np.array([0]), np.array([2.0]), [1.0])
+            TwoPhotonState(2, path_modes(2), np.array([0]), np.array([2.0]), [INV_SQRT2])
         with pytest.raises(ValueError, match="pair indices must be integers"):
-            TwoPhotonState(2, path_modes(2), [False], [True], [1.0])
-        state = TwoPhotonState(2, path_modes(2), np.array([0], dtype=np.uint8), [2], [1.0])
+            TwoPhotonState(2, path_modes(2), [False], [True], [INV_SQRT2])
+        state = TwoPhotonState(2, path_modes(2), np.array([0], dtype=np.uint8), [2], [INV_SQRT2])
         assert state.rows.dtype == np.intp
 
     def test_mode_space_tracks_polarization(self):
-        assert make_bell_state(4, BellIndex(0, 0, 0)).mode_space() == path_modes(4)
-        assert make_hyper_state(BellIndex(0, 0, 0)).mode_space() == polarized_modes(4)
+        # encode works in the canonical mode space of the state's polarization family
+        diagonal = TwoPhotonState.from_amplitudes(4, {(Mode(A, 0, "+"), Mode(B, 0, "-")): INV_SQRT2})
+        for state, space in (
+            (make_bell_state(4, BellIndex(0, 0, 0)), path_modes(4)),
+            (make_hyper_state(BellIndex(0, 0, 0)), polarized_modes(4)),
+            (diagonal, polarized_modes(4, POL_DIAGONAL)),
+        ):
+            assert state.basis == space
+            assert encode(state, BellIndex(1, 0, 1), "second").basis == space
+
+    @pytest.mark.parametrize("scale", [1 + 2 * NORM_TOL, 1 - 2 * NORM_TOL, 2.0, 0.0, math.nan])
+    def test_constructor_rejects_a_norm_off_one(self, scale):
+        # the same rule and message as from_amplitudes and evolve
+        state = make_bell_state(4, BellIndex(2, 1, 0))
+        with pytest.raises(ValueError, match="deviates from 1 by more than 1e-09"):
+            TwoPhotonState(4, state.basis, state.rows, state.cols, state.vals * scale)
+        with pytest.raises(ValueError, match="deviates from 1 by more than 1e-09"):
+            TwoPhotonState.from_amplitudes(4, {k: v * scale for k, v in state.amps.items()})
+
+    def test_constructor_accepts_a_norm_within_the_tolerance(self):
+        state = make_bell_state(4, BellIndex(2, 1, 0))
+        for scale in (1 + NORM_TOL / 2, 1 - NORM_TOL / 2):
+            near = TwoPhotonState(4, state.basis, state.rows, state.cols, state.vals * scale)
+            assert abs(oracle_norm(near) - 1.0) <= NORM_TOL
 
     def test_bell_index_labels(self):
         idx = BellIndex(2, 1, 0)
@@ -356,6 +379,12 @@ class TestStateRepresentation:
         # a label is "psi" followed by digits: not "psi0True0" or "psi01.00"
         with pytest.raises(ValueError, match="must be an integer"):
             BellIndex(*jnm)
+
+    @pytest.mark.parametrize("path", [True, False, 1.0, -1, "1"])
+    def test_mode_rejects_a_bool_or_non_integer_path(self, path):
+        # Mode("A", True) used to label itself "ATrue" and equal Mode("A", 1)
+        with pytest.raises(ValueError, match="path index must be a nonnegative integer"):
+            Mode(A, path)
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
     def test_bell_labels_are_distinct(self, dim):
