@@ -48,6 +48,10 @@ from .references import load_reference_tables, diff_against_reference
 from .states import BellIndex, all_bell_indices
 
 _CAPACITY_TEXT_TOL = 0.01  # two-decimal quotes are checked at this slack
+# Both sides of the closed-form check are math.log2 of a group count, so equal
+# counts agree exactly; this slack is far below log2(n + 1) - log2(n), the gap
+# between neighbouring counts, so it cannot hide one group more or less.
+_CAPACITY_CLOSED_FORM_TOL = 1e-12
 
 
 def labelled_states(setup: str, dim: int):
@@ -134,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     for setup, name in ((SETUP_FIG1, "table1"), (SETUP_FIG2, "table2")):
         table = classify(prepared[setup], network_for_setup(setup, 4), MODEL_PNRD, POLICY_STRICT)
-        diffs = diff_against_reference(table, reference.groups_for(setup))
+        diffs = diff_against_reference(table, reference.tables[setup])
         if diffs:
             print(f"{name} ({setup}): MISMATCH")
             for line in diffs:
@@ -154,7 +158,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             expected = reference.capacities[setup][model]
             closed_form = math.log2(expected["groups"])
             quoted = float(expected["bits_text"])
-            ok = abs(cap - closed_form) < 1e-12 and abs(cap - quoted) <= _CAPACITY_TEXT_TOL
+            ok = abs(cap - closed_form) < _CAPACITY_CLOSED_FORM_TOL and abs(cap - quoted) <= _CAPACITY_TEXT_TOL
             status = "ok" if ok else "MISMATCH"
             print(
                 f"capacity {setup} {model}/{policy}: {cap:.3f} bits "
@@ -240,8 +244,9 @@ def cmd_sdc(args: argparse.Namespace) -> int:
         f"({usable} usable groups of {len(report.table.groups)})"
     )
     print(f"{'message':<9} {'group':>5}  decoded counts")
+    own_groups = {label: g.index for g in report.table.groups for label in g.members}
     for label, per_group in report.message_counts.items():
-        own = report.table.group_of(label).index
+        own = own_groups[label]
         decoded = ", ".join(f"{gid}:{count}" for gid, count in sorted(per_group.items()))
         print(f"{label:<9} {own:>5}  {decoded}")
     return 0

@@ -19,7 +19,7 @@ from .detection import (
     MODEL_PNRD, MODELS, _check_shots_and_seed, outcome_distribution, outcome_table, sample,
 )
 from .grouping import GroupTable, POLICIES, POLICY_STRICT, _partition, channel_capacity
-from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, evolve, network_for_setup
+from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, _require_fig2_dim, evolve, network_for_setup
 from .states import BellIndex, TwoPhotonState, all_bell_indices, encode, make_bell_state, make_hyper_state
 
 
@@ -41,6 +41,9 @@ class SdcConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         _check_shots_and_seed(self.shots, self.seed)
+        # numpy integers pass the check but not json.dumps of the report
+        object.__setattr__(self, "shots", int(self.shots))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,14 @@ class SdcReport:
 
 
 def prepared_state(setup: str, dim: int, idx: BellIndex) -> TwoPhotonState:
-    """Bell state ``idx`` as a setup takes it: with the polarization ancilla for fig2."""
-    return make_hyper_state(idx) if setup == SETUP_FIG2 else make_bell_state(dim, idx)
+    """Bell state ``idx`` as a setup takes it: with the polarization ancilla for fig2.
+
+    fig2 takes only ``dim`` 4, and rejects another as ``network_for_setup`` does.
+    """
+    if setup == SETUP_FIG2:
+        _require_fig2_dim(dim)
+        return make_hyper_state(idx)
+    return make_bell_state(dim, idx)
 
 
 def reference_state(setup: str) -> TwoPhotonState:

@@ -71,12 +71,6 @@ class GroupTable:
         # final size, which only a full garbage collection empties.
         return tuple([g for g in self.groups if not g.quarantined])
 
-    def group_of(self, label: str) -> StateGroup:
-        for group in self.groups:
-            if label in group.members:
-                return group
-        raise KeyError(label)
-
     def decoder(self) -> dict[str, int]:
         """Outcome label -> group index map; total over the union of supports."""
         return {o: g.index for g in self.groups for o in g.support}

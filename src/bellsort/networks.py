@@ -86,10 +86,12 @@ class NetworkSpec:
 
     @cached_property
     def unitary(self) -> SinglePhotonUnitary:
-        composed = self.stages[0].unitary
+        """The stage matrices multiplied in stage order, checked once as one unitary."""
+        first, last = self.stages[0].unitary, self.stages[-1].unitary
+        product = first.matrix
         for stage in self.stages[1:]:
-            composed = stage.unitary @ composed
-        return composed
+            product = stage.unitary.matrix @ product
+        return SinglePhotonUnitary(first.in_modes, last.out_modes, product)
 
 
 def _stage(
@@ -132,6 +134,11 @@ def _analyzer(mode: Mode) -> _Images:
     return ((plus, _INV_SQRT2), (minus, sign * _INV_SQRT2))
 
 
+def _require_fig2_dim(dim: int) -> None:
+    if dim != 4:
+        raise ValueError("the ancilla-assisted setup is defined for dimension 4")
+
+
 @lru_cache(maxsize=16)
 def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
     """The measurement network of a setup, built once per (setup, dim).
@@ -148,8 +155,7 @@ def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
         modes = path_modes(dim)
         stages = (NetworkStage("bs_hadamard", _stage(modes, modes, _beam_splitter)),)
     elif setup == SETUP_FIG2:
-        if dim != 4:
-            raise ValueError("the ancilla-assisted setup is defined for dimension 4")
+        _require_fig2_dim(dim)
         linear, diagonal = polarized_modes(dim, POL_LINEAR), polarized_modes(dim, POL_DIAGONAL)
         stages = (
             NetworkStage("pbs0_rail_swap", _stage(linear, linear, _rail_swap)),
@@ -171,7 +177,9 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
     mode outside ``network.in_modes``. Norm is preserved (checked within
     1e-9; a NaN amplitude fails it) and amplitudes below 1e-12 are pruned.
     """
-    psi = state.to_matrix(network.in_modes)
+    rows, cols = state._pairs_in(network.in_modes)
+    psi = np.zeros((len(network.in_modes),) * 2, dtype=state.vals.dtype)
+    psi[rows, cols] = psi[cols, rows] = state.vals
     out = network.matrix @ psi @ network.transposed
     rows, cols, vals = _upper_triangle(len(network.out_modes), out)
     # a complex network can still give exactly real amplitudes

@@ -44,13 +44,10 @@ class ReferenceGroup:
 
 @dataclass(frozen=True)
 class ReferenceTables:
-    """The two reference groupings plus the expected capacity figures."""
+    """The two reference groupings, keyed by setup in ``tables``, plus the expected capacity figures."""
 
     tables: dict[str, tuple[ReferenceGroup, ...]]
     capacities: dict
-
-    def groups_for(self, setup: str) -> tuple[ReferenceGroup, ...]:
-        return self.tables[setup]
 
 
 _TABLE_SHAPE = '{"groups": [{"id": int, "members": [str], "outcomes": [str]}, ...]}'

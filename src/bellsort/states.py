@@ -69,7 +69,6 @@ from .modes import (
 # Numeric thresholds shared across the package.
 AMP_PRUNE = 1e-12  # |psi| below this is dropped from a state's support
 NORM_TOL = 1e-9  # a constructed or evolved state must have norm 1 within this
-PHASE_TOL = 1e-9  # per-amplitude slack of TwoPhotonState.approx_equal
 UNITARY_TOL = 1e-10  # max |U U^dagger - 1| entry of a SinglePhotonUnitary
 
 
@@ -340,44 +339,6 @@ class TwoPhotonState:
         remap = np.array([index.get(m, -1) for m in self.basis], dtype=np.intp)
         return remap[self.rows], remap[self.cols]
 
-    def to_matrix(self, basis: tuple) -> np.ndarray:
-        """Dense symmetric amplitude matrix over ``basis``; raises as :meth:`_pairs_in`."""
-        rows, cols = self._pairs_in(basis)
-        out = np.zeros((len(basis), len(basis)), dtype=self.vals.dtype)
-        out[rows, cols] = self.vals
-        out[cols, rows] = self.vals
-        return out
-
-    # -- comparison --------------------------------------------------------
-
-    def approx_equal(
-        self,
-        other: "TwoPhotonState",
-        *,
-        tol: float = PHASE_TOL,
-        up_to_phase: bool = True,
-    ) -> bool:
-        """Per-amplitude comparison, by default up to a global phase.
-
-        The global phase is quotiented out using the phase of this state's
-        largest-magnitude amplitude.
-        """
-        if self.dim != other.dim:
-            return False
-        phase_self = phase_other = 1.0 + 0.0j
-        if up_to_phase:
-            ref = max(self.amps, key=lambda k: abs(self.amps[k]))
-            a, b = self.amps[ref], other.amps.get(ref, 0.0)
-            if abs(b) < AMP_PRUNE:
-                return False
-            phase_self, phase_other = a / abs(a), b / abs(b)
-        for key in set(self.amps) | set(other.amps):
-            va = self.amps.get(key, 0.0) / phase_self
-            vb = other.amps.get(key, 0.0) / phase_other
-            if abs(va - vb) > tol:
-                return False
-        return True
-
 
 def _upper_triangle(size: int, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, cols and values of the upper triangle, pruned; raises if the norm is off 1."""
@@ -441,12 +402,6 @@ class SinglePhotonUnitary:
     @cached_property
     def transposed(self) -> np.ndarray:
         return _frozen(np.ascontiguousarray(self.matrix.T))[0]
-
-    def __matmul__(self, earlier: "SinglePhotonUnitary") -> "SinglePhotonUnitary":
-        """Compose: ``later @ earlier`` applies ``earlier`` first."""
-        if earlier.out_modes != self.in_modes:
-            raise ValueError("mode bases do not line up for composition")
-        return SinglePhotonUnitary(earlier.in_modes, self.out_modes, self.matrix @ earlier.matrix)
 
 
 # -- Bell family construction ------------------------------------------------

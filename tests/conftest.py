@@ -1,4 +1,4 @@
-"""Shared test helpers: two independent oracles and generators.
+"""Shared test helpers: two independent oracles, a state comparison and generators.
 
 The first-quantized oracle deliberately avoids the library's matrix-sandwich
 evolution: it expands a state into the ordered two-photon basis |i1>|i2>
@@ -19,6 +19,32 @@ import numpy as np
 
 from bellsort import SinglePhotonUnitary, TwoPhotonState
 from bellsort.modes import Mode
+from bellsort.states import AMP_PRUNE
+
+PHASE_TOL = 1e-9  # per-amplitude slack of approx_equal
+
+
+def approx_equal(
+    a: TwoPhotonState, b: TwoPhotonState, *, tol: float = PHASE_TOL, up_to_phase: bool = True
+) -> bool:
+    """Per-amplitude comparison of two states, by default up to a global phase.
+
+    The global phase is quotiented out using the phase of ``a``'s
+    largest-magnitude amplitude.
+    """
+    if a.dim != b.dim:
+        return False
+    phase_a = phase_b = 1.0 + 0.0j
+    if up_to_phase:
+        ref = max(a.amps, key=lambda k: abs(a.amps[k]))
+        va, vb = a.amps[ref], b.amps.get(ref, 0.0)
+        if abs(vb) < AMP_PRUNE:
+            return False
+        phase_a, phase_b = va / abs(va), vb / abs(vb)
+    return all(
+        abs(a.amps.get(key, 0.0) / phase_a - b.amps.get(key, 0.0) / phase_b) <= tol
+        for key in set(a.amps) | set(b.amps)
+    )
 
 
 def first_quantized_vector(state: TwoPhotonState, basis: tuple[Mode, ...]) -> np.ndarray:

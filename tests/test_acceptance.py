@@ -7,14 +7,12 @@ report lines.
 import math
 
 import numpy as np
-import pytest
 
 from bellsort import (
     BellIndex,
     SdcConfig,
     all_bell_indices,
     channel_capacity,
-    classify,
     diff_against_reference,
     encode,
     encoding_unitary,
@@ -30,7 +28,7 @@ from bellsort import (
 )
 from bellsort.cli import compute_table, main
 from bellsort.modes import path_modes
-from conftest import oracle_evolve, oracle_inner, random_two_photon_state, random_unitary
+from conftest import approx_equal, oracle_evolve, oracle_inner, random_two_photon_state, random_unitary
 
 REFERENCE = load_reference_tables()
 
@@ -48,22 +46,22 @@ def table_content(table):
 
 def test_criterion_1_beam_splitter_table_reproduction():
     table = compute_table("fig1", 4, "pnrd", "strict")
-    expected = {ref.members: ref.outcomes for ref in REFERENCE.groups_for("fig1")}
+    expected = {ref.members: ref.outcomes for ref in REFERENCE.tables["fig1"]}
     ok = (
         len(table.groups) == 7
         and table_content(table) == expected
-        and diff_against_reference(table, REFERENCE.groups_for("fig1")) == []
+        and diff_against_reference(table, REFERENCE.tables["fig1"]) == []
     )
     report("criterion 1: beam-splitter setup reproduces the 7-group table exactly", ok)
 
 
 def test_criterion_2_ancilla_table_reproduction():
     table = compute_table("fig2", 4, "pnrd", "strict")
-    expected = {ref.members: ref.outcomes for ref in REFERENCE.groups_for("fig2")}
+    expected = {ref.members: ref.outcomes for ref in REFERENCE.tables["fig2"]}
     ok = (
         len(table.groups) == 12
         and table_content(table) == expected
-        and diff_against_reference(table, REFERENCE.groups_for("fig2")) == []
+        and diff_against_reference(table, REFERENCE.tables["fig2"]) == []
     )
     report("criterion 2: ancilla-assisted setup reproduces the 12-group table exactly", ok)
 
@@ -171,7 +169,7 @@ def test_criterion_7_property_suites():
     # encoding one photon of the reference equals direct construction
     ref = reference_state("fig1")
     encode_ok = all(
-        encode(ref, idx, "second").approx_equal(make_bell_state(4, idx))
+        approx_equal(encode(ref, idx, "second"), make_bell_state(4, idx))
         for idx in all_bell_indices(4)
     )
 

@@ -12,10 +12,12 @@ from bellsort import (
     all_bell_indices,
     make_bell_state,
     make_hyper_state,
+    network_for_setup,
     reference_state,
     dense_coding,
     run_sdc,
 )
+from conftest import approx_equal
 
 
 def count_calls(monkeypatch, *names):
@@ -65,17 +67,29 @@ class TestConfig:
         report = run_sdc(SdcConfig(shots=np.int64(3), seed=np.uint8(5)))
         assert report.message_counts == run_sdc(SdcConfig(shots=3, seed=5)).message_counts
 
+    def test_numpy_integers_are_stored_as_int(self):
+        # json.dumps raised TypeError on the np.int64 shots and seed of the report
+        config = SdcConfig(shots=np.int64(3), seed=np.int64(1))
+        assert (type(config.shots), type(config.seed)) == (int, int)
+        expected = json.dumps(run_sdc(SdcConfig(shots=3, seed=1)).to_dict())
+        assert json.dumps(run_sdc(config).to_dict()) == expected
+
 
 class TestReferenceState:
     def test_fig1_reference(self):
-        assert reference_state("fig1").approx_equal(
-            make_bell_state(4, BellIndex(0, 0, 0)), up_to_phase=False
-        )
+        assert approx_equal(reference_state("fig1"), make_bell_state(4, BellIndex(0, 0, 0)), up_to_phase=False)
 
     def test_fig2_reference(self):
-        assert reference_state("fig2").approx_equal(
-            make_hyper_state(BellIndex(0, 0, 0)), up_to_phase=False
-        )
+        assert approx_equal(reference_state("fig2"), make_hyper_state(BellIndex(0, 0, 0)), up_to_phase=False)
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_fig2_rejects_another_dimension(self, dim):
+        # dim was ignored: fig2 at dim 2 returned the d = 4 hyper state
+        message = "the ancilla-assisted setup is defined for dimension 4"
+        with pytest.raises(ValueError, match=message):
+            network_for_setup("fig2", dim)
+        with pytest.raises(ValueError, match=message):
+            dense_coding.prepared_state("fig2", dim, BellIndex(0, 0, 0))
 
 
 class TestRoundTrip:
@@ -83,9 +97,9 @@ class TestRoundTrip:
     def test_every_message_decodes_to_its_own_group(self, setup):
         report = run_sdc(SdcConfig(setup=setup, shots=200, seed=5))
         assert report.accuracy == 1.0
+        own_groups = {label: g.index for g in report.table.groups for label in g.members}
         for label, per_group in report.message_counts.items():
-            own = report.table.group_of(label).index
-            assert per_group == {own: 200}
+            assert per_group == {own_groups[label]: 200}
 
     def test_every_message_single_shot(self):
         report = run_sdc(SdcConfig(shots=1))

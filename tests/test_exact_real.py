@@ -26,7 +26,7 @@ from bellsort import (
 from bellsort.dense_coding import reference_state
 from bellsort.modes import Mode, path_modes
 from bellsort.states import AMP_PRUNE
-from conftest import oracle_evolve, random_two_photon_state, random_unitary
+from conftest import first_quantized_vector, oracle_evolve, random_two_photon_state, random_unitary
 
 DIMS = (2, 4, 8, 16, 32)
 
@@ -44,6 +44,12 @@ ENCODE_CASES = [
     if dim != 4
     for which in ("first", "second")
 ]
+
+
+def complex_matrix(state, basis):
+    """The state's complex128 amplitude matrix over ``basis``, read from ``amps`` rather than
+    through the scatter ``evolve`` uses."""
+    return first_quantized_vector(state, basis).reshape(len(basis), len(basis))
 
 
 def complex_upper_triangle(matrix):
@@ -74,7 +80,7 @@ def complex_evolution_mismatches(pairs):
     mismatches = []
     for position, (state, network) in enumerate(pairs):
         uc = network.matrix.astype(np.complex128)
-        psic = state.to_matrix(network.in_modes).astype(np.complex128)
+        psic = complex_matrix(state, network.in_modes)
         defects = bit_defects(evolve(state, network), *complex_upper_triangle(uc @ psic @ uc.T))
         if defects:
             mismatches.append((position, defects))
@@ -118,7 +124,7 @@ class TestBitIdentityWithComplexEvolution:
             reference = make_bell_state(dim, BellIndex(0, 0, 0))
         slots = len(reference.basis) // (2 * dim)
         encoded_arm = np.diag([1.0, 0.0] if which_photon == "first" else [0.0, 1.0])
-        psic = reference.to_matrix(reference.basis).astype(np.complex128)
+        psic = complex_matrix(reference, reference.basis)
         for idx in all_bell_indices(dim):
             path = encoding_unitary(dim, idx).matrix.astype(np.complex128)
             full = np.kron(np.eye(2) - encoded_arm, np.eye(dim * slots)) + np.kron(

@@ -17,11 +17,12 @@ from bellsort import (
     load_reference_tables, make_bell_state, make_hyper_state, network_for_setup, networks, states,
 )
 from bellsort.cli import compute_table
-from bellsort.detection import MODEL_PNRD, outcome_table
+from bellsort.detection import MODEL_PNRD, OutcomeDistribution, outcome_table
 from bellsort.modes import ARMS, Mode, path_modes
 from test_builder import builder_defects
 from test_cli import copy_references
 from test_cli_golden import golden_digest_mismatches
+from test_detection import guarded_distributions, sampling_mismatches
 from test_exact_real import cli_pairs, complex_evolution_mismatches
 from test_networks import (
     INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches, oracle_mismatches, random_oracle_cases,
@@ -127,9 +128,21 @@ def test_reference_diff_catches_an_outcome_moved_between_groups(tmp_path):
     path.write_text(json.dumps(data))
 
     table = compute_table("fig1", 4, "pnrd", "strict")
-    diffs = diff_against_reference(table, load_reference_tables(tmp_path).groups_for("fig1"))
+    diffs = diff_against_reference(table, load_reference_tables(tmp_path).tables["fig1"])
     assert diffs == [
         f"reference group 2 (psi100, psi101): unexpected outcomes [{moved!r}]",
         f"reference group 3 (psi110, psi111): missing outcomes [{moved!r}]",
     ]
-    assert diff_against_reference(table, load_reference_tables().groups_for("fig1")) == []
+    assert diff_against_reference(table, load_reference_tables().tables["fig1"]) == []
+
+
+def test_sampling_guard_catches_a_draw_in_outcome_id_order(monkeypatch):
+    # below ten paths the label order is the id order, so only the 32-mode
+    # (d = 16) distributions can show it ("A10" sorts before "A2")
+    with monkeypatch.context() as patch:
+        patch.setattr(OutcomeDistribution, "order", property(lambda dist: np.argsort(dist.ids, kind="stable")))
+        dists = list(guarded_distributions())
+        mismatches = sampling_mismatches(dists, 100_000, 0)
+    assert mismatches
+    assert {len(dists[i].table.basis) for i in mismatches} == {32}
+    assert sampling_mismatches(list(guarded_distributions()), 100_000, 0) == []

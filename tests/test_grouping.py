@@ -51,18 +51,18 @@ class TestTableReproduction:
     def test_fig1_reproduces_reference_table(self):
         table = compute_table("fig1", 4, "pnrd", "strict")
         assert len(table.groups) == 7
-        assert diff_against_reference(table, REFERENCE.groups_for("fig1")) == []
+        assert diff_against_reference(table, REFERENCE.tables["fig1"]) == []
         # the 7-row enumeration order also matches the reference numbering
-        for group, ref in zip(table.groups, REFERENCE.groups_for("fig1")):
+        for group, ref in zip(table.groups, REFERENCE.tables["fig1"]):
             assert frozenset(group.members) == ref.members
             assert group.support == ref.outcomes
 
     def test_fig2_reproduces_reference_table(self):
         table = compute_table("fig2", 4, "pnrd", "strict")
         assert len(table.groups) == 12
-        assert diff_against_reference(table, REFERENCE.groups_for("fig2")) == []
+        assert diff_against_reference(table, REFERENCE.tables["fig2"]) == []
         assert as_content(table) == {
-            ref.members: ref.outcomes for ref in REFERENCE.groups_for("fig2")
+            ref.members: ref.outcomes for ref in REFERENCE.tables["fig2"]
         }
 
     def test_fig2_matches_its_closed_form(self):

@@ -1,10 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a module imports is used in that module.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module of
-``src/bellsort`` is parsed with :mod:`ast`, and every name bound by an
-``import`` or ``from ... import`` must be read somewhere in it, in code or
-in a string annotation. ``__init__.py`` is skipped, because it imports
-names to re-export them.
+``src/bellsort``, ``tests`` and ``demos`` is parsed with :mod:`ast`, and
+every name bound by an ``import`` or ``from ... import`` must be read
+somewhere in it, in code or in a string annotation. The package's
+``__init__.py`` is skipped, because it imports names to re-export them.
 """
 
 import ast
@@ -12,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bellsort"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bellsort"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    p for folder in ("tests", "demos") for p in (ROOT / folder).glob("*.py")
+)
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -48,10 +51,18 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_every_module_is_checked():
-    assert {p.name for p in MODULES} >= {"states.py", "detection.py", "dense_coding.py", "cli.py"}
+    names = {p.relative_to(ROOT).as_posix() for p in MODULES}
+    assert names >= {
+        "src/bellsort/states.py", "src/bellsort/cli.py", "tests/conftest.py", "demos/bell_state_sorting.py"
+    }
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def module_id(path):
+    """A package module by its file name, any other by its folder and name."""
+    return path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
