@@ -28,6 +28,7 @@ from typing import Sequence
 
 from . import __version__
 from .detection import (
+    MAX_SHOTS,
     MODEL_PNRD,
     MODEL_THRESHOLD,
     MODELS,
@@ -255,10 +256,10 @@ def cmd_sdc(args: argparse.Namespace) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
+def _shot_count(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= value <= MAX_SHOTS:
+        raise argparse.ArgumentTypeError(f"must be >= 1 and <= {MAX_SHOTS}, got {value}")
     return value
 
 
@@ -318,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--state", type=_bell_index, required=True, help="Bell index as 'j,n,m'")
     add_common(p_sample, with_policy=False)
     p_sample.add_argument("--dim", type=int, choices=[2, 4], default=4)
-    p_sample.add_argument("--shots", type=_positive_int, default=100000)
+    p_sample.add_argument("--shots", type=_shot_count, default=100000)
     p_sample.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sample.set_defaults(func=cmd_sample)
 
     p_sdc = sub.add_parser("sdc", help="run the superdense-coding protocol end to end")
     add_common(p_sdc, formats=("text", "json"))
-    p_sdc.add_argument("--shots", type=_positive_int, default=1000)
+    p_sdc.add_argument("--shots", type=_shot_count, default=1000)
     p_sdc.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sdc.set_defaults(func=cmd_sdc)
 

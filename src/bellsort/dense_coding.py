@@ -104,7 +104,7 @@ def run_sdc(config: SdcConfig) -> SdcReport:
     reference = reference_state(config.setup)
     unitary = network_for_setup(config.setup).unitary
     dists = {
-        idx.label: outcome_distribution(evolve(encode(reference, idx, "second"), unitary), config.model)
+        idx.label: outcome_distribution(evolve(encode(reference, idx), unitary), config.model)
         for idx in all_bell_indices(4)
     }
     table = _partition(

@@ -39,6 +39,7 @@ MODEL_THRESHOLD = "threshold"
 MODELS = (MODEL_PNRD, MODEL_THRESHOLD)
 
 RNG_ALGORITHM = "PCG64"
+MAX_SHOTS = int(np.iinfo(np.int64).max)  # the largest count numpy's multinomial draws
 
 
 class OutcomeTable(dict):
@@ -140,7 +141,7 @@ def _has_single_click(ids: Iterable[int], table: OutcomeTable) -> bool:
 
 
 def _check_shots_and_seed(shots: int, seed: int) -> None:
-    """Raise unless ``shots`` is an integer >= 1 and ``seed`` an integer >= 0.
+    """Raise unless ``shots`` is an integer in [1, MAX_SHOTS] and ``seed`` an integer >= 0.
 
     A bool is an int but no count, and a float would be truncated by the
     draw while callers count it whole, so both are rejected; numpy
@@ -149,6 +150,8 @@ def _check_shots_and_seed(shots: int, seed: int) -> None:
     for name, value, least in (("shots", shots, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if shots > MAX_SHOTS:  # more would overflow inside the draw
+        raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots!r}")
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> Counter[str]:

@@ -173,13 +173,15 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
     The symmetric amplitude function transforms as
     psi'(o1, o2) = sum over i1, i2 of U[o1, i1] U[o2, i2] psi(i1, i2),
     computed as the matrix sandwich U psi U^T on a transient dense matrix,
-    with U^T the cached ``network.transposed``. Raises if the state has a
-    mode outside ``network.in_modes``. Norm is preserved (checked within
-    1e-9; a NaN amplitude fails it) and amplitudes below 1e-12 are pruned.
+    with U^T the cached ``network.transposed``. Raises ValueError unless
+    ``state.basis == network.in_modes``; ``network.out_modes`` may be in any
+    order. Norm is preserved (checked within 1e-9; a NaN amplitude fails it)
+    and amplitudes below 1e-12 are pruned.
     """
-    rows, cols = state._pairs_in(network.in_modes)
+    if state.basis != network.in_modes:
+        raise ValueError("the state is not stored in the network's input basis")
     psi = np.zeros((len(network.in_modes),) * 2, dtype=state.vals.dtype)
-    psi[rows, cols] = psi[cols, rows] = state.vals
+    psi[state.rows, state.cols] = psi[state.cols, state.rows] = state.vals
     out = network.matrix @ psi @ network.transposed
     rows, cols, vals = _upper_triangle(len(network.out_modes), out)
     # a complex network can still give exactly real amplitudes

@@ -69,9 +69,10 @@ def _parse_table(name: str, data) -> tuple[ReferenceGroup, ...]:
 
 
 def _is_group_row(row) -> bool:
+    # `type(...) is int`, not isinstance: JSON true parses to a bool, which is an int
     return (
         isinstance(row, dict)
-        and isinstance(row.get("id"), int)
+        and type(row.get("id")) is int
         and all(_is_str_list(row.get(key)) for key in ("members", "outcomes"))
     )
 
@@ -86,7 +87,7 @@ def _check_capacities(data) -> dict:
         entries = [data[setup][model] for setup in (SETUP_FIG1, SETUP_FIG2) for model in MODELS]
         for entry in entries:
             float(entry["bits_text"])  # verify compares it as a number
-        ok = all(isinstance(e["groups"], int) and e["groups"] >= 1 for e in entries)
+        ok = all(type(e["groups"]) is int and e["groups"] >= 1 for e in entries)  # not a bool
     except (KeyError, TypeError, ValueError):
         ok = False
     if not ok:

@@ -11,7 +11,7 @@ with x0, x1 the low/high bits of x; for d = 2 the four standard Bell states
 (m is fixed to 0). The same XOR pairing defines the local encoding unitary
 U(j, n, m)|x> = (-1)**(n*x0 + m*x1) |x XOR j>, which maps the reference
 state |psi(0, 0, 0)> onto any other member of the family when applied to
-one photon.
+the second photon (arm B), the one the sender of superdense coding holds.
 
 States are symmetric amplitude functions over unordered mode pairs. A Fock
 state with photons in distinct modes m1, m2 has psi(m1, m2) = psi(m2, m1) =
@@ -28,6 +28,7 @@ Mode-pair view of the same data for inspection and tests. An encoding
 unitary is a signed permutation of modes, so :func:`encode` never builds a
 matrix: it maps each stored pair's indices to their images, flips the sign
 of its amplitude where U does, and sorts the pairs back into that order.
+Neither it nor evolution re-indexes a state onto another basis.
 Every state has unit norm within ``NORM_TOL``, so Born probabilities can
 be read off it without a second check. Calling :class:`TwoPhotonState`
 checks the arrays and the norm; the Bell and hyper states, :func:`encode`
@@ -54,7 +55,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .modes import (
-    ARM_FIRST,
     ARM_SECOND,
     Mode,
     ModeBasis,
@@ -258,8 +258,8 @@ class TwoPhotonState:
         The caller guarantees what the class would check: a ModeBasis, intp
         ``rows`` and ``cols`` and exact-dtype ``vals`` of one nonzero
         length, with 0 <= row <= col < len(basis). Only the basis is checked
-        against ``dim``, which is what rejects evolving a state through a
-        network of a larger dimension.
+        against ``dim``: a network may map a state's modes onto output
+        modes outside its dimension.
         """
         _check_basis(basis, dim)
         _frozen(rows, cols, vals)
@@ -323,21 +323,6 @@ class TwoPhotonState:
                 for i, k, a in zip(self.rows.tolist(), self.cols.tolist(), vals)
             }
         )
-
-    def _pairs_in(self, basis: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The stored pairs' rows and cols as positions in ``basis`` (not reordered).
-
-        Raises if a mode of the support is not in ``basis``.
-        """
-        if basis is self.basis or basis == self.basis:
-            return self.rows, self.cols
-        index = _positions(as_basis(basis))
-        used = np.unique(np.concatenate((self.rows, self.cols))).tolist()
-        missing = sorted(self.basis[i].label for i in used if self.basis[i] not in index)
-        if missing:
-            raise ValueError(f"state modes not covered by the basis: {', '.join(missing)}")
-        remap = np.array([index.get(m, -1) for m in self.basis], dtype=np.intp)
-        return remap[self.rows], remap[self.cols]
 
 
 def _upper_triangle(size: int, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,36 +392,33 @@ class SinglePhotonUnitary:
 # -- Bell family construction ------------------------------------------------
 
 
-_ARM_OF_PHOTON = {"first": ARM_FIRST, "second": ARM_SECOND}
-
-
 @lru_cache(maxsize=128)
-def _xor_positions(basis: ModeBasis, arm: str, j: int) -> np.ndarray:
-    """Position of (arm, x XOR j, pol) for each mode (arm, x, pol) of ``basis``; others stay."""
+def _xor_positions(basis: ModeBasis, j: int) -> np.ndarray:
+    """Position of (B, x XOR j, pol) for each arm-B mode (B, x, pol) of ``basis``; arm-A modes stay."""
     index = _positions(basis)
-    moved = [index[Mode(m.arm, m.path ^ j, m.pol)] if m.arm == arm else i for i, m in enumerate(basis)]
+    moved = [index[Mode(m.arm, m.path ^ (j if m.arm == ARM_SECOND else 0), m.pol)] for m in basis]
     return _frozen(np.array(moved, dtype=np.intp))[0]
 
 
 @lru_cache(maxsize=128)
-def _arm_signs(basis: ModeBasis, arm: str, n: int, m: int) -> np.ndarray:
-    """(-1)**(n*x0 + m*x1) for each mode of ``basis`` in ``arm``, 1 elsewhere."""
+def _arm_signs(basis: ModeBasis, n: int, m: int) -> np.ndarray:
+    """(-1)**(n*x0 + m*x1) for each arm-B mode of ``basis``, 1 on arm A."""
     paths = np.array([mode.path for mode in basis])
-    in_arm = np.array([mode.arm == arm for mode in basis])
-    return _frozen(np.where(in_arm, _sign(paths, n, m), 1).astype(float))[0]
+    on_b = np.array([mode.arm == ARM_SECOND for mode in basis])
+    return _frozen(np.where(on_b, _sign(paths, n, m), 1).astype(float))[0]
 
 
 def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, coeff: float) -> TwoPhotonState:
     """The state sum_x (-1)**(n*x0 + m*x1) coeff |x>_A |x XOR j>_B in every slot of ``basis``.
 
     ``basis`` is ordered arm, path, slot: arm-A mode p pairs with arm-B mode
-    p + half, moved the way encoding the second photon moves it.
+    p + half, which has the same path sign and moves as :func:`encode` moves it.
     """
     half = len(basis) // 2
     # c * |1_a, 1_b> with a != b is stored as c / sqrt(2); the signs are
     # +-1, so scaling them by one rounded factor is exact
-    vals = _arm_signs(basis, ARM_FIRST, idx.n, idx.m)[:half] * (coeff / math.sqrt(2.0))
-    cols = _xor_positions(basis, ARM_SECOND, idx.j)[half:]
+    vals = _arm_signs(basis, idx.n, idx.m)[half:] * (coeff / math.sqrt(2.0))
+    cols = _xor_positions(basis, idx.j)[half:]
     return TwoPhotonState._build(dim, basis, np.arange(half, dtype=np.intp), cols, vals)
 
 
@@ -477,28 +459,27 @@ def encoding_unitary(dim: int, idx: BellIndex) -> SinglePhotonUnitary:
     return SinglePhotonUnitary(paths, paths, mat)
 
 
-def encode(state: TwoPhotonState, idx: BellIndex, which_photon: str) -> TwoPhotonState:
-    """Encode a message on one photon of a shared pair.
+def encode(state: TwoPhotonState, idx: BellIndex) -> TwoPhotonState:
+    """Encode a message on the second photon (arm B) of a shared pair.
 
-    Applying ``encode(reference, idx, 'second')`` to the reference state
-    |psi(0,0,0)> yields make_bell_state(d, idx); on a hyperentangled
-    reference the polarization factor rides along unchanged. U is a signed
-    permutation of modes, so psi -> U psi U^T moves each pair and flips signs:
-    exactly the bits of the dense product, in the state's mode space. The
-    norm is unchanged, so it is not checked again and the result is never
-    empty.
+    Applying ``encode(reference, idx)`` to the reference state |psi(0,0,0)>
+    yields make_bell_state(d, idx); on a hyperentangled reference the
+    polarization factor rides along unchanged. The state must be stored in
+    the full canonical mode space of its dimension and polarization, as the
+    Bell and hyper states are, or ValueError is raised. U is a signed
+    permutation of modes, so psi -> U psi U^T moves each pair and flips
+    signs: exactly the bits of the dense product. The norm is unchanged, so
+    it is not checked again and the result is never empty.
     """
     _require_power_of_two(state.dim)
     idx.validate_for(state.dim)
-    if which_photon not in _ARM_OF_PHOTON:
-        raise ValueError(f"which_photon must be 'first' or 'second', got {which_photon!r}")
-    arm = _ARM_OF_PHOTON[which_photon]
-    basis = _mode_space(state.dim, {state.basis[0].pol})
-    rows, cols = state._pairs_in(basis)
-    signs = _arm_signs(basis, arm, idx.n, idx.m)
-    vals = state.vals * signs[rows] * signs[cols]
-    positions = _xor_positions(basis, arm, idx.j)
-    rows, cols = positions[rows], positions[cols]
+    basis = state.basis
+    if basis != _mode_space(state.dim, {basis[0].pol}):
+        raise ValueError("encode needs a state stored in the full canonical mode space of its dimension")
+    signs = _arm_signs(basis, idx.n, idx.m)
+    vals = state.vals * signs[state.rows] * signs[state.cols]
+    positions = _xor_positions(basis, idx.j)
+    rows, cols = positions[state.rows], positions[state.cols]
     low, high = np.minimum(rows, cols), np.maximum(rows, cols)
     order = np.argsort(low * len(basis) + high)
     order = order[np.abs(vals[order]) >= AMP_PRUNE]

@@ -1,4 +1,5 @@
-"""Shared test helpers: two independent oracles, a state comparison and generators.
+"""Shared test helpers: two independent oracles, a state comparison, generators and
+the enumeration of the (state, network) pairs the CLI evolves.
 
 The first-quantized oracle deliberately avoids the library's matrix-sandwich
 evolution: it expands a state into the ordered two-photon basis |i1>|i2>
@@ -14,14 +15,48 @@ probability from two-boson permanents.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from bellsort import SinglePhotonUnitary, TwoPhotonState
+from bellsort import (
+    BellIndex, SinglePhotonUnitary, TwoPhotonState, all_bell_indices, encode, network_for_setup,
+)
+from bellsort.dense_coding import prepared_state
 from bellsort.modes import Mode
 from bellsort.states import AMP_PRUNE
 
 PHASE_TOL = 1e-9  # per-amplitude slack of approx_equal
+CLI_DIMS = (2, 4, 8, 16, 32)  # fig1 at the CLI's dimensions 2 and 4 and the benchmark sizes
+
+
+class CliPair(NamedTuple):
+    """One state and the network it is evolved through; ``idx`` is the Bell state it is."""
+
+    setup: str
+    idx: BellIndex
+    encoded: bool  # made by encoding the setup's reference, not prepared directly
+    state: TwoPhotonState
+    network: SinglePhotonUnitary
+
+
+def cli_pairs(max_dim: int = max(CLI_DIMS)):
+    """Every (state, network) pair the CLI evolves, and fig1 at the benchmark sizes.
+
+    For fig1 at each of ``CLI_DIMS`` up to ``max_dim`` and fig2 at d = 4:
+    every prepared Bell (fig1) or hyper (fig2) state, then every message
+    encoded on the setup's reference state. The CLI encodes only at d = 4;
+    fig1 is encoded at the other dimensions too. ``max_dim`` caps the size
+    for the oracles that expand a state over all ordered mode pairs.
+    """
+    for setup, dim in [("fig1", dim) for dim in CLI_DIMS] + [("fig2", 4)]:
+        if dim > max_dim:
+            continue
+        network = network_for_setup(setup, dim).unitary
+        reference = prepared_state(setup, dim, BellIndex(0, 0, 0))
+        for idx in all_bell_indices(dim):
+            yield CliPair(setup, idx, False, prepared_state(setup, dim, idx), network)
+            yield CliPair(setup, idx, True, encode(reference, idx), network)
 
 
 def approx_equal(

@@ -166,10 +166,10 @@ def test_criterion_7_property_suites():
             norm_ok = norm_ok and abs(sum(p for _, p in d1.sorted_items()) - 1.0) <= 1e-9
             norm_ok = norm_ok and abs(sum(p for _, p in d2.sorted_items()) - 1.0) <= 1e-9
 
-    # encoding one photon of the reference equals direct construction
+    # encoding the second photon of the reference equals direct construction
     ref = reference_state("fig1")
     encode_ok = all(
-        approx_equal(encode(ref, idx, "second"), make_bell_state(4, idx))
+        approx_equal(encode(ref, idx), make_bell_state(4, idx))
         for idx in all_bell_indices(4)
     )
 
@@ -218,7 +218,7 @@ def test_criterion_9_superdense_coding_round_trip():
             seen = set()
             for label in group.members:
                 idx = index_of[label]
-                dist = outcome_distribution(evolve(encode(ref, idx, "second"), network))
+                dist = outcome_distribution(evolve(encode(ref, idx), network))
                 seen.add(frozenset(sample(dist, 10_000, seed=11).keys()))
             ok = ok and len(seen) == 1
     report(

@@ -11,21 +11,9 @@ with the same dtypes and bytes, and the built arrays must be read-only.
 import numpy as np
 import pytest
 
-from bellsort import (
-    BellIndex,
-    TwoPhotonState,
-    all_bell_indices,
-    encode,
-    evolve,
-    make_bell_state,
-    make_hyper_state,
-    network_for_setup,
-)
-from bellsort.dense_coding import reference_state
+from bellsort import BellIndex, TwoPhotonState, encode, evolve, make_bell_state
 from bellsort.modes import path_modes
-
-DIMS = (2, 4, 8, 16, 32)
-PHOTONS = ("first", "second")
+from conftest import CLI_DIMS, cli_pairs
 
 
 def builder_defects(state: TwoPhotonState) -> list[str]:
@@ -48,36 +36,27 @@ def builder_defects(state: TwoPhotonState) -> list[str]:
     return defects
 
 
-def bell_states(dim):
-    network = network_for_setup("fig1", dim).unitary
-    return [(make_bell_state(dim, idx), network) for idx in all_bell_indices(dim)]
-
-
-def hyper_states():
-    network = network_for_setup("fig2").unitary
-    return [(make_hyper_state(idx), network) for idx in all_bell_indices(4)]
-
-
-def encoded_states(setup, dim):
-    reference = reference_state(setup) if dim == 4 else make_bell_state(dim, BellIndex(0, 0, 0))
-    network = network_for_setup(setup, dim).unitary
+def family(setup, dim, encoded):
+    """The CLI pairs of one setup and dimension, prepared or encoded."""
     return [
-        (encode(reference, idx, which), network) for idx in all_bell_indices(dim) for which in PHOTONS
+        (p.state, p.network)
+        for p in cli_pairs(dim)
+        if (p.setup, p.state.dim, p.encoded) == (setup, dim, encoded)
     ]
 
 
 FAMILIES = (
-    [pytest.param(bell_states, (dim,), id=f"bell-d{dim}") for dim in DIMS]
-    + [pytest.param(hyper_states, (), id="hyper")]
-    + [pytest.param(encoded_states, ("fig2", 4), id="encode-fig2")]
-    + [pytest.param(encoded_states, ("fig1", dim), id=f"encode-fig1-d{dim}") for dim in DIMS]
+    [pytest.param("fig1", dim, False, id=f"bell-d{dim}") for dim in CLI_DIMS]
+    + [pytest.param("fig2", 4, False, id="hyper")]
+    + [pytest.param("fig2", 4, True, id="encode-fig2")]
+    + [pytest.param("fig1", dim, True, id=f"encode-fig1-d{dim}") for dim in CLI_DIMS]
 )
 
 
 class TestBuilderGate:
-    @pytest.mark.parametrize("family,args", FAMILIES)
-    def test_built_and_evolved_states_pass_the_constructor(self, family, args):
-        cases = family(*args)
+    @pytest.mark.parametrize("setup,dim,encoded", FAMILIES)
+    def test_built_and_evolved_states_pass_the_constructor(self, setup, dim, encoded):
+        cases = family(setup, dim, encoded)
         assert cases
         failures = []
         for t, (state, network) in enumerate(cases):
@@ -103,7 +82,7 @@ class TestEncodeOfHandBuiltStates:
     # below the threshold that encode prunes
     def test_pruning_the_only_complex_amplitude_gives_a_real_state(self):
         state = TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [2**-0.5, 1e-13j])
-        encoded = encode(state, BellIndex(1, 1), "second")
+        encoded = encode(state, BellIndex(1, 1))
         assert encoded.vals.dtype == np.float64
         assert builder_defects(encoded) == []
 

@@ -131,18 +131,22 @@ class TestVerify:
         assert len(err.splitlines()) == 1 and str(missing) in err
 
     @pytest.mark.parametrize(
-        "name,text",
+        "name,edit",
         [
-            ("table1.json", '{"groups": ['),
-            ("table1.json", "{}"),
-            ("table2.json", "[1]"),
-            ("capacities.json", '{"fig1": {}}'),
+            ("table1.json", lambda text: '{"groups": ['),
+            ("table1.json", lambda text: "{}"),
+            ("table2.json", lambda text: "[1]"),
+            ("capacities.json", lambda text: '{"fig1": {}}'),
+            # JSON true parses to a bool, which is an int; the two-row case passed as "2/2 tables match"
+            ("table1.json", lambda text: re.sub(r'"id": [12],', '"id": true,', text)),
+            ("capacities.json", lambda text: text.replace('"groups": 7', '"groups": true')),
         ],
-        ids=["not-json", "no-groups", "not-an-object", "no-capacity-entries"],
+        ids=["not-json", "no-groups", "not-an-object", "no-capacity-entries", "bool-ids", "bool-groups"],
     )
-    def test_malformed_reference_json_is_a_usage_error(self, capsys, tmp_path, name, text):
+    def test_malformed_reference_json_is_a_usage_error(self, capsys, tmp_path, name, edit):
         copy_references(tmp_path)
-        (tmp_path / name).write_text(text)
+        path = tmp_path / name
+        path.write_text(edit(path.read_text()))
         code = main(["verify", "--references", str(tmp_path)])
         out, err = capsys.readouterr()
         assert code == 2
@@ -193,6 +197,14 @@ class TestSample:
         with pytest.raises(SystemExit) as excinfo:
             main(["sample", "--state", "1,0,0", "--shots", "0"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", [["sample", "--state", "1,0,0"], ["sdc"]])
+    def test_shots_beyond_the_draw_usage_error(self, command, capsys):
+        # numpy's multinomial overflowed with a traceback and exit 1
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--shots", "100000000000000000000"])
+        assert excinfo.value.code == 2
+        assert "<= 9223372036854775807, got 100000000000000000000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["sample", "--state", "1,0,0"], ["sdc"]])
     def test_negative_seed_usage_error(self, command, capsys):

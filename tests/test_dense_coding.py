@@ -57,6 +57,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="shots must be an integer >= 1"):
             SdcConfig(shots=shots)
 
+    def test_shots_beyond_the_draw_rejected_before_any_evolve(self, monkeypatch):
+        # run_sdc evolved all 16 messages and then overflowed inside numpy's draw
+        calls = count_calls(monkeypatch, "evolve")
+        with pytest.raises(ValueError, match="shots must be at most 9223372036854775807"):
+            run_sdc(SdcConfig(shots=2**64))
+        assert calls == {"evolve": 0}
+
     @pytest.mark.parametrize("seed", [-1, 1.5, 0.0, True, "3", None])
     def test_negative_or_non_integer_seed_rejected(self, seed):
         # seed=-1 used to evolve all 16 messages and then fail inside numpy
@@ -144,7 +151,7 @@ class TestRoundTrip:
             observed = []
             for label in group.members:
                 idx = index_of[label]
-                dist = outcome_distribution(evolve(encode(ref, idx, "second"), network))
+                dist = outcome_distribution(evolve(encode(ref, idx), network))
                 observed.append(frozenset(sample(dist, shots, seed=77).keys()))
             assert len(set(observed)) == 1
 

@@ -10,6 +10,7 @@ from scipy.stats import chi2
 
 from bellsort import (
     BellIndex,
+    SinglePhotonUnitary,
     TwoPhotonState,
     all_bell_indices,
     evolve,
@@ -19,9 +20,9 @@ from bellsort import (
     outcome_distribution,
     sample,
 )
-from bellsort.detection import OutcomeTable, _has_single_click, outcome_table
+from bellsort.detection import MAX_SHOTS, OutcomeTable, _has_single_click, outcome_table
 from bellsort.modes import POL_DIAGONAL, Mode, path_modes, polarized_modes
-from conftest import fock_outcome_probabilities, random_unitary
+from conftest import cli_pairs, fock_outcome_probabilities, random_unitary
 
 A, B = "A", "B"
 
@@ -238,13 +239,13 @@ class TestFockOracle:
         self.assert_matches(TwoPhotonState.from_kets(4, kets), kets, net, model)
 
     def test_every_d4_bell_state_through_fig1_and_fig2(self, model):
-        fig1, fig2 = network_for_setup("fig1", 4).unitary, network_for_setup("fig2").unitary
-        for idx in all_bell_indices(4):
-            self.assert_matches(make_bell_state(4, idx), bell_kets(idx, 4), fig1, model)
-            self.assert_matches(make_hyper_state(idx), bell_kets(idx, 4, ("H", "V")), fig2, model)
+        # every CLI pair at d <= 4, prepared and encoded; an encoded message is its Bell state
+        for p in cli_pairs(4):
+            kets = bell_kets(p.idx, p.state.dim, ("H", "V") if p.setup == "fig2" else (None,))
+            self.assert_matches(p.state, kets, p.network, model)
 
     def test_random_unitaries(self, model):
-        # every other network lists its modes in reverse, and labels stay in mode order
+        # every other network lists its output modes in reverse, and labels stay in mode order
         rng = np.random.default_rng(23)
         basis = path_modes(3)
         pairs = [(basis[i], basis[k]) for i in range(len(basis)) for k in range(i, len(basis))]
@@ -252,7 +253,9 @@ class TestFockOracle:
             chosen = rng.choice(len(pairs), size=4, replace=False)
             coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
             kets = [(*pairs[t], c) for t, c in zip(chosen, coeffs / np.linalg.norm(coeffs))]
-            net = random_unitary(basis[::-1] if trial % 2 else basis, rng)
+            net = random_unitary(basis, rng)
+            if trial % 2:
+                net = SinglePhotonUnitary(basis, basis[::-1], net.matrix)
             self.assert_matches(TwoPhotonState.from_kets(3, kets), kets, net, model)
 
 
@@ -297,6 +300,13 @@ class TestSampling:
         dist = fig1_distribution(BellIndex(1, 0, 0))
         with pytest.raises(ValueError, match=f"{message} must be an integer"):
             sample(dist, shots, seed)
+
+    def test_shots_beyond_the_draw_rejected(self):
+        # numpy's multinomial raised OverflowError on a count above 2**63 - 1
+        dist = fig1_distribution(BellIndex(1, 0, 0))
+        with pytest.raises(ValueError, match="shots must be at most"):
+            sample(dist, MAX_SHOTS + 1, 0)
+        assert sum(sample(dist, MAX_SHOTS, 0).values()) == MAX_SHOTS == 2**63 - 1
 
     def test_numpy_integers_are_valid(self):
         dist = fig1_distribution(BellIndex(1, 0, 0))

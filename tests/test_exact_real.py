@@ -26,23 +26,14 @@ from bellsort import (
 from bellsort.dense_coding import reference_state
 from bellsort.modes import Mode, path_modes
 from bellsort.states import AMP_PRUNE
-from conftest import first_quantized_vector, oracle_evolve, random_two_photon_state, random_unitary
+from conftest import (
+    CLI_DIMS, cli_pairs, first_quantized_vector, oracle_evolve, random_two_photon_state, random_unitary,
+)
 
-DIMS = (2, 4, 8, 16, 32)
-
-
-# The reference pairs of both setups encoded on the second photon (ids "fig1",
-# "fig2"), then the first photon, and fig1 references at the other dimensions.
-ENCODE_CASES = [
-    pytest.param("fig1", 4, "second", id="fig1"),
-    pytest.param("fig2", 4, "second", id="fig2"),
-    pytest.param("fig1", 4, "first", id="fig1-first"),
-    pytest.param("fig2", 4, "first", id="fig2-first"),
-] + [
-    pytest.param("fig1", dim, which, id=f"fig1-d{dim}-{which}")
-    for dim in DIMS
-    if dim != 4
-    for which in ("first", "second")
+# The reference pairs of both setups, then fig1 references at the other
+# dimensions, each encoded on the second photon with every message.
+ENCODE_CASES = [pytest.param("fig1", 4, id="fig1"), pytest.param("fig2", 4, id="fig2")] + [
+    pytest.param("fig1", dim, id=f"fig1-d{dim}-second") for dim in CLI_DIMS if dim != 4
 ]
 
 
@@ -87,22 +78,11 @@ def complex_evolution_mismatches(pairs):
     return mismatches
 
 
-def cli_pairs():
-    """Every (state, network) the CLI evolves, plus fig1 at the benchmark sizes."""
-    for dim in DIMS:
-        for idx in all_bell_indices(dim):
-            yield make_bell_state(dim, idx), network_for_setup("fig1", dim).unitary
-    for idx in all_bell_indices(4):
-        yield make_hyper_state(idx), network_for_setup("fig2").unitary
-    for setup in ("fig1", "fig2"):
-        for idx in all_bell_indices(4):
-            yield encode(reference_state(setup), idx, "second"), network_for_setup(setup).unitary
-
-
 class TestBitIdentityWithComplexEvolution:
     def test_every_cli_pair(self):
-        pairs = list(cli_pairs())
-        assert len(pairs) == (4 + 16 + 32 + 64 + 128) + 16 + 2 * 16
+        pairs = [(p.state, p.network) for p in cli_pairs()]
+        # prepared and encoded: fig1 at every dimension, then fig2
+        assert len(pairs) == 2 * (4 + 16 + 32 + 64 + 128) + 2 * 16
         assert complex_evolution_mismatches(pairs) == []
 
     def test_fig2_network_matches_complex_composition(self):
@@ -115,27 +95,26 @@ class TestBitIdentityWithComplexEvolution:
         assert not composed.imag.any()
         assert net.matrix.tobytes() == composed.real.tobytes()
 
-    @pytest.mark.parametrize("setup,dim,which_photon", ENCODE_CASES)
-    def test_encode_matches_complex_local_unitary(self, setup, dim, which_photon):
-        # basis order is arm, path, slot: U x 1_slot on the encoded arm, identity on the other
+    @pytest.mark.parametrize("setup,dim", ENCODE_CASES)
+    def test_encode_matches_complex_local_unitary(self, setup, dim):
+        # basis order is arm, path, slot: identity on arm A, U x 1_slot on arm B
         if dim == 4:
             reference = reference_state(setup)
         else:
             reference = make_bell_state(dim, BellIndex(0, 0, 0))
         slots = len(reference.basis) // (2 * dim)
-        encoded_arm = np.diag([1.0, 0.0] if which_photon == "first" else [0.0, 1.0])
         psic = complex_matrix(reference, reference.basis)
         for idx in all_bell_indices(dim):
             path = encoding_unitary(dim, idx).matrix.astype(np.complex128)
-            full = np.kron(np.eye(2) - encoded_arm, np.eye(dim * slots)) + np.kron(
-                encoded_arm, np.kron(path, np.eye(slots))
+            full = np.kron(np.diag([1.0, 0.0]), np.eye(dim * slots)) + np.kron(
+                np.diag([0.0, 1.0]), np.kron(path, np.eye(slots))
             )
-            encoded = encode(reference, idx, which_photon)
+            encoded = encode(reference, idx)
             assert bit_defects(encoded, *complex_upper_triangle(full @ psic @ full.T)) == []
 
 
 class TestDtypeRule:
-    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("dim", CLI_DIMS)
     def test_fig1_network_and_bell_states_are_real(self, dim):
         assert network_for_setup("fig1", dim).unitary.matrix.dtype == np.float64
         assert all(make_bell_state(dim, idx).vals.dtype == np.float64 for idx in all_bell_indices(dim))
@@ -148,7 +127,7 @@ class TestDtypeRule:
     def test_encoded_states_are_real(self, setup):
         reference = reference_state(setup)
         for idx in all_bell_indices(4):
-            assert encode(reference, idx, "second").vals.dtype == np.float64
+            assert encode(reference, idx).vals.dtype == np.float64
 
     def test_complex_unitary_and_state_stay_complex(self):
         rng = np.random.default_rng(3)

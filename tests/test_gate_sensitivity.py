@@ -19,11 +19,12 @@ from bellsort import (
 from bellsort.cli import compute_table
 from bellsort.detection import MODEL_PNRD, OutcomeDistribution, outcome_table
 from bellsort.modes import ARMS, Mode, path_modes
+from conftest import cli_pairs
 from test_builder import builder_defects
 from test_cli import copy_references
 from test_cli_golden import golden_digest_mismatches
 from test_detection import guarded_distributions, sampling_mismatches
-from test_exact_real import cli_pairs, complex_evolution_mismatches
+from test_exact_real import complex_evolution_mismatches
 from test_networks import (
     INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches, oracle_mismatches, random_oracle_cases,
 )
@@ -70,7 +71,7 @@ def test_builder_gate_catches_built_states_of_norm_two(monkeypatch):
 def test_exact_real_guard_catches_a_one_ulp_scaled_transpose(monkeypatch):
     # evolve's right factor is the cached transpose; the guard's complex
     # reference reads the plain matrix, so it must see one ulp of difference
-    pairs = list(cli_pairs())
+    pairs = [(p.state, p.network) for p in cli_pairs()]
     cached = SinglePhotonUnitary.transposed
     with monkeypatch.context() as patch:
         patch.setattr(

@@ -19,7 +19,9 @@ from bellsort import (
 )
 from bellsort.modes import Mode, canonical_pair, path_modes, polarized_modes
 from bellsort.networks import NetworkSpec, NetworkStage
-from conftest import approx_equal, oracle_evolve, oracle_norm, random_two_photon_state, random_unitary
+from conftest import (
+    approx_equal, cli_pairs, oracle_evolve, oracle_norm, random_two_photon_state, random_unitary,
+)
 
 A, B = "A", "B"
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -168,7 +170,7 @@ class TestEvolutionArchetypes:
     def test_paths_outside_the_network_rejected(self):
         # A d=4 state has photons on paths 2 and 3, which a d=2 network lacks.
         state = make_bell_state(4, BellIndex(2, 0, 0))
-        with pytest.raises(ValueError, match="not covered"):
+        with pytest.raises(ValueError, match="not stored in the network's input basis"):
             evolve(state, network_for_setup("fig1", 2).unitary)
 
     def test_nan_amplitude_fails_the_norm_check(self):
@@ -181,9 +183,9 @@ class TestEvolutionArchetypes:
 
     def test_network_of_a_larger_dimension_rejected(self):
         # every mode of the d=4 state is an input of the d=8 network, but the
-        # evolved state would have photons on paths 4..7
+        # state is not stored in that network's 16-mode input basis
         state = make_bell_state(4, BellIndex(1, 0, 0))
-        with pytest.raises(ValueError, match="outside dimension"):
+        with pytest.raises(ValueError, match="not stored in the network's input basis"):
             evolve(state, network_for_setup("fig1", 8).unitary)
 
 
@@ -214,11 +216,12 @@ class TestEvolutionProperties:
             for key, amp in expected.items():
                 assert abs(evolved.amps[key] - amp) < 1e-10
 
-    def test_network_basis_in_another_order(self):
-        # the state is re-indexed onto the network's input basis
+    def test_output_basis_in_another_order(self):
+        # the network may list its output modes in any order; its input basis
+        # is the state's own, and a state in another order is rejected
         rng = np.random.default_rng(7)
-        basis = path_modes(4)[::-1]
-        net = random_unitary(basis, rng)
+        basis = path_modes(4)
+        net = SinglePhotonUnitary(basis, basis[::-1], random_unitary(basis, rng).matrix)
         state = make_bell_state(4, BellIndex(3, 1, 1))
         evolved = evolve(state, net)
         expected = {canonical_pair(*key): a for key, a in oracle_evolve(state, net).items()}
@@ -228,12 +231,12 @@ class TestEvolutionProperties:
         # outcome labels keep canonical click order on the reversed output basis
         labels = {" ".join([m1.label, m2.label]) for m1, m2 in expected}
         assert {o for o, _ in outcome_distribution(evolved).sorted_items()} == labels
+        with pytest.raises(ValueError, match="not stored in the network's input basis"):
+            evolve(state, random_unitary(basis[::-1], rng))
 
     def test_oracle_equivalence_on_the_measurement_networks(self):
-        fig1, fig2 = network_for_setup("fig1", 4).unitary, network_for_setup("fig2").unitary
-        cases = [(make_bell_state(4, idx), fig1) for idx in all_bell_indices(4)]
-        cases += [(make_hyper_state(idx), fig2) for idx in all_bell_indices(4)]
-        assert oracle_mismatches(cases) == []
+        # every CLI pair at d <= 4, prepared and encoded, through fig1 and fig2
+        assert oracle_mismatches([(p.state, p.network) for p in cli_pairs(4)]) == []
 
     def test_hom_bunching_no_cross_arm_amplitude(self):
         net = network_for_setup("fig1", 4).unitary

@@ -189,13 +189,13 @@ class TestEncoding:
 
     def test_encode_identity_message(self):
         ref = make_bell_state(4, BellIndex(0, 0, 0))
-        assert approx_equal(encode(ref, BellIndex(0, 0, 0), "second"), ref, up_to_phase=False)
+        assert approx_equal(encode(ref, BellIndex(0, 0, 0)), ref, up_to_phase=False)
 
     def test_encode_specific_message(self):
         # U(1,0,1) on the second photon of the reference gives
         # (|01> + |10> - |23> - |32>) / 2, i.e. the (1,0,1) member.
         ref = make_bell_state(4, BellIndex(0, 0, 0))
-        encoded = encode(ref, BellIndex(1, 0, 1), "second")
+        encoded = encode(ref, BellIndex(1, 0, 1))
         expected = ket_state(
             4,
             [
@@ -211,65 +211,50 @@ class TestEncoding:
     @pytest.mark.parametrize("idx", all_bell_indices(4), ids=lambda i: i.label)
     def test_encode_matches_construction_for_all_messages(self, idx):
         ref = make_bell_state(4, BellIndex(0, 0, 0))
-        assert approx_equal(encode(ref, idx, "second"), make_bell_state(4, idx))
+        assert approx_equal(encode(ref, idx), make_bell_state(4, idx))
 
     def test_encode_on_hyper_reference(self):
         ref = make_hyper_state(BellIndex(0, 0, 0))
         idx = BellIndex(2, 1, 0)
-        assert approx_equal(encode(ref, idx, "second"), make_hyper_state(idx))
+        assert approx_equal(encode(ref, idx), make_hyper_state(idx))
 
     def test_matrix_inverse_undoes_encoding(self):
         # the inverse path matrix on arm B and the identity on arm A, through kron(U, U)
         ref = make_bell_state(4, BellIndex(0, 0, 0))
         modes = path_modes(4)
         for idx in all_bell_indices(4):
-            encoded = encode(ref, idx, "second")
+            encoded = encode(ref, idx)
             inverse = encoding_unitary(4, idx).matrix.conj().T
             full = np.kron(np.diag([1.0, 0.0]), np.eye(4)) + np.kron(np.diag([0.0, 1.0]), inverse)
             undone = oracle_evolve(encoded, SinglePhotonUnitary(modes, modes, full))
             assert approx_equal(TwoPhotonState.from_amplitudes(4, undone), ref)
 
-    def test_encode_first_photon_lands_in_the_family(self):
-        ref = make_bell_state(4, BellIndex(0, 0, 0))
-        encoded = encode(ref, BellIndex(2, 0, 1), "first")
-        matches = [
-            idx.label
-            for idx in all_bell_indices(4)
-            if approx_equal(encoded, make_bell_state(4, idx))
-        ]
-        assert len(matches) == 1
-
     def test_dimension_mismatch_rejected(self):
         ref = make_bell_state(2, BellIndex(0, 0, 0))
         with pytest.raises(ValueError):
-            encode(ref, BellIndex(2, 0, 0), "second")
-        with pytest.raises(ValueError):
-            encode(ref, BellIndex(1, 0, 0), "third")
+            encode(ref, BellIndex(2, 0, 0))
 
-    def test_encode_state_in_another_basis_order(self):
-        # the result lives in the canonical mode space, whatever order the input used
+    def test_encode_rejects_a_state_in_another_basis(self):
+        # encode reads a state in the canonical mode space and re-indexes nothing:
+        # not the same modes in another order, nor a subset of that space
         ref = make_hyper_state(BellIndex(3, 1, 1))
         perm = np.random.default_rng(8).permutation(len(ref.basis))
         shuffled = ModeBasis(ref.basis[i] for i in perm)
         position = np.argsort(perm)  # canonical position -> position in shuffled
         rows, cols = position[ref.rows], position[ref.cols]
-        low, high = np.minimum(rows, cols), np.maximum(rows, cols)
-        moved = TwoPhotonState(4, shuffled, low, high, ref.vals)
+        moved = TwoPhotonState(4, shuffled, np.minimum(rows, cols), np.maximum(rows, cols), ref.vals)
         assert approx_equal(moved, ref, up_to_phase=False)
-        for idx in all_bell_indices(4):
-            for which in ("first", "second"):
-                expected, got = encode(ref, idx, which), encode(moved, idx, which)
-                assert got.basis == expected.basis == polarized_modes(4)
-                assert np.array_equal(got.rows, expected.rows)
-                assert np.array_equal(got.cols, expected.cols)
-                assert got.vals.tobytes() == expected.vals.tobytes()
+        two_paths = TwoPhotonState(4, path_modes(2), [0, 1], [2, 3], [HALF, HALF])
+        for state in (moved, two_paths):
+            with pytest.raises(ValueError, match="canonical mode space"):
+                encode(state, BellIndex(1, 0, 0))
 
     def test_encode_rejects_non_power_of_two_dimension(self):
         state = TwoPhotonState.from_amplitudes(
             3, {(Mode(A, 0), Mode(B, 2)): HALF, (Mode(A, 2), Mode(B, 0)): HALF}
         )
         with pytest.raises(ValueError, match="power of two"):
-            encode(state, BellIndex(1, 0, 0), "second")
+            encode(state, BellIndex(1, 0, 0))
 
 
 class TestStateRepresentation:
@@ -348,7 +333,7 @@ class TestStateRepresentation:
             (diagonal, polarized_modes(4, POL_DIAGONAL)),
         ):
             assert state.basis == space
-            assert encode(state, BellIndex(1, 0, 1), "second").basis == space
+            assert encode(state, BellIndex(1, 0, 1)).basis == space
 
     @pytest.mark.parametrize("scale", [1 + 2 * NORM_TOL, 1 - 2 * NORM_TOL, 2.0, 0.0, math.nan])
     def test_constructor_rejects_a_norm_off_one(self, scale):

@@ -4,7 +4,8 @@ A stdlib-only stand-in for a linter's unused-import rule: each module of
 ``src/bellsort``, ``tests`` and ``demos`` is parsed with :mod:`ast`, and
 every name bound by an ``import`` or ``from ... import`` must be read
 somewhere in it, in code or in a string annotation. The package's
-``__init__.py`` is skipped, because it imports names to re-export them.
+``__init__.py`` imports names to re-export them, so it is checked the other
+way: the names it imports must be exactly its ``__all__``.
 """
 
 import ast
@@ -65,6 +66,27 @@ def module_id(path):
 @pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def exported_names(tree: ast.Module) -> list[str]:
+    """The literal ``__all__`` list of a module."""
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    ]
+    return names
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert sorted(exported_names(tree)) == sorted(imported_names(tree))
+
+
+def test_the_export_check_reports_a_missing_or_repeated_name():
+    for exported in ('["encode"]', '["encode", "encode", "evolve"]'):
+        tree = ast.parse(f"from .states import encode, evolve\n__all__ = {exported}\n")
+        assert sorted(exported_names(tree)) != sorted(imported_names(tree)) == ["encode", "evolve"]
 
 
 def test_the_check_reports_an_unused_import():
