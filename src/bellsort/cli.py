@@ -11,8 +11,9 @@ sample   Monte Carlo detection statistics for one encoded state, with
 sdc      End-to-end superdense-coding run over all 16 messages.
 
 Exit codes: 0 success (and verification match), 1 verification mismatch,
-2 usage error (an unreadable ``--references`` directory is one). Output is
-a pure function of the flags; JSON payloads carry no timestamps.
+2 usage error: a flag value that the library's own input checks reject, run
+before any work, or an unreadable or malformed ``--references`` directory.
+Output is a pure function of the flags; JSON payloads carry no timestamps.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from typing import Sequence
 
 from . import __version__
 from .detection import (
-    MAX_SHOTS,
     MODEL_PNRD,
     MODEL_THRESHOLD,
     MODELS,
     RNG_ALGORITHM,
+    _check_shots_and_seed,
     outcome_distribution,
     sample,
 )
@@ -44,15 +45,11 @@ from .grouping import (
     classify,
 )
 from .dense_coding import SdcConfig, prepared_state, run_sdc
-from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, evolve, network_for_setup
+from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, _require_fig2_dim, evolve, network_for_setup
 from .references import load_reference_tables, diff_against_reference
 from .states import BellIndex, all_bell_indices
 
 _CAPACITY_TEXT_TOL = 0.01  # two-decimal quotes are checked at this slack
-# Both sides of the closed-form check are math.log2 of a group count, so equal
-# counts agree exactly; this slack is far below log2(n + 1) - log2(n), the gap
-# between neighbouring counts, so it cannot hide one group more or less.
-_CAPACITY_CLOSED_FORM_TOL = 1e-12
 
 
 def labelled_states(setup: str, dim: int):
@@ -157,9 +154,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             cap = channel_capacity(table)
             capacities.append(cap)
             expected = reference.capacities[setup][model]
-            closed_form = math.log2(expected["groups"])
             quoted = float(expected["bits_text"])
-            ok = abs(cap - closed_form) < _CAPACITY_CLOSED_FORM_TOL and abs(cap - quoted) <= _CAPACITY_TEXT_TOL
+            # log2 is strictly increasing, so equal counts are the closed-form check
+            ok = len(table.usable_groups) == expected["groups"] and abs(cap - quoted) <= _CAPACITY_TEXT_TOL
             status = "ok" if ok else "MISMATCH"
             print(
                 f"capacity {setup} {model}/{policy}: {cap:.3f} bits "
@@ -256,27 +253,6 @@ def cmd_sdc(args: argparse.Namespace) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _shot_count(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_SHOTS:
-        raise argparse.ArgumentTypeError(f"must be >= 1 and <= {MAX_SHOTS}, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _bell_index(text: str) -> BellIndex:
-    try:
-        return BellIndex.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process and shared by every ``main`` call.
@@ -316,17 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_sample = sub.add_parser("sample", help="Monte Carlo outcome statistics for one state")
-    p_sample.add_argument("--state", type=_bell_index, required=True, help="Bell index as 'j,n,m'")
+    p_sample.add_argument("--state", required=True, help="Bell index as 'j,n,m'")
     add_common(p_sample, with_policy=False)
     p_sample.add_argument("--dim", type=int, choices=[2, 4], default=4)
-    p_sample.add_argument("--shots", type=_shot_count, default=100000)
-    p_sample.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_sample.add_argument("--shots", type=int, default=100000)
+    p_sample.add_argument("--seed", type=int, default=0)
     p_sample.set_defaults(func=cmd_sample)
 
     p_sdc = sub.add_parser("sdc", help="run the superdense-coding protocol end to end")
     add_common(p_sdc, formats=("text", "json"))
-    p_sdc.add_argument("--shots", type=_shot_count, default=1000)
-    p_sdc.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_sdc.add_argument("--shots", type=int, default=1000)
+    p_sdc.add_argument("--seed", type=int, default=0)
     p_sdc.set_defaults(func=cmd_sdc)
 
     return parser
@@ -338,14 +314,17 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if getattr(args, "policy", None):
         args.policy = args.policy.replace("-", "_")
-    dim = getattr(args, "dim", 4)
-    if getattr(args, "setup", None) == SETUP_FIG2 and dim != 4:
-        parser.error("the fig2 setup requires --dim 4")
-    if getattr(args, "state", None) is not None:
-        try:
-            args.state.validate_for(dim)
-        except ValueError as exc:
-            parser.error(str(exc))
+    # the library's input checks, before any work; a fault inside args.func keeps its traceback
+    try:
+        if args.command in ("sample", "sdc"):
+            _check_shots_and_seed(args.shots, args.seed)
+        if getattr(args, "setup", None) == SETUP_FIG2:
+            _require_fig2_dim(getattr(args, "dim", 4))
+        if args.command == "sample":
+            args.state = BellIndex.parse(args.state)
+            args.state.validate_for(args.dim)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     return args.func(args)
 

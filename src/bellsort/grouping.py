@@ -57,11 +57,11 @@ class GroupTable:
         seen_members: set[str] = set()
         seen_outcomes: set[str] = set()
         for group in self.groups:
-            if seen_members & set(group.members):
-                raise ValueError("groups do not partition the state labels")
-            if seen_outcomes & group.support:
-                raise ValueError("group supports are not pairwise disjoint")
-            seen_members |= set(group.members)
+            if repeated := seen_members.intersection(group.members):
+                raise ValueError(f"groups do not partition the state labels: {sorted(repeated)} repeat")
+            if repeated := seen_outcomes & group.support:
+                raise ValueError(f"group supports are not pairwise disjoint: {sorted(repeated)} repeat")
+            seen_members.update(group.members)
             seen_outcomes |= group.support
 
     @property

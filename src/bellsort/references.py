@@ -18,6 +18,9 @@ space-separated detector labels in canonical order. ``capacities.json``
 records the expected usable-group counts and the two-decimal capacity
 figures for each (setup, detector) combination.
 
+Every field is checked: a table file must name its own setup and ``pnrd``,
+and it loads as a :class:`GroupTable`, so its groups must form a partition.
+
 Verification matches computed groups to reference rows by member set, so it
 is insensitive to group numbering, and then requires exact support
 equality.
@@ -30,23 +33,16 @@ from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
 
-from .detection import MODELS
-from .grouping import GroupTable
+from .detection import MODEL_PNRD, MODELS
+from .grouping import POLICY_STRICT, GroupTable, StateGroup
 from .networks import SETUP_FIG1, SETUP_FIG2
-
-
-@dataclass(frozen=True)
-class ReferenceGroup:
-    index: int
-    members: frozenset[str]
-    outcomes: frozenset[str]
 
 
 @dataclass(frozen=True)
 class ReferenceTables:
     """The two reference groupings, keyed by setup in ``tables``, plus the expected capacity figures."""
 
-    tables: dict[str, tuple[ReferenceGroup, ...]]
+    tables: dict[str, GroupTable]
     capacities: dict
 
 
@@ -54,18 +50,20 @@ _TABLE_SHAPE = '{"groups": [{"id": int, "members": [str], "outcomes": [str]}, ..
 _CAPACITIES_SHAPE = '{"fig1"|"fig2": {"pnrd"|"threshold": {"groups": int >= 1, "bits_text": "2.81"}}}'
 
 
-def _parse_table(name: str, data) -> tuple[ReferenceGroup, ...]:
-    """The groups of one table file; a file of another shape raises ValueError naming it."""
+def _parse_table(name: str, setup: str, data) -> GroupTable:
+    """One table file as the pnrd/strict table of ``setup``; any other file raises ValueError naming it."""
     groups = data.get("groups") if isinstance(data, dict) else None
     if not (isinstance(groups, list) and all(map(_is_group_row, groups))):
         raise ValueError(f"{name}: expected {_TABLE_SHAPE}")
-    # from a list, not a generator: see GroupTable.usable_groups
-    return tuple(
-        [
-            ReferenceGroup(g["id"], frozenset(g["members"]), frozenset(g["outcomes"]))
-            for g in groups
-        ]
-    )
+    labelled = (data.get("setup"), data.get("model"))
+    if labelled != (setup, MODEL_PNRD):
+        raise ValueError(f"{name}: expected setup {setup!r} and model {MODEL_PNRD!r}, got {labelled}")
+    # from lists, not generators: see GroupTable.usable_groups
+    rows = tuple([StateGroup(g["id"], tuple(g["members"]), frozenset(g["outcomes"])) for g in groups])
+    try:
+        return GroupTable(setup, MODEL_PNRD, POLICY_STRICT, rows)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def _is_group_row(row) -> bool:
@@ -87,7 +85,8 @@ def _check_capacities(data) -> dict:
         entries = [data[setup][model] for setup in (SETUP_FIG1, SETUP_FIG2) for model in MODELS]
         for entry in entries:
             float(entry["bits_text"])  # verify compares it as a number
-        ok = all(type(e["groups"]) is int and e["groups"] >= 1 for e in entries)  # not a bool
+        # `type(...) is`: JSON true is a bool, an int that float() reads as 1.0
+        ok = all(type(e["groups"]) is int and e["groups"] >= 1 and type(e["bits_text"]) is str for e in entries)
     except (KeyError, TypeError, ValueError):
         ok = False
     if not ok:
@@ -113,8 +112,8 @@ def load_reference_tables(directory: str | Path | None = None) -> ReferenceTable
     )
     return ReferenceTables(
         tables={
-            SETUP_FIG1: _parse_table("table1.json", table1),
-            SETUP_FIG2: _parse_table("table2.json", table2),
+            SETUP_FIG1: _parse_table("table1.json", SETUP_FIG1, table1),
+            SETUP_FIG2: _parse_table("table2.json", SETUP_FIG2, table2),
         },
         capacities=_check_capacities(capacities),
     )
@@ -128,7 +127,7 @@ def _read_json(root, name: str):
         raise ValueError(f"{name}: {exc}") from exc
 
 
-def diff_against_reference(table: GroupTable, reference: tuple[ReferenceGroup, ...]) -> list[str]:
+def diff_against_reference(table: GroupTable, reference: GroupTable) -> list[str]:
     """Row-level differences between a computed table and its reference.
 
     Returns human-readable difference lines; empty means the tables agree
@@ -136,10 +135,10 @@ def diff_against_reference(table: GroupTable, reference: tuple[ReferenceGroup, .
     """
     diffs: list[str] = []
     computed = {frozenset(g.members): g.support for g in table.groups}
-    expected = {g.members: g for g in reference}
+    expected = {frozenset(g.members): g for g in reference.groups}
 
-    if len(computed) != len(reference):
-        diffs.append(f"group count differs: computed {len(computed)}, reference {len(reference)}")
+    if len(computed) != len(reference.groups):
+        diffs.append(f"group count differs: computed {len(computed)}, reference {len(reference.groups)}")
 
     for members, ref in sorted(expected.items(), key=lambda kv: kv[1].index):
         name = f"reference group {ref.index} ({', '.join(sorted(members))})"
@@ -147,9 +146,9 @@ def diff_against_reference(table: GroupTable, reference: tuple[ReferenceGroup, .
             diffs.append(f"{name}: no computed group has this membership")
             continue
         got = computed[members]
-        if got != ref.outcomes:
-            missing = sorted(ref.outcomes - got)
-            extra = sorted(got - ref.outcomes)
+        if got != ref.support:
+            missing = sorted(ref.support - got)
+            extra = sorted(got - ref.support)
             detail = []
             if missing:
                 detail.append(f"missing outcomes {missing}")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bellsort import dense_coding, grouping, network_for_setup
+from bellsort import cli, dense_coding, grouping, network_for_setup
 from bellsort.cli import labelled_states, main
 from test_cli_golden import GOLDEN
 
@@ -28,6 +28,45 @@ def copy_references(directory):
     source = resources.files("bellsort") / "references"
     for name in ("table1.json", "table2.json", "capacities.json"):
         shutil.copy(str(source / name), directory / name)
+
+
+def with_group4_outcome(outcome):
+    """An edit of a table file's text that makes ``outcome`` the first of group 4's outcomes."""
+
+    def edit(text):
+        data = json.loads(text)
+        data["groups"][3]["outcomes"][0] = outcome
+        return json.dumps(data)
+
+    return edit
+
+
+# each usage error found while checking flags, before any state is evolved
+USAGE_ERRORS = [
+    *(
+        [*command, *flags]
+        for flags in (["--shots", "0"], ["--shots", str(10**20)], ["--seed", "-3"])
+        for command in (["sample", "--state", "1,0,0"], ["sdc"])
+    ),
+    ["sample", "--state", "1;0;0"],
+    ["sample", "--state", "1,0,1", "--dim", "2"],
+    ["tables", "--setup", "fig2", "--dim", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_do_no_work(argv, capsys, monkeypatch):
+    evolved = []
+    for module in (grouping, dense_coding, cli):
+        real = module.evolve
+        monkeypatch.setattr(module, "evolve", lambda *args, real=real: evolved.append(args) or real(*args))
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert evolved == []
 
 
 class TestTables:
@@ -112,15 +151,14 @@ class TestVerify:
 
     def test_perturbed_reference_detected(self, capsys, tmp_path):
         copy_references(tmp_path)
-        data = json.loads((tmp_path / "table1.json").read_text())
-        data["groups"][3]["outcomes"][0] = "A0 A1"  # swap in a wrong outcome
-        (tmp_path / "table1.json").write_text(json.dumps(data))
+        path = tmp_path / "table1.json"
+        # swap in an outcome no fig1 group has, so the file is still a partition
+        path.write_text(with_group4_outcome("A0 B0")(path.read_text()))
 
         code, out = run_cli(capsys, "verify", "--references", str(tmp_path))
         assert code == 1
         assert "1/2 tables match" in out
-        assert "reference group 4" in out
-        assert "A0 A1" in out
+        assert "reference group 4 (psi200, psi210): missing outcomes ['A0 B0']; unexpected outcomes ['A0 A2']" in out
 
     def test_missing_reference_directory_is_a_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "nowhere"
@@ -140,8 +178,18 @@ class TestVerify:
             # JSON true parses to a bool, which is an int; the two-row case passed as "2/2 tables match"
             ("table1.json", lambda text: re.sub(r'"id": [12],', '"id": true,', text)),
             ("capacities.json", lambda text: text.replace('"groups": 7', '"groups": true')),
+            # float() reads JSON true as 1.0; this verified as "quoted True ... MISMATCH", exit 1
+            ("capacities.json", lambda text: text.replace('"bits_text": "2.81"', '"bits_text": true')),
+            # the setup and model fields were read by nothing; this verified with exit 0
+            ("table1.json", lambda text: text.replace('"setup": "fig1"', '"setup": "fig2"')),
+            ("table1.json", lambda text: text.replace('"model": "pnrd"', '"model": "threshold"')),
+            # "A0 A1" in groups 2 and 4 is no partition; this verified as a group 4 MISMATCH, exit 1
+            ("table1.json", with_group4_outcome("A0 A1")),
         ],
-        ids=["not-json", "no-groups", "not-an-object", "no-capacity-entries", "bool-ids", "bool-groups"],
+        ids=[
+            "not-json", "no-groups", "not-an-object", "no-capacity-entries", "bool-ids", "bool-groups",
+            "bool-bits-text", "relabelled-setup", "relabelled-model", "outcome-in-two-groups",
+        ],
     )
     def test_malformed_reference_json_is_a_usage_error(self, capsys, tmp_path, name, edit):
         copy_references(tmp_path)
@@ -204,7 +252,7 @@ class TestSample:
         with pytest.raises(SystemExit) as excinfo:
             main([*command, "--shots", "100000000000000000000"])
         assert excinfo.value.code == 2
-        assert "<= 9223372036854775807, got 100000000000000000000" in capsys.readouterr().err
+        assert "shots must be at most 9223372036854775807, got 100000000000000000000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["sample", "--state", "1,0,0"], ["sdc"]])
     def test_negative_seed_usage_error(self, command, capsys):
@@ -212,7 +260,7 @@ class TestSample:
         with pytest.raises(SystemExit) as excinfo:
             main([*command, "--seed", "-3"])
         assert excinfo.value.code == 2
-        assert "must be >= 0, got -3" in capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -3" in capsys.readouterr().err
 
     def test_bad_state_label_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

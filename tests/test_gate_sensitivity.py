@@ -25,6 +25,7 @@ from test_cli import copy_references
 from test_cli_golden import golden_digest_mismatches
 from test_detection import guarded_distributions, sampling_mismatches
 from test_exact_real import complex_evolution_mismatches
+from test_grouping import CLOSED_FORM_CASES, closed_form_mismatches
 from test_networks import (
     INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches, oracle_mismatches, random_oracle_cases,
 )
@@ -147,3 +148,20 @@ def test_sampling_guard_catches_a_draw_in_outcome_id_order(monkeypatch):
     assert mismatches
     assert {len(dists[i].table.basis) for i in mismatches} == {32}
     assert sampling_mismatches(list(guarded_distributions()), 100_000, 0) == []
+
+
+def test_closed_forms_catch_a_sign_that_ignores_m(monkeypatch):
+    # psi<j><n>0 and psi<j><n>1 become one state, so every group split by m
+    # merges: fig1's for j1 = 1 and fig2's for j >= 2. _arm_signs caches the
+    # signs, and a warm cache would hide the mutation, or keep it after the undo
+    sign = states._sign
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(states, "_sign", lambda x, n, m: sign(x, n, 0))
+            states._arm_signs.cache_clear()
+            mismatches = closed_form_mismatches()
+    finally:
+        states._arm_signs.cache_clear()
+    # every fig1 case and the fig2 one
+    assert mismatches == CLOSED_FORM_CASES
+    assert closed_form_mismatches() == []

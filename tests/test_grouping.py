@@ -26,6 +26,7 @@ from bellsort import (
     SdcConfig,
 )
 from bellsort.cli import compute_table, labelled_states
+from bellsort.dense_coding import prepared_state
 from bellsort.detection import outcome_table
 from bellsort.grouping import _partition
 from bellsort.modes import path_modes
@@ -53,36 +54,20 @@ class TestTableReproduction:
         assert len(table.groups) == 7
         assert diff_against_reference(table, REFERENCE.tables["fig1"]) == []
         # the 7-row enumeration order also matches the reference numbering
-        for group, ref in zip(table.groups, REFERENCE.tables["fig1"]):
-            assert frozenset(group.members) == ref.members
-            assert group.support == ref.outcomes
+        for group, ref in zip(table.groups, REFERENCE.tables["fig1"].groups, strict=True):
+            assert frozenset(group.members) == frozenset(ref.members)
+            assert group.support == ref.support
 
     def test_fig2_reproduces_reference_table(self):
         table = compute_table("fig2", 4, "pnrd", "strict")
         assert len(table.groups) == 12
         assert diff_against_reference(table, REFERENCE.tables["fig2"]) == []
-        assert as_content(table) == {
-            ref.members: ref.outcomes for ref in REFERENCE.tables["fig2"]
-        }
+        assert as_content(table) == as_content(REFERENCE.tables["fig2"])
 
     def test_fig2_matches_its_closed_form(self):
-        # An independent gate on table2: the PBS rail swap reads the phase bit
-        # n, and the beam splitters the parity of the signs over j's bits
-        # (j0, j1), so psi<j><n><m> has key (0, n) for j = 0 and
-        # (j, (n*j0 + m*j1) mod 2, n) otherwise.
-        def key(idx):
-            if idx.j == 0:
-                return (0, idx.n)
-            return (idx.j, (idx.n * (idx.j & 1) + idx.m * (idx.j >> 1)) % 2, idx.n)
-
-        closed_form: dict = {}
-        for idx in all_bell_indices(4):
-            closed_form.setdefault(key(idx), set()).add(idx.label)
-        expected = {frozenset(members) for members in closed_form.values()}
+        expected = {frozenset(members) for members in closed_form_groups("fig2", all_bell_indices(4))}
         assert len(expected) == 12
-
-        strict = compute_table("fig2", 4, "pnrd", "strict")
-        assert {frozenset(g.members) for g in strict.groups} == expected
+        assert closed_form_mismatches([("fig2", 4)]) == []
 
         lossy = compute_table("fig2", 4, "threshold", "loss_conservative")
         assert {frozenset(g.members) for g in lossy.groups} == expected
@@ -203,6 +188,49 @@ def fig1_closed_form_key(idx):
     return (idx.j, (idx.n * (idx.j & 1) + idx.m * ((idx.j >> 1) & 1)) % 2)
 
 
+def fig2_closed_form_key(idx):
+    """fig2 also reveals the phase bit n, which its PBS rail swap reads.
+
+    An independent gate on table2: the beam splitters read the parity of
+    the signs over j's bits (j0, j1), so psi<j><n><m> has key (0, n) for
+    j = 0 and (j, (n*j0 + m*j1) mod 2, n) otherwise.
+    """
+    if idx.j == 0:
+        return (0, idx.n)
+    return (idx.j, (idx.n * (idx.j & 1) + idx.m * (idx.j >> 1)) % 2, idx.n)
+
+
+CLOSED_FORM_KEYS = {"fig1": fig1_closed_form_key, "fig2": fig2_closed_form_key}
+CLOSED_FORM_CASES = [("fig1", 4), ("fig1", 8), ("fig1", 16), ("fig1", 32), ("fig2", 4)]
+
+
+def closed_form_groups(setup, indices):
+    """Labels grouped by the setup's closed-form key, numbered and ordered by first member."""
+    groups: dict = {}
+    for idx in indices:
+        groups.setdefault(CLOSED_FORM_KEYS[setup](idx), []).append(idx.label)
+    return [tuple(members) for members in groups.values()]
+
+
+def closed_form_mismatches(cases=CLOSED_FORM_CASES, shuffled=False):
+    """The (setup, dim) cases whose pnrd/strict table is not their closed form.
+
+    ``shuffled`` feeds the states in a seeded random order; groups are then
+    numbered by first member in that order, members kept in it.
+    """
+    mismatches = []
+    for setup, dim in cases:
+        indices = list(all_bell_indices(dim))
+        if shuffled:
+            random.Random(dim).shuffle(indices)
+        states = [(idx.label, prepared_state(setup, dim, idx)) for idx in indices]
+        table = classify(states, network_for_setup(setup, dim))
+        expected = list(enumerate(closed_form_groups(setup, indices), start=1))
+        if [(g.index, g.members) for g in table.groups] != expected:
+            mismatches.append((setup, dim))
+    return mismatches
+
+
 def pairwise_partition(labelled, table):
     """(members, support) per group, by searching every pair of supports for a shared outcome.
 
@@ -239,18 +267,8 @@ class TestPartitionAtScale:
     def test_fig1_matches_its_closed_form(self, dim, expected_groups, shuffled):
         # every nonzero j splits into two groups except those with
         # j0 = j1 = 0 (j = 4, 8, ...), whose states all have parity 0
-        indices = list(all_bell_indices(dim))
-        if shuffled:
-            random.Random(dim).shuffle(indices)
-        table = classify(
-            [(idx.label, make_bell_state(dim, idx)) for idx in indices], network_for_setup("fig1", dim)
-        )
-        closed_form: dict = {}
-        for idx in indices:
-            closed_form.setdefault(fig1_closed_form_key(idx), []).append(idx.label)
-        # numbered by first member in input order, members in input order
-        assert [g.members for g in table.groups] == [tuple(m) for m in closed_form.values()]
-        assert [g.index for g in table.groups] == list(range(1, expected_groups + 1))
+        assert len(closed_form_groups("fig1", all_bell_indices(dim))) == expected_groups
+        assert closed_form_mismatches([("fig1", dim)], shuffled) == []
 
     def test_shuffled_d32_groups_hold_the_shared_outcomes(self):
         indices = list(all_bell_indices(32))

@@ -5,10 +5,14 @@ A stdlib-only stand-in for a linter's unused-import rule: each module of
 every name bound by an ``import`` or ``from ... import`` must be read
 somewhere in it, in code or in a string annotation. The package's
 ``__init__.py`` imports names to re-export them, so it is checked the other
-way: the names it imports must be exactly its ``__all__``.
+way: the names it imports must be exactly its ``__all__``. A third check
+finds private helpers nothing calls: every single-underscore module-level
+name and method of the package must be read somewhere in it outside its
+own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -93,3 +97,48 @@ def test_the_check_reports_an_unused_import():
     # a name in a docstring is not a use; one in a string annotation is
     source = 'from typing import Mapping, Sequence\nimport numpy as np\n"""np"""\nx: "Mapping[str, int]" = {}\n'
     assert unused_imports(source) == ["line 1: Sequence", "line 2: np"]
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Each single-underscore module-level name and method of ``tree``, with the node defining it."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs += [(item.name, item) for item in node.body if isinstance(item, ast.FunctionDef)]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs += [(target.id, node) for target in targets if isinstance(target, ast.Name)]
+    return [(name, node) for name, node in defs if name.startswith("_") and not name.startswith("__")]
+
+
+def read_counts(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads each name, as a name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each private definition read nowhere outside itself in ``sources``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum(map(read_counts, trees.values()), Counter())
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, node in private_definitions(tree)
+        if reads[name] == read_counts(node)[name]
+    ]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert orphaned_private_names(sources) == []
+
+
+def test_the_orphan_check_reports_a_helper_only_its_own_body_reads():
+    source = "_used = 1\ndef _orphan(): return _orphan, _used\n"
+    assert orphaned_private_names({"m.py": source}) == ["m.py: _orphan"]
