@@ -46,7 +46,7 @@ class StateGroup:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A partition of state labels into groups with pairwise disjoint supports."""
+    """A partition of state labels, none repeated, into groups with pairwise disjoint supports."""
 
     setup: str
     model: str
@@ -57,6 +57,8 @@ class GroupTable:
         seen_members: set[str] = set()
         seen_outcomes: set[str] = set()
         for group in self.groups:
+            if len(set(group.members)) < len(group.members):
+                raise ValueError(f"group {group.index} repeats a member: {list(group.members)}")
             if repeated := seen_members.intersection(group.members):
                 raise ValueError(f"groups do not partition the state labels: {sorted(repeated)} repeat")
             if repeated := seen_outcomes & group.support:

@@ -19,7 +19,8 @@ records the expected usable-group counts and the two-decimal capacity
 figures for each (setup, detector) combination.
 
 Every field is checked: a table file must name its own setup and ``pnrd``,
-and it loads as a :class:`GroupTable`, so its groups must form a partition.
+list no outcome twice in a group, and load as a :class:`GroupTable`, so
+its groups must form a partition.
 
 Verification matches computed groups to reference rows by member set, so it
 is insensitive to group numbering, and then requires exact support
@@ -58,6 +59,8 @@ def _parse_table(name: str, setup: str, data) -> GroupTable:
     labelled = (data.get("setup"), data.get("model"))
     if labelled != (setup, MODEL_PNRD):
         raise ValueError(f"{name}: expected setup {setup!r} and model {MODEL_PNRD!r}, got {labelled}")
+    if repeats := [g for g in groups if len(set(g["outcomes"])) < len(g["outcomes"])]:
+        raise ValueError(f"{name}: group {repeats[0]['id']} repeats an outcome: {repeats[0]['outcomes']}")
     # from lists, not generators: see GroupTable.usable_groups
     rows = tuple([StateGroup(g["id"], tuple(g["members"]), frozenset(g["outcomes"])) for g in groups])
     try:

@@ -21,27 +21,28 @@ the Born weights are |psi(m, m)|**2 for a bunched pair and
 psi -> U psi U^T on the amplitude matrix.
 
 A state is stored as arrays over the upper triangle of its mode basis:
-``vals[t]`` is psi(basis[rows[t]], basis[cols[t]]) with rows[t] <= cols[t].
-Evolution fills the dense symmetric matrix only for the matmul and reads
-the upper triangle back in row-major order; ``amps`` is a read-only
-Mode-pair view of the same data for inspection and tests. An encoding
-unitary is a signed permutation of modes, so :func:`encode` never builds a
-matrix: it maps each stored pair's indices to their images, flips the sign
-of its amplitude where U does, and sorts the pairs back into that order.
-Neither it nor evolution re-indexes a state onto another basis.
-Every state has unit norm within ``NORM_TOL``, so Born probabilities can
-be read off it without a second check. Calling :class:`TwoPhotonState`
-checks the arrays and the norm; the Bell and hyper states, :func:`encode`
-and evolution build arrays that hold those checks by construction (evolution
-checks the norm it produces) and pass them to the private
-``TwoPhotonState._build``, which checks only the basis against the dimension.
+``vals[t]`` is psi(basis[rows[t]], basis[cols[t]]) with rows[t] <= cols[t],
+each pair once and in row-major order. Evolution fills the dense symmetric
+matrix only for the matmul and reads the triangle back; ``amps`` is a
+read-only Mode-pair view of the same data for inspection and tests. An
+encoding unitary is a signed permutation of modes, so :func:`encode` never
+builds a matrix: it maps each stored pair's indices to their images, flips
+the sign of its amplitude where U does, and sorts the pairs back into
+row-major order. Neither it nor evolution re-indexes a state onto another
+basis. Every state has unit norm within ``NORM_TOL``, so Born probabilities
+can be read off it without a second check. Calling :class:`TwoPhotonState`
+checks the arrays (distinct, row-major pairs) and the norm; the Bell and
+hyper states, :func:`encode` and evolution build arrays that hold those
+checks by construction (evolution checks the norm it produces) and pass
+them to the private ``TwoPhotonState._build``, which checks only the basis
+against the dimension.
 
-Amplitudes and unitary matrices are float64 when every imaginary part is
-exactly zero and complex128 otherwise. Every element and state of the paper
-is real, so its evolution runs as real matrix products; a complex state or
-network promotes the product to complex. On real data the complex product
-only adds exact zeros, and tests/test_exact_real.py checks that both give
-the same bits for every state and network the CLI evolves.
+Amplitudes and unitary matrices are complex128 if given complex, even with
+every imaginary part zero, and float64 otherwise. The paper's elements and
+states are real, so they evolve as real matrix products; a complex state or
+network makes the product and its result complex. On real data the complex
+product only adds exact zeros, and tests/test_exact_real.py checks that
+both give the same bits for every state and network the CLI evolves.
 """
 
 from __future__ import annotations
@@ -162,14 +163,10 @@ def _triu(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(rows, cols, rows * size + cols, _pair_weights(rows, cols))
 
 
-def _exact_dtype(array) -> np.ndarray:
-    """``array`` as float64 if every imaginary part is exactly zero, else complex128."""
+def _float_or_complex(array) -> np.ndarray:
+    """``array`` as C-contiguous complex128 if it is complex, else as float64."""
     array = np.asarray(array)
-    if np.iscomplexobj(array):
-        if array.imag.any():
-            return array.astype(complex, copy=False)
-        array = array.real
-    return np.ascontiguousarray(array, dtype=float)
+    return np.ascontiguousarray(array, dtype=complex if np.iscomplexobj(array) else float)
 
 
 def _pair_indices(array) -> np.ndarray:
@@ -209,9 +206,11 @@ def _check_basis(basis: ModeBasis, dim: int) -> None:
 class TwoPhotonState:
     """Symmetric two-photon amplitude function on the upper triangle of a basis.
 
-    ``vals[t]`` is psi(basis[rows[t]], basis[cols[t]]) with rows <= cols;
-    pairs absent from the arrays have zero amplitude. The squared norm is
-    sum over distinct pairs of 2|psi|**2 plus sum over m of |psi(m, m)|**2.
+    ``vals[t]`` is psi(basis[rows[t]], basis[cols[t]]) with rows <= cols,
+    each pair once and in row-major order; pairs absent from the arrays
+    have zero amplitude, and ``vals`` is complex128 if given complex, else
+    float64. The squared norm is sum over distinct pairs of 2|psi|**2 plus
+    sum over m of |psi(m, m)|**2.
     Every basis mode must have path < dim, and all must share one
     polarization family (none, H/V or +/-). The arrays are read-only.
     Calling the class checks the arrays and rejects a norm off 1 by more
@@ -236,18 +235,18 @@ class TwoPhotonState:
         for name, array in (
             ("rows", _pair_indices(self.rows)),
             ("cols", _pair_indices(self.cols)),
-            ("vals", _exact_dtype(self.vals)),
+            ("vals", _float_or_complex(self.vals)),
         ):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         rows, cols = self.rows, self.cols
         if not rows.ndim == 1 or not rows.shape == cols.shape == self.vals.shape:
             raise ValueError("rows, cols and vals must be 1-d arrays of one length")
-        if not len(rows):
-            raise ValueError("state has no amplitudes")
+        _check_norm(_norm_of(_pair_weights(rows, cols), self.vals))  # an empty state fails here
         if rows.min() < 0 or cols.max() >= len(self.basis) or (rows > cols).any():
             raise ValueError("pair indices must satisfy 0 <= row <= col < len(basis)")
-        _check_norm(_norm_of(_pair_weights(rows, cols), self.vals))
+        if (np.diff(rows * len(self.basis) + cols) <= 0).any():
+            raise ValueError("pair indices must be distinct and in row-major order")
 
     @classmethod
     def _build(
@@ -256,10 +255,10 @@ class TwoPhotonState:
         """A state from arrays the package made itself, frozen in place.
 
         The caller guarantees what the class would check: a ModeBasis, intp
-        ``rows`` and ``cols`` and exact-dtype ``vals`` of one nonzero
-        length, with 0 <= row <= col < len(basis). Only the basis is checked
-        against ``dim``: a network may map a state's modes onto output
-        modes outside its dimension.
+        ``rows`` and ``cols``, float64 or complex128 ``vals`` of unit norm,
+        and distinct row-major pairs with 0 <= row <= col < len(basis). Only
+        the basis is checked against ``dim``: a network may map a state's
+        modes onto output modes outside its dimension.
         """
         _check_basis(basis, dim)
         _frozen(rows, cols, vals)
@@ -282,16 +281,16 @@ class TwoPhotonState:
             key = canonical_pair(m1, m2)
             if key in canon:
                 raise ValueError(f"duplicate amplitude for pair ({key[0].label}, {key[1].label})")
-            canon[key] = complex(a)
+            canon[key] = a
         basis = _mode_space(dim, {m.pol for pair in canon for m in pair})
         index = _positions(basis)
-        psi = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (m1, m2), a in canon.items():
-            for m in (m1, m2):
-                if m not in index:
-                    raise ValueError(f"mode {m.label} outside dimension {dim}")
-            psi[index[m1], index[m2]] = psi[index[m2], index[m1]] = a
-        return cls(dim, basis, *_upper_triangle(len(basis), psi))
+        keys = sorted(canon)  # the mode space is sorted, so these pairs are row-major
+        if outside := [m for key in keys for m in key if m not in index]:
+            raise ValueError(f"mode {outside[0].label} outside dimension {dim}")
+        rows, cols = (np.array([index[key[s]] for key in keys], dtype=np.intp) for s in (0, 1))
+        vals = _float_or_complex([canon[key] for key in keys])
+        keep = ~(np.abs(vals) < AMP_PRUNE)  # a NaN is kept, for the norm check to reject
+        return cls(dim, basis, rows[keep], cols[keep], vals[keep])
 
     @classmethod
     def from_kets(cls, dim: int, kets: Iterable[tuple[Mode, Mode, complex]]) -> "TwoPhotonState":
@@ -306,7 +305,7 @@ class TwoPhotonState:
         acc: dict[tuple[Mode, Mode], complex] = {}
         for m1, m2, c in kets:
             key = canonical_pair(m1, m2)
-            stored = complex(c) if m1 == m2 else complex(c) / math.sqrt(2.0)
+            stored = c if m1 == m2 else c / math.sqrt(2.0)
             acc[key] = acc.get(key, 0.0) + stored
         return cls.from_amplitudes(dim, acc)
 
@@ -323,15 +322,6 @@ class TwoPhotonState:
                 for i, k, a in zip(self.rows.tolist(), self.cols.tolist(), vals)
             }
         )
-
-
-def _upper_triangle(size: int, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, cols and values of the upper triangle, pruned; raises if the norm is off 1."""
-    rows, cols, flat, weights = _triu(size)
-    vals = matrix.ravel().take(flat)
-    _check_norm(_norm_of(weights, vals))
-    keep = np.abs(vals) >= AMP_PRUNE
-    return rows[keep], cols[keep], vals[keep]
 
 
 def _check_norm(norm: float) -> None:
@@ -358,8 +348,8 @@ class SinglePhotonUnitary:
     ``matrix[o, i]`` is the amplitude from input mode ``in_modes[i]`` to
     output mode ``out_modes[o]``. Input and output bases may differ (the
     polarization analyzers relabel H/V to +/-). Unitarity is enforced at
-    construction within 1e-10; the matrix is a read-only copy, float64 when
-    exactly real and complex128 otherwise. Equality and hashing are by
+    construction within 1e-10; the matrix is a read-only copy, complex128
+    if given complex and float64 otherwise. Equality and hashing are by
     identity, as for :class:`TwoPhotonState`; compare matrices with numpy.
     ``transposed`` is a read-only C-contiguous copy of ``matrix.T``, made
     on first use for :func:`~bellsort.networks.evolve`.
@@ -370,7 +360,7 @@ class SinglePhotonUnitary:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        mat = np.array(_exact_dtype(self.matrix))
+        mat = np.array(_float_or_complex(self.matrix))
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "in_modes", as_basis(self.in_modes))
         object.__setattr__(self, "out_modes", as_basis(self.out_modes))
@@ -483,5 +473,4 @@ def encode(state: TwoPhotonState, idx: BellIndex) -> TwoPhotonState:
     low, high = np.minimum(rows, cols), np.maximum(rows, cols)
     order = np.argsort(low * len(basis) + high)
     order = order[np.abs(vals[order]) >= AMP_PRUNE]
-    # pruning can drop the last complex amplitude of a state built by hand
-    return TwoPhotonState._build(state.dim, basis, low[order], high[order], _exact_dtype(vals[order]))
+    return TwoPhotonState._build(state.dim, basis, low[order], high[order], vals[order])

@@ -4,8 +4,9 @@
 their arrays in bounds and of unit norm and hand them to the private
 ``TwoPhotonState._build``, which skips the array and norm checks of
 ``TwoPhotonState(...)``. This gate runs each such state, and its evolution
-through its setup's network, back through the class: it must be accepted
-with the same dtypes and bytes, and the built arrays must be read-only.
+through its setup's network, back through the class: it must be accepted,
+so its pairs are distinct and row-major, with the same dtypes and bytes,
+and the built arrays must be read-only.
 """
 
 import numpy as np
@@ -72,18 +73,25 @@ class TestBuilderGate:
         assert any(d.startswith("rejected: pair indices") for d in builder_defects(swapped))
 
     def test_helper_reports_a_complex_dtype_with_zero_imaginary_parts(self):
-        state = make_bell_state(4, BellIndex(1, 0, 0))
-        widened = TwoPhotonState._build(state.dim, state.basis, state.rows, state.cols, state.vals + 0j)
-        assert builder_defects(widened) == ["vals dtype complex128 becomes float64"]
+        # the class keeps float64 and complex128 vals as they are, so the dtype
+        # a builder can get wrong is one the class converts, such as float32 or int
+        rows, cols = np.array([0, 1]), np.array([2, 3])
+        narrowed = TwoPhotonState._build(2, path_modes(2), rows, cols, np.array([0.5, -0.5], dtype=np.float32))
+        assert builder_defects(narrowed) == ["vals dtype float32 becomes float64"]
+        bunched = TwoPhotonState._build(2, path_modes(2), np.array([0]), np.array([0]), np.array([1]))
+        assert builder_defects(bunched) == [f"vals dtype {np.dtype(int)} becomes float64"]
 
 
 class TestEncodeOfHandBuiltStates:
     # the class does not prune, so a state built by hand can hold amplitudes
     # below the threshold that encode prunes
     def test_pruning_the_only_complex_amplitude_gives_a_real_state(self):
+        # pruning leaves one amplitude with a zero imaginary part; encode keeps
+        # the state's dtype, so it is stored as complex128
         state = TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [2**-0.5, 1e-13j])
         encoded = encode(state, BellIndex(1, 1))
-        assert encoded.vals.dtype == np.float64
+        assert len(encoded.vals) == 1 and not encoded.vals.imag.any()
+        assert encoded.vals.dtype == np.complex128
         assert builder_defects(encoded) == []
 
     def test_a_state_pruning_would_empty_is_rejected_when_built(self):

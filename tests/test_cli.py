@@ -41,6 +41,18 @@ def with_group4_outcome(outcome):
     return edit
 
 
+def with_group2_repeat(key):
+    """An edit of a table file's text that appends group 2's first ``key`` entry to that group again."""
+
+    def edit(text):
+        data = json.loads(text)
+        entries = data["groups"][1][key]
+        entries.append(entries[0])
+        return json.dumps(data)
+
+    return edit
+
+
 # each usage error found while checking flags, before any state is evolved
 USAGE_ERRORS = [
     *(
@@ -185,10 +197,14 @@ class TestVerify:
             ("table1.json", lambda text: text.replace('"model": "pnrd"', '"model": "threshold"')),
             # "A0 A1" in groups 2 and 4 is no partition; this verified as a group 4 MISMATCH, exit 1
             ("table1.json", with_group4_outcome("A0 A1")),
+            # a repeat within one group was collapsed unseen; these verified as "2/2 tables match", exit 0
+            ("table1.json", with_group2_repeat("members")),
+            ("table1.json", with_group2_repeat("outcomes")),
         ],
         ids=[
             "not-json", "no-groups", "not-an-object", "no-capacity-entries", "bool-ids", "bool-groups",
             "bool-bits-text", "relabelled-setup", "relabelled-model", "outcome-in-two-groups",
+            "repeated-member", "repeated-outcome",
         ],
     )
     def test_malformed_reference_json_is_a_usage_error(self, capsys, tmp_path, name, edit):

@@ -1,11 +1,11 @@
-"""The dtype rule: float64 when exactly real, complex128 otherwise.
+"""The dtype rule: complex128 when given complex numbers, float64 otherwise.
 
-Every element and state the CLI reaches is real, so its evolution runs as
-real matrix products. The printed probabilities must not move because of
-that, so the guard below recomputes each CLI-reachable evolution the way a
-complex-only representation did it, with both operands cast to complex128,
-and requires the same amplitudes to the last bit and the same support after
-pruning.
+Every element and state the CLI reaches is built real, so its evolution
+runs as real matrix products. The printed probabilities must not move
+because of that, so the guard below recomputes each CLI-reachable evolution
+the way a complex-only representation did it, with both operands cast to
+complex128, and requires the same amplitudes to the last bit and the same
+support after pruning.
 """
 
 import numpy as np
@@ -138,13 +138,24 @@ class TestDtypeRule:
         assert state.vals.dtype == np.complex128
 
     def test_zero_imaginary_parts_are_stored_real(self):
+        # input that is not complex is stored real, ints included; complex
+        # input stays complex128 even with every imaginary part zero
         modes = path_modes(2)
-        unitary = SinglePhotonUnitary(modes, modes, np.eye(4, dtype=complex))
-        assert unitary.matrix.dtype == np.float64
-        state = TwoPhotonState(2, modes, [0, 1], [2, 3], np.array([0.5, -0.5]) + 0j)
-        assert state.vals.dtype == np.float64
-        # the Mode-pair view still reads complex amplitudes
-        assert all(type(a) is complex for a in state.amps.values())
+        assert SinglePhotonUnitary(modes, modes, np.eye(4, dtype=complex)).matrix.dtype == np.complex128
+        assert SinglePhotonUnitary(modes, modes, np.eye(4, dtype=int)).matrix.dtype == np.float64
+        real = TwoPhotonState(2, modes, [0, 1], [2, 3], [0.5, -0.5])
+        widened = TwoPhotonState(2, modes, [0, 1], [2, 3], np.array([0.5, -0.5]) + 0j)
+        assert (real.vals.dtype, widened.vals.dtype) == (np.float64, np.complex128)
+        # the Mode-pair view reads the same complex amplitudes from both
+        assert dict(widened.amps) == dict(real.amps)
+        assert all(type(a) is complex for a in widened.amps.values())
+        assert TwoPhotonState(2, modes, [0], [0], [1]).vals.dtype == np.float64
+
+    def test_real_kets_and_amplitudes_give_a_real_state(self):
+        a0, b0, a1, b1 = Mode("A", 0), Mode("B", 0), Mode("A", 1), Mode("B", 1)
+        kets = TwoPhotonState.from_kets(2, [(a0, b0, 0.6), (a1, b1, -0.8)])
+        bunched = TwoPhotonState.from_amplitudes(2, {(a0, a0): 1})
+        assert (kets.vals.dtype, bunched.vals.dtype) == (np.float64, np.float64)
 
     def test_constructor_copies_the_caller_matrix(self):
         modes = path_modes(2)

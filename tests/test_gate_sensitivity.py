@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from bellsort import (
-    SinglePhotonUnitary, TwoPhotonState, all_bell_indices, diff_against_reference, grouping,
+    SinglePhotonUnitary, TwoPhotonState, all_bell_indices, diff_against_reference, evolve, grouping,
     load_reference_tables, make_bell_state, make_hyper_state, network_for_setup, networks, states,
 )
 from bellsort.cli import compute_table
@@ -24,6 +24,7 @@ from test_builder import builder_defects
 from test_cli import copy_references
 from test_cli_golden import golden_digest_mismatches
 from test_detection import guarded_distributions, sampling_mismatches
+from test_exact_oracle import exact_support_mismatches
 from test_exact_real import complex_evolution_mismatches
 from test_grouping import CLOSED_FORM_CASES, closed_form_mismatches
 from test_networks import (
@@ -67,6 +68,38 @@ def test_builder_gate_catches_built_states_of_norm_two(monkeypatch):
     norms = [float(d[0].split()[3]) for d in defects if len(d) == 1 and d[0].startswith("rejected: state norm")]
     assert len(norms) == 32 and np.allclose(norms, 2.0)
     assert [builder_defects(state) for state in built()] == [[]] * 32
+
+
+def test_builder_gate_catches_built_pairs_out_of_row_major_order(monkeypatch):
+    # reversed arrays keep every pair in bounds and the norm at 1; encode sorts
+    # the pairs it reads again, and evolve scatters them in any order
+    build = TwoPhotonState._build.__func__
+
+    def reversed_build(cls, dim, basis, rows, cols, vals):
+        return build(cls, dim, basis, rows[::-1], cols[::-1], vals[::-1])
+
+    def built():
+        return [state for p in cli_pairs(4) for state in (p.state, evolve(p.state, p.network))]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TwoPhotonState, "_build", classmethod(reversed_build))
+        defects = [builder_defects(state) for state in built()]
+    # prepared, encoded and evolved: fig1 at d = 2 and 4, then fig2
+    assert len(defects) == 2 * (2 * (4 + 16) + 2 * 16)
+    assert defects == [["rejected: pair indices must be distinct and in row-major order"]] * len(defects)
+    assert [builder_defects(state) for state in built()] == [[]] * len(defects)
+
+
+def test_exact_oracle_catches_a_pruning_threshold_above_a_quarter(monkeypatch):
+    # every fig2 output amplitude is +-1/4, so all of them are pruned; fig1's
+    # are 1/2 (d = 2) and sqrt(2)/4 (d = 4) and stay
+    pairs = list(cli_pairs(4))
+    with monkeypatch.context() as patch:
+        patch.setattr(networks, "AMP_PRUNE", 0.3)
+        mismatches = exact_support_mismatches(pairs)
+    assert mismatches == [t for t, p in enumerate(pairs) if p.setup == "fig2"]
+    assert len(mismatches) == 32
+    assert exact_support_mismatches(pairs) == []
 
 
 def test_exact_real_guard_catches_a_one_ulp_scaled_transpose(monkeypatch):

@@ -242,7 +242,9 @@ class TestEncoding:
         shuffled = ModeBasis(ref.basis[i] for i in perm)
         position = np.argsort(perm)  # canonical position -> position in shuffled
         rows, cols = position[ref.rows], position[ref.cols]
-        moved = TwoPhotonState(4, shuffled, np.minimum(rows, cols), np.maximum(rows, cols), ref.vals)
+        low, high = np.minimum(rows, cols), np.maximum(rows, cols)
+        order = np.argsort(low * len(shuffled) + high)  # the class takes pairs in row-major order
+        moved = TwoPhotonState(4, shuffled, low[order], high[order], ref.vals[order])
         assert approx_equal(moved, ref, up_to_phase=False)
         two_paths = TwoPhotonState(4, path_modes(2), [0, 1], [2, 3], [HALF, HALF])
         for state in (moved, two_paths):
@@ -312,6 +314,13 @@ class TestStateRepresentation:
             assert state.amps.get(canonical_pair(state.basis[i], state.basis[k]), 0) == a
         with pytest.raises(ValueError):
             TwoPhotonState(4, state.basis, state.cols, state.rows, state.vals)
+
+    @pytest.mark.parametrize("rows,cols", [([0, 0], [2, 2]), ([1, 0], [3, 2])])
+    def test_constructor_rejects_repeated_or_unordered_pairs(self, rows, cols):
+        # both pass the norm check; read as a state, the repeated pair gives
+        # an outcome distribution that sums to 0.5
+        with pytest.raises(ValueError, match="distinct and in row-major order"):
+            TwoPhotonState(2, path_modes(2), rows, cols, [HALF, HALF])
 
     def test_non_integer_pair_indices_rejected(self):
         # np.asarray(..., dtype=intp) would truncate these to the pair (0, 2)
