@@ -10,9 +10,10 @@ that outcome to the singleton ``A0``.
 
 An outcome is its label: the clicked modes' labels in mode order,
 space-separated (``A3 B1``, ``A0 A0``, threshold ``A0``). Outcomes of one
-output basis of M modes have integer ids: the detected mode pair (i, k),
-i <= k, has id i * M + k under either model (under the threshold model
-(i, i) stands for the single click i). Distributions made by
+output basis have integer ids: the pair id (see :mod:`bellsort.states`) of
+the detected mode pair under either model, so an evolved state's ``ids``
+are its outcome ids (under the threshold model the pair of mode i with
+itself stands for the single click i). Distributions made by
 :func:`outcome_distribution` keep their outcomes as these ids; an
 :class:`OutcomeTable` turns an id into its label when read.
 
@@ -45,8 +46,10 @@ MAX_SHOTS = int(np.iinfo(np.int64).max)  # the largest count numpy's multinomial
 class OutcomeTable(dict):
     """Outcome id -> outcome label for one output basis and detector model.
 
-    Entries are built on first lookup. ``outcome_table`` shares one table
-    per (basis, model), so each label is built once.
+    An outcome id is the pair id of the clicked modes (see
+    :mod:`bellsort.states`). Entries are built on first lookup.
+    ``outcome_table`` shares one table per (basis, model), so each label is
+    built once.
     """
 
     def __init__(self, basis: ModeBasis, model: str) -> None:
@@ -124,14 +127,9 @@ def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> Outc
     reproducible to the last bit.
     """
     table = outcome_table(state.basis, model)
-    weights = _pair_weights(state.rows, state.cols) * np.abs(state.vals) ** 2
+    weights = _pair_weights(state.ids, len(state.basis)) * np.abs(state.vals) ** 2
     total = sum(weights.tolist())  # the squared norm
-    return OutcomeDistribution(table, _outcome_ids(state), weights / total)
-
-
-def _outcome_ids(state: TwoPhotonState) -> np.ndarray:
-    """Outcome id of each stored pair (i, k): i * M + k over the state's M modes."""
-    return state.rows * len(state.basis) + state.cols
+    return OutcomeDistribution(table, state.ids, weights / total)
 
 
 def _has_single_click(ids: Iterable[int], table: OutcomeTable) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from .detection import MODEL_PNRD, OutcomeTable, _has_single_click, _outcome_ids, outcome_table
+from .detection import MODEL_PNRD, OutcomeTable, _has_single_click, outcome_table
 from .networks import NetworkSpec, evolve
 from .states import TwoPhotonState
 
@@ -112,7 +112,7 @@ def classify(
     table = outcome_table(unitary.out_modes, model)
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    supports = [(label, _outcome_ids(evolve(state, unitary)).tolist()) for label, state in states]
+    supports = [(label, evolve(state, unitary).ids.tolist()) for label, state in states]
     return _partition(supports, table, network.setup, policy)
 
 

@@ -180,11 +180,13 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
     """
     if state.basis != network.in_modes:
         raise ValueError("the state is not stored in the network's input basis")
-    psi = np.zeros((len(network.in_modes),) * 2, dtype=state.vals.dtype)
-    psi[state.rows, state.cols] = psi[state.cols, state.rows] = state.vals
+    size = len(network.in_modes)
+    psi = np.zeros((size, size), dtype=state.vals.dtype)
+    rows, cols = np.divmod(state.ids, size)
+    psi[rows, cols] = psi[cols, rows] = state.vals
     out = network.matrix @ psi @ network.transposed
-    rows, cols, flat, weights = _triu(len(network.out_modes))
-    vals = out.ravel().take(flat)
+    ids, weights = _triu(len(network.out_modes))
+    vals = out.ravel().take(ids)
     _check_norm(_norm_of(weights, vals))
     keep = np.abs(vals) >= AMP_PRUNE
-    return TwoPhotonState._build(state.dim, network.out_modes, rows[keep], cols[keep], vals[keep])
+    return TwoPhotonState._build(state.dim, network.out_modes, ids[keep], vals[keep])

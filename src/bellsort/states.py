@@ -20,22 +20,24 @@ the Born weights are |psi(m, m)|**2 for a bunched pair and
 2*|psi(m1, m2)|**2 otherwise, and single-photon unitaries act as
 psi -> U psi U^T on the amplitude matrix.
 
-A state is stored as arrays over the upper triangle of its mode basis:
-``vals[t]`` is psi(basis[rows[t]], basis[cols[t]]) with rows[t] <= cols[t],
-each pair once and in row-major order. Evolution fills the dense symmetric
-matrix only for the matmul and reads the triangle back; ``amps`` is a
-read-only Mode-pair view of the same data for inspection and tests. An
-encoding unitary is a signed permutation of modes, so :func:`encode` never
-builds a matrix: it maps each stored pair's indices to their images, flips
-the sign of its amplitude where U does, and sorts the pairs back into
-row-major order. Neither it nor evolution re-indexes a state onto another
-basis. Every state has unit norm within ``NORM_TOL``, so Born probabilities
-can be read off it without a second check. Calling :class:`TwoPhotonState`
-checks the arrays (distinct, row-major pairs) and the norm; the Bell and
-hyper states, :func:`encode` and evolution build arrays that hold those
-checks by construction (evolution checks the norm it produces) and pass
-them to the private ``TwoPhotonState._build``, which checks only the basis
-against the dimension.
+The pair (basis[i], basis[k]) with i <= k of a basis of M modes has the
+pair id i * M + k: its offset in the row-major M x M matrix, and the id of
+the detector outcome that fires modes i and k. A state is stored as arrays
+over the upper triangle of its mode basis: ``vals[t]`` is psi of the pair
+with id ``ids[t]``, and ``ids`` is strictly increasing, so each pair comes
+once and in row-major order. Evolution fills the dense symmetric matrix
+only for the matmul and reads the triangle back; ``amps`` is a read-only
+Mode-pair view of the same data for inspection and tests. An encoding
+unitary is a signed permutation of modes, so :func:`encode` never builds a
+matrix: it maps each stored pair's modes to their images, flips the sign
+of its amplitude where U does, and sorts the new ids. Neither it nor
+evolution re-indexes a state onto another basis. Every state has unit norm
+within ``NORM_TOL``, so Born probabilities can be read off it without a
+second check. Calling :class:`TwoPhotonState` checks the arrays and the
+norm; the Bell and hyper states, :func:`encode` and evolution build arrays
+that hold those checks by construction (evolution checks the norm it
+produces) and pass them to the private ``TwoPhotonState._build``, which
+checks only the basis against the dimension.
 
 Amplitudes and unitary matrices are complex128 if given complex, even with
 every imaginary part zero, and float64 otherwise. The paper's elements and
@@ -138,10 +140,9 @@ def _sign(x, n: int, m: int):
 
 
 def _require_power_of_two(dim: int) -> None:
-    if dim < 2 or dim & (dim - 1):
-        raise ValueError(
-            f"dimension must be a power of two >= 2 for the XOR pairing, got {dim}"
-        )
+    # a bool is an int, as for BellIndex and Mode, and a float has no XOR
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2 or dim & (dim - 1):
+        raise ValueError(f"dimension must be an integer power of two >= 2 for the XOR pairing, got {dim!r}")
 
 
 @lru_cache(maxsize=64)
@@ -157,10 +158,11 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=16)
-def _triu(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major upper triangle of a size x size matrix: rows, cols, flat offsets, pair weights."""
+def _triu(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major upper triangle of a size x size matrix: pair ids (flat offsets), pair weights."""
     rows, cols = np.triu_indices(size)
-    return _frozen(rows, cols, rows * size + cols, _pair_weights(rows, cols))
+    ids = rows * size + cols
+    return _frozen(ids, _pair_weights(ids, size))
 
 
 def _float_or_complex(array) -> np.ndarray:
@@ -195,7 +197,9 @@ def _mode_space(dim: int, pols: set) -> ModeBasis:
 
 @lru_cache(maxsize=64)
 def _check_basis(basis: ModeBasis, dim: int) -> None:
-    """Raise unless every mode of ``basis`` has path < dim and one polarization family."""
+    """Raise unless ``basis`` has modes, each with path < dim, of one polarization family."""
+    if not basis:
+        raise ValueError("the mode basis is empty")
     for m in basis:
         if m.path >= dim:
             raise ValueError(f"mode {m.label} outside dimension {dim}")
@@ -206,10 +210,11 @@ def _check_basis(basis: ModeBasis, dim: int) -> None:
 class TwoPhotonState:
     """Symmetric two-photon amplitude function on the upper triangle of a basis.
 
-    ``vals[t]`` is psi(basis[rows[t]], basis[cols[t]]) with rows <= cols,
-    each pair once and in row-major order; pairs absent from the arrays
-    have zero amplitude, and ``vals`` is complex128 if given complex, else
-    float64. The squared norm is sum over distinct pairs of 2|psi|**2 plus
+    ``vals[t]`` is psi(basis[i], basis[k]) for the pair id ``ids[t]`` =
+    i * len(basis) + k with i <= k, and ``ids`` is strictly increasing;
+    pairs absent from the arrays have zero amplitude, and ``vals`` is
+    complex128 if given complex, else float64. ``dim`` is a positive int.
+    The squared norm is sum over distinct pairs of 2|psi|**2 plus
     sum over m of |psi(m, m)|**2.
     Every basis mode must have path < dim, and all must share one
     polarization family (none, H/V or +/-). The arrays are read-only.
@@ -223,47 +228,41 @@ class TwoPhotonState:
 
     dim: int
     basis: ModeBasis = field(repr=False)
-    rows: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
+    ids: np.ndarray = field(repr=False)
     vals: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "basis", as_basis(self.basis))
         _check_basis(self.basis, self.dim)
-        for name, array in (
-            ("rows", _pair_indices(self.rows)),
-            ("cols", _pair_indices(self.cols)),
-            ("vals", _float_or_complex(self.vals)),
-        ):
+        for name, array in (("ids", _pair_indices(self.ids)), ("vals", _float_or_complex(self.vals))):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        rows, cols = self.rows, self.cols
-        if not rows.ndim == 1 or not rows.shape == cols.shape == self.vals.shape:
-            raise ValueError("rows, cols and vals must be 1-d arrays of one length")
-        _check_norm(_norm_of(_pair_weights(rows, cols), self.vals))  # an empty state fails here
-        if rows.min() < 0 or cols.max() >= len(self.basis) or (rows > cols).any():
+        ids, size = self.ids, len(self.basis)
+        if not ids.ndim == 1 or not ids.shape == self.vals.shape:
+            raise ValueError("ids and vals must be 1-d arrays of one length")
+        _check_norm(_norm_of(_pair_weights(ids, size), self.vals))  # an empty state fails here
+        rows, cols = np.divmod(ids, size)
+        if rows.min() < 0 or (rows > cols).any():
             raise ValueError("pair indices must satisfy 0 <= row <= col < len(basis)")
-        if (np.diff(rows * len(self.basis) + cols) <= 0).any():
+        if (np.diff(ids) <= 0).any():
             raise ValueError("pair indices must be distinct and in row-major order")
 
     @classmethod
-    def _build(
-        cls, dim: int, basis: ModeBasis, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-    ) -> "TwoPhotonState":
+    def _build(cls, dim: int, basis: ModeBasis, ids: np.ndarray, vals: np.ndarray) -> "TwoPhotonState":
         """A state from arrays the package made itself, frozen in place.
 
         The caller guarantees what the class would check: a ModeBasis, intp
-        ``rows`` and ``cols``, float64 or complex128 ``vals`` of unit norm,
-        and distinct row-major pairs with 0 <= row <= col < len(basis). Only
-        the basis is checked against ``dim``: a network may map a state's
-        modes onto output modes outside its dimension.
+        ``ids`` of distinct pairs in increasing order with 0 <= row <= col <
+        len(basis), and float64 or complex128 ``vals`` of unit norm. Only the
+        basis is checked against ``dim``: a network may map a state's modes
+        onto output modes outside its dimension.
         """
         _check_basis(basis, dim)
-        _frozen(rows, cols, vals)
+        _frozen(ids, vals)
         state = object.__new__(cls)
-        vars(state).update(dim=dim, basis=basis, rows=rows, cols=cols, vals=vals)
+        vars(state).update(dim=dim, basis=basis, ids=ids, vals=vals)
         return state
 
     # -- constructors ------------------------------------------------------
@@ -287,10 +286,10 @@ class TwoPhotonState:
         keys = sorted(canon)  # the mode space is sorted, so these pairs are row-major
         if outside := [m for key in keys for m in key if m not in index]:
             raise ValueError(f"mode {outside[0].label} outside dimension {dim}")
-        rows, cols = (np.array([index[key[s]] for key in keys], dtype=np.intp) for s in (0, 1))
+        ids = np.array([index[m1] * len(basis) + index[m2] for m1, m2 in keys], dtype=np.intp)
         vals = _float_or_complex([canon[key] for key in keys])
         keep = ~(np.abs(vals) < AMP_PRUNE)  # a NaN is kept, for the norm check to reject
-        return cls(dim, basis, rows[keep], cols[keep], vals[keep])
+        return cls(dim, basis, ids[keep], vals[keep])
 
     @classmethod
     def from_kets(cls, dim: int, kets: Iterable[tuple[Mode, Mode, complex]]) -> "TwoPhotonState":
@@ -315,12 +314,10 @@ class TwoPhotonState:
     def amps(self) -> Mapping[tuple[Mode, Mode], complex]:
         """Read-only map from canonical mode pairs (m1 <= m2) to complex psi(m1, m2)."""
         basis = self.basis
+        rows, cols = np.divmod(self.ids, len(basis))
         vals = self.vals.astype(complex).tolist()
         return MappingProxyType(
-            {
-                canonical_pair(basis[i], basis[k]): a
-                for i, k, a in zip(self.rows.tolist(), self.cols.tolist(), vals)
-            }
+            {canonical_pair(basis[i], basis[k]): a for i, k, a in zip(rows.tolist(), cols.tolist(), vals)}
         )
 
 
@@ -329,9 +326,9 @@ def _check_norm(norm: float) -> None:
         raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
 
 
-def _pair_weights(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Norm weight of each stored pair: 1 for psi(m, m), 2 for a distinct pair."""
-    return np.where(rows == cols, 1.0, 2.0)
+def _pair_weights(ids: np.ndarray, size: int) -> np.ndarray:
+    """Norm weight of each pair id over ``size`` modes: 1 for psi(m, m) (id m * (size + 1)), else 2."""
+    return np.where(ids % (size + 1) == 0, 1.0, 2.0)
 
 
 def _norm_of(weights: np.ndarray, vals: np.ndarray) -> float:
@@ -408,8 +405,8 @@ def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, coeff: float) -> Two
     # c * |1_a, 1_b> with a != b is stored as c / sqrt(2); the signs are
     # +-1, so scaling them by one rounded factor is exact
     vals = _arm_signs(basis, idx.n, idx.m)[half:] * (coeff / math.sqrt(2.0))
-    cols = _xor_positions(basis, idx.j)[half:]
-    return TwoPhotonState._build(dim, basis, np.arange(half, dtype=np.intp), cols, vals)
+    ids = np.arange(half, dtype=np.intp) * len(basis) + _xor_positions(basis, idx.j)[half:]
+    return TwoPhotonState._build(dim, basis, ids, vals)
 
 
 def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
@@ -466,11 +463,12 @@ def encode(state: TwoPhotonState, idx: BellIndex) -> TwoPhotonState:
     basis = state.basis
     if basis != _mode_space(state.dim, {basis[0].pol}):
         raise ValueError("encode needs a state stored in the full canonical mode space of its dimension")
+    rows, cols = np.divmod(state.ids, len(basis))
     signs = _arm_signs(basis, idx.n, idx.m)
-    vals = state.vals * signs[state.rows] * signs[state.cols]
+    vals = state.vals * signs[rows] * signs[cols]
     positions = _xor_positions(basis, idx.j)
-    rows, cols = positions[state.rows], positions[state.cols]
-    low, high = np.minimum(rows, cols), np.maximum(rows, cols)
-    order = np.argsort(low * len(basis) + high)
+    rows, cols = positions[rows], positions[cols]
+    ids = np.minimum(rows, cols) * len(basis) + np.maximum(rows, cols)
+    order = np.argsort(ids)
     order = order[np.abs(vals[order]) >= AMP_PRUNE]
-    return TwoPhotonState._build(state.dim, basis, low[order], high[order], vals[order])
+    return TwoPhotonState._build(state.dim, basis, ids[order], vals[order])

@@ -5,8 +5,8 @@ their arrays in bounds and of unit norm and hand them to the private
 ``TwoPhotonState._build``, which skips the array and norm checks of
 ``TwoPhotonState(...)``. This gate runs each such state, and its evolution
 through its setup's network, back through the class: it must be accepted,
-so its pairs are distinct and row-major, with the same dtypes and bytes,
-and the built arrays must be read-only.
+so its pair ids are in the upper triangle and strictly increasing, with the
+same dtypes and bytes, and the built ``ids`` and ``vals`` must be read-only.
 """
 
 import numpy as np
@@ -20,10 +20,10 @@ from conftest import CLI_DIMS, cli_pairs
 def builder_defects(state: TwoPhotonState) -> list[str]:
     """What the public constructor finds wrong with a built state; empty if nothing."""
     # read the flags first: the constructor freezes arrays it keeps as they are
-    arrays = ("rows", "cols", "vals")
+    arrays = ("ids", "vals")
     defects = [f"{name} is writeable" for name in arrays if getattr(state, name).flags.writeable]
     try:
-        checked = TwoPhotonState(state.dim, state.basis, state.rows, state.cols, state.vals)
+        checked = TwoPhotonState(state.dim, state.basis, state.ids, state.vals)
     except ValueError as exc:
         return defects + [f"rejected: {exc}"]
     if checked.basis is not state.basis:
@@ -69,26 +69,26 @@ class TestBuilderGate:
 
     def test_helper_reports_swapped_rows_and_cols(self):
         state = make_bell_state(4, BellIndex(1, 0, 0))
-        swapped = TwoPhotonState._build(state.dim, state.basis, state.cols, state.rows, state.vals)
+        rows, cols = np.divmod(state.ids, len(state.basis))
+        swapped = TwoPhotonState._build(state.dim, state.basis, cols * len(state.basis) + rows, state.vals)
         assert any(d.startswith("rejected: pair indices") for d in builder_defects(swapped))
 
-    def test_helper_reports_a_complex_dtype_with_zero_imaginary_parts(self):
+    def test_helper_reports_vals_the_class_would_convert(self):
         # the class keeps float64 and complex128 vals as they are, so the dtype
         # a builder can get wrong is one the class converts, such as float32 or int
-        rows, cols = np.array([0, 1]), np.array([2, 3])
-        narrowed = TwoPhotonState._build(2, path_modes(2), rows, cols, np.array([0.5, -0.5], dtype=np.float32))
+        narrowed = TwoPhotonState._build(2, path_modes(2), np.array([2, 7]), np.array([0.5, -0.5], np.float32))
         assert builder_defects(narrowed) == ["vals dtype float32 becomes float64"]
-        bunched = TwoPhotonState._build(2, path_modes(2), np.array([0]), np.array([0]), np.array([1]))
+        bunched = TwoPhotonState._build(2, path_modes(2), np.array([0]), np.array([1]))
         assert builder_defects(bunched) == [f"vals dtype {np.dtype(int)} becomes float64"]
 
 
 class TestEncodeOfHandBuiltStates:
     # the class does not prune, so a state built by hand can hold amplitudes
     # below the threshold that encode prunes
-    def test_pruning_the_only_complex_amplitude_gives_a_real_state(self):
+    def test_pruning_the_only_complex_amplitude_keeps_complex128(self):
         # pruning leaves one amplitude with a zero imaginary part; encode keeps
         # the state's dtype, so it is stored as complex128
-        state = TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [2**-0.5, 1e-13j])
+        state = TwoPhotonState(2, path_modes(2), [2, 7], [2**-0.5, 1e-13j])
         encoded = encode(state, BellIndex(1, 1))
         assert len(encoded.vals) == 1 and not encoded.vals.imag.any()
         assert encoded.vals.dtype == np.complex128
@@ -97,4 +97,4 @@ class TestEncodeOfHandBuiltStates:
     def test_a_state_pruning_would_empty_is_rejected_when_built(self):
         # so encode can never prune a state to nothing
         with pytest.raises(ValueError, match="deviates from 1"):
-            TwoPhotonState(2, path_modes(2), [0], [2], [1e-13])
+            TwoPhotonState(2, path_modes(2), [2], [1e-13])

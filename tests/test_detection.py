@@ -183,12 +183,12 @@ class TestDistributions:
     def test_unnormalized_state_rejected(self):
         # psi(A0, B0) = 0.7, psi(A1, B1) = 0.2: no such state reaches outcome_distribution
         with pytest.raises(ValueError, match="deviates from 1"):
-            TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7, 0.2])
+            TwoPhotonState(2, path_modes(2), [2, 7], [0.7, 0.2])
 
     def test_nan_amplitude_fails_the_norm_check(self):
         # |sqrt(nan) - 1| > tol is False, so the check must be written to fail on NaN
         with pytest.raises(ValueError, match="deviates from 1"):
-            TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7071, math.nan])
+            TwoPhotonState(2, path_modes(2), [2, 7], [0.7071, math.nan])
 
     def test_distribution_round_trip(self):
         # written as JSON and not read back: every probability must survive

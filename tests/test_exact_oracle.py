@@ -1,7 +1,7 @@
 """An exact support oracle over Q(sqrt 2): supports and groups with no float threshold.
 
-For d = 2 and d = 4 every number of the pipeline lies in Q(sqrt 2): the
-Bell coefficients +-1/sqrt(d), the hyper coefficient 1/(2 sqrt 2) and the
+For d = 2**k every number of the pipeline lies in Q(sqrt 2): the Bell
+coefficients +-1/sqrt(d), the hyper coefficient 1/(2 sqrt 2) and the
 network entries 0, +-1 and +-1/sqrt(2). This module writes the states from
 their index (j, n, m) and the networks from their optical elements, as
 numbers a + b sqrt(2) with rational a and b, and evolves them stage by
@@ -10,8 +10,8 @@ amplitude here is zero or it is not.
 
 The library's supports come from float products and the 1e-12 pruning
 threshold. The gates below require both to give the same output pairs for
-every pair the CLI evolves at d <= 4, and the exact groups to equal the
-reference tables.
+every pair the CLI evolves, with fig1 up to d = 16, and the exact groups
+to equal the reference tables.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def exact_support(setup: str, dim: int, j: int, n: int, m: int) -> set[str]:
 def library_support(pair) -> set[str]:
     evolved = evolve(pair.state, pair.network)
     basis = evolved.basis
-    return {f"{basis[r].label} {basis[c].label}" for r, c in zip(evolved.rows.tolist(), evolved.cols.tolist())}
+    return {" ".join(basis[m].label for m in divmod(i, len(basis))) for i in evolved.ids.tolist()}
 
 
 def exact_support_mismatches(pairs) -> list[int]:
@@ -183,10 +183,10 @@ def exact_groups(setup: str) -> set[tuple[frozenset, frozenset]]:
     return {(frozenset(members), frozenset(outcomes)) for members, outcomes in groups}
 
 
-def test_every_cli_pair_up_to_d4_has_the_exact_support():
-    pairs = list(cli_pairs(max_dim=4))
-    # prepared and encoded: fig1 at d = 2 and 4, then fig2
-    assert len(pairs) == 2 * (4 + 16) + 2 * 16
+def test_every_cli_pair_up_to_d16_has_the_exact_support():
+    pairs = list(cli_pairs(max_dim=16))
+    # prepared and encoded: fig1 at d = 2, 4, 8 and 16, then fig2
+    assert len(pairs) == 2 * (4 + 16 + 32 + 64) + 2 * 16
     assert exact_support_mismatches(pairs) == []
 
 

@@ -21,6 +21,7 @@ from bellsort.detection import MODEL_PNRD, OutcomeDistribution, outcome_table
 from bellsort.modes import ARMS, Mode, path_modes
 from conftest import cli_pairs
 from test_builder import builder_defects
+from test_class_bound import class_bound_violations
 from test_cli import copy_references
 from test_cli_golden import golden_digest_mismatches
 from test_detection import guarded_distributions, sampling_mismatches
@@ -75,8 +76,8 @@ def test_builder_gate_catches_built_pairs_out_of_row_major_order(monkeypatch):
     # the pairs it reads again, and evolve scatters them in any order
     build = TwoPhotonState._build.__func__
 
-    def reversed_build(cls, dim, basis, rows, cols, vals):
-        return build(cls, dim, basis, rows[::-1], cols[::-1], vals[::-1])
+    def reversed_build(cls, dim, basis, ids, vals):
+        return build(cls, dim, basis, ids[::-1], vals[::-1])
 
     def built():
         return [state for p in cli_pairs(4) for state in (p.state, evolve(p.state, p.network))]
@@ -100,6 +101,16 @@ def test_exact_oracle_catches_a_pruning_threshold_above_a_quarter(monkeypatch):
     assert mismatches == [t for t, p in enumerate(pairs) if p.setup == "fig2"]
     assert len(mismatches) == 32
     assert exact_support_mismatches(pairs) == []
+
+
+def test_class_bound_catches_a_pruning_threshold_of_0_3(monkeypatch):
+    # pruned amplitudes take outcomes out of the supports, so groups split
+    # into more classes than linear optics allows; up to 16 singletons at d = 4
+    with monkeypatch.context() as patch:
+        patch.setattr(networks, "AMP_PRUNE", 0.3)
+        violations = class_bound_violations(4, count=100)
+    assert violations
+    assert class_bound_violations(4, count=100) == []
 
 
 def test_exact_real_guard_catches_a_one_ulp_scaled_transpose(monkeypatch):

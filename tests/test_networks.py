@@ -176,7 +176,7 @@ class TestEvolutionArchetypes:
     def test_nan_amplitude_fails_the_norm_check(self):
         # |nan - 1| > tol is False; written that way, a NaN state would evolve to an empty one
         with pytest.raises(ValueError, match="state norm nan"):
-            TwoPhotonState(2, path_modes(2), [0, 1], [2, 3], [0.7071, math.nan])
+            TwoPhotonState(2, path_modes(2), [2, 7], [0.7071, math.nan])
         amps = {(Mode(A, 0), Mode(B, 0)): 0.7071, (Mode(A, 1), Mode(B, 1)): math.nan}
         with pytest.raises(ValueError, match="state norm nan"):
             TwoPhotonState.from_amplitudes(2, amps)

@@ -241,12 +241,12 @@ class TestEncoding:
         perm = np.random.default_rng(8).permutation(len(ref.basis))
         shuffled = ModeBasis(ref.basis[i] for i in perm)
         position = np.argsort(perm)  # canonical position -> position in shuffled
-        rows, cols = position[ref.rows], position[ref.cols]
-        low, high = np.minimum(rows, cols), np.maximum(rows, cols)
-        order = np.argsort(low * len(shuffled) + high)  # the class takes pairs in row-major order
-        moved = TwoPhotonState(4, shuffled, low[order], high[order], ref.vals[order])
+        rows, cols = (position[a] for a in np.divmod(ref.ids, len(shuffled)))
+        ids = np.minimum(rows, cols) * len(shuffled) + np.maximum(rows, cols)
+        order = np.argsort(ids)  # the class takes pairs in row-major order
+        moved = TwoPhotonState(4, shuffled, ids[order], ref.vals[order])
         assert approx_equal(moved, ref, up_to_phase=False)
-        two_paths = TwoPhotonState(4, path_modes(2), [0, 1], [2, 3], [HALF, HALF])
+        two_paths = TwoPhotonState(4, path_modes(2), [2, 7], [HALF, HALF])
         for state in (moved, two_paths):
             with pytest.raises(ValueError, match="canonical mode space"):
                 encode(state, BellIndex(1, 0, 0))
@@ -257,6 +257,17 @@ class TestEncoding:
         )
         with pytest.raises(ValueError, match="power of two"):
             encode(state, BellIndex(1, 0, 0))
+
+    @pytest.mark.parametrize("dim", [4.0, True, "4"], ids=["float", "bool", "str"])
+    def test_a_bool_or_non_integer_dimension_is_rejected(self, dim):
+        # 4.0 used to build a state whose encode failed with a bare TypeError
+        # from the XOR pairing; True built a state of dimension True
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            TwoPhotonState(dim, path_modes(2), [2, 7], [HALF, HALF])
+        with pytest.raises(ValueError, match="dimension must be an integer power of two"):
+            make_bell_state(dim, BellIndex(0, 0, 0))
+        with pytest.raises(ValueError, match="dimension must be an integer power of two"):
+            encoding_unitary(dim, BellIndex(0, 0, 0))
 
 
 class TestStateRepresentation:
@@ -308,30 +319,40 @@ class TestStateRepresentation:
     def test_array_form_is_upper_triangle_of_the_basis(self):
         state = make_bell_state(4, BellIndex(2, 1, 0))
         assert state.basis == path_modes(4)
-        assert np.all(state.rows <= state.cols)
-        assert not state.vals.flags.writeable
-        for i, k, a in zip(state.rows, state.cols, state.vals):
+        size = len(state.basis)
+        rows, cols = np.divmod(state.ids, size)
+        assert np.all(rows <= cols)
+        assert not state.ids.flags.writeable and not state.vals.flags.writeable
+        for i, k, a in zip(rows, cols, state.vals):
             assert state.amps.get(canonical_pair(state.basis[i], state.basis[k]), 0) == a
-        with pytest.raises(ValueError):
-            TwoPhotonState(4, state.basis, state.cols, state.rows, state.vals)
+        with pytest.raises(ValueError, match="pair indices must satisfy 0 <= row <= col"):
+            TwoPhotonState(4, state.basis, cols * size + rows, state.vals)
+        with pytest.raises(ValueError, match="pair indices must satisfy 0 <= row <= col"):
+            TwoPhotonState(4, state.basis, state.ids - size, state.vals)
 
-    @pytest.mark.parametrize("rows,cols", [([0, 0], [2, 2]), ([1, 0], [3, 2])])
-    def test_constructor_rejects_repeated_or_unordered_pairs(self, rows, cols):
-        # both pass the norm check; read as a state, the repeated pair gives
-        # an outcome distribution that sums to 0.5
+    def test_an_empty_basis_is_rejected(self):
+        # np.divmod by zero modes would read id 0 as the pair (0, 0)
+        with pytest.raises(ValueError, match="the mode basis is empty"):
+            TwoPhotonState(1, (), [0], [1.0])
+
+    @pytest.mark.parametrize("ids", [[2, 2], [7, 2]])
+    def test_constructor_rejects_repeated_or_unordered_pairs(self, ids):
+        # both pass the norm check; read as a state, the repeated pair (A0, B0)
+        # gives an outcome distribution that sums to 0.5
         with pytest.raises(ValueError, match="distinct and in row-major order"):
-            TwoPhotonState(2, path_modes(2), rows, cols, [HALF, HALF])
+            TwoPhotonState(2, path_modes(2), ids, [HALF, HALF])
 
     def test_non_integer_pair_indices_rejected(self):
-        # np.asarray(..., dtype=intp) would truncate these to the pair (0, 2)
+        # np.asarray(..., dtype=intp) would truncate these to the pair (0, 2), id 2
         with pytest.raises(ValueError, match="pair indices must be integers"):
-            TwoPhotonState(2, path_modes(2), [0.6], [2.7], [INV_SQRT2])
+            TwoPhotonState(2, path_modes(2), [2.7], [INV_SQRT2])
         with pytest.raises(ValueError, match="pair indices must be integers"):
-            TwoPhotonState(2, path_modes(2), np.array([0]), np.array([2.0]), [INV_SQRT2])
+            TwoPhotonState(2, path_modes(2), np.array([2.0]), [INV_SQRT2])
+        # and this to the pair (0, 1), id 1
         with pytest.raises(ValueError, match="pair indices must be integers"):
-            TwoPhotonState(2, path_modes(2), [False], [True], [INV_SQRT2])
-        state = TwoPhotonState(2, path_modes(2), np.array([0], dtype=np.uint8), [2], [INV_SQRT2])
-        assert state.rows.dtype == np.intp
+            TwoPhotonState(2, path_modes(2), [True], [INV_SQRT2])
+        state = TwoPhotonState(2, path_modes(2), np.array([2], dtype=np.uint8), [INV_SQRT2])
+        assert state.ids.dtype == np.intp
 
     def test_mode_space_tracks_polarization(self):
         # encode works in the canonical mode space of the state's polarization family
@@ -349,14 +370,14 @@ class TestStateRepresentation:
         # the same rule and message as from_amplitudes and evolve
         state = make_bell_state(4, BellIndex(2, 1, 0))
         with pytest.raises(ValueError, match="deviates from 1 by more than 1e-09"):
-            TwoPhotonState(4, state.basis, state.rows, state.cols, state.vals * scale)
+            TwoPhotonState(4, state.basis, state.ids, state.vals * scale)
         with pytest.raises(ValueError, match="deviates from 1 by more than 1e-09"):
             TwoPhotonState.from_amplitudes(4, {k: v * scale for k, v in state.amps.items()})
 
     def test_constructor_accepts_a_norm_within_the_tolerance(self):
         state = make_bell_state(4, BellIndex(2, 1, 0))
         for scale in (1 + NORM_TOL / 2, 1 - NORM_TOL / 2):
-            near = TwoPhotonState(4, state.basis, state.rows, state.cols, state.vals * scale)
+            near = TwoPhotonState(4, state.basis, state.ids, state.vals * scale)
             assert abs(oracle_norm(near) - 1.0) <= NORM_TOL
 
     def test_bell_index_labels(self):
