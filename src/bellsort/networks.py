@@ -33,11 +33,10 @@ from that rule.
 
 Evolution is exact: the symmetric two-photon amplitude matrix transforms as
 psi -> U psi U^T, which keeps bosonic exchange statistics (and hence the
-bunching interference) automatic. The right factor U^T is the unitary's
-cached C-contiguous ``transposed`` copy rather than the strided view
-``matrix.T``: OpenBLAS multiplies the contiguous operand faster (at 64
-modes, on one thread of a 2-vCPU VM, about 13 against 19 us), and
-tests/test_exact_real.py checks its bits against the complex product.
+bunching interference) automatic. :func:`evolve` forms no matrix: it sums
+the terms each stored pair feeds, read from the unitary's cached table
+(:class:`~bellsort.states.PairTerms`), and tests/test_exact_real.py checks
+its bits against the complex product U psi U^T.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .modes import ARMS, Mode, ModeBasis, POL_DIAGONAL, POL_LINEAR, path_modes, polarized_modes
-from .states import AMP_PRUNE, SinglePhotonUnitary, TwoPhotonState, _check_norm, _norm_of, _positions, _triu
+from .states import AMP_PRUNE, SinglePhotonUnitary, TwoPhotonState, _check_norm, _positions
 
 SETUP_FIG1 = "fig1"
 SETUP_FIG2 = "fig2"
@@ -139,7 +138,7 @@ def _require_fig2_dim(dim: int) -> None:
         raise ValueError("the ancilla-assisted setup is defined for dimension 4")
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed, so that 4.0 or True is no hit for 4 or 1
 def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
     """The measurement network of a setup, built once per (setup, dim).
 
@@ -149,6 +148,8 @@ def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
     basis). The result is shared between callers and immutable: frozen
     stages with read-only matrices, and a product composed once.
     """
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"dimension must be an integer, got {dim!r}")
     if setup == SETUP_FIG1:
         if dim < 2:
             raise ValueError(f"need at least two paths, got dimension {dim}")
@@ -172,21 +173,32 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
 
     The symmetric amplitude function transforms as
     psi'(o1, o2) = sum over i1, i2 of U[o1, i1] U[o2, i2] psi(i1, i2),
-    computed as the matrix sandwich U psi U^T on a transient dense matrix,
-    with U^T the cached ``network.transposed``. Raises ValueError unless
+    the matrix sandwich U psi U^T. Each term is read from the cached
+    ``network.pair_terms`` and formed as (U[o1, i1] psi) U[o2, i2], the
+    rounding of the product's left factor first, and one ``bincount`` sums
+    the terms per output pair. For a state of S stored pairs through M modes
+    this takes O(S·w) time for the terms, where w = 2 k² and k is the most
+    nonzeros in a column of U, plus one pass over the M² + 1 output bins; the
+    table takes O(M²·w) memory per network, built on the first call. A dense
+    network is therefore costly, and only tests evolve through one, at
+    16 modes or fewer. Raises ValueError unless
     ``state.basis == network.in_modes``; ``network.out_modes`` may be in any
-    order. Norm is preserved (checked within 1e-9; a NaN amplitude fails it),
-    amplitudes below 1e-12 are pruned and the product's dtype is kept.
+    order. Norm is preserved (checked within 1e-9 over every output
+    amplitude, so a NaN fails it), amplitudes below 1e-12 are pruned, and
+    the result is complex if the state or the network is.
     """
     if state.basis != network.in_modes:
         raise ValueError("the state is not stored in the network's input basis")
     size = len(network.in_modes)
-    psi = np.zeros((size, size), dtype=state.vals.dtype)
-    rows, cols = np.divmod(state.ids, size)
-    psi[rows, cols] = psi[cols, rows] = state.vals
-    out = network.matrix @ psi @ network.transposed
-    ids, weights = _triu(len(network.out_modes))
-    vals = out.ravel().take(ids)
-    _check_norm(_norm_of(weights, vals))
-    keep = np.abs(vals) >= AMP_PRUNE
-    return TwoPhotonState._build(state.dim, network.out_modes, ids[keep], vals[keep])
+    table = network.pair_terms
+    rows = table.row_of[state.ids]
+    # U[p, a] psi first, as the matrix product U psi U^T rounds it
+    terms = (table.first.take(rows, 0) * state.vals[:, None]) * table.second.take(rows, 0)
+    keys = table.keys.take(rows, 0).ravel()
+    sums = np.bincount(keys, terms.real.ravel(), size * size + 1)
+    if terms.dtype.kind == "c":
+        sums = sums + 1j * np.bincount(keys, terms.imag.ravel(), size * size + 1)
+    diagonal = sums[:: size + 1]  # psi(m, m); the last bin, weight 0 terms only, is off it
+    _check_norm(math.sqrt(2 * np.vdot(sums, sums).real - np.vdot(diagonal, diagonal).real))
+    ids = (np.abs(sums) >= AMP_PRUNE).nonzero()[0]
+    return TwoPhotonState._build(state.dim, network.out_modes, ids, sums[ids])

@@ -25,9 +25,10 @@ pair id i * M + k: its offset in the row-major M x M matrix, and the id of
 the detector outcome that fires modes i and k. A state is stored as arrays
 over the upper triangle of its mode basis: ``vals[t]`` is psi of the pair
 with id ``ids[t]``, and ``ids`` is strictly increasing, so each pair comes
-once and in row-major order. Evolution fills the dense symmetric matrix
-only for the matmul and reads the triangle back; ``amps`` is a read-only
-Mode-pair view of the same data for inspection and tests. An encoding
+once and in row-major order. Evolution reads and writes these arrays
+directly, through a unitary's table of the output pairs each stored pair
+feeds (:class:`PairTerms`); ``amps`` is a read-only Mode-pair view of the
+same data for inspection and tests. An encoding
 unitary is a signed permutation of modes, so :func:`encode` never builds a
 matrix: it maps each stored pair's modes to their images, flips the sign
 of its amplitude where U does, and sorts the new ids. Neither it nor
@@ -41,10 +42,11 @@ checks only the basis against the dimension.
 
 Amplitudes and unitary matrices are complex128 if given complex, even with
 every imaginary part zero, and float64 otherwise. The paper's elements and
-states are real, so they evolve as real matrix products; a complex state or
-network makes the product and its result complex. On real data the complex
-product only adds exact zeros, and tests/test_exact_real.py checks that
-both give the same bits for every state and network the CLI evolves.
+states are real, so they evolve in real arithmetic; a complex state or
+network makes the terms and the result complex. tests/test_exact_real.py
+checks that evolution gives the bits of the complex product U psi U^T for
+every state and network the CLI evolves, on which that product only adds
+exact zeros.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -122,14 +124,16 @@ class BellIndex:
         return cls(j, n, m)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed, so that 4.0 or True is no hit for 4 or 1
 def all_bell_indices(dim: int) -> tuple[BellIndex, ...]:
     """Enumeration order used everywhere: j major, then n, then m.
 
     n and m are single bits, so this is the full d² Bell basis only for
     d = 2 (m = 0) and d = 4. For d ≥ 8 it is the 4·d states with bits n and
-    m, not the d² of the full basis.
+    m, not the d² of the full basis. The dimension must be a power of two,
+    as for :func:`make_bell_state`.
     """
+    _require_power_of_two(dim)
     ms = (0,) if dim == 2 else (0, 1)
     return tuple(BellIndex(j, n, m) for j in range(dim) for n in (0, 1) for m in ms)
 
@@ -155,14 +159,6 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.flags.writeable = False
     return arrays
-
-
-@lru_cache(maxsize=16)
-def _triu(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major upper triangle of a size x size matrix: pair ids (flat offsets), pair weights."""
-    rows, cols = np.triu_indices(size)
-    ids = rows * size + cols
-    return _frozen(ids, _pair_weights(ids, size))
 
 
 def _float_or_complex(array) -> np.ndarray:
@@ -338,6 +334,28 @@ def _norm_of(weights: np.ndarray, vals: np.ndarray) -> float:
     return math.sqrt(float(weights @ squares))
 
 
+class PairTerms(NamedTuple):
+    """A unitary's map of stored two-photon amplitudes, one row per input pair.
+
+    Through U, psi(i, j) with i <= j feeds the output pairs (p, q) with
+    p <= q by the terms U[p, a] psi(i, j) U[q, b], one for each orientation
+    (a, b) of the pair, (i, j) and, unless i == j, (j, i), and each nonzero
+    U[p, a] and U[q, b]. With k the most nonzeros in a column of U, a row
+    has 2 k² slots: for each orientation, p over column a's nonzeros in
+    increasing order, then q over column b's. Row ``row_of[id]`` of the
+    input pair id holds in ``keys`` the output pair id p * M + q of each
+    slot and in ``first`` and ``second`` its weights U[p, a] and U[q, b].
+    A slot with no term (p > q, the second orientation of i == j, or a
+    column with fewer than k nonzeros) has weights 0 and the key M * M, a
+    bin past the last pair id.
+    """
+
+    row_of: np.ndarray  # (M * M,) int32, read at upper-triangle pair ids only
+    keys: np.ndarray  # (M * (M + 1) / 2, 2 k²) int32
+    first: np.ndarray  # (M * (M + 1) / 2, 2 k²), the dtype of U
+    second: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class SinglePhotonUnitary:
     """A passive linear-optical element as a single-photon mode map.
@@ -348,8 +366,8 @@ class SinglePhotonUnitary:
     construction within 1e-10; the matrix is a read-only copy, complex128
     if given complex and float64 otherwise. Equality and hashing are by
     identity, as for :class:`TwoPhotonState`; compare matrices with numpy.
-    ``transposed`` is a read-only C-contiguous copy of ``matrix.T``, made
-    on first use for :func:`~bellsort.networks.evolve`.
+    ``pair_terms`` is the read-only :class:`PairTerms` table that
+    :func:`~bellsort.networks.evolve` reads, built on first use.
     """
 
     in_modes: ModeBasis
@@ -372,8 +390,26 @@ class SinglePhotonUnitary:
         mat.flags.writeable = False
 
     @cached_property
-    def transposed(self) -> np.ndarray:
-        return _frozen(np.ascontiguousarray(self.matrix.T))[0]
+    def pair_terms(self) -> PairTerms:
+        """The :class:`PairTerms` of this unitary, built on first use by :func:`~bellsort.networks.evolve`."""
+        mat, size = self.matrix, len(self.in_modes)
+        nonzero = mat != 0
+        k = nonzero.sum(axis=0).max()
+        # the nonzero rows of each column in increasing order, padded with weight 0 to the fullest column
+        order = np.argsort(~nonzero, axis=0, kind="stable")[:k]
+        outs, weights = order.T.astype(np.int32), np.take_along_axis(mat, order, 0).T
+        i, j = np.triu_indices(size)
+        shape = (len(i), 2, k, k)
+        keys, first, second = np.empty(shape, np.int32), np.empty(shape, mat.dtype), np.empty(shape, mat.dtype)
+        for o, (a, b, stored) in enumerate(((i, j, i <= j), (j, i, i < j))):  # psi(i, i) is stored once
+            p, q = outs[a][:, :, None], outs[b][:, None, :]
+            w1, w2 = weights[a][:, :, None], weights[b][:, None, :]
+            live = (w1 != 0) & (w2 != 0) & (p <= q) & stored[:, None, None]
+            keys[:, o] = np.where(live, p * size + q, size * size)
+            first[:, o], second[:, o] = np.where(live, w1, 0), np.where(live, w2, 0)
+        row_of = np.zeros(size * size, dtype=np.int32)
+        row_of[i * size + j] = np.arange(len(i))
+        return PairTerms(*_frozen(row_of, *(array.reshape(len(i), -1) for array in (keys, first, second))))
 
 
 # -- Bell family construction ------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared test helpers: two independent oracles, a state comparison, generators and
 the enumeration of the (state, network) pairs the CLI evolves.
 
-The first-quantized oracle deliberately avoids the library's matrix-sandwich
+The first-quantized oracle deliberately avoids the library's pair-term
 evolution: it expands a state into the ordered two-photon basis |i1>|i2>
 (symmetrizing the stored upper-triangle amplitudes), applies kron(U, U), and
 reads the symmetric amplitudes back. Agreement between the two paths is

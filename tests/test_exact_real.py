@@ -1,11 +1,12 @@
 """The dtype rule: complex128 when given complex numbers, float64 otherwise.
 
 Every element and state the CLI reaches is built real, so its evolution
-runs as real matrix products. The printed probabilities must not move
-because of that, so the guard below recomputes each CLI-reachable evolution
-the way a complex-only representation did it, with both operands cast to
-complex128, and requires the same amplitudes to the last bit and the same
-support after pruning.
+runs in real arithmetic, through the network's pair-term table rather than
+a matrix product. The printed probabilities must not move because of that,
+so the guard below recomputes each CLI-reachable evolution the way a
+complex-only representation did it, as the matrix product U psi U^T with
+both operands cast to complex128, and requires the same amplitudes to the
+last bit and the same support after pruning.
 """
 
 import numpy as np
@@ -38,8 +39,7 @@ ENCODE_CASES = [pytest.param("fig1", 4, id="fig1"), pytest.param("fig2", 4, id="
 
 
 def complex_matrix(state, basis):
-    """The state's complex128 amplitude matrix over ``basis``, read from ``amps`` rather than
-    through the scatter ``evolve`` uses."""
+    """The state's complex128 amplitude matrix over ``basis``, read from ``amps``."""
     return first_quantized_vector(state, basis).reshape(len(basis), len(basis))
 
 
@@ -83,6 +83,14 @@ class TestBitIdentityWithComplexEvolution:
         pairs = [(p.state, p.network) for p in cli_pairs()]
         # prepared and encoded: fig1 at every dimension, then fig2
         assert len(pairs) == 2 * (4 + 16 + 32 + 64 + 128) + 2 * 16
+        assert complex_evolution_mismatches(pairs) == []
+
+    def test_every_prepared_fig1_state_at_d64(self):
+        # 128 modes: the widest sums of the table path against BLAS's blocked
+        # products that any CLI or benchmark size reaches, and beyond it
+        network = network_for_setup("fig1", 64).unitary
+        pairs = [(make_bell_state(64, idx), network) for idx in all_bell_indices(64)]
+        assert len(pairs) == 256
         assert complex_evolution_mismatches(pairs) == []
 
     def test_fig2_network_matches_complex_composition(self):

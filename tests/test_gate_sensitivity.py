@@ -73,7 +73,7 @@ def test_builder_gate_catches_built_states_of_norm_two(monkeypatch):
 
 def test_builder_gate_catches_built_pairs_out_of_row_major_order(monkeypatch):
     # reversed arrays keep every pair in bounds and the norm at 1; encode sorts
-    # the pairs it reads again, and evolve scatters them in any order
+    # the pairs it reads again, and evolve looks each one up in any order
     build = TwoPhotonState._build.__func__
 
     def reversed_build(cls, dim, basis, ids, vals):
@@ -113,24 +113,28 @@ def test_class_bound_catches_a_pruning_threshold_of_0_3(monkeypatch):
     assert class_bound_violations(4, count=100) == []
 
 
-def test_exact_real_guard_catches_a_one_ulp_scaled_transpose(monkeypatch):
-    # evolve's right factor is the cached transpose; the guard's complex
-    # reference reads the plain matrix, so it must see one ulp of difference
+def test_exact_real_guard_catches_one_ulp_on_the_second_weights(monkeypatch):
+    # evolve's right factor is the table's second weight U[q, b]; the guard's
+    # complex reference reads the plain matrix, so it must see one ulp of difference
     pairs = [(p.state, p.network) for p in cli_pairs()]
-    cached = SinglePhotonUnitary.transposed
+    cached = SinglePhotonUnitary.pair_terms
+
+    def scaled(u):
+        table = cached.__get__(u)
+        return table._replace(second=table.second * ONE_ULP_UP)
+
     with monkeypatch.context() as patch:
-        patch.setattr(
-            SinglePhotonUnitary, "transposed", property(lambda u: cached.__get__(u) * ONE_ULP_UP)
-        )
+        patch.setattr(SinglePhotonUnitary, "pair_terms", property(scaled))
         mismatches = complex_evolution_mismatches(pairs)
     assert [position for position, _ in mismatches] == list(range(len(pairs)))
     assert complex_evolution_mismatches(pairs) == []
 
 
-def test_kron_oracle_catches_evolution_by_the_untransposed_matrix(monkeypatch):
-    # U psi U instead of U psi U^T. Every fig1 matrix is symmetric, so only
-    # networks like these random unitaries can show it. On them evolve's own
-    # norm check fails too; the last case passes it (rotating A0 into A1 on a
+def test_kron_oracle_catches_a_table_built_from_rows(monkeypatch):
+    # second weights U[b, q] read from U's rows instead of its columns: U psi U
+    # instead of U psi U^T. Every fig1 matrix is symmetric, so only networks
+    # like these random unitaries can show it. On them evolve's own norm
+    # check fails too; the last case passes it (rotating A0 into A1 on a
     # diagonal psi leaves U psi U with equal off-diagonal magnitudes), so
     # only the amplitude comparison can catch that one
     cases = random_oracle_cases(4, 104, count=10)
@@ -140,8 +144,17 @@ def test_kron_oracle_catches_evolution_by_the_untransposed_matrix(monkeypatch):
     modes = path_modes(2)
     bunched = TwoPhotonState.from_kets(2, [(modes[0], modes[0], INV_SQRT2), (modes[1], modes[1], INV_SQRT2)])
     cases.append((bunched, SinglePhotonUnitary(modes, modes, rotation)))
+    cached = SinglePhotonUnitary.pair_terms
+
+    def from_rows(u):
+        table = cached.__get__(u)
+        rows = cached.__get__(SinglePhotonUnitary(u.out_modes, u.in_modes, u.matrix.T))
+        # U and U^T have one nonzero pattern here, so their terms line up
+        assert np.array_equal(rows.keys, table.keys)
+        return table._replace(second=rows.second)
+
     with monkeypatch.context() as patch:
-        patch.setattr(SinglePhotonUnitary, "transposed", property(lambda u: u.matrix))
+        patch.setattr(SinglePhotonUnitary, "pair_terms", property(from_rows))
         mismatches = oracle_mismatches(cases)
     assert mismatches == list(range(len(cases)))
     assert oracle_mismatches(cases) == []

@@ -200,7 +200,7 @@ class TestEvolutionProperties:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_oracle_equivalence_random(self, dim):
-        # matrix sandwich vs first-quantized kron oracle
+        # pair-term evolution vs first-quantized kron oracle
         assert oracle_mismatches(random_oracle_cases(dim, 100 + dim)) == []
 
     @pytest.mark.parametrize("dim", [8, 16])
@@ -355,6 +355,83 @@ class TestFig2Network:
         )
         out = evolve(make_hyper_state(BellIndex(2, 1, 0)), network_for_setup("fig2").unitary)
         assert approx_equal(out, expected, up_to_phase=False, tol=1e-10)
+
+
+# Caps on the bytes of each network's pair-term table (row_of, keys and both
+# weights), just above their size: fig1 has 2 nonzeros per column and rows
+# of 8 slots, fig2 has 4 and rows of 32
+TABLE_BYTES_CAP = {
+    ("fig1", 2): 1_700,
+    ("fig1", 4): 6_100,
+    ("fig1", 8): 23_000,
+    ("fig1", 16): 89_000,
+    ("fig1", 32): 350_000,
+    ("fig1", 64): 1_400_000,
+    ("fig2", 4): 89_000,
+}
+
+
+class TestPairTerms:
+    @pytest.mark.parametrize("key", list(TABLE_BYTES_CAP), ids=lambda key: f"{key[0]}-d{key[1]}")
+    def test_table_size_is_capped(self, key):
+        unitary = network_for_setup(*key).unitary
+        table = unitary.pair_terms
+        size = len(unitary.in_modes)
+        k = int((unitary.matrix != 0).sum(axis=0).max())
+        assert table.row_of.shape == (size * size,)
+        rows, width = table.keys.shape
+        assert (rows, width) == (size * (size + 1) // 2, 2 * k * k)
+        assert table.first.shape == table.second.shape == table.keys.shape
+        assert sum(array.nbytes for array in table) <= TABLE_BYTES_CAP[key]
+
+    def test_table_is_built_once_and_read_only(self):
+        unitary = network_for_setup("fig1", 4).unitary
+        table = unitary.pair_terms
+        assert unitary.pair_terms is table
+        assert (table.row_of.dtype, table.keys.dtype, table.first.dtype) == (np.int32, np.int32, np.float64)
+        assert not any(array.flags.writeable for array in table)
+
+    @pytest.mark.parametrize("setup", ["fig1", "fig2"])
+    def test_empty_slots_feed_the_bin_past_the_last_pair_with_weight_zero(self, setup):
+        unitary = network_for_setup(setup, 4).unitary
+        table = unitary.pair_terms
+        size = len(unitary.in_modes)
+        empty = table.keys == size * size
+        assert empty.any()
+        assert not table.first[empty].any() and not table.second[empty].any()
+        assert table.first[~empty].all() and table.second[~empty].all()
+        # every live slot feeds an upper-triangle pair
+        rows, cols = np.divmod(table.keys[~empty], size)
+        assert (rows <= cols).all()
+
+    def test_a_nan_amplitude_fails_the_norm_check_of_evolve(self):
+        # _build skips the norm check; the NaN reaches evolve's output bins and
+        # must fail there rather than be pruned to a smaller state
+        state = TwoPhotonState._build(2, path_modes(2), np.array([2, 7]), np.array([INV_SQRT2, math.nan]))
+        with pytest.raises(ValueError, match="state norm nan"):
+            evolve(state, network_for_setup("fig1", 2).unitary)
+
+
+class TestSetupDimension:
+    @pytest.mark.parametrize("setup", ["fig1", "fig2"])
+    @pytest.mark.parametrize("dim", [4.0, True, "4"], ids=["float", "bool", "str"])
+    def test_a_bool_or_non_integer_dimension_is_rejected_on_a_cold_cache(self, setup, dim):
+        # 4.0 used to fail with a bare TypeError from range in path_modes (fig1)
+        # and to build the d=4 network (fig2, where 4.0 == 4)
+        network_for_setup.cache_clear()
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            network_for_setup(setup, dim)
+
+    @pytest.mark.parametrize("setup", ["fig1", "fig2"])
+    def test_a_float_dimension_is_rejected_after_its_integer(self, setup):
+        # an untyped cache would return the d=4 spec for the key 4.0 == 4
+        assert network_for_setup(setup, 4).dim == 4
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            network_for_setup(setup, 4.0)
+
+    def test_fig1_needs_two_paths(self):
+        with pytest.raises(ValueError, match="need at least two paths"):
+            network_for_setup("fig1", 1)
 
 
 class TestIdentitySemantics:

@@ -171,14 +171,6 @@ class TestEncoding:
         with pytest.raises(ValueError, match="non-finite entries"):
             SinglePhotonUnitary(path_modes(2), path_modes(2), mat)
 
-    def test_transposed_is_a_cached_read_only_contiguous_copy(self):
-        unitary = encoding_unitary(4, BellIndex(3, 1, 1))
-        transposed = unitary.transposed
-        assert transposed is unitary.transposed
-        assert transposed.flags.c_contiguous and not transposed.flags.writeable
-        assert np.array_equal(transposed, unitary.matrix.T)
-        assert not np.shares_memory(transposed, unitary.matrix)
-
     @pytest.mark.parametrize("dim", [2, 8, 16, 32])
     def test_all_unitary_at_other_dimensions(self, dim):
         # each one passes SinglePhotonUnitary's unitarity check and is an exact signed permutation
@@ -268,6 +260,19 @@ class TestEncoding:
             make_bell_state(dim, BellIndex(0, 0, 0))
         with pytest.raises(ValueError, match="dimension must be an integer power of two"):
             encoding_unitary(dim, BellIndex(0, 0, 0))
+
+    @pytest.mark.parametrize("dim", [4.0, True, "4", 3], ids=["float", "bool", "str", "three"])
+    def test_all_bell_indices_rejects_a_dimension_on_a_cold_cache(self, dim):
+        # True used to give the 4 states of dimension 1, and 4.0 a bare TypeError from range
+        all_bell_indices.cache_clear()
+        with pytest.raises(ValueError, match="dimension must be an integer power of two"):
+            all_bell_indices(dim)
+
+    def test_all_bell_indices_rejects_a_float_after_its_integer(self):
+        # an untyped cache would return the d=4 family for the key 4.0 == 4
+        assert len(all_bell_indices(4)) == 16
+        with pytest.raises(ValueError, match="dimension must be an integer power of two"):
+            all_bell_indices(4.0)
 
 
 class TestStateRepresentation:
