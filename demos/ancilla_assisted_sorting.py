@@ -15,7 +15,8 @@ the full 12-group table.
 from bellsort import (
     BellIndex, channel_capacity, evolve, make_hyper_state, network_for_setup, outcome_distribution,
 )
-from bellsort.cli import compute_table, render_table_text
+from bellsort.cli import render_table_text
+from bellsort.grouping import compute_table
 
 
 def print_amps(state, indent="    "):

@@ -12,7 +12,8 @@ two-dimensional Bell states fall into 3 groups.
 """
 
 from bellsort import channel_capacity
-from bellsort.cli import compute_table, render_table_text
+from bellsort.cli import render_table_text
+from bellsort.grouping import compute_table
 
 
 def main() -> None:

@@ -31,21 +31,15 @@ def show(title: str, state: TwoPhotonState) -> None:
 
 
 def main() -> None:
-    a_photon = Mode("A", 0)
-    b_photon = Mode("B", 0)
+    a0, a1, b0, b1 = Mode("A", 0), Mode("A", 1), Mode("B", 0), Mode("B", 1)
+    # psi of photons in distinct modes is the ket coefficient over sqrt(2)
     show("both photons in path 0  ->  they bunch (PNRD sees a double click):",
-         TwoPhotonState.from_kets(4, [(a_photon, b_photon, 1.0)]))
+         TwoPhotonState.from_amplitudes(4, {(a0, b0): INV_SQRT2}))
 
-    sym = TwoPhotonState.from_kets(
-        4,
-        [(Mode("A", 0), Mode("B", 1), INV_SQRT2), (Mode("A", 1), Mode("B", 0), INV_SQRT2)],
-    )
+    sym = TwoPhotonState.from_amplitudes(4, {(a0, b1): 0.5, (a1, b0): 0.5})
     show("symmetric (|01> + |10>)/sqrt(2)  ->  same output arm, different paths:", sym)
 
-    anti = TwoPhotonState.from_kets(
-        4,
-        [(Mode("A", 0), Mode("B", 1), INV_SQRT2), (Mode("A", 1), Mode("B", 0), -INV_SQRT2)],
-    )
+    anti = TwoPhotonState.from_amplitudes(4, {(a0, b1): 0.5, (a1, b0): -0.5})
     show("antisymmetric (|01> - |10>)/sqrt(2)  ->  photons split across the arms:", anti)
 
     print("The bunched/same-arm/split trichotomy is what sorts the Bell family")

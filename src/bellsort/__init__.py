@@ -20,14 +20,13 @@ from .states import (
     TwoPhotonState,
     all_bell_indices,
     encode,
-    encoding_unitary,
     make_bell_state,
     make_hyper_state,
 )
 from .networks import NetworkSpec, evolve, network_for_setup
 from .detection import OutcomeDistribution, outcome_distribution, sample
 from .grouping import GroupTable, StateGroup, channel_capacity, classify
-from .dense_coding import SdcConfig, SdcReport, reference_state, run_sdc
+from .dense_coding import SdcConfig, SdcReport, run_sdc
 from .references import diff_against_reference, load_reference_tables
 
 __version__ = "0.1.0"
@@ -47,14 +46,12 @@ __all__ = [
     "classify",
     "diff_against_reference",
     "encode",
-    "encoding_unitary",
     "evolve",
     "load_reference_tables",
     "make_bell_state",
     "make_hyper_state",
     "network_for_setup",
     "outcome_distribution",
-    "reference_state",
     "run_sdc",
     "sample",
 ]

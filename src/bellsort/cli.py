@@ -1,4 +1,4 @@
-"""Command-line interface: compute tables, verify them, sample, run the protocol.
+"""Command-line interface: flag parsing and rendering around the library's own calls.
 
 Subcommands
 -----------
@@ -43,22 +43,16 @@ from .grouping import (
     POLICY_STRICT,
     channel_capacity,
     classify,
+    compute_table,
 )
-from .dense_coding import SdcConfig, prepared_state, run_sdc
-from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, _require_fig2_dim, evolve, network_for_setup
+from .dense_coding import SdcConfig, run_sdc
+from .networks import (
+    SETUP_FIG1, SETUP_FIG2, SETUPS, _require_fig2_dim, evolve, labelled_states, network_for_setup, prepared_state,
+)
 from .references import load_reference_tables, diff_against_reference
-from .states import BellIndex, all_bell_indices
+from .states import BellIndex
 
 _CAPACITY_TEXT_TOL = 0.01  # two-decimal quotes are checked at this slack
-
-
-def labelled_states(setup: str, dim: int):
-    """The full labelled Bell family prepared for a setup, enumeration order."""
-    return [(idx.label, prepared_state(setup, dim, idx)) for idx in all_bell_indices(dim)]
-
-
-def compute_table(setup: str, dim: int, model: str, policy: str) -> GroupTable:
-    return classify(labelled_states(setup, dim), network_for_setup(setup, dim), model, policy)
 
 
 # -- rendering ---------------------------------------------------------------

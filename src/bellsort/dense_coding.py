@@ -19,8 +19,8 @@ from .detection import (
     MODEL_PNRD, MODELS, _check_shots_and_seed, outcome_distribution, outcome_table, sample,
 )
 from .grouping import GroupTable, POLICIES, POLICY_STRICT, _partition, channel_capacity
-from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, _require_fig2_dim, evolve, network_for_setup
-from .states import BellIndex, TwoPhotonState, all_bell_indices, encode, make_bell_state, make_hyper_state
+from .networks import SETUP_FIG1, SETUPS, evolve, network_for_setup, prepared_state
+from .states import BellIndex, all_bell_indices, encode
 
 
 @dataclass(frozen=True)
@@ -75,22 +75,6 @@ class SdcReport:
         }
 
 
-def prepared_state(setup: str, dim: int, idx: BellIndex) -> TwoPhotonState:
-    """Bell state ``idx`` as a setup takes it: with the polarization ancilla for fig2.
-
-    fig2 takes only ``dim`` 4, and rejects another as ``network_for_setup`` does.
-    """
-    if setup == SETUP_FIG2:
-        _require_fig2_dim(dim)
-        return make_hyper_state(idx)
-    return make_bell_state(dim, idx)
-
-
-def reference_state(setup: str) -> TwoPhotonState:
-    """The shared pair the receiver prepares before any encoding."""
-    return prepared_state(setup, 4, BellIndex(0, 0, 0))
-
-
 def run_sdc(config: SdcConfig) -> SdcReport:
     """Send each of the 16 messages ``config.shots`` times and decode by group membership.
 
@@ -101,7 +85,7 @@ def run_sdc(config: SdcConfig) -> SdcReport:
     would mean the evolution and the partition disagree and raises
     immediately.
     """
-    reference = reference_state(config.setup)
+    reference = prepared_state(config.setup, 4, BellIndex(0, 0, 0))
     unitary = network_for_setup(config.setup).unitary
     dists = {
         idx.label: outcome_distribution(evolve(encode(reference, idx), unitary), config.model)

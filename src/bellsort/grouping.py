@@ -26,7 +26,7 @@ from itertools import chain, repeat
 from typing import Sequence
 
 from .detection import MODEL_PNRD, OutcomeTable, _has_single_click, outcome_table
-from .networks import NetworkSpec, evolve
+from .networks import NetworkSpec, evolve, labelled_states, network_for_setup
 from .states import TwoPhotonState
 
 POLICY_STRICT = "strict"
@@ -114,6 +114,11 @@ def classify(
         raise ValueError(f"unknown policy {policy!r}")
     supports = [(label, evolve(state, unitary).ids.tolist()) for label, state in states]
     return _partition(supports, table, network.setup, policy)
+
+
+def compute_table(setup: str, dim: int, model: str, policy: str) -> GroupTable:
+    """The table of a setup's labelled Bell family at ``dim``, as :func:`classify` makes it."""
+    return classify(labelled_states(setup, dim), network_for_setup(setup, dim), model, policy)
 
 
 def _partition(

@@ -29,7 +29,8 @@ classifies with it need not guess the setup; ``NetworkSpec.stages`` is for
 inspecting the layers one at a time and ``NetworkSpec.unitary`` is their
 product. Every stage is written as a per-mode rule, mapping one input mode
 to its (output mode, weight) images, and one helper fills the stage matrix
-from that rule.
+from that rule. :func:`prepared_state` and :func:`labelled_states` prepare
+the Bell family as each setup takes it: with the polarization ancilla for fig2.
 
 Evolution is exact: the symmetric two-photon amplitude matrix transforms as
 psi -> U psi U^T, which keeps bosonic exchange statistics (and hence the
@@ -49,7 +50,10 @@ from typing import Callable
 import numpy as np
 
 from .modes import ARMS, Mode, ModeBasis, POL_DIAGONAL, POL_LINEAR, path_modes, polarized_modes
-from .states import AMP_PRUNE, SinglePhotonUnitary, TwoPhotonState, _check_norm, _positions
+from .states import (
+    AMP_PRUNE, BellIndex, SinglePhotonUnitary, TwoPhotonState, _check_norm, _positions, all_bell_indices,
+    make_bell_state, make_hyper_state,
+)
 
 SETUP_FIG1 = "fig1"
 SETUP_FIG2 = "fig2"
@@ -166,6 +170,22 @@ def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
     else:
         raise ValueError(f"unknown setup {setup!r}, expected one of {SETUPS}")
     return NetworkSpec(setup, dim, stages)
+
+
+def prepared_state(setup: str, dim: int, idx: BellIndex) -> TwoPhotonState:
+    """Bell state ``idx`` as a setup takes it: with the polarization ancilla for fig2.
+
+    fig2 takes only ``dim`` 4, and rejects another as ``network_for_setup`` does.
+    """
+    if setup == SETUP_FIG2:
+        _require_fig2_dim(dim)
+        return make_hyper_state(idx)
+    return make_bell_state(dim, idx)
+
+
+def labelled_states(setup: str, dim: int) -> list[tuple[str, TwoPhotonState]]:
+    """The full labelled Bell family prepared for a setup, enumeration order."""
+    return [(idx.label, prepared_state(setup, dim, idx)) for idx in all_bell_indices(dim)]
 
 
 def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonState:

@@ -47,6 +47,7 @@ class ReferenceTables:
     capacities: dict
 
 
+_PACKAGED = files("bellsort") / "references"  # resolved once: each resolution interns new path strings
 _TABLE_SHAPE = '{"groups": [{"id": int, "members": [str], "outcomes": [str]}, ...]}'
 _CAPACITIES_SHAPE = '{"fig1"|"fig2": {"pnrd"|"threshold": {"groups": int >= 1, "bits_text": "2.81"}}}'
 
@@ -106,10 +107,7 @@ def load_reference_tables(directory: str | Path | None = None) -> ReferenceTable
     checked before anything is returned: a missing file raises OSError, and
     a file that is not JSON or not of the schema raises ValueError naming it.
     """
-    if directory is None:
-        root = files("bellsort") / "references"
-    else:
-        root = Path(directory)
+    root = _PACKAGED if directory is None else Path(directory)
     table1, table2, capacities = (
         _read_json(root, name) for name in ("table1.json", "table2.json", "capacities.json")
     )

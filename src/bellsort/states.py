@@ -1,4 +1,4 @@
-"""Two-photon states, the generalized Bell family, and the encoding unitaries.
+"""Two-photon states, the generalized Bell family, and message encoding.
 
 The d-dimensional Bell states of a photon pair shared between arms A and B
 are indexed by (j, n, m): j pairs path x in arm A with path ``x XOR j`` in
@@ -8,10 +8,10 @@ block. For d = 4 this gives the 16 states
     |psi(j, n, m)> = (1/2) * sum_x (-1)**(n*x0 + m*x1) |x>_A |x XOR j>_B
 
 with x0, x1 the low/high bits of x; for d = 2 the four standard Bell states
-(m is fixed to 0). The same XOR pairing defines the local encoding unitary
-U(j, n, m)|x> = (-1)**(n*x0 + m*x1) |x XOR j>, which maps the reference
-state |psi(0, 0, 0)> onto any other member of the family when applied to
-the second photon (arm B), the one the sender of superdense coding holds.
+(m is fixed to 0). :func:`encode` applies the same XOR pairing to the second
+photon (arm B), the one the sender of superdense coding holds, as the local
+map |x> -> (-1)**(n*x0 + m*x1) |x XOR j>; on the reference state
+|psi(0, 0, 0)> it gives any other member of the family.
 
 States are symmetric amplitude functions over unordered mode pairs. A Fock
 state with photons in distinct modes m1, m2 has psi(m1, m2) = psi(m2, m1) =
@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -215,10 +215,10 @@ class TwoPhotonState:
     Every basis mode must have path < dim, and all must share one
     polarization family (none, H/V or +/-). The arrays are read-only.
     Calling the class checks the arrays and rejects a norm off 1 by more
-    than 1e-9 (or NaN); nothing rescales. :meth:`from_amplitudes` and
-    :meth:`from_kets` also prune amplitudes below 1e-12. The package's own
-    builders skip the checks through the private :meth:`_build`;
-    tests/test_builder.py runs what they make back through the class.
+    than 1e-9 (or NaN); nothing rescales. :meth:`from_amplitudes` also
+    prunes amplitudes below 1e-12. The package's own builders skip the
+    checks through the private :meth:`_build`; tests/test_builder.py runs
+    what they make back through the class.
     Equality and hashing are by identity.
     """
 
@@ -286,23 +286,6 @@ class TwoPhotonState:
         vals = _float_or_complex([canon[key] for key in keys])
         keep = ~(np.abs(vals) < AMP_PRUNE)  # a NaN is kept, for the norm check to reject
         return cls(dim, basis, ids[keep], vals[keep])
-
-    @classmethod
-    def from_kets(cls, dim: int, kets: Iterable[tuple[Mode, Mode, complex]]) -> "TwoPhotonState":
-        """Build a state from Fock-ket terms ``c * |1_m1, 1_m2>``.
-
-        Each term puts one photon in ``m1`` and one in ``m2`` with amplitude
-        ``c``; repeated pairs accumulate. For distinct modes the stored
-        symmetric amplitude is ``c / sqrt(2)``, for ``m1 == m2`` the term
-        means ``c * |2_m>`` and is stored as ``c``. The norm must be 1
-        within 1e-9.
-        """
-        acc: dict[tuple[Mode, Mode], complex] = {}
-        for m1, m2, c in kets:
-            key = canonical_pair(m1, m2)
-            stored = c if m1 == m2 else c / math.sqrt(2.0)
-            acc[key] = acc.get(key, 0.0) + stored
-        return cls.from_amplitudes(dim, acc)
 
     # -- accessors ---------------------------------------------------------
 
@@ -464,22 +447,6 @@ def make_hyper_state(idx: BellIndex) -> TwoPhotonState:
     """A d=4 path Bell state tensored with the polarization pair (|HH>+|VV>)/sqrt(2)."""
     idx.validate_for(4)
     return _xor_paired(4, idx, polarized_modes(4, POL_LINEAR), 1.0 / (2.0 * math.sqrt(2.0)))
-
-
-def encoding_unitary(dim: int, idx: BellIndex) -> SinglePhotonUnitary:
-    """The local path unitary U(j, n, m)|x> = (-1)**(n*x0 + m*x1) |x XOR j>.
-
-    Acts on the d-dimensional path space of one photon (identity on
-    polarization when applied to a polarized state); in/out modes are the
-    path indices 0..d-1.
-    """
-    _require_power_of_two(dim)
-    idx.validate_for(dim)
-    x = np.arange(dim)
-    mat = np.zeros((dim, dim))
-    mat[x ^ idx.j, x] = _sign(x, idx.n, idx.m)
-    paths = tuple(range(dim))
-    return SinglePhotonUnitary(paths, paths, mat)
 
 
 def encode(state: TwoPhotonState, idx: BellIndex) -> TwoPhotonState:

@@ -1,4 +1,4 @@
-"""Shared test helpers: two independent oracles, a state comparison, generators and
+"""Shared test helpers: independent oracles, a state comparison, generators and
 the enumeration of the (state, network) pairs the CLI evolves.
 
 The first-quantized oracle deliberately avoids the library's pair-term
@@ -9,7 +9,8 @@ itself one of the required properties.
 
 The Fock oracle shares not even the storage convention: it starts from
 Fock-ket terms and the single-photon matrix and returns outcome label ->
-probability from two-boson permanents.
+probability from two-boson permanents. The encoding oracle is the dense path
+matrix of ``encode``, its sign computed here.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from bellsort import (
     BellIndex, SinglePhotonUnitary, TwoPhotonState, all_bell_indices, encode, network_for_setup,
 )
-from bellsort.dense_coding import prepared_state
-from bellsort.modes import Mode
+from bellsort.modes import Mode, canonical_pair
+from bellsort.networks import prepared_state
 from bellsort.states import AMP_PRUNE
 
 PHASE_TOL = 1e-9  # per-amplitude slack of approx_equal
@@ -57,6 +58,27 @@ def cli_pairs(max_dim: int = max(CLI_DIMS)):
         for idx in all_bell_indices(dim):
             yield CliPair(setup, idx, False, prepared_state(setup, dim, idx), network)
             yield CliPair(setup, idx, True, encode(reference, idx), network)
+
+
+def from_kets(dim: int, kets) -> TwoPhotonState:
+    """A state from Fock-ket terms c |1_m1, 1_m2>, or c |2_m> when m1 == m2; repeated pairs add up."""
+    amps: dict = {}
+    for m1, m2, c in kets:
+        key = canonical_pair(m1, m2)
+        amps[key] = amps.get(key, 0.0) + (c if m1 == m2 else c / math.sqrt(2.0))  # psi(m1, m2) = c / sqrt(2)
+    return TwoPhotonState.from_amplitudes(dim, amps)
+
+
+def encoding_unitary(dim: int, idx: BellIndex) -> SinglePhotonUnitary:
+    """Dense oracle for ``encode``: the path matrix U(j, n, m)|x> = (-1)**(n*x0 + m*x1) |x XOR j>.
+
+    The sign is computed here, not by the library's helpers, so the oracle
+    shares no code with the ``encode`` it checks; modes are the paths 0..d-1.
+    """
+    x = np.arange(dim)
+    mat = np.zeros((dim, dim))
+    mat[x ^ idx.j, x] = (-1.0) ** (idx.n * (x & 1) + idx.m * ((x >> 1) & 1))
+    return SinglePhotonUnitary(tuple(range(dim)), tuple(range(dim)), mat)
 
 
 def approx_equal(

@@ -15,19 +15,19 @@ from bellsort import (
     channel_capacity,
     diff_against_reference,
     encode,
-    encoding_unitary,
     evolve,
     load_reference_tables,
     make_bell_state,
     make_hyper_state,
     network_for_setup,
     outcome_distribution,
-    reference_state,
     run_sdc,
     sample,
 )
-from bellsort.cli import compute_table, main
-from bellsort.modes import path_modes
+from bellsort.cli import main
+from bellsort.grouping import compute_table
+from bellsort.modes import Mode, path_modes
+from bellsort.networks import prepared_state
 from conftest import approx_equal, oracle_evolve, oracle_inner, random_two_photon_state, random_unitary
 
 REFERENCE = load_reference_tables()
@@ -141,14 +141,18 @@ def test_criterion_7_property_suites():
     gram = np.array([[oracle_inner(a, b, basis) for b in states] for a in states])
     gram_ok = np.max(np.abs(gram - np.eye(16))) <= 1e-12
 
-    # unitarity of both networks and all 16 encoding operators
+    # unitarity of both networks and of the 16 path maps encode applies: on the
+    # reference, encoding U gives psi(A x, B y) = U[y, x] / sqrt(2d)
+    ref = prepared_state("fig1", 4, BellIndex(0, 0, 0))
     unitarity_ok = True
     for setup, dim in (("fig1", 4), ("fig1", 2), ("fig2", 4)):
         net = network_for_setup(setup, dim).unitary
         defect = np.max(np.abs(net.matrix @ net.matrix.conj().T - np.eye(len(net.in_modes))))
         unitarity_ok = unitarity_ok and defect <= 1e-10
     for idx in all_bell_indices(4):
-        mat = encoding_unitary(4, idx).matrix
+        amps = encode(ref, idx).amps
+        psi = np.array([[amps.get((Mode("A", x), Mode("B", y)), 0) for x in range(4)] for y in range(4)])
+        mat = math.sqrt(2 * 4) * psi
         unitarity_ok = unitarity_ok and np.max(np.abs(mat @ mat.conj().T - np.eye(4))) <= 1e-10
 
     # probability normalization of every distribution, both setups and models
@@ -165,7 +169,6 @@ def test_criterion_7_property_suites():
             norm_ok = norm_ok and abs(sum(p for _, p in d2.sorted_items()) - 1.0) <= 1e-9
 
     # encoding the second photon of the reference equals direct construction
-    ref = reference_state("fig1")
     encode_ok = all(
         approx_equal(encode(ref, idx), make_bell_state(4, idx))
         for idx in all_bell_indices(4)
@@ -210,7 +213,7 @@ def test_criterion_9_superdense_coding_round_trip():
 
         # messages inside one group are pairwise support-indistinguishable
         network = network_for_setup(setup).unitary
-        ref = reference_state(setup)
+        ref = prepared_state(setup, 4, BellIndex(0, 0, 0))
         index_of = {idx.label: idx for idx in all_bell_indices(4)}
         for group in rep.table.groups:
             seen = set()

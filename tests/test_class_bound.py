@@ -25,10 +25,10 @@ import math
 import numpy as np
 import pytest
 
-from bellsort import SinglePhotonUnitary, all_bell_indices, classify, encoding_unitary, network_for_setup
-from bellsort.cli import labelled_states
+from bellsort import SinglePhotonUnitary, all_bell_indices, classify, network_for_setup
 from bellsort.modes import path_modes
-from bellsort.networks import NetworkSpec, NetworkStage
+from bellsort.networks import NetworkSpec, NetworkStage, labelled_states
+from conftest import encoding_unitary
 
 CLASS_BOUND = {2: 3, 4: 7}  # 2**(k+1) - 1 for d = 2**k
 SEARCH_SIZE = {2: 300, 4: 700}  # networks per dimension

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from bellsort import cli, dense_coding, grouping, network_for_setup
-from bellsort.cli import labelled_states, main
+from bellsort import cli, dense_coding, grouping, network_for_setup, networks
+from bellsort.cli import main
+from bellsort.networks import labelled_states
 from test_cli_golden import GOLDEN
 
 
@@ -152,8 +153,8 @@ class TestVerify:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(dense_coding, "make_bell_state")
-        counted(dense_coding, "make_hyper_state")
+        counted(networks, "make_bell_state")
+        counted(networks, "make_hyper_state")
         counted(grouping, "evolve")
         code, out = run_cli(capsys, "verify")
         assert code == 0

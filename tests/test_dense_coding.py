@@ -13,11 +13,13 @@ from bellsort import (
     make_bell_state,
     make_hyper_state,
     network_for_setup,
-    reference_state,
     dense_coding,
     run_sdc,
 )
+from bellsort.networks import prepared_state
 from conftest import approx_equal
+
+REFERENCE = BellIndex(0, 0, 0)  # the pair the receiver prepares before any encoding
 
 
 def count_calls(monkeypatch, *names):
@@ -84,10 +86,10 @@ class TestConfig:
 
 class TestReferenceState:
     def test_fig1_reference(self):
-        assert approx_equal(reference_state("fig1"), make_bell_state(4, BellIndex(0, 0, 0)), up_to_phase=False)
+        assert approx_equal(prepared_state("fig1", 4, REFERENCE), make_bell_state(4, REFERENCE), up_to_phase=False)
 
     def test_fig2_reference(self):
-        assert approx_equal(reference_state("fig2"), make_hyper_state(BellIndex(0, 0, 0)), up_to_phase=False)
+        assert approx_equal(prepared_state("fig2", 4, REFERENCE), make_hyper_state(REFERENCE), up_to_phase=False)
 
     @pytest.mark.parametrize("dim", [2, 8])
     def test_fig2_rejects_another_dimension(self, dim):
@@ -96,7 +98,7 @@ class TestReferenceState:
         with pytest.raises(ValueError, match=message):
             network_for_setup("fig2", dim)
         with pytest.raises(ValueError, match=message):
-            dense_coding.prepared_state("fig2", dim, BellIndex(0, 0, 0))
+            prepared_state("fig2", dim, REFERENCE)
 
 
 class TestRoundTrip:
@@ -143,7 +145,7 @@ class TestRoundTrip:
         from bellsort import encode, evolve, network_for_setup, outcome_distribution, sample
 
         network = network_for_setup(setup).unitary
-        ref = reference_state(setup)
+        ref = prepared_state(setup, 4, REFERENCE)
         report = run_sdc(SdcConfig(setup=setup, shots=1))
         shots = 10_000
         index_of = {idx.label: idx for idx in all_bell_indices(4)}

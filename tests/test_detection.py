@@ -22,7 +22,7 @@ from bellsort import (
 )
 from bellsort.detection import MAX_SHOTS, OutcomeTable, _has_single_click, outcome_table
 from bellsort.modes import POL_DIAGONAL, Mode, path_modes, polarized_modes
-from conftest import cli_pairs, fock_outcome_probabilities, random_unitary
+from conftest import cli_pairs, fock_outcome_probabilities, from_kets, random_unitary
 
 A, B = "A", "B"
 
@@ -228,7 +228,7 @@ class TestFockOracle:
         a0, a1, b0, b3 = Mode(A, 0), Mode(A, 1), Mode(B, 0), Mode(B, 3)
         for m1, m2 in [(a0, a1), (b3, a1), (a1, a1), (b0, b3), (b3, b3)]:
             kets = [(m1, m2, 1.0)]
-            self.assert_matches(TwoPhotonState.from_kets(4, kets), kets, net, model)
+            self.assert_matches(from_kets(4, kets), kets, net, model)
 
     def test_hom_pair(self, model):
         # one photon in each input port of a 50:50 splitter: both leave together
@@ -236,7 +236,7 @@ class TestFockOracle:
         net = network_for_setup("fig1", 4).unitary
         bunched = {"pnrd": {"A0 A0": 0.5, "B0 B0": 0.5}, "threshold": {"A0": 0.5, "B0": 0.5}}[model]
         assert fock_outcome_probabilities(kets, net, model) == pytest.approx(bunched)
-        self.assert_matches(TwoPhotonState.from_kets(4, kets), kets, net, model)
+        self.assert_matches(from_kets(4, kets), kets, net, model)
 
     def test_every_d4_bell_state_through_fig1_and_fig2(self, model):
         # every CLI pair at d <= 4, prepared and encoded; an encoded message is its Bell state
@@ -256,13 +256,13 @@ class TestFockOracle:
             net = random_unitary(basis, rng)
             if trial % 2:
                 net = SinglePhotonUnitary(basis, basis[::-1], net.matrix)
-            self.assert_matches(TwoPhotonState.from_kets(3, kets), kets, net, model)
+            self.assert_matches(from_kets(3, kets), kets, net, model)
 
 
 class TestSampling:
     def test_point_mass(self):
         a0 = Mode(A, 0)
-        dist = outcome_distribution(TwoPhotonState.from_kets(2, [(a0, a0, 1.0)]))
+        dist = outcome_distribution(from_kets(2, [(a0, a0, 1.0)]))
         counts = sample(dist, 500, seed=3)
         assert counts == Counter({"A0 A0": 500})
 

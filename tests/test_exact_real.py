@@ -18,17 +18,17 @@ from bellsort import (
     TwoPhotonState,
     all_bell_indices,
     encode,
-    encoding_unitary,
     evolve,
     make_bell_state,
     make_hyper_state,
     network_for_setup,
 )
-from bellsort.dense_coding import reference_state
 from bellsort.modes import Mode, path_modes
+from bellsort.networks import prepared_state
 from bellsort.states import AMP_PRUNE
 from conftest import (
-    CLI_DIMS, cli_pairs, first_quantized_vector, oracle_evolve, random_two_photon_state, random_unitary,
+    CLI_DIMS, cli_pairs, encoding_unitary, first_quantized_vector, from_kets, oracle_evolve, random_two_photon_state,
+    random_unitary,
 )
 
 # The reference pairs of both setups, then fig1 references at the other
@@ -106,10 +106,7 @@ class TestBitIdentityWithComplexEvolution:
     @pytest.mark.parametrize("setup,dim", ENCODE_CASES)
     def test_encode_matches_complex_local_unitary(self, setup, dim):
         # basis order is arm, path, slot: identity on arm A, U x 1_slot on arm B
-        if dim == 4:
-            reference = reference_state(setup)
-        else:
-            reference = make_bell_state(dim, BellIndex(0, 0, 0))
+        reference = prepared_state(setup, dim, BellIndex(0, 0, 0))
         slots = len(reference.basis) // (2 * dim)
         psic = complex_matrix(reference, reference.basis)
         for idx in all_bell_indices(dim):
@@ -133,14 +130,14 @@ class TestDtypeRule:
 
     @pytest.mark.parametrize("setup", ["fig1", "fig2"])
     def test_encoded_states_are_real(self, setup):
-        reference = reference_state(setup)
+        reference = prepared_state(setup, 4, BellIndex(0, 0, 0))
         for idx in all_bell_indices(4):
             assert encode(reference, idx).vals.dtype == np.float64
 
     def test_complex_unitary_and_state_stay_complex(self):
         rng = np.random.default_rng(3)
         assert random_unitary(path_modes(4), rng).matrix.dtype == np.complex128
-        state = TwoPhotonState.from_kets(
+        state = from_kets(
             2, [(Mode("A", 0), Mode("B", 0), 0.6), (Mode("A", 1), Mode("B", 1), 0.8j)]
         )
         assert state.vals.dtype == np.complex128
@@ -161,7 +158,7 @@ class TestDtypeRule:
 
     def test_real_kets_and_amplitudes_give_a_real_state(self):
         a0, b0, a1, b1 = Mode("A", 0), Mode("B", 0), Mode("A", 1), Mode("B", 1)
-        kets = TwoPhotonState.from_kets(2, [(a0, b0, 0.6), (a1, b1, -0.8)])
+        kets = from_kets(2, [(a0, b0, 0.6), (a1, b1, -0.8)])
         bunched = TwoPhotonState.from_amplitudes(2, {(a0, a0): 1})
         assert (kets.vals.dtype, bunched.vals.dtype) == (np.float64, np.float64)
 

@@ -16,10 +16,10 @@ from bellsort import (
     SinglePhotonUnitary, TwoPhotonState, all_bell_indices, diff_against_reference, evolve, grouping,
     load_reference_tables, make_bell_state, make_hyper_state, network_for_setup, networks, states,
 )
-from bellsort.cli import compute_table
 from bellsort.detection import MODEL_PNRD, OutcomeDistribution, outcome_table
+from bellsort.grouping import compute_table
 from bellsort.modes import ARMS, Mode, path_modes
-from conftest import cli_pairs
+from conftest import cli_pairs, from_kets
 from test_builder import builder_defects
 from test_class_bound import class_bound_violations
 from test_cli import copy_references
@@ -142,7 +142,7 @@ def test_kron_oracle_catches_a_table_built_from_rows(monkeypatch):
     rotation = np.eye(4)
     rotation[:2, :2] = [[c, -s], [s, c]]
     modes = path_modes(2)
-    bunched = TwoPhotonState.from_kets(2, [(modes[0], modes[0], INV_SQRT2), (modes[1], modes[1], INV_SQRT2)])
+    bunched = from_kets(2, [(modes[0], modes[0], INV_SQRT2), (modes[1], modes[1], INV_SQRT2)])
     cases.append((bunched, SinglePhotonUnitary(modes, modes, rotation)))
     cached = SinglePhotonUnitary.pair_terms
 

@@ -25,11 +25,10 @@ from bellsort import (
     run_sdc,
     SdcConfig,
 )
-from bellsort.cli import compute_table, labelled_states
-from bellsort.dense_coding import prepared_state
 from bellsort.detection import outcome_table
-from bellsort.grouping import _partition
+from bellsort.grouping import _partition, compute_table
 from bellsort.modes import path_modes
+from bellsort.networks import labelled_states, prepared_state
 
 REFERENCE = load_reference_tables()
 

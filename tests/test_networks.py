@@ -20,7 +20,7 @@ from bellsort import (
 from bellsort.modes import Mode, canonical_pair, path_modes, polarized_modes
 from bellsort.networks import NetworkSpec, NetworkStage
 from conftest import (
-    approx_equal, cli_pairs, oracle_evolve, oracle_norm, random_two_photon_state, random_unitary,
+    approx_equal, cli_pairs, from_kets, oracle_evolve, oracle_norm, random_two_photon_state, random_unitary,
 )
 
 A, B = "A", "B"
@@ -126,7 +126,7 @@ class TestEvolutionArchetypes:
     @pytest.mark.parametrize("x", range(4))
     def test_identical_paths_bunch(self, x):
         # |x>_A |x>_B -> |x>_a|x>_a - |x>_b|x>_b, probability 1/2 each side
-        state = TwoPhotonState.from_kets(4, [(Mode(A, x), Mode(B, x), 1.0)])
+        state = from_kets(4, [(Mode(A, x), Mode(B, x), 1.0)])
         out = evolve(state, network_for_setup("fig1", 4).unitary)
         assert set(out.amps) == {
             (Mode(A, x), Mode(A, x)),
@@ -137,7 +137,7 @@ class TestEvolutionArchetypes:
 
     @pytest.mark.parametrize("x,y", [(0, 1), (0, 2), (1, 3), (2, 3)])
     def test_symmetric_pairs_stay_same_arm(self, x, y):
-        state = TwoPhotonState.from_kets(
+        state = from_kets(
             4, [(Mode(A, x), Mode(B, y), INV_SQRT2), (Mode(A, y), Mode(B, x), INV_SQRT2)]
         )
         out = evolve(state, network_for_setup("fig1", 4).unitary)
@@ -148,7 +148,7 @@ class TestEvolutionArchetypes:
 
     @pytest.mark.parametrize("x,y", [(0, 1), (0, 3), (1, 2)])
     def test_antisymmetric_pairs_split_arms(self, x, y):
-        state = TwoPhotonState.from_kets(
+        state = from_kets(
             4, [(Mode(A, x), Mode(B, y), INV_SQRT2), (Mode(A, y), Mode(B, x), -INV_SQRT2)]
         )
         out = evolve(state, network_for_setup("fig1", 4).unitary)
@@ -241,7 +241,7 @@ class TestEvolutionProperties:
     def test_hom_bunching_no_cross_arm_amplitude(self):
         net = network_for_setup("fig1", 4).unitary
         for x in range(4):
-            state = TwoPhotonState.from_kets(4, [(Mode(A, x), Mode(B, x), 1.0)])
+            state = from_kets(4, [(Mode(A, x), Mode(B, x), 1.0)])
             out = evolve(state, net)
             assert all(m1.arm == m2.arm for (m1, m2) in out.amps)
 
@@ -251,7 +251,7 @@ class TestEvolutionProperties:
         for x in range(4):
             for y in range(x + 1, 4):
                 for s in (1.0, -1.0):
-                    state = TwoPhotonState.from_kets(
+                    state = from_kets(
                         4,
                         [(Mode(A, x), Mode(B, y), INV_SQRT2), (Mode(A, y), Mode(B, x), s * INV_SQRT2)],
                     )
@@ -350,7 +350,7 @@ class TestFig2Network:
             ((B, 1, "+"), (B, 3, "-"), coeff),
             ((B, 1, "-"), (B, 3, "+"), coeff),
         ]
-        expected = TwoPhotonState.from_kets(
+        expected = from_kets(
             4, [(Mode(*m1), Mode(*m2), c) for m1, m2, c in terms]
         )
         out = evolve(make_hyper_state(BellIndex(2, 1, 0)), network_for_setup("fig2").unitary)

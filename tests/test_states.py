@@ -11,28 +11,22 @@ from bellsort import (
     TwoPhotonState,
     all_bell_indices,
     encode,
-    encoding_unitary,
     make_bell_state,
     make_hyper_state,
 )
 from bellsort.modes import POL_DIAGONAL, Mode, ModeBasis, canonical_pair, path_modes, polarized_modes
 from bellsort.states import NORM_TOL
-from conftest import approx_equal, oracle_evolve, oracle_inner, oracle_norm
+from conftest import approx_equal, encoding_unitary, from_kets, oracle_evolve, oracle_inner, oracle_norm
 
 A, B = "A", "B"
 HALF = 0.5
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def ket_state(dim, terms):
-    """Expected state from explicit Fock-ket coefficients."""
-    return TwoPhotonState.from_kets(dim, terms)
-
-
 class TestBellConstruction:
     def test_reference_state_is_uniform_diagonal(self):
         # (|00> + |11> + |22> + |33>) / 2
-        expected = ket_state(
+        expected = from_kets(
             4, [(Mode(A, x), Mode(B, x), HALF) for x in range(4)]
         )
         state = make_bell_state(4, BellIndex(0, 0, 0))
@@ -40,7 +34,7 @@ class TestBellConstruction:
 
     def test_pairing_two_phase_one(self):
         # (|02> - |13> + |20> - |31>) / 2
-        expected = ket_state(
+        expected = from_kets(
             4,
             [
                 (Mode(A, 0), Mode(B, 2), HALF),
@@ -53,11 +47,11 @@ class TestBellConstruction:
         assert approx_equal(state, expected, up_to_phase=False)
 
     def test_d2_states_are_the_standard_bell_basis(self):
-        phi_minus = ket_state(
+        phi_minus = from_kets(
             2, [(Mode(A, 0), Mode(B, 0), INV_SQRT2), (Mode(A, 1), Mode(B, 1), -INV_SQRT2)]
         )
         assert approx_equal(make_bell_state(2, BellIndex(0, 1, 0)), phi_minus, up_to_phase=False)
-        psi_plus = ket_state(
+        psi_plus = from_kets(
             2, [(Mode(A, 0), Mode(B, 1), INV_SQRT2), (Mode(A, 1), Mode(B, 0), INV_SQRT2)]
         )
         assert approx_equal(make_bell_state(2, BellIndex(1, 0, 0)), psi_plus, up_to_phase=False)
@@ -97,7 +91,7 @@ class TestBellConstruction:
 class TestHyperState:
     def test_reference_hyper_state(self):
         coeff = HALF * INV_SQRT2
-        expected = ket_state(
+        expected = from_kets(
             4,
             [
                 (Mode(A, x, p), Mode(B, x, p), coeff)
@@ -110,7 +104,7 @@ class TestHyperState:
     def test_worked_example_input(self):
         coeff = HALF * INV_SQRT2
         signs = {0: 1.0, 1: -1.0, 2: 1.0, 3: -1.0}
-        expected = ket_state(
+        expected = from_kets(
             4,
             [
                 (Mode(A, x, p), Mode(B, x ^ 2, p), signs[x] * coeff)
@@ -188,7 +182,7 @@ class TestEncoding:
         # (|01> + |10> - |23> - |32>) / 2, i.e. the (1,0,1) member.
         ref = make_bell_state(4, BellIndex(0, 0, 0))
         encoded = encode(ref, BellIndex(1, 0, 1))
-        expected = ket_state(
+        expected = from_kets(
             4,
             [
                 (Mode(A, 0), Mode(B, 1), HALF),
@@ -258,8 +252,6 @@ class TestEncoding:
             TwoPhotonState(dim, path_modes(2), [2, 7], [HALF, HALF])
         with pytest.raises(ValueError, match="dimension must be an integer power of two"):
             make_bell_state(dim, BellIndex(0, 0, 0))
-        with pytest.raises(ValueError, match="dimension must be an integer power of two"):
-            encoding_unitary(dim, BellIndex(0, 0, 0))
 
     @pytest.mark.parametrize("dim", [4.0, True, "4", 3], ids=["float", "bool", "str", "three"])
     def test_all_bell_indices_rejects_a_dimension_on_a_cold_cache(self, dim):

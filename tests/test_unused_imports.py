@@ -5,10 +5,11 @@ A stdlib-only stand-in for a linter's unused-import rule: each module of
 every name bound by an ``import`` or ``from ... import`` must be read
 somewhere in it, in code or in a string annotation. The package's
 ``__init__.py`` imports names to re-export them, so it is checked the other
-way: the names it imports must be exactly its ``__all__``. A third check
-finds private helpers nothing calls: every single-underscore module-level
-name and method of the package must be read somewhere in it outside its
-own definition.
+way: the names it imports must be exactly its ``__all__``, and each must be
+read in another package module, so no export exists for tests alone. A
+third check finds private helpers nothing calls: every single-underscore
+module-level name and method of the package must be read somewhere in it
+outside its own definition.
 """
 
 import ast
@@ -85,6 +86,13 @@ def exported_names(tree: ast.Module) -> list[str]:
 def test_package_exports_exactly_what_it_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert sorted(exported_names(tree)) == sorted(imported_names(tree))
+
+
+def test_every_export_is_read_inside_the_package():
+    # an export only tests call is test-only API; it belongs in tests/conftest.py
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    read = set().union(*(read_names(ast.parse(p.read_text())) for p in MODULES if p.parent == PACKAGE))
+    assert sorted(set(exported_names(tree)) - read) == []
 
 
 def test_the_export_check_reports_a_missing_or_repeated_name():
