@@ -23,7 +23,7 @@ from .states import (
     make_bell_state,
     make_hyper_state,
 )
-from .networks import NetworkSpec, evolve, network_for_setup
+from .networks import NetworkSpec, evolve, evolve_all, network_for_setup
 from .detection import OutcomeDistribution, outcome_distribution, sample
 from .grouping import GroupTable, StateGroup, channel_capacity, classify
 from .dense_coding import SdcConfig, SdcReport, run_sdc
@@ -47,6 +47,7 @@ __all__ = [
     "diff_against_reference",
     "encode",
     "evolve",
+    "evolve_all",
     "load_reference_tables",
     "make_bell_state",
     "make_hyper_state",

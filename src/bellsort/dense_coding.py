@@ -7,19 +7,20 @@ unitaries and returns the photon. The receiver measures with the chosen
 setup and decodes the message's group from the detection outcome. With
 ideal detectors the group supports are disjoint, so decoding is error-free;
 messages sharing a group are inherently indistinguishable.
+
+:func:`run_sdc` handles the 16 messages as one family: one
+``encode(reference, indices)`` call, one ``evolve_all`` call, and a decode
+of each message's draw by outcome id.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .detection import (
-    MODEL_PNRD, MODELS, _check_shots_and_seed, outcome_distribution, outcome_table, sample,
-)
+from .detection import MODEL_PNRD, MODELS, _check_shots_and_seed, _draw, outcome_distribution, outcome_table
 from .grouping import GroupTable, POLICIES, POLICY_STRICT, _partition, channel_capacity
-from .networks import SETUP_FIG1, SETUPS, evolve, network_for_setup, prepared_state
+from .networks import SETUP_FIG1, SETUPS, evolve_all, network_for_setup, prepared_state
 from .states import BellIndex, all_bell_indices, encode
 
 
@@ -78,37 +79,40 @@ class SdcReport:
 def run_sdc(config: SdcConfig) -> SdcReport:
     """Send each of the 16 messages ``config.shots`` times and decode by group membership.
 
-    Every encoded state is evolved once; its outcome distribution feeds both
-    the partition and the message's samples. Per-message sampling uses the
-    derived seed ``config.seed + ordinal`` so runs are reproducible yet
-    messages are independent. An outcome missing from every group support
-    would mean the evolution and the partition disagree and raises
+    The 16 messages are encoded in one call and evolved as one family; each
+    evolved state's outcome distribution feeds both the partition and the
+    message's draw. Per-message sampling uses the derived seed
+    ``config.seed + ordinal`` so runs are reproducible yet messages are
+    independent. Drawn outcomes are decoded by id, through the group
+    supports read once per run; an outcome missing from every group
+    support would mean the evolution and the partition disagree and raises
     immediately.
     """
     reference = prepared_state(config.setup, 4, BellIndex(0, 0, 0))
     unitary = network_for_setup(config.setup).unitary
-    dists = {
-        idx.label: outcome_distribution(evolve(encode(reference, idx), unitary), config.model)
-        for idx in all_bell_indices(4)
-    }
-    table = _partition(
-        [(label, dist.ids.tolist()) for label, dist in dists.items()],
-        outcome_table(unitary.out_modes, config.model), config.setup, config.policy,
-    )
-    decoder = table.decoder()
+    indices = all_bell_indices(4)
+    evolved = evolve_all(encode(reference, indices), unitary)
+    dists = {idx.label: outcome_distribution(state, config.model) for idx, state in zip(indices, evolved)}
+    supports = [(label, dist.ids.tolist()) for label, dist in dists.items()]
+    outcomes = outcome_table(unitary.out_modes, config.model)
+    table = _partition(supports, outcomes, config.setup, config.policy)
+    by_label = table.decoder()
+    decoder = {i: by_label.get(outcomes[i]) for _, ids in supports for i in ids}
     own_groups = {label: g.index for g in table.groups for label in g.members}
 
     message_counts: dict[str, dict[int, int]] = {}
     correct = 0
     for ordinal, (label, dist) in enumerate(dists.items()):
         own_group = own_groups[label]
-        counts: Counter = sample(dist, config.shots, config.seed + ordinal)
+        ids, counts = _draw(dist, config.shots, config.seed + ordinal)
         per_group: dict[int, int] = {}
-        for outcome, count in counts.items():
-            gid = decoder.get(outcome)
+        for outcome, count in zip(ids.tolist(), counts.tolist()):
+            if not count:
+                continue
+            gid = decoder[outcome]
             if gid is None:
                 raise RuntimeError(
-                    f"outcome {outcome} of message {label} lies outside every group support"
+                    f"outcome {outcomes[outcome]} of message {label} lies outside every group support"
                 )
             per_group[gid] = per_group.get(gid, 0) + count
             if gid == own_group:

@@ -20,7 +20,8 @@ itself stands for the single click i). Distributions made by
 Sampling uses numpy's seeded PCG64 generator; identical (seed, shots) give
 bit-identical counts. It draws one multinomial over the outcomes in label
 order, which each distribution computes once (``OutcomeDistribution.order``)
-and shares with rendering.
+and shares with rendering. :func:`sample` labels the draw's outcomes;
+``run_sdc`` decodes the same draw by outcome id.
 """
 
 from __future__ import annotations
@@ -152,14 +153,20 @@ def _check_shots_and_seed(shots: int, seed: int) -> None:
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots!r}")
 
 
+def _draw(dist: OutcomeDistribution, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One seeded multinomial draw: the outcome ids in label order and their counts."""
+    _check_shots_and_seed(shots, seed)
+    order = dist.order
+    pvals = dist.p[order]
+    return dist.ids[order], np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
+
+
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> Counter[str]:
     """Draw i.i.d. detection outcomes; returns the outcome multiset.
 
     The generator is numpy's PCG64 seeded with ``seed``; identical
     (seed, shots) pairs reproduce identical counts.
     """
-    _check_shots_and_seed(shots, seed)
-    table, order = dist.table, dist.order
-    pvals = dist.p[order]
-    counts = np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
-    return Counter({table[i]: c for i, c in zip(dist.ids[order].tolist(), counts.tolist()) if c})
+    ids, counts = _draw(dist, shots, seed)
+    table = dist.table
+    return Counter({table[i]: c for i, c in zip(ids.tolist(), counts.tolist()) if c})

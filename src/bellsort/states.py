@@ -11,7 +11,9 @@ with x0, x1 the low/high bits of x; for d = 2 the four standard Bell states
 (m is fixed to 0). :func:`encode` applies the same XOR pairing to the second
 photon (arm B), the one the sender of superdense coding holds, as the local
 map |x> -> (-1)**(n*x0 + m*x1) |x XOR j>; on the reference state
-|psi(0, 0, 0)> it gives any other member of the family.
+|psi(0, 0, 0)> it gives any other member of the family. It encodes a list
+of messages at once, one state per index (``encode(ref, [idx])[0]`` for
+one).
 
 States are symmetric amplitude functions over unordered mode pairs. A Fock
 state with photons in distinct modes m1, m2 has psi(m1, m2) = psi(m2, m1) =
@@ -30,8 +32,9 @@ directly, through a unitary's table of the output pairs each stored pair
 feeds (:class:`PairTerms`); ``amps`` is a read-only Mode-pair view of the
 same data for inspection and tests. An encoding
 unitary is a signed permutation of modes, so :func:`encode` never builds a
-matrix: it maps each stored pair's modes to their images, flips the sign
-of its amplitude where U does, and sorts the new ids. Neither it nor
+matrix: for every message at once, it maps each stored pair's modes to
+their images, flips the sign of its amplitude where U does, and sorts the
+new ids. Neither it nor
 evolution re-indexes a state onto another basis. Every state has unit norm
 within ``NORM_TOL``, so Born probabilities can be read off it without a
 second check. Calling :class:`TwoPhotonState` checks the arrays and the
@@ -55,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +78,9 @@ from .modes import (
 AMP_PRUNE = 1e-12  # |psi| below this is dropped from a state's support
 NORM_TOL = 1e-9  # a constructed or evolved state must have norm 1 within this
 UNITARY_TOL = 1e-10  # max |U U^dagger - 1| entry of a SinglePhotonUnitary
+# Most output bins one bincount of networks.evolve_all fills (512 KB of
+# float64); a family needing more is summed in chunks of whole states.
+FAMILY_BINS = 2**16
 
 
 @dataclass(frozen=True)
@@ -449,29 +455,37 @@ def make_hyper_state(idx: BellIndex) -> TwoPhotonState:
     return _xor_paired(4, idx, polarized_modes(4, POL_LINEAR), 1.0 / (2.0 * math.sqrt(2.0)))
 
 
-def encode(state: TwoPhotonState, idx: BellIndex) -> TwoPhotonState:
-    """Encode a message on the second photon (arm B) of a shared pair.
+def encode(state: TwoPhotonState, indices: Sequence[BellIndex]) -> list[TwoPhotonState]:
+    """Encode each message of ``indices`` on the second photon (arm B) of a shared pair.
 
-    Applying ``encode(reference, idx)`` to the reference state |psi(0,0,0)>
-    yields make_bell_state(d, idx); on a hyperentangled reference the
-    polarization factor rides along unchanged. The state must be stored in
-    the full canonical mode space of its dimension and polarization, as the
-    Bell and hyper states are, or ValueError is raised. U is a signed
+    Returns one state per index, in order; ``encode(reference, [idx])[0]``
+    on the reference state |psi(0,0,0)> yields make_bell_state(d, idx), and
+    on a hyperentangled reference the polarization factor rides along
+    unchanged. Every index is checked before any state is built: a bad one
+    raises ValueError naming its position. The state must be stored in the
+    full canonical mode space of its dimension and polarization, as the
+    Bell and hyper states are, or ValueError is raised. Each U is a signed
     permutation of modes, so psi -> U psi U^T moves each pair and flips
-    signs: exactly the bits of the dense product. The norm is unchanged, so
-    it is not checked again and the result is never empty.
+    signs: exactly the bits of the dense product, done for all messages in
+    one pass over (message, pair) arrays. The norm is unchanged, so it is
+    not checked again and no result is empty.
     """
     _require_power_of_two(state.dim)
-    idx.validate_for(state.dim)
-    basis = state.basis
+    for position, idx in enumerate(indices):
+        try:
+            idx.validate_for(state.dim)
+        except ValueError as exc:
+            raise ValueError(f"message {position} ({idx.label}): {exc}") from None
+    basis, size = state.basis, len(state.basis)
     if basis != _mode_space(state.dim, {basis[0].pol}):
         raise ValueError("encode needs a state stored in the full canonical mode space of its dimension")
-    rows, cols = np.divmod(state.ids, len(basis))
-    signs = _arm_signs(basis, idx.n, idx.m)
-    vals = state.vals * signs[rows] * signs[cols]
-    positions = _xor_positions(basis, idx.j)
-    rows, cols = positions[rows], positions[cols]
-    ids = np.minimum(rows, cols) * len(basis) + np.maximum(rows, cols)
-    order = np.argsort(ids)
-    order = order[np.abs(vals[order]) >= AMP_PRUNE]
-    return TwoPhotonState._build(state.dim, basis, ids[order], vals[order])
+    keep = np.abs(state.vals) >= AMP_PRUNE  # the signs are +-1, so one mask prunes every message
+    rows, cols = np.divmod(state.ids[keep], size)
+    signs = np.array([_arm_signs(basis, idx.n, idx.m) for idx in indices]).reshape(-1, size)
+    positions = np.array([_xor_positions(basis, idx.j) for idx in indices], dtype=np.intp).reshape(-1, size)
+    vals = state.vals[keep] * signs[:, rows] * signs[:, cols]
+    rows, cols = positions[:, rows], positions[:, cols]
+    ids = np.minimum(rows, cols) * size + np.maximum(rows, cols)
+    order = np.argsort(ids, axis=1)
+    ids, vals = np.take_along_axis(ids, order, 1), np.take_along_axis(vals, order, 1)
+    return [TwoPhotonState._build(state.dim, basis, i, v) for i, v in zip(ids, vals)]

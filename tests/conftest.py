@@ -1,5 +1,7 @@
-"""Shared test helpers: independent oracles, a state comparison, generators and
-the enumeration of the (state, network) pairs the CLI evolves.
+"""Shared test helpers: independent oracles, a state comparison, generators,
+the enumeration of the (state, network) pairs the CLI evolves, and the two
+ways to evolve a list of pairs: one ``evolve`` each, or ``evolve_all`` per
+network.
 
 The first-quantized oracle deliberately avoids the library's pair-term
 evolution: it expands a state into the ordered two-photon basis |i1>|i2>
@@ -21,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from bellsort import (
-    BellIndex, SinglePhotonUnitary, TwoPhotonState, all_bell_indices, encode, network_for_setup,
+    BellIndex, SinglePhotonUnitary, TwoPhotonState, all_bell_indices, encode, evolve, evolve_all, network_for_setup,
 )
 from bellsort.modes import Mode, canonical_pair
 from bellsort.networks import prepared_state
@@ -54,10 +56,41 @@ def cli_pairs(max_dim: int = max(CLI_DIMS)):
         if dim > max_dim:
             continue
         network = network_for_setup(setup, dim).unitary
-        reference = prepared_state(setup, dim, BellIndex(0, 0, 0))
-        for idx in all_bell_indices(dim):
+        indices = all_bell_indices(dim)
+        encoded = encode(prepared_state(setup, dim, BellIndex(0, 0, 0)), indices)
+        for idx, message in zip(indices, encoded):
             yield CliPair(setup, idx, False, prepared_state(setup, dim, idx), network)
-            yield CliPair(setup, idx, True, encode(reference, idx), network)
+            yield CliPair(setup, idx, True, message, network)
+
+
+def evolve_each(pairs) -> list:
+    """``evolve`` on each (state, network) pair; the ValueError it raises stands in for a rejected state."""
+    results = []
+    for state, network in pairs:
+        try:
+            results.append(evolve(state, network))
+        except ValueError as exc:
+            results.append(exc)
+    return results
+
+
+def evolve_families(pairs) -> list:
+    """``evolve_all`` on the pairs grouped by network, each family in pair order; results in pair order.
+
+    The ValueError a family raises stands in for each of its states.
+    """
+    families: dict[int, list[int]] = {}
+    for position, (_, network) in enumerate(pairs):
+        families.setdefault(id(network), []).append(position)
+    results: list = [None] * len(pairs)
+    for positions in families.values():
+        try:
+            evolved = evolve_all([pairs[p][0] for p in positions], pairs[positions[0]][1])
+        except ValueError as exc:
+            evolved = [exc] * len(positions)
+        for position, state in zip(positions, evolved):
+            results[position] = state
+    return results
 
 
 def from_kets(dim: int, kets) -> TwoPhotonState:

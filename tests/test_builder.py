@@ -89,7 +89,7 @@ class TestEncodeOfHandBuiltStates:
         # pruning leaves one amplitude with a zero imaginary part; encode keeps
         # the state's dtype, so it is stored as complex128
         state = TwoPhotonState(2, path_modes(2), [2, 7], [2**-0.5, 1e-13j])
-        encoded = encode(state, BellIndex(1, 1))
+        (encoded,) = encode(state, [BellIndex(1, 1)])
         assert len(encoded.vals) == 1 and not encoded.vals.imag.any()
         assert encoded.vals.dtype == np.complex128
         assert builder_defects(encoded) == []

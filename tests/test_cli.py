@@ -54,7 +54,7 @@ def with_group2_repeat(key):
     return edit
 
 
-# each usage error found while checking flags, before any state is evolved
+# each usage error found while checking flags, before any state is encoded or evolved
 USAGE_ERRORS = [
     *(
         [*command, *flags]
@@ -69,17 +69,17 @@ USAGE_ERRORS = [
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
 def test_usage_errors_do_no_work(argv, capsys, monkeypatch):
-    evolved = []
-    for module in (grouping, dense_coding, cli):
-        real = module.evolve
-        monkeypatch.setattr(module, "evolve", lambda *args, real=real: evolved.append(args) or real(*args))
+    calls = []
+    for module, name in ((grouping, "evolve"), (cli, "evolve"), (dense_coding, "evolve_all"), (dense_coding, "encode")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real: calls.append(args) or real(*args))
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     out, err = capsys.readouterr()
     assert excinfo.value.code == 2
     assert out == ""
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
-    assert evolved == []
+    assert calls == []
 
 
 class TestTables:

@@ -22,15 +22,15 @@ from conftest import approx_equal
 REFERENCE = BellIndex(0, 0, 0)  # the pair the receiver prepares before any encoding
 
 
-def count_calls(monkeypatch, *names):
-    """Count calls to the named functions as ``run_sdc`` makes them."""
-    calls = dict.fromkeys(names, 0)
+def record_calls(monkeypatch, *names):
+    """Record the arguments of each call ``run_sdc`` makes to the named functions."""
+    calls = {name: [] for name in names}
 
     def counted(name):
         real = getattr(dense_coding, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[name].append(args)
             return real(*args)
 
         return wrapper
@@ -61,10 +61,10 @@ class TestConfig:
 
     def test_shots_beyond_the_draw_rejected_before_any_evolve(self, monkeypatch):
         # run_sdc evolved all 16 messages and then overflowed inside numpy's draw
-        calls = count_calls(monkeypatch, "evolve")
+        calls = record_calls(monkeypatch, "encode", "evolve_all")
         with pytest.raises(ValueError, match="shots must be at most 9223372036854775807"):
             run_sdc(SdcConfig(shots=2**64))
-        assert calls == {"evolve": 0}
+        assert calls == {"encode": [], "evolve_all": []}
 
     @pytest.mark.parametrize("seed", [-1, 1.5, 0.0, True, "3", None])
     def test_negative_or_non_integer_seed_rejected(self, seed):
@@ -153,14 +153,18 @@ class TestRoundTrip:
             observed = []
             for label in group.members:
                 idx = index_of[label]
-                dist = outcome_distribution(evolve(encode(ref, idx), network))
+                dist = outcome_distribution(evolve(encode(ref, [idx])[0], network))
                 observed.append(frozenset(sample(dist, shots, seed=77).keys()))
             assert len(set(observed)) == 1
 
     def test_every_message_is_evolved_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "evolve", "outcome_distribution")
+        # the 16 messages are encoded in one call and evolved as one family of 16
+        calls = record_calls(monkeypatch, "encode", "evolve_all", "outcome_distribution")
         run_sdc(SdcConfig(setup="fig2", shots=10))
-        assert calls == {"evolve": 16, "outcome_distribution": 16}
+        assert {name: len(args) for name, args in calls.items()} == {
+            "encode": 1, "evolve_all": 1, "outcome_distribution": 16
+        }
+        assert [len(states) for states, _ in calls["evolve_all"]] == [16]
 
 
 class TestReportSerialization:

@@ -6,8 +6,13 @@ a matrix product. The printed probabilities must not move because of that,
 so the guard below recomputes each CLI-reachable evolution the way a
 complex-only representation did it, as the matrix product U psi U^T with
 both operands cast to complex128, and requires the same amplitudes to the
-last bit and the same support after pruning.
+last bit and the same support after pruning. ``evolve_all`` must give the
+bytes of ``evolve`` on every state of a family, which the family gate
+checks on the CLI's families, across chunk boundaries, and on complex
+states.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -25,10 +30,10 @@ from bellsort import (
 )
 from bellsort.modes import Mode, path_modes
 from bellsort.networks import prepared_state
-from bellsort.states import AMP_PRUNE
+from bellsort.states import AMP_PRUNE, FAMILY_BINS
 from conftest import (
-    CLI_DIMS, cli_pairs, encoding_unitary, first_quantized_vector, from_kets, oracle_evolve, random_two_photon_state,
-    random_unitary,
+    CLI_DIMS, cli_pairs, encoding_unitary, evolve_each, evolve_families, first_quantized_vector, from_kets,
+    oracle_evolve, random_two_photon_state, random_unitary,
 )
 
 # The reference pairs of both setups, then fig1 references at the other
@@ -65,17 +70,37 @@ def bit_defects(state, ids, vals):
     return defects
 
 
-def complex_evolution_mismatches(pairs):
-    """(position, defects) of every (state, network) that ``evolve`` takes to other bits
-    than the complex128 product U psi U^T does; [] when the guard holds."""
+def complex_evolution_mismatches(pairs, through=evolve_each):
+    """(position, defects) of every (state, network) that evolution takes to other bits
+    than the complex128 product U psi U^T does; [] when the guard holds.
+
+    ``through`` evolves the pairs: ``evolve_each`` or ``evolve_families``.
+    """
     mismatches = []
-    for position, (state, network) in enumerate(pairs):
+    for position, ((state, network), evolved) in enumerate(zip(pairs, through(pairs))):
+        if isinstance(evolved, ValueError):
+            mismatches.append((position, [f"rejected: {evolved}"]))
+            continue
         uc = network.matrix.astype(np.complex128)
         psic = complex_matrix(state, network.in_modes)
-        defects = bit_defects(evolve(state, network), *complex_upper_triangle(uc @ psic @ uc.T))
+        defects = bit_defects(evolved, *complex_upper_triangle(uc @ psic @ uc.T))
         if defects:
             mismatches.append((position, defects))
     return mismatches
+
+
+def state_bytes(state):
+    """Everything that tells two evolved states apart, or the message of a rejection."""
+    if isinstance(state, ValueError):
+        return str(state)
+    return state.dim, state.basis, state.ids.dtype, state.ids.tobytes(), state.vals.dtype, state.vals.tobytes()
+
+
+def family_mismatches(pairs):
+    """Positions of the (state, network) pairs where ``evolve_all``, over each network's
+    family, gives other bytes (or another rejection) than ``evolve``; [] when the gate holds."""
+    singles, families = evolve_each(pairs), evolve_families(pairs)
+    return [t for t, (a, b) in enumerate(zip(singles, families)) if state_bytes(a) != state_bytes(b)]
 
 
 class TestBitIdentityWithComplexEvolution:
@@ -105,17 +130,52 @@ class TestBitIdentityWithComplexEvolution:
 
     @pytest.mark.parametrize("setup,dim", ENCODE_CASES)
     def test_encode_matches_complex_local_unitary(self, setup, dim):
-        # basis order is arm, path, slot: identity on arm A, U x 1_slot on arm B
+        # every message encoded in one call; basis order is arm, path, slot:
+        # identity on arm A, U x 1_slot on arm B
         reference = prepared_state(setup, dim, BellIndex(0, 0, 0))
         slots = len(reference.basis) // (2 * dim)
         psic = complex_matrix(reference, reference.basis)
-        for idx in all_bell_indices(dim):
+        indices = all_bell_indices(dim)
+        encoded = encode(reference, indices)
+        assert len(encoded) == len(indices)
+        for idx, state in zip(indices, encoded):
             path = encoding_unitary(dim, idx).matrix.astype(np.complex128)
             full = np.kron(np.diag([1.0, 0.0]), np.eye(dim * slots)) + np.kron(
                 np.diag([0.0, 1.0]), np.kron(path, np.eye(slots))
             )
-            encoded = encode(reference, idx)
-            assert bit_defects(encoded, *complex_upper_triangle(full @ psic @ full.T)) == []
+            assert bit_defects(state, *complex_upper_triangle(full @ psic @ full.T)) == []
+
+
+class TestFamilyEvolution:
+    """``evolve_all`` gives the bytes of ``evolve`` on each state of a family."""
+
+    def test_every_cli_pair_by_network(self):
+        pairs = [(p.state, p.network) for p in cli_pairs()]
+        assert len(pairs) == 520
+        assert family_mismatches(pairs) == []
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["enumeration", "shuffled"])
+    def test_fig1_d64_family_across_chunks(self, shuffled):
+        # 128 modes: 16,385 bins a state, so the 256 states are summed three to a chunk
+        assert FAMILY_BINS // (128 * 128 + 1) == 3
+        network = network_for_setup("fig1", 64).unitary
+        family = [make_bell_state(64, idx) for idx in all_bell_indices(64)]
+        if shuffled:
+            random.Random(64).shuffle(family)
+        assert family_mismatches([(state, network) for state in family]) == []
+
+    def test_complex_family_with_real_members(self):
+        # a real state keeps evolve's float64 in a family made complex by the others
+        rng = np.random.default_rng(12)
+        basis = path_modes(4)
+        complex_states = [random_two_photon_state(4, basis, rng) for _ in range(3)]
+        real_states = [make_bell_state(4, idx) for idx in all_bell_indices(4)[5:8]]
+        family = [state for pair in zip(complex_states, real_states) for state in pair]
+        fig1, rotated = network_for_setup("fig1", 4).unitary, random_unitary(basis, rng)
+        for network, dtypes in ((fig1, [np.complex128, np.float64] * 3), (rotated, [np.complex128] * 6)):
+            pairs = [(state, network) for state in family]
+            assert family_mismatches(pairs) == []
+            assert [state.vals.dtype for state in evolve_families(pairs)] == dtypes
 
 
 class TestDtypeRule:
@@ -131,8 +191,7 @@ class TestDtypeRule:
     @pytest.mark.parametrize("setup", ["fig1", "fig2"])
     def test_encoded_states_are_real(self, setup):
         reference = prepared_state(setup, 4, BellIndex(0, 0, 0))
-        for idx in all_bell_indices(4):
-            assert encode(reference, idx).vals.dtype == np.float64
+        assert [state.vals.dtype for state in encode(reference, all_bell_indices(4))] == [np.float64] * 16
 
     def test_complex_unitary_and_state_stay_complex(self):
         rng = np.random.default_rng(3)

@@ -19,14 +19,14 @@ from bellsort import (
 from bellsort.detection import MODEL_PNRD, OutcomeDistribution, outcome_table
 from bellsort.grouping import compute_table
 from bellsort.modes import ARMS, Mode, path_modes
-from conftest import cli_pairs, from_kets
+from conftest import cli_pairs, evolve_each, evolve_families, from_kets
 from test_builder import builder_defects
 from test_class_bound import class_bound_violations
 from test_cli import copy_references
 from test_cli_golden import golden_digest_mismatches
 from test_detection import guarded_distributions, sampling_mismatches
 from test_exact_oracle import exact_support_mismatches
-from test_exact_real import complex_evolution_mismatches
+from test_exact_real import complex_evolution_mismatches, family_mismatches
 from test_grouping import CLOSED_FORM_CASES, closed_form_mismatches
 from test_networks import (
     INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches, oracle_mismatches, random_oracle_cases,
@@ -123,11 +123,12 @@ def test_exact_real_guard_catches_one_ulp_on_the_second_weights(monkeypatch):
         table = cached.__get__(u)
         return table._replace(second=table.second * ONE_ULP_UP)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(SinglePhotonUnitary, "pair_terms", property(scaled))
-        mismatches = complex_evolution_mismatches(pairs)
-    assert [position for position, _ in mismatches] == list(range(len(pairs)))
-    assert complex_evolution_mismatches(pairs) == []
+    for through in (evolve_each, evolve_families):
+        with monkeypatch.context() as patch:
+            patch.setattr(SinglePhotonUnitary, "pair_terms", property(scaled))
+            mismatches = complex_evolution_mismatches(pairs, through)
+        assert [position for position, _ in mismatches] == list(range(len(pairs)))
+        assert complex_evolution_mismatches(pairs, through) == []
 
 
 def test_kron_oracle_catches_a_table_built_from_rows(monkeypatch):
@@ -153,11 +154,27 @@ def test_kron_oracle_catches_a_table_built_from_rows(monkeypatch):
         assert np.array_equal(rows.keys, table.keys)
         return table._replace(second=rows.second)
 
+    for through in (evolve_each, evolve_families):
+        with monkeypatch.context() as patch:
+            patch.setattr(SinglePhotonUnitary, "pair_terms", property(from_rows))
+            mismatches = oracle_mismatches(cases, through)
+        assert mismatches == list(range(len(cases)))
+        assert oracle_mismatches(cases, through) == []
+
+
+def test_family_gate_catches_a_stride_that_shares_a_bin(monkeypatch):
+    # with a stride of M² instead of M² + 1, state k's last bin (the one past
+    # its pair ids, weight 0 terms only) is state k + 1's first, psi(0, 0).
+    # Every network's family holds a state whose successor bunches into
+    # output mode 0, so that state picks up an amplitude, fails the norm
+    # check, and the family's rejection stands in for all of its states
+    pairs = [(p.state, p.network) for p in cli_pairs()]
+    stacked = networks._stacked
     with monkeypatch.context() as patch:
-        patch.setattr(SinglePhotonUnitary, "pair_terms", property(from_rows))
-        mismatches = oracle_mismatches(cases)
-    assert mismatches == list(range(len(cases)))
-    assert oracle_mismatches(cases) == []
+        patch.setattr(networks, "_stacked", lambda keys, lengths, stride: stacked(keys, lengths, stride - 1))
+        mismatches = family_mismatches(pairs)
+    assert mismatches == list(range(len(pairs)))
+    assert family_mismatches(pairs) == []
 
 
 def test_golden_digests_catch_threshold_classify_reading_pnrd_outcomes(monkeypatch):

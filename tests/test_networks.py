@@ -12,15 +12,18 @@ from bellsort import (
     TwoPhotonState,
     all_bell_indices,
     evolve,
+    evolve_all,
     make_bell_state,
     make_hyper_state,
     network_for_setup,
+    networks,
     outcome_distribution,
 )
 from bellsort.modes import Mode, canonical_pair, path_modes, polarized_modes
 from bellsort.networks import NetworkSpec, NetworkStage
 from conftest import (
-    approx_equal, cli_pairs, from_kets, oracle_evolve, oracle_norm, random_two_photon_state, random_unitary,
+    approx_equal, cli_pairs, evolve_each, evolve_families, from_kets, oracle_evolve, oracle_norm,
+    random_two_photon_state, random_unitary,
 )
 
 A, B = "A", "B"
@@ -67,18 +70,18 @@ def arm_pattern(pair):
     return tuple(sorted(m.arm for m in pair))
 
 
-def oracle_mismatches(cases):
-    """Positions of the (state, network) cases where ``evolve`` and the kron(U, U) oracle disagree.
+def oracle_mismatches(cases, through=evolve_each):
+    """Positions of the (state, network) cases where evolution and the kron(U, U) oracle disagree.
 
-    A case ``evolve`` rejects (its norm check raises) counts as a disagreement.
+    ``through`` evolves the cases: ``evolve_each`` or ``evolve_families``. A
+    case it rejects (a norm check raises) counts as a disagreement.
     """
     mismatches = []
-    for position, (state, net) in enumerate(cases):
-        try:
-            evolved = evolve(state, net).amps
-        except ValueError:
+    for position, ((state, net), evolved) in enumerate(zip(cases, through(cases))):
+        if isinstance(evolved, ValueError):
             mismatches.append(position)
             continue
+        evolved = evolved.amps
         expected = {canonical_pair(*key): a for key, a in oracle_evolve(state, net).items()}
         keys = set(evolved) | set(expected)
         if any(abs(evolved.get(key, 0.0) - expected.get(key, 0.0)) >= 1e-10 for key in keys):
@@ -181,6 +184,21 @@ class TestEvolutionArchetypes:
         with pytest.raises(ValueError, match="state norm nan"):
             TwoPhotonState.from_amplitudes(2, amps)
 
+    @pytest.mark.parametrize("position", [0, 9, 16])
+    def test_evolve_all_names_a_state_in_another_basis_before_any_gather(self, position, monkeypatch):
+        network = network_for_setup("fig1", 4).unitary
+        family = [make_bell_state(4, idx) for idx in all_bell_indices(4)]
+        family.insert(position, make_hyper_state(BellIndex(0, 0, 0)))
+        gathered = []
+        terms = networks._terms
+        monkeypatch.setattr(networks, "_terms", lambda *args: gathered.append(args) or terms(*args))
+        with pytest.raises(ValueError, match=f"^state {position} is not stored in the network's input basis$"):
+            evolve_all(family, network)
+        assert gathered == []
+
+    def test_evolve_all_of_no_states_is_empty(self):
+        assert evolve_all([], network_for_setup("fig1", 4).unitary) == []
+
     def test_network_of_a_larger_dimension_rejected(self):
         # every mode of the d=4 state is an input of the d=8 network, but the
         # state is not stored in that network's 16-mode input basis
@@ -234,9 +252,10 @@ class TestEvolutionProperties:
         with pytest.raises(ValueError, match="not stored in the network's input basis"):
             evolve(state, random_unitary(basis[::-1], rng))
 
-    def test_oracle_equivalence_on_the_measurement_networks(self):
+    @pytest.mark.parametrize("through", [evolve_each, evolve_families], ids=["evolve", "evolve_all"])
+    def test_oracle_equivalence_on_the_measurement_networks(self, through):
         # every CLI pair at d <= 4, prepared and encoded, through fig1 and fig2
-        assert oracle_mismatches([(p.state, p.network) for p in cli_pairs(4)]) == []
+        assert oracle_mismatches([(p.state, p.network) for p in cli_pairs(4)], through) == []
 
     def test_hom_bunching_no_cross_arm_amplitude(self):
         net = network_for_setup("fig1", 4).unitary

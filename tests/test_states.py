@@ -175,13 +175,13 @@ class TestEncoding:
 
     def test_encode_identity_message(self):
         ref = make_bell_state(4, BellIndex(0, 0, 0))
-        assert approx_equal(encode(ref, BellIndex(0, 0, 0)), ref, up_to_phase=False)
+        assert approx_equal(encode(ref, [BellIndex(0, 0, 0)])[0], ref, up_to_phase=False)
 
     def test_encode_specific_message(self):
         # U(1,0,1) on the second photon of the reference gives
         # (|01> + |10> - |23> - |32>) / 2, i.e. the (1,0,1) member.
         ref = make_bell_state(4, BellIndex(0, 0, 0))
-        encoded = encode(ref, BellIndex(1, 0, 1))
+        (encoded,) = encode(ref, [BellIndex(1, 0, 1)])
         expected = from_kets(
             4,
             [
@@ -197,19 +197,18 @@ class TestEncoding:
     @pytest.mark.parametrize("idx", all_bell_indices(4), ids=lambda i: i.label)
     def test_encode_matches_construction_for_all_messages(self, idx):
         ref = make_bell_state(4, BellIndex(0, 0, 0))
-        assert approx_equal(encode(ref, idx), make_bell_state(4, idx))
+        assert approx_equal(encode(ref, [idx])[0], make_bell_state(4, idx))
 
     def test_encode_on_hyper_reference(self):
         ref = make_hyper_state(BellIndex(0, 0, 0))
         idx = BellIndex(2, 1, 0)
-        assert approx_equal(encode(ref, idx), make_hyper_state(idx))
+        assert approx_equal(encode(ref, [idx])[0], make_hyper_state(idx))
 
     def test_matrix_inverse_undoes_encoding(self):
         # the inverse path matrix on arm B and the identity on arm A, through kron(U, U)
         ref = make_bell_state(4, BellIndex(0, 0, 0))
         modes = path_modes(4)
-        for idx in all_bell_indices(4):
-            encoded = encode(ref, idx)
+        for idx, encoded in zip(all_bell_indices(4), encode(ref, all_bell_indices(4))):
             inverse = encoding_unitary(4, idx).matrix.conj().T
             full = np.kron(np.diag([1.0, 0.0]), np.eye(4)) + np.kron(np.diag([0.0, 1.0]), inverse)
             undone = oracle_evolve(encoded, SinglePhotonUnitary(modes, modes, full))
@@ -218,7 +217,30 @@ class TestEncoding:
     def test_dimension_mismatch_rejected(self):
         ref = make_bell_state(2, BellIndex(0, 0, 0))
         with pytest.raises(ValueError):
-            encode(ref, BellIndex(2, 0, 0))
+            encode(ref, [BellIndex(2, 0, 0)])
+
+    @pytest.mark.parametrize(
+        "dim,position,bad,message",
+        [
+            (4, 0, BellIndex(4, 1, 0), "pairing index j=4 out of range for dimension 4"),
+            (4, 15, BellIndex(7, 0, 1), "pairing index j=7 out of range for dimension 4"),
+            (2, 2, BellIndex(1, 0, 1), "dimension 2 has only 4 Bell states; m must be 0"),
+        ],
+    )
+    def test_a_bad_index_anywhere_is_named_and_nothing_is_built(self, dim, position, bad, message, monkeypatch):
+        ref = make_bell_state(dim, BellIndex(0, 0, 0))
+        indices = list(all_bell_indices(dim))
+        indices[position] = bad
+        built = []
+        build = TwoPhotonState._build.__func__
+        counted = classmethod(lambda cls, *args: built.append(args) or build(cls, *args))
+        monkeypatch.setattr(TwoPhotonState, "_build", counted)
+        with pytest.raises(ValueError, match=rf"^message {position} \({bad.label}\): {message}$"):
+            encode(ref, indices)
+        assert built == []
+
+    def test_encode_of_no_messages_is_empty(self):
+        assert encode(make_bell_state(4, BellIndex(0, 0, 0)), []) == []
 
     def test_encode_rejects_a_state_in_another_basis(self):
         # encode reads a state in the canonical mode space and re-indexes nothing:
@@ -235,14 +257,14 @@ class TestEncoding:
         two_paths = TwoPhotonState(4, path_modes(2), [2, 7], [HALF, HALF])
         for state in (moved, two_paths):
             with pytest.raises(ValueError, match="canonical mode space"):
-                encode(state, BellIndex(1, 0, 0))
+                encode(state, [BellIndex(1, 0, 0)])
 
     def test_encode_rejects_non_power_of_two_dimension(self):
         state = TwoPhotonState.from_amplitudes(
             3, {(Mode(A, 0), Mode(B, 2)): HALF, (Mode(A, 2), Mode(B, 0)): HALF}
         )
         with pytest.raises(ValueError, match="power of two"):
-            encode(state, BellIndex(1, 0, 0))
+            encode(state, [BellIndex(1, 0, 0)])
 
     @pytest.mark.parametrize("dim", [4.0, True, "4"], ids=["float", "bool", "str"])
     def test_a_bool_or_non_integer_dimension_is_rejected(self, dim):
@@ -360,7 +382,7 @@ class TestStateRepresentation:
             (diagonal, polarized_modes(4, POL_DIAGONAL)),
         ):
             assert state.basis == space
-            assert encode(state, BellIndex(1, 0, 1)).basis == space
+            assert encode(state, [BellIndex(1, 0, 1)])[0].basis == space
 
     @pytest.mark.parametrize("scale", [1 + 2 * NORM_TOL, 1 - 2 * NORM_TOL, 2.0, 0.0, math.nan])
     def test_constructor_rejects_a_norm_off_one(self, scale):
