@@ -38,8 +38,8 @@ bunching interference) automatic. :func:`evolve` forms no matrix: it sums
 the terms each stored pair feeds, read from the unitary's cached table
 (:class:`~bellsort.states.PairTerms`), and tests/test_exact_real.py checks
 its bits against the complex product U psi U^T. :func:`evolve_all` evolves
-a family of states through one network with one gather and one sum per
-chunk, to the same bits as :func:`evolve` on each state.
+a family of states through one network with one gather, then evolve's own
+sum per state, to the same bits as :func:`evolve` on each state.
 """
 
 from __future__ import annotations
@@ -47,13 +47,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .modes import ARMS, Mode, ModeBasis, POL_DIAGONAL, POL_LINEAR, path_modes, polarized_modes
 from .states import (
-    AMP_PRUNE, FAMILY_BINS, BellIndex, PairTerms, SinglePhotonUnitary, TwoPhotonState, _check_norm, _positions,
+    AMP_PRUNE, BellIndex, PairTerms, SinglePhotonUnitary, TwoPhotonState, _check_norm, _positions,
     all_bell_indices, make_bell_state, make_hyper_state,
 )
 
@@ -198,26 +198,23 @@ def _terms(table: PairTerms, ids: np.ndarray, vals: np.ndarray) -> tuple[np.ndar
     return table.keys.take(rows, 0), terms
 
 
-def _bin_sums(keys: np.ndarray, terms: np.ndarray, bins: int) -> np.ndarray:
-    """The terms summed per key over ``bins`` bins, by one ``bincount`` per real or imaginary part."""
-    keys = keys.ravel()
+def _evolved(
+    state: TwoPhotonState, network: SinglePhotonUnitary, keys: np.ndarray, terms: np.ndarray
+) -> TwoPhotonState:
+    """``state`` evolved from its gathered term ``keys`` and ``terms``: summed, norm checked, pruned and built.
+
+    One ``bincount`` per real or imaginary part sums the terms per output
+    pair over M² + 1 bins, M = len(network.in_modes).
+    """
+    size = len(network.in_modes)
+    keys, bins = keys.ravel(), size * size + 1
     sums = np.bincount(keys, terms.real.ravel(), bins)
     if terms.dtype.kind == "c":
         sums = sums + 1j * np.bincount(keys, terms.imag.ravel(), bins)
-    return sums
-
-
-def _evolved(state: TwoPhotonState, network: SinglePhotonUnitary, sums: np.ndarray) -> TwoPhotonState:
-    """``state`` evolved, from its M² + 1 output bins ``sums``: norm checked, pruned and built."""
-    diagonal = sums[:: len(network.in_modes) + 1]  # psi(m, m); the last bin, weight 0 terms only, is off it
+    diagonal = sums[:: size + 1]  # psi(m, m); the last bin, weight 0 terms only, is off it
     _check_norm(math.sqrt(2 * np.vdot(sums, sums).real - np.vdot(diagonal, diagonal).real))
     ids = (np.abs(sums) >= AMP_PRUNE).nonzero()[0]
     return TwoPhotonState._build(state.dim, network.out_modes, ids, sums[ids])
-
-
-def _stacked(keys: np.ndarray, lengths: Sequence[int], stride: int) -> np.ndarray:
-    """Consecutive states' term keys, the k-th state's ``lengths[k]`` rows moved up by k * ``stride`` bins."""
-    return keys + np.repeat(np.arange(len(lengths)) * stride, lengths)[:, None]
 
 
 def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonState:
@@ -241,44 +238,33 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
     """
     if state.basis != network.in_modes:
         raise ValueError("the state is not stored in the network's input basis")
-    keys, terms = _terms(network.pair_terms, state.ids, state.vals)
-    return _evolved(state, network, _bin_sums(keys, terms, len(network.in_modes) ** 2 + 1))
+    return _evolved(state, network, *_terms(network.pair_terms, state.ids, state.vals))
 
 
-def evolve_all(states: Sequence[TwoPhotonState], network: SinglePhotonUnitary) -> list[TwoPhotonState]:
-    """``[evolve(state, network) for state in states]`` to the bit, summed as one family.
+def evolve_all(states: Iterable[TwoPhotonState], network: SinglePhotonUnitary) -> list[TwoPhotonState]:
+    """``[evolve(state, network) for state in states]`` to the bit, gathered as one family.
 
     The terms of every state's pairs are gathered from ``network.pair_terms``
-    at once. Through M modes, state k's terms go to bins k * (M² + 1) + key
-    of one ``bincount``, which adds each bin's terms in the order
-    :func:`evolve` adds them; a bincount fills at most ``FAMILY_BINS`` bins
-    (or one state's), so a larger family is summed in chunks of whole
-    states. Each state's view of the sums is then checked, pruned and built
-    as :func:`evolve` does it, and keeps evolve's dtype: real unless the
+    at once; each state's rows of them are then summed, checked, pruned and
+    built as :func:`evolve` does it, and keep evolve's dtype: real unless the
     state or the network is complex. Raises ValueError, before any work,
     naming the first state not stored in ``network.in_modes``; an empty
     family gives [].
     """
+    states = list(states)
     for position, state in enumerate(states):
         if state.basis != network.in_modes:
             raise ValueError(f"state {position} is not stored in the network's input basis")
     if not states:
         return []
     table = network.pair_terms
-    bins = len(network.in_modes) ** 2 + 1
-    lengths = [len(state.ids) for state in states]
     keys, terms = _terms(table, np.concatenate([s.ids for s in states]), np.concatenate([s.vals for s in states]))
     real_network = table.first.dtype.kind != "c"
-    per_chunk = max(1, FAMILY_BINS // bins)
-    evolved, row = [], 0
-    for start in range(0, len(states), per_chunk):
-        chunk = lengths[start : start + per_chunk]
-        end = row + sum(chunk)
-        sums = _bin_sums(_stacked(keys[row:end], chunk, bins), terms[row:end], len(chunk) * bins)
-        for k, state in enumerate(states[start : start + len(chunk)]):
-            view = sums[k * bins : (k + 1) * bins]
-            if real_network and state.vals.dtype.kind != "c":
-                view = view.real  # a real state in a family that another state made complex
-            evolved.append(_evolved(state, network, view))
-        row = end
+    evolved, end = [], 0
+    for state in states:
+        start, end = end, end + len(state.ids)
+        state_terms = terms[start:end]
+        if real_network and state.vals.dtype.kind != "c":
+            state_terms = state_terms.real  # a real state in a family that another state made complex
+        evolved.append(_evolved(state, network, keys[start:end], state_terms))
     return evolved

@@ -58,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -78,9 +78,6 @@ from .modes import (
 AMP_PRUNE = 1e-12  # |psi| below this is dropped from a state's support
 NORM_TOL = 1e-9  # a constructed or evolved state must have norm 1 within this
 UNITARY_TOL = 1e-10  # max |U U^dagger - 1| entry of a SinglePhotonUnitary
-# Most output bins one bincount of networks.evolve_all fills (512 KB of
-# float64); a family needing more is summed in chunks of whole states.
-FAMILY_BINS = 2**16
 
 
 @dataclass(frozen=True)
@@ -455,7 +452,7 @@ def make_hyper_state(idx: BellIndex) -> TwoPhotonState:
     return _xor_paired(4, idx, polarized_modes(4, POL_LINEAR), 1.0 / (2.0 * math.sqrt(2.0)))
 
 
-def encode(state: TwoPhotonState, indices: Sequence[BellIndex]) -> list[TwoPhotonState]:
+def encode(state: TwoPhotonState, indices: Iterable[BellIndex]) -> list[TwoPhotonState]:
     """Encode each message of ``indices`` on the second photon (arm B) of a shared pair.
 
     Returns one state per index, in order; ``encode(reference, [idx])[0]``
@@ -471,6 +468,7 @@ def encode(state: TwoPhotonState, indices: Sequence[BellIndex]) -> list[TwoPhoto
     not checked again and no result is empty.
     """
     _require_power_of_two(state.dim)
+    indices = tuple(indices)  # read once, so an iterator is not used up by the checks
     for position, idx in enumerate(indices):
         try:
             idx.validate_for(state.dim)

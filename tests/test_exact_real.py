@@ -8,11 +8,12 @@ complex-only representation did it, as the matrix product U psi U^T with
 both operands cast to complex128, and requires the same amplitudes to the
 last bit and the same support after pruning. ``evolve_all`` must give the
 bytes of ``evolve`` on every state of a family, which the family gate
-checks on the CLI's families, across chunk boundaries, and on complex
-states.
+checks on the CLI's families, on the 256-state fig1 d=64 family, and on
+complex states.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,13 +25,14 @@ from bellsort import (
     all_bell_indices,
     encode,
     evolve,
+    evolve_all,
     make_bell_state,
     make_hyper_state,
     network_for_setup,
 )
 from bellsort.modes import Mode, path_modes
 from bellsort.networks import prepared_state
-from bellsort.states import AMP_PRUNE, FAMILY_BINS
+from bellsort.states import AMP_PRUNE
 from conftest import (
     CLI_DIMS, cli_pairs, encoding_unitary, evolve_each, evolve_families, first_quantized_vector, from_kets,
     oracle_evolve, random_two_photon_state, random_unitary,
@@ -155,14 +157,35 @@ class TestFamilyEvolution:
         assert family_mismatches(pairs) == []
 
     @pytest.mark.parametrize("shuffled", [False, True], ids=["enumeration", "shuffled"])
-    def test_fig1_d64_family_across_chunks(self, shuffled):
-        # 128 modes: 16,385 bins a state, so the 256 states are summed three to a chunk
-        assert FAMILY_BINS // (128 * 128 + 1) == 3
+    def test_fig1_d64_family(self, shuffled):
         network = network_for_setup("fig1", 64).unitary
         family = [make_bell_state(64, idx) for idx in all_bell_indices(64)]
         if shuffled:
             random.Random(64).shuffle(family)
         assert family_mismatches([(state, network) for state in family]) == []
+
+    def test_a_generator_family_equals_the_list(self):
+        network = network_for_setup("fig1", 4).unitary
+        family = [make_bell_state(4, idx) for idx in all_bell_indices(4)]
+        from_list = evolve_all(family, network)
+        from_generator = evolve_all((state for state in family), network)
+        assert [state_bytes(s) for s in from_generator] == [state_bytes(s) for s in from_list]
+        assert len(from_list) == 16
+
+    def test_fig1_d64_family_peak_memory(self):
+        # the gathered terms and one state's 16,385 bins at a time: one dense
+        # stacked buffer of every state's bins alone would take 256 * 16,385
+        # float64, 33.5 MB
+        network = network_for_setup("fig1", 64).unitary
+        family = [make_bell_state(64, idx) for idx in all_bell_indices(64)]
+        network.pair_terms  # built and cached before the measurement
+        tracemalloc.start()
+        try:
+            evolve_all(family, network)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_complex_family_with_real_members(self):
         # a real state keeps evolve's float64 in a family made complex by the others

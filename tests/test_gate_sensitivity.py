@@ -26,7 +26,7 @@ from test_cli import copy_references
 from test_cli_golden import golden_digest_mismatches
 from test_detection import guarded_distributions, sampling_mismatches
 from test_exact_oracle import exact_support_mismatches
-from test_exact_real import complex_evolution_mismatches, family_mismatches
+from test_exact_real import complex_evolution_mismatches
 from test_grouping import CLOSED_FORM_CASES, closed_form_mismatches
 from test_networks import (
     INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches, oracle_mismatches, random_oracle_cases,
@@ -160,21 +160,6 @@ def test_kron_oracle_catches_a_table_built_from_rows(monkeypatch):
             mismatches = oracle_mismatches(cases, through)
         assert mismatches == list(range(len(cases)))
         assert oracle_mismatches(cases, through) == []
-
-
-def test_family_gate_catches_a_stride_that_shares_a_bin(monkeypatch):
-    # with a stride of M² instead of M² + 1, state k's last bin (the one past
-    # its pair ids, weight 0 terms only) is state k + 1's first, psi(0, 0).
-    # Every network's family holds a state whose successor bunches into
-    # output mode 0, so that state picks up an amplitude, fails the norm
-    # check, and the family's rejection stands in for all of its states
-    pairs = [(p.state, p.network) for p in cli_pairs()]
-    stacked = networks._stacked
-    with monkeypatch.context() as patch:
-        patch.setattr(networks, "_stacked", lambda keys, lengths, stride: stacked(keys, lengths, stride - 1))
-        mismatches = family_mismatches(pairs)
-    assert mismatches == list(range(len(pairs)))
-    assert family_mismatches(pairs) == []
 
 
 def test_golden_digests_catch_threshold_classify_reading_pnrd_outcomes(monkeypatch):

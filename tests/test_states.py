@@ -199,6 +199,16 @@ class TestEncoding:
         ref = make_bell_state(4, BellIndex(0, 0, 0))
         assert approx_equal(encode(ref, [idx])[0], make_bell_state(4, idx))
 
+    def test_encode_reads_a_generator_of_indices_once(self):
+        # the index checks must not use the iterator up before the states are built
+        ref = make_bell_state(4, BellIndex(0, 0, 0))
+        from_list = encode(ref, all_bell_indices(4))
+        from_generator = encode(ref, (idx for idx in all_bell_indices(4)))
+        assert len(from_generator) == 16
+        assert [(s.ids.tobytes(), s.vals.tobytes()) for s in from_generator] == [
+            (s.ids.tobytes(), s.vals.tobytes()) for s in from_list
+        ]
+
     def test_encode_on_hyper_reference(self):
         ref = make_hyper_state(BellIndex(0, 0, 0))
         idx = BellIndex(2, 1, 0)
