@@ -93,11 +93,11 @@ def run_sdc(config: SdcConfig) -> SdcReport:
     indices = all_bell_indices(4)
     evolved = evolve_all(encode(reference, indices), unitary)
     dists = {idx.label: outcome_distribution(state, config.model) for idx, state in zip(indices, evolved)}
-    supports = [(label, dist.ids.tolist()) for label, dist in dists.items()]
+    supports = [(label, dist.ids) for label, dist in dists.items()]
     outcomes = outcome_table(unitary.out_modes, config.model)
     table = _partition(supports, outcomes, config.setup, config.policy)
     by_label = table.decoder()
-    decoder = {i: by_label.get(outcomes[i]) for _, ids in supports for i in ids}
+    decoder = {i: by_label.get(outcomes[i]) for _, ids in supports for i in ids.tolist()}
     own_groups = {label: g.index for g in table.groups for label in g.members}
 
     message_counts: dict[str, dict[int, int]] = {}

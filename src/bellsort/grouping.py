@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Sequence
+
+import numpy as np
 
 from .detection import MODEL_PNRD, OutcomeTable, _has_single_click, outcome_table
 from .networks import NetworkSpec, evolve, labelled_states, network_for_setup
@@ -54,6 +55,10 @@ class GroupTable:
     groups: tuple[StateGroup, ...]
 
     def __post_init__(self) -> None:
+        members = [label for group in self.groups for label in group.members]
+        supports = [group.support for group in self.groups]
+        if len(set(members)) == len(members) and len(frozenset().union(*supports)) == sum(map(len, supports)):
+            return  # valid, checked in one pass; the loop below names the first fault
         seen_members: set[str] = set()
         seen_outcomes: set[str] = set()
         for group in self.groups:
@@ -112,7 +117,7 @@ def classify(
     table = outcome_table(unitary.out_modes, model)
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    supports = [(label, evolve(state, unitary).ids.tolist()) for label, state in states]
+    supports = [(label, evolve(state, unitary).ids) for label, state in states]
     return _partition(supports, table, network.setup, policy)
 
 
@@ -122,27 +127,34 @@ def compute_table(setup: str, dim: int, model: str, policy: str) -> GroupTable:
 
 
 def _partition(
-    supports: Sequence[tuple[str, list[int]]], table: OutcomeTable, setup: str, policy: str
+    supports: Sequence[tuple[str, Sequence[int] | np.ndarray]], table: OutcomeTable, setup: str, policy: str
 ) -> GroupTable:
-    """Group labelled outcome-id lists by shared ids; ``table`` maps an id to its label.
+    """Group labelled outcome ids, a list or an integer array per state in any order, by shared ids.
 
-    The table's ``model`` labels the result, so the two cannot disagree;
+    ``table`` maps an id to its label, and its ``model`` labels the result;
     callers check ``policy``. Groups are numbered by their first member in
-    input order; members keep input order. The first state to have an
-    outcome owns it. Each state is joined, by union-find, to each distinct
-    owner of its outcomes, and a group's support is the union of its
-    members' outcomes. Both touch each outcome id only through C-level dict
-    and set calls, so Python loops once per link: 128 times for the 128 fig1
-    states at d = 32, against 4,224 ids.
+    input order; members keep input order. One ``np.minimum.at`` over the
+    M² outcome slots finds each outcome's owner, the first state to have it;
+    union-find joins states to owners, in Python only over the distinct
+    links (72 for the 128 fig1 states at d = 32, against 4,224 ids). A
+    group's support is the outcomes its members own.
     """
     if not supports:
         raise ValueError("no states to classify")
     labels = [label for label, _ in supports]
-    if len(set(labels)) != len(labels):
+    count = len(labels)
+    if len(set(labels)) != count:
         raise ValueError("state labels must be unique")
 
-    id_lists = [ids for _, ids in supports]
-    parent = list(range(len(supports)))
+    ids = np.concatenate([state_ids for _, state_ids in supports])
+    state_of = np.repeat(np.arange(count), [len(state_ids) for _, state_ids in supports])
+    first = np.full(len(table.basis) ** 2, count)
+    np.minimum.at(first, ids, state_of)
+    owner_of = first[ids]
+    # distinct links by a stable sort, whose code the argsort below shares: the first
+    # call of np.unique adds about 1.9 MB of memory, and of the default sort 0.3 MB
+    links = np.sort((state_of * count + owner_of)[owner_of != state_of], kind="stable")
+    parent = list(range(count))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -150,31 +162,24 @@ def _partition(
             i = parent[i]
         return i
 
-    # Join every state to each distinct first owner of its outcomes.
-    first: dict[int, int] = {}
-    for i, ids in enumerate(id_lists):
-        for owner in set(map(first.setdefault, ids, repeat(i))):
-            ri, rk = find(i), find(owner)
-            if ri != rk:
-                parent[max(ri, rk)] = min(ri, rk)
+    for link in [*links[:1].tolist(), *links[1:][links[1:] != links[:-1]].tolist()]:
+        pair = find(link // count), find(link % count)
+        parent[max(pair)] = min(pair)  # a root stays its group's smallest member index
 
-    # Roots are the smallest member index, so sorted roots number the groups.
-    members: dict[int, list[int]] = {}
-    for i in range(len(supports)):
-        members.setdefault(find(i), []).append(i)
-
+    roots = [find(i) for i in range(count)]
+    members: dict[int, list[int]] = {}  # a root is its group's first index, so keys come in root order
+    for i, root in enumerate(roots):
+        members.setdefault(root, []).append(i)
+    outcomes = np.flatnonzero(first < count)
+    owner_roots = np.array(roots)[first[outcomes]]
+    grouped = outcomes[np.argsort(owner_roots, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(owner_roots, minlength=count)[list(members)]).tolist()
     groups = []
-    for index, root in enumerate(sorted(members), start=1):
-        # ids in first-seen order, so the frozenset is built in one order
-        ids = dict.fromkeys(chain.from_iterable([id_lists[i] for i in members[root]]))
-        groups.append(
-            StateGroup(
-                index=index,
-                members=tuple([labels[i] for i in members[root]]),  # see usable_groups
-                support=frozenset(map(table.__getitem__, ids)),
-                quarantined=policy == POLICY_LOSS_CONSERVATIVE and _has_single_click(ids, table),
-            )
-        )
+    for index, (group, start, end) in enumerate(zip(members.values(), [0, *ends], ends), start=1):
+        group_ids = grouped[start:end]
+        support = frozenset(map(table.__getitem__, group_ids))
+        quarantined = policy == POLICY_LOSS_CONSERVATIVE and _has_single_click(group_ids, table)
+        groups.append(StateGroup(index, tuple([labels[i] for i in group]), support, quarantined))  # see usable_groups
     return GroupTable(setup, table.model, policy, tuple(groups))
 
 

@@ -41,7 +41,8 @@ second check. Calling :class:`TwoPhotonState` checks the arrays and the
 norm; the Bell and hyper states, :func:`encode` and evolution build arrays
 that hold those checks by construction (evolution checks the norm it
 produces) and pass them to the private ``TwoPhotonState._build``, which
-checks only the basis against the dimension.
+checks only the basis against the dimension. The Bell and hyper states
+share read-only ids cached per j and values cached per (n, m).
 
 Amplitudes and unitary matrices are complex128 if given complex, even with
 every imaginary part zero, and float64 otherwise. The paper's elements and
@@ -160,7 +161,7 @@ def _positions(basis: ModeBasis) -> dict:
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Mark arrays that caches share between callers read-only."""
     for array in arrays:
-        array.flags.writeable = False
+        array.setflags(write=False)
     return arrays
 
 
@@ -259,7 +260,8 @@ class TwoPhotonState:
         onto output modes outside its dimension.
         """
         _check_basis(basis, dim)
-        _frozen(ids, vals)
+        ids.setflags(write=False)  # inline, not _frozen: this runs for every state built
+        vals.setflags(write=False)
         state = object.__new__(cls)
         vars(state).update(dim=dim, basis=basis, ids=ids, vals=vals)
         return state
@@ -417,18 +419,26 @@ def _arm_signs(basis: ModeBasis, n: int, m: int) -> np.ndarray:
     return _frozen(np.where(on_b, _sign(paths, n, m), 1).astype(float))[0]
 
 
+@lru_cache(maxsize=128)
+def _bell_ids(basis: ModeBasis, j: int) -> np.ndarray:
+    """Pair ids of |x>_A |x XOR j>_B for every arm-A mode x of ``basis``, in increasing order."""
+    half = len(basis) // 2
+    return _frozen(np.arange(half, dtype=np.intp) * len(basis) + _xor_positions(basis, j)[half:])[0]
+
+
+@lru_cache(maxsize=128)
+def _bell_values(basis: ModeBasis, n: int, m: int, coeff: float) -> np.ndarray:
+    """Stored psi of each :func:`_bell_ids` pair, sign * coeff / sqrt(2): one rounded factor times +-1, exact."""
+    return _frozen(_arm_signs(basis, n, m)[len(basis) // 2 :] * (coeff / math.sqrt(2.0)))[0]
+
+
 def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, coeff: float) -> TwoPhotonState:
     """The state sum_x (-1)**(n*x0 + m*x1) coeff |x>_A |x XOR j>_B in every slot of ``basis``.
 
     ``basis`` is ordered arm, path, slot: arm-A mode p pairs with arm-B mode
     p + half, which has the same path sign and moves as :func:`encode` moves it.
     """
-    half = len(basis) // 2
-    # c * |1_a, 1_b> with a != b is stored as c / sqrt(2); the signs are
-    # +-1, so scaling them by one rounded factor is exact
-    vals = _arm_signs(basis, idx.n, idx.m)[half:] * (coeff / math.sqrt(2.0))
-    ids = np.arange(half, dtype=np.intp) * len(basis) + _xor_positions(basis, idx.j)[half:]
-    return TwoPhotonState._build(dim, basis, ids, vals)
+    return TwoPhotonState._build(dim, basis, _bell_ids(basis, idx.j), _bell_values(basis, idx.n, idx.m, coeff))
 
 
 def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:

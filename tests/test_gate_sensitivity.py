@@ -27,7 +27,7 @@ from test_cli_golden import golden_digest_mismatches
 from test_detection import guarded_distributions, sampling_mismatches
 from test_exact_oracle import exact_support_mismatches
 from test_exact_real import complex_evolution_mismatches
-from test_grouping import CLOSED_FORM_CASES, closed_form_mismatches
+from test_grouping import CLOSED_FORM_CASES, ID_CONTAINERS, closed_form_mismatches, pairwise_search_mismatches
 from test_networks import (
     INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches, oracle_mismatches, random_oracle_cases,
 )
@@ -62,10 +62,16 @@ def test_builder_gate_catches_built_states_of_norm_two(monkeypatch):
             make_hyper_state(idx) for idx in all_bell_indices(4)
         ]
 
+    # _bell_values caches the scaled signs, and a warm cache would hide the
+    # mutation, or keep it after the undo
     arm_signs = states._arm_signs
-    with monkeypatch.context() as patch:
-        patch.setattr(states, "_arm_signs", lambda *key: 2 * arm_signs(*key))
-        defects = [builder_defects(state) for state in built()]
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(states, "_arm_signs", lambda *key: 2 * arm_signs(*key))
+            states._bell_values.cache_clear()
+            defects = [builder_defects(state) for state in built()]
+    finally:
+        states._bell_values.cache_clear()
     norms = [float(d[0].split()[3]) for d in defects if len(d) == 1 and d[0].startswith("rejected: state norm")]
     assert len(norms) == 32 and np.allclose(norms, 2.0)
     assert [builder_defects(state) for state in built()] == [[]] * 32
@@ -211,16 +217,52 @@ def test_sampling_guard_catches_a_draw_in_outcome_id_order(monkeypatch):
 
 def test_closed_forms_catch_a_sign_that_ignores_m(monkeypatch):
     # psi<j><n>0 and psi<j><n>1 become one state, so every group split by m
-    # merges: fig1's for j1 = 1 and fig2's for j >= 2. _arm_signs caches the
-    # signs, and a warm cache would hide the mutation, or keep it after the undo
+    # merges: fig1's for j1 = 1 and fig2's for j >= 2. _arm_signs and
+    # _bell_values cache the signs, and a warm cache would hide the mutation,
+    # or keep it after the undo
     sign = states._sign
     try:
         with monkeypatch.context() as patch:
             patch.setattr(states, "_sign", lambda x, n, m: sign(x, n, 0))
             states._arm_signs.cache_clear()
+            states._bell_values.cache_clear()
             mismatches = closed_form_mismatches()
     finally:
         states._arm_signs.cache_clear()
+        states._bell_values.cache_clear()
     # every fig1 case and the fig2 one
     assert mismatches == CLOSED_FORM_CASES
     assert closed_form_mismatches() == []
+
+
+def test_pairwise_search_catches_a_partition_that_drops_each_states_last_link(monkeypatch):
+    # _partition joins states along their distinct links, sorted by state then
+    # owner as the codes state * count + owner; the mutated sort drops each
+    # state's last distinct one, so a state linked to one owner stays apart
+    partition, count = grouping._partition, []
+
+    def counted(supports, *args):
+        count[:] = [len(supports)]
+        return partition(supports, *args)
+
+    def dropping_sort(links, kind):
+        links = np.sort(links, kind=kind)
+        distinct = links[np.diff(links, prepend=-1) != 0]
+        states = distinct // count[0]
+        return distinct[:-1][states[1:] == states[:-1]]
+
+    class Numpy:
+        sort = staticmethod(dropping_sort)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grouping, "_partition", counted)
+        patch.setattr(grouping, "np", Numpy())
+        mismatches = {model: pairwise_search_mismatches(model) for model in ("pnrd", "threshold")}
+    # 37 of the 40 random cases, each with its ids in every container
+    for found in mismatches.values():
+        cases = sorted({case for case, _ in found})
+        assert len(cases) == 37 and found == [(case, name) for case in cases for name in ID_CONTAINERS]
+    assert [pairwise_search_mismatches(model) for model in ("pnrd", "threshold")] == [[], []]

@@ -26,7 +26,7 @@ from bellsort import (
     SdcConfig,
 )
 from bellsort.detection import outcome_table
-from bellsort.grouping import _partition, compute_table
+from bellsort.grouping import compute_table
 from bellsort.modes import path_modes
 from bellsort.networks import labelled_states, prepared_state
 
@@ -260,6 +260,46 @@ def pairwise_partition(labelled, table):
     return groups
 
 
+ID_CONTAINERS = {
+    "list": list,
+    "int32": lambda ids: np.array(ids, dtype=np.int32),
+    "intp": lambda ids: np.array(ids, dtype=np.intp),
+}
+
+
+def pairwise_search_mismatches(model):
+    """The random cases, as (case, container), where _partition differs from a pairwise search.
+
+    Forty seeded random families over the outcomes of 16 modes, each with
+    ids in random order and partitioned with the ids as a list, an int32
+    array and an intp array. The search reads the same ids as Python ints,
+    so no numpy key enters the shared outcome table.
+    """
+    basis = path_modes(8)
+    size = len(basis)
+    upper = np.array([i * size + k for i in range(size) for k in range(i, size)])
+    table = outcome_table(basis, model)
+    rng = np.random.default_rng(9)
+    mismatches = []
+    for case in range(40):
+        pool = rng.choice(upper, size=rng.integers(4, len(upper)), replace=False)
+        labelled = []
+        for s in range(rng.integers(1, 40)):
+            ids = rng.choice(pool, size=rng.integers(1, 6), replace=False)
+            labelled.append((f"s{s}", ids.tolist()))
+        expected = pairwise_partition(labelled, table)
+        quarantined = [model == "threshold" and any(" " not in o for o in support) for _, support in expected]
+        for name, container in ID_CONTAINERS.items():
+            got = grouping._partition(
+                [(label, container(ids)) for label, ids in labelled], table, "fig1", "loss_conservative"
+            )
+            if [(g.members, g.support) for g in got.groups] != expected or [
+                g.quarantined for g in got.groups
+            ] != quarantined:
+                mismatches.append((case, name))
+    return mismatches
+
+
 class TestPartitionAtScale:
     @pytest.mark.parametrize("shuffled", [False, True], ids=["enumerated", "shuffled"])
     @pytest.mark.parametrize("dim,expected_groups", [(8, 14), (16, 28), (32, 56)])
@@ -278,25 +318,21 @@ class TestPartitionAtScale:
         assert len(states) == 128 and len(table.groups) == 56
         assert_supports_hold_the_shared_outcomes(table, network, "pnrd")
 
+    def test_shuffled_d64_family_equals_a_pairwise_search_and_its_closed_form(self):
+        indices = list(all_bell_indices(64))
+        random.Random(64).shuffle(indices)
+        states = [(idx.label, make_bell_state(64, idx)) for idx in indices]
+        network = network_for_setup("fig1", 64)
+        table = classify(states, network)
+        labelled = [(label, evolve(state, network.unitary).ids.tolist()) for label, state in states]
+        expected = pairwise_partition(labelled, outcome_table(network.unitary.out_modes, "pnrd"))
+        assert len(states) == 256 and len(table.groups) == 112
+        assert [(g.members, g.support) for g in table.groups] == expected
+        assert [g.members for g in table.groups] == closed_form_groups("fig1", indices)
+
     @pytest.mark.parametrize("model", ["pnrd", "threshold"])
     def test_partition_equals_a_pairwise_search(self, model):
-        basis = path_modes(8)
-        size = len(basis)
-        upper = np.array([i * size + k for i in range(size) for k in range(i, size)])
-        table = outcome_table(basis, model)
-        rng = np.random.default_rng(9)
-        for _ in range(40):
-            pool = rng.choice(upper, size=rng.integers(4, len(upper)), replace=False)
-            labelled = []
-            for s in range(rng.integers(1, 40)):
-                ids = rng.choice(pool, size=rng.integers(1, 6), replace=False)
-                labelled.append((f"s{s}", ids.tolist()))
-            got = _partition(labelled, table, "fig1", "loss_conservative")
-            expected = pairwise_partition(labelled, table)
-            assert [(g.members, g.support) for g in got.groups] == expected
-            assert [g.quarantined for g in got.groups] == [
-                model == "threshold" and any(" " not in o for o in support) for _, support in expected
-            ]
+        assert pairwise_search_mismatches(model) == []
 
 
 class TestClassifyInputErrors:
@@ -397,8 +433,12 @@ class TestSerialization:
     def test_invalid_partition_rejected(self):
         g1 = StateGroup(1, ("a",), frozenset({"A0 A1"}))
         g2 = StateGroup(2, ("a",), frozenset({"A2 A3"}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"groups do not partition the state labels: \['a'\] repeat"):
             GroupTable("fig1", "pnrd", "strict", (g1, g2))
         g3 = StateGroup(2, ("b",), frozenset({"A0 A1"}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"group supports are not pairwise disjoint: \['A0 A1'\] repeat"):
             GroupTable("fig1", "pnrd", "strict", (g1, g3))
+        g4 = StateGroup(2, ("b", "c", "b"), frozenset({"A2 A3"}))
+        with pytest.raises(ValueError, match=r"group 2 repeats a member: \['b', 'c', 'b'\]"):
+            GroupTable("fig1", "pnrd", "strict", (g1, g4))
+        assert GroupTable("fig1", "pnrd", "strict", (g1, StateGroup(2, ("b", "c"), frozenset({"A2 A3"})))).groups

@@ -88,6 +88,45 @@ class TestBellConstruction:
             make_bell_state(3, BellIndex(0, 0, 0))  # XOR pairing needs powers of two
 
 
+def ket_sign(idx, x):
+    """(-1)**(n*x0 + m*x1), computed apart from the library's helpers."""
+    return (-1.0) ** (idx.n * (x & 1) + idx.m * ((x >> 1) & 1))
+
+
+def array_bytes(state):
+    return state.ids.dtype, state.ids.tobytes(), state.vals.dtype, state.vals.tobytes()
+
+
+class TestCachedBellArrays:
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+    def test_bell_states_have_the_bits_of_the_ket_oracle(self, dim):
+        for idx in all_bell_indices(dim):
+            kets = [(Mode(A, x), Mode(B, x ^ idx.j), ket_sign(idx, x) / math.sqrt(dim)) for x in range(dim)]
+            assert array_bytes(make_bell_state(dim, idx)) == array_bytes(from_kets(dim, kets)), idx.label
+
+    def test_hyper_states_have_the_bits_of_the_ket_oracle(self):
+        for idx in all_bell_indices(4):
+            kets = [
+                (Mode(A, x, p), Mode(B, x ^ idx.j, p), ket_sign(idx, x) * HALF * INV_SQRT2)
+                for x in range(4)
+                for p in ("H", "V")
+            ]
+            assert array_bytes(make_hyper_state(idx)) == array_bytes(from_kets(4, kets)), idx.label
+
+    @pytest.mark.parametrize("build", [lambda idx: make_bell_state(4, idx), make_hyper_state], ids=["bell", "hyper"])
+    def test_arrays_are_read_only_and_shared_only_by_equal_indices(self, build):
+        first, again, other_nm, other_j = (
+            build(BellIndex(*jnm)) for jnm in ((2, 1, 0), (2, 1, 0), (2, 0, 1), (3, 1, 0))
+        )
+        assert first is not again
+        assert first.ids is again.ids is other_nm.ids and first.vals is again.vals is other_j.vals
+        assert first.ids is not other_j.ids and first.vals is not other_nm.vals
+        for array in (first.ids, first.vals):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
 class TestHyperState:
     def test_reference_hyper_state(self):
         coeff = HALF * INV_SQRT2
