@@ -154,19 +154,15 @@ def _check_shots_and_seed(shots: int, seed: int) -> None:
 
 
 def _draw(dist: OutcomeDistribution, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One seeded multinomial draw: the outcome ids in label order and their counts."""
-    _check_shots_and_seed(shots, seed)
+    """One seeded multinomial draw: the outcome ids in label order and their counts; callers check shots and seed."""
     order = dist.order
     pvals = dist.p[order]
     return dist.ids[order], np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> Counter[str]:
-    """Draw i.i.d. detection outcomes; returns the outcome multiset.
-
-    The generator is numpy's PCG64 seeded with ``seed``; identical
-    (seed, shots) pairs reproduce identical counts.
-    """
+    """Draw i.i.d. detection outcomes with the module's seeded generator; returns the outcome multiset."""
+    _check_shots_and_seed(shots, seed)
     ids, counts = _draw(dist, shots, seed)
     table = dist.table
     return Counter({table[i]: c for i, c in zip(ids.tolist(), counts.tolist()) if c})

@@ -132,19 +132,18 @@ def _partition(
     """Group labelled outcome ids, a list or an integer array per state in any order, by shared ids.
 
     ``table`` maps an id to its label, and its ``model`` labels the result;
-    callers check ``policy``. Groups are numbered by their first member in
-    input order; members keep input order. One ``np.minimum.at`` over the
-    M² outcome slots finds each outcome's owner, the first state to have it;
-    union-find joins states to owners, in Python only over the distinct
-    links (72 for the 128 fig1 states at d = 32, against 4,224 ids). A
-    group's support is the outcomes its members own.
+    callers check ``policy``, and ``GroupTable`` rejects a repeated label.
+    Groups are numbered by their first member in input order; members keep
+    input order. One ``np.minimum.at`` over the M² outcome slots finds each
+    outcome's owner, the first state to have it; union-find joins states to
+    owners, in Python only over the distinct links (72 for the 128 fig1
+    states at d = 32, against 4,224 ids). A group's support is the outcomes
+    its members own.
     """
     if not supports:
         raise ValueError("no states to classify")
     labels = [label for label, _ in supports]
     count = len(labels)
-    if len(set(labels)) != count:
-        raise ValueError("state labels must be unique")
 
     ids = np.concatenate([state_ids for _, state_ids in supports])
     state_of = np.repeat(np.arange(count), [len(state_ids) for _, state_ids in supports])

@@ -8,10 +8,11 @@ Paths are integers in ``[0, d)``. Polarization is ``None`` for path-only
 states, ``"H"``/``"V"`` in the linear basis, and ``"+"``/``"-"`` in the
 diagonal basis used by the polarization analyzers.
 
-Modes are totally ordered by (arm, path, polarization rank) so that
-unordered photon pairs have a canonical storage order. An ordered basis of
-modes is a :class:`ModeBasis`, a tuple that hashes in constant time, so the
-lookup tables derived from a basis can be cached per basis.
+Modes are totally ordered by (arm, path, polarization label), which puts
+None first, H before V and + before -, so that unordered photon pairs have a
+canonical storage order. An ordered basis of modes is a :class:`ModeBasis`,
+a tuple that hashes in constant time, so the lookup tables derived from a
+basis can be cached per basis.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ ARMS = (ARM_FIRST, ARM_SECOND)
 
 POL_LINEAR = ("H", "V")
 POL_DIAGONAL = ("+", "-")
-
-_POL_RANK = {None: 0, "H": 0, "V": 1, "+": 0, "-": 1}
 
 
 @total_ordering
@@ -49,7 +48,7 @@ class Mode:
 
     @property
     def sort_key(self) -> tuple:
-        return (self.arm, self.path, _POL_RANK[self.pol], self.pol or "")
+        return (self.arm, self.path, self.pol or "")
 
     def __lt__(self, other: "Mode") -> bool:
         if not isinstance(other, Mode):
@@ -90,7 +89,7 @@ def path_modes(dim: int) -> ModeBasis:
 
 
 @lru_cache(maxsize=64)
-def polarized_modes(dim: int, basis: tuple[str, str] = POL_LINEAR) -> ModeBasis:
+def polarized_modes(dim: int, basis: tuple[str, str]) -> ModeBasis:
     """Canonical polarized mode basis, polarization minor within each path."""
     return ModeBasis(Mode(arm, x, p) for arm in ARMS for x in range(dim) for p in basis)
 

@@ -32,14 +32,8 @@ to its (output mode, weight) images, and one helper fills the stage matrix
 from that rule. :func:`prepared_state` and :func:`labelled_states` prepare
 the Bell family as each setup takes it: with the polarization ancilla for fig2.
 
-Evolution is exact: the symmetric two-photon amplitude matrix transforms as
-psi -> U psi U^T, which keeps bosonic exchange statistics (and hence the
-bunching interference) automatic. :func:`evolve` forms no matrix: it sums
-the terms each stored pair feeds, read from the unitary's cached table
-(:class:`~bellsort.states.PairTerms`), and tests/test_exact_real.py checks
-its bits against the complex product U psi U^T. :func:`evolve_all` evolves
-a family of states through one network with one gather, then evolve's own
-sum per state, to the same bits as :func:`evolve` on each state.
+:func:`evolve` moves a state through a network and states the evolution
+contract; :func:`evolve_all` moves a family to the same bits.
 """
 
 from __future__ import annotations
@@ -191,9 +185,8 @@ def labelled_states(setup: str, dim: int) -> list[tuple[str, TwoPhotonState]]:
 
 
 def _terms(table: PairTerms, ids: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The output pair keys and values of the terms fed by stored pairs ``ids`` of amplitudes ``vals``."""
+    """The output pair keys and terms of stored pairs ``ids`` of amplitudes ``vals``, rounded as in :func:`evolve`."""
     rows = table.row_of[ids]
-    # U[p, a] psi first, as the matrix product U psi U^T rounds it
     terms = (table.first.take(rows, 0) * vals[:, None]) * table.second.take(rows, 0)
     return table.keys.take(rows, 0), terms
 
@@ -201,11 +194,7 @@ def _terms(table: PairTerms, ids: np.ndarray, vals: np.ndarray) -> tuple[np.ndar
 def _evolved(
     state: TwoPhotonState, network: SinglePhotonUnitary, keys: np.ndarray, terms: np.ndarray
 ) -> TwoPhotonState:
-    """``state`` evolved from its gathered term ``keys`` and ``terms``: summed, norm checked, pruned and built.
-
-    One ``bincount`` per real or imaginary part sums the terms per output
-    pair over M² + 1 bins, M = len(network.in_modes).
-    """
+    """``state`` evolved from its gathered ``keys`` and ``terms``: the sum, check, prune and build of :func:`evolve`."""
     size = len(network.in_modes)
     keys, bins = keys.ravel(), size * size + 1
     sums = np.bincount(keys, terms.real.ravel(), bins)
@@ -222,19 +211,24 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
 
     The symmetric amplitude function transforms as
     psi'(o1, o2) = sum over i1, i2 of U[o1, i1] U[o2, i2] psi(i1, i2),
-    the matrix sandwich U psi U^T. Each term is read from the cached
-    ``network.pair_terms`` and formed as (U[o1, i1] psi) U[o2, i2], the
-    rounding of the product's left factor first, and one ``bincount`` sums
-    the terms per output pair. For a state of S stored pairs through M modes
-    this takes O(S·w) time for the terms, where w = 2 k² and k is the most
-    nonzeros in a column of U, plus one pass over the M² + 1 output bins; the
-    table takes O(M²·w) memory per network, built on the first call. A dense
-    network is therefore costly, and only tests evolve through one, at
-    16 modes or fewer. Raises ValueError unless
-    ``state.basis == network.in_modes``; ``network.out_modes`` may be in any
-    order. Norm is preserved (checked within 1e-9 over every output
-    amplitude, so a NaN fails it), amplitudes below 1e-12 are pruned, and
-    the result is complex if the state or the network is.
+    the matrix sandwich U psi U^T, which makes the bosonic exchange
+    statistics (and the bunching interference) automatic. No matrix is
+    formed: each term is read from the cached ``network.pair_terms``
+    (:class:`~bellsort.states.PairTerms`) and formed as
+    (U[o1, i1] psi) U[o2, i2], the rounding of the product's left factor
+    first, and one ``bincount`` per real or imaginary part sums the terms
+    per output pair over M² + 1 bins. tests/test_exact_real.py checks these
+    bits against the complex product for every state and network the CLI
+    evolves. For a state of S stored pairs through M modes this takes
+    O(S·w) time for the terms, where w = 2 k² and k is the most nonzeros in
+    a column of U, plus one pass over the bins; the table takes O(M²·w)
+    memory per network, built on the first call. A dense network is
+    therefore costly, and only tests evolve through one, at 16 modes or
+    fewer. Raises ValueError unless ``state.basis == network.in_modes``;
+    ``network.out_modes`` may be in any order. Norm is preserved (checked
+    within 1e-9 over every output amplitude, so a NaN fails it), amplitudes
+    below 1e-12 are pruned, and the result is complex if the state or the
+    network is.
     """
     if state.basis != network.in_modes:
         raise ValueError("the state is not stored in the network's input basis")
@@ -242,14 +236,10 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
 
 
 def evolve_all(states: Iterable[TwoPhotonState], network: SinglePhotonUnitary) -> list[TwoPhotonState]:
-    """``[evolve(state, network) for state in states]`` to the bit, gathered as one family.
+    """``[evolve(state, network) for state in states]`` to the bit, with one gather of the family's terms.
 
-    The terms of every state's pairs are gathered from ``network.pair_terms``
-    at once; each state's rows of them are then summed, checked, pruned and
-    built as :func:`evolve` does it, and keep evolve's dtype: real unless the
-    state or the network is complex. Raises ValueError, before any work,
-    naming the first state not stored in ``network.in_modes``; an empty
-    family gives [].
+    Raises ValueError, before any work, naming the first state not stored
+    in ``network.in_modes``; an empty family gives [].
     """
     states = list(states)
     for position, state in enumerate(states):

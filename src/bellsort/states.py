@@ -11,46 +11,24 @@ with x0, x1 the low/high bits of x; for d = 2 the four standard Bell states
 (m is fixed to 0). :func:`encode` applies the same XOR pairing to the second
 photon (arm B), the one the sender of superdense coding holds, as the local
 map |x> -> (-1)**(n*x0 + m*x1) |x XOR j>; on the reference state
-|psi(0, 0, 0)> it gives any other member of the family. It encodes a list
-of messages at once, one state per index (``encode(ref, [idx])[0]`` for
-one).
+|psi(0, 0, 0)> it gives any other member of the family.
 
 States are symmetric amplitude functions over unordered mode pairs. A Fock
 state with photons in distinct modes m1, m2 has psi(m1, m2) = psi(m2, m1) =
 1/sqrt(2); a doubly occupied mode has psi(m, m) = 1. With this convention
 the Born weights are |psi(m, m)|**2 for a bunched pair and
-2*|psi(m1, m2)|**2 otherwise, and single-photon unitaries act as
-psi -> U psi U^T on the amplitude matrix.
+2*|psi(m1, m2)|**2 otherwise; :func:`~bellsort.networks.evolve` states how
+a single-photon unitary acts on them.
 
 The pair (basis[i], basis[k]) with i <= k of a basis of M modes has the
 pair id i * M + k: its offset in the row-major M x M matrix, and the id of
 the detector outcome that fires modes i and k. A state is stored as arrays
-over the upper triangle of its mode basis: ``vals[t]`` is psi of the pair
-with id ``ids[t]``, and ``ids`` is strictly increasing, so each pair comes
-once and in row-major order. Evolution reads and writes these arrays
-directly, through a unitary's table of the output pairs each stored pair
-feeds (:class:`PairTerms`); ``amps`` is a read-only Mode-pair view of the
-same data for inspection and tests. An encoding
-unitary is a signed permutation of modes, so :func:`encode` never builds a
-matrix: for every message at once, it maps each stored pair's modes to
-their images, flips the sign of its amplitude where U does, and sorts the
-new ids. Neither it nor
-evolution re-indexes a state onto another basis. Every state has unit norm
-within ``NORM_TOL``, so Born probabilities can be read off it without a
-second check. Calling :class:`TwoPhotonState` checks the arrays and the
-norm; the Bell and hyper states, :func:`encode` and evolution build arrays
-that hold those checks by construction (evolution checks the norm it
-produces) and pass them to the private ``TwoPhotonState._build``, which
-checks only the basis against the dimension. The Bell and hyper states
-share read-only ids cached per j and values cached per (n, m).
+over the upper triangle of its mode basis, indexed by pair id; see
+:class:`TwoPhotonState` for the layout and for what is checked where.
 
 Amplitudes and unitary matrices are complex128 if given complex, even with
 every imaginary part zero, and float64 otherwise. The paper's elements and
-states are real, so they evolve in real arithmetic; a complex state or
-network makes the terms and the result complex. tests/test_exact_real.py
-checks that evolution gives the bits of the complex product U psi U^T for
-every state and network the CLI evolves, on which that product only adds
-exact zeros.
+states are real, so they evolve in real arithmetic.
 """
 
 from __future__ import annotations
@@ -354,8 +332,6 @@ class SinglePhotonUnitary:
     construction within 1e-10; the matrix is a read-only copy, complex128
     if given complex and float64 otherwise. Equality and hashing are by
     identity, as for :class:`TwoPhotonState`; compare matrices with numpy.
-    ``pair_terms`` is the read-only :class:`PairTerms` table that
-    :func:`~bellsort.networks.evolve` reads, built on first use.
     """
 
     in_modes: ModeBasis
@@ -379,7 +355,7 @@ class SinglePhotonUnitary:
 
     @cached_property
     def pair_terms(self) -> PairTerms:
-        """The :class:`PairTerms` of this unitary, built on first use by :func:`~bellsort.networks.evolve`."""
+        """The read-only :class:`PairTerms` of this unitary, built on first use by :func:`~bellsort.networks.evolve`."""
         mat, size = self.matrix, len(self.in_modes)
         nonzero = mat != 0
         k = nonzero.sum(axis=0).max()
@@ -447,9 +423,7 @@ def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
     Component kets are |x>_A |x XOR j>_B with coefficient
     (-1)**(n*x0 + m*x1) / sqrt(d). The dimension must be a power of two
     (the XOR pairing is not closed otherwise). The phase reads only path
-    bits x0 and x1, so this gives the full d² Bell basis for d = 2 (m must
-    be 0) and d = 4, and for d ≥ 8 only the 4·d states with bits n and m,
-    not the d² of the full basis.
+    bits x0 and x1: :func:`all_bell_indices` says which states that gives.
     """
     _require_power_of_two(dim)
     idx.validate_for(dim)
@@ -494,6 +468,6 @@ def encode(state: TwoPhotonState, indices: Iterable[BellIndex]) -> list[TwoPhoto
     vals = state.vals[keep] * signs[:, rows] * signs[:, cols]
     rows, cols = positions[:, rows], positions[:, cols]
     ids = np.minimum(rows, cols) * size + np.maximum(rows, cols)
-    order = np.argsort(ids, axis=1)
+    order = np.argsort(ids, axis=1, kind="stable")  # distinct ids; the stable sort is the one the partition pages in
     ids, vals = np.take_along_axis(ids, order, 1), np.take_along_axis(vals, order, 1)
     return [TwoPhotonState._build(state.dim, basis, i, v) for i, v in zip(ids, vals)]

@@ -46,11 +46,11 @@ class TestConfig:
         assert (config.setup, config.model, config.policy) == ("fig1", "pnrd", "strict")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown setup 'fig3'"):
             SdcConfig(setup="fig3")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shots must be an integer >= 1, got 0"):
             SdcConfig(shots=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown policy 'lossy'"):
             SdcConfig(policy="lossy")
 
     @pytest.mark.parametrize("shots", [1.5, 2.0, True, "10", None])

@@ -21,7 +21,7 @@ from bellsort import (
     sample,
 )
 from bellsort.detection import MAX_SHOTS, OutcomeTable, _has_single_click, outcome_table
-from bellsort.modes import POL_DIAGONAL, Mode, path_modes, polarized_modes
+from bellsort.modes import POL_DIAGONAL, POL_LINEAR, Mode, path_modes, polarized_modes
 from conftest import cli_pairs, fock_outcome_probabilities, from_kets, random_unitary
 
 A, B = "A", "B"
@@ -84,7 +84,7 @@ class TestOutcomeLabels:
         with pytest.raises(ValueError, match="unknown detector model 'ideal'"):
             outcome_distribution(state, "ideal")
         with pytest.raises(ValueError, match="A0H is not in a detector basis"):
-            OutcomeTable(polarized_modes(4), "pnrd")
+            OutcomeTable(polarized_modes(4, POL_LINEAR), "pnrd")
 
     @pytest.mark.parametrize("model", ["pnrd", "threshold"])
     def test_every_outcome_table_label_is_distinct(self, model):
@@ -282,7 +282,7 @@ class TestSampling:
 
     def test_invalid_shots(self):
         dist = fig1_distribution(BellIndex(1, 0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shots must be an integer >= 1, got 0"):
             sample(dist, 0, seed=1)
 
     @pytest.mark.parametrize(

@@ -9,12 +9,14 @@ miniature (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from bellsort import (
-    SinglePhotonUnitary, TwoPhotonState, all_bell_indices, diff_against_reference, evolve, grouping,
-    load_reference_tables, make_bell_state, make_hyper_state, network_for_setup, networks, states,
+    SdcConfig, SinglePhotonUnitary, TwoPhotonState, all_bell_indices, dense_coding, diff_against_reference, evolve,
+    grouping, load_reference_tables, make_bell_state, make_hyper_state, network_for_setup, networks, run_sdc, states,
 )
 from bellsort.detection import MODEL_PNRD, OutcomeDistribution, outcome_table
 from bellsort.grouping import compute_table
@@ -266,3 +268,22 @@ def test_pairwise_search_catches_a_partition_that_drops_each_states_last_link(mo
         cases = sorted({case for case, _ in found})
         assert len(cases) == 37 and found == [(case, name) for case in cases for name in ID_CONTAINERS]
     assert [pairwise_search_mismatches(model) for model in ("pnrd", "threshold")] == [[], []]
+
+
+def test_sdc_decoder_catches_an_outcome_missing_from_every_group_support(monkeypatch):
+    # a message outcome that no group support holds means the evolution and
+    # the partition disagree; the decoder must fail on it, not decode it
+    partition, dropped = dense_coding._partition, []
+
+    def dropping_an_outcome(*args):
+        table = partition(*args)
+        first, *rest = table.groups
+        dropped.append(min(first.support))
+        return replace(table, groups=(replace(first, support=first.support - {dropped[0]}), *rest))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dense_coding, "_partition", dropping_an_outcome)
+        with pytest.raises(KeyError) as caught:
+            run_sdc(SdcConfig(shots=1))
+    assert caught.value.args == (dropped[0],)
+    assert run_sdc(SdcConfig(shots=1)).accuracy == 1.0

@@ -113,9 +113,14 @@ class TestTableReproduction:
         assert_supports_hold_the_shared_outcomes(sdc_table, network, model)
 
     def test_duplicate_labels_rejected(self):
+        # GroupTable rejects a repeated label, whether its copies share a group or not
+        network = network_for_setup("fig1", 4)
         state = make_bell_state(4, BellIndex(0, 0, 0))
-        with pytest.raises(ValueError):
-            classify([("x", state), ("x", state)], network_for_setup("fig1", 4))
+        with pytest.raises(ValueError, match=r"group 1 repeats a member: \['x', 'x'\]"):
+            classify([("x", state), ("x", state)], network)
+        other = make_bell_state(4, BellIndex(2, 0, 0))
+        with pytest.raises(ValueError, match=r"groups do not partition the state labels: \['x'\] repeat"):
+            classify([("x", state), ("x", other)], network)
 
 
 class TestPartitionProperties:
@@ -406,7 +411,7 @@ class TestPoliciesAndCapacity:
     def test_empty_capacity_rejected(self):
         quarantined = StateGroup(1, ("psi000",), frozenset({"A0"}), quarantined=True)
         table = GroupTable("fig1", "threshold", "loss_conservative", (quarantined,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no usable groups, capacity undefined"):
             channel_capacity(table)
 
 

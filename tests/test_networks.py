@@ -167,7 +167,7 @@ class TestEvolutionArchetypes:
 
     def test_mode_mismatch_rejected(self):
         state = make_hyper_state(BellIndex(0, 0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the state is not stored in the network's input basis"):
             evolve(state, network_for_setup("fig1", 4).unitary)
 
     def test_paths_outside_the_network_rejected(self):
@@ -321,7 +321,7 @@ class TestFig2Network:
     def test_network_for_setup_is_built_once_and_read_only(self):
         net = network_for_setup("fig2")
         assert network_for_setup("fig2") is net
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             net.unitary.matrix[0, 0] = 0.0
 
     def test_composed_matrix_unitary(self):

@@ -14,7 +14,7 @@ from bellsort import (
     make_bell_state,
     make_hyper_state,
 )
-from bellsort.modes import POL_DIAGONAL, Mode, ModeBasis, canonical_pair, path_modes, polarized_modes
+from bellsort.modes import POL_DIAGONAL, POL_LINEAR, Mode, ModeBasis, canonical_pair, path_modes, polarized_modes
 from bellsort.states import NORM_TOL
 from conftest import approx_equal, encoding_unitary, from_kets, oracle_evolve, oracle_inner, oracle_norm
 
@@ -78,14 +78,14 @@ class TestBellConstruction:
             assert state.amps.get(canonical_pair(m1, m2), 0) == state.amps.get(canonical_pair(m2, m1), 0)
 
     def test_invalid_indices_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pairing index j=4 out of range for dimension 4"):
             make_bell_state(4, BellIndex(4, 0, 0))
-        with pytest.raises(ValueError):
-            make_bell_state(2, BellIndex(0, 0, 1))  # d=2 has no m=1 states
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension 2 has only 4 Bell states; m must be 0"):
+            make_bell_state(2, BellIndex(0, 0, 1))
+        with pytest.raises(ValueError, match="n and m must be bits, got n=2, m=0"):
             BellIndex(0, 2, 0)
-        with pytest.raises(ValueError):
-            make_bell_state(3, BellIndex(0, 0, 0))  # XOR pairing needs powers of two
+        with pytest.raises(ValueError, match="integer power of two >= 2 for the XOR pairing, got 3"):
+            make_bell_state(3, BellIndex(0, 0, 0))
 
 
 def ket_sign(idx, x):
@@ -265,7 +265,7 @@ class TestEncoding:
 
     def test_dimension_mismatch_rejected(self):
         ref = make_bell_state(2, BellIndex(0, 0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pairing index j=2 out of range for dimension 2"):
             encode(ref, [BellIndex(2, 0, 0)])
 
     @pytest.mark.parametrize(
@@ -349,7 +349,7 @@ class TestStateRepresentation:
         assert abs(oracle_norm(state) - 1.0) < 1e-12
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="state norm 1.414.* deviates from 1 by more than 1e-09"):
             TwoPhotonState.from_amplitudes(4, {(Mode(A, 0), Mode(B, 0)): 1.0})
 
     def test_tiny_amplitudes_pruned(self):
@@ -403,6 +403,17 @@ class TestStateRepresentation:
         with pytest.raises(ValueError, match="the mode basis is empty"):
             TwoPhotonState(1, (), [0], [1.0])
 
+    def test_a_mode_on_path_dim_is_outside_the_dimension(self):
+        # path == dim is the boundary; (A0, B2) of the 3-path basis is a unit-norm state
+        with pytest.raises(ValueError, match="mode A2 outside dimension 2"):
+            TwoPhotonState(2, path_modes(3), [5], [INV_SQRT2])
+
+    @pytest.mark.parametrize("ids", [[1, 2], [[1]]])
+    def test_constructor_rejects_ids_and_vals_of_other_shapes(self, ids):
+        # 1-d ids longer than vals would otherwise fail only inside the norm's product
+        with pytest.raises(ValueError, match="ids and vals must be 1-d arrays of one length"):
+            TwoPhotonState(2, path_modes(2), ids, [INV_SQRT2])
+
     @pytest.mark.parametrize("ids", [[2, 2], [7, 2]])
     def test_constructor_rejects_repeated_or_unordered_pairs(self, ids):
         # both pass the norm check; read as a state, the repeated pair (A0, B0)
@@ -427,7 +438,7 @@ class TestStateRepresentation:
         diagonal = TwoPhotonState.from_amplitudes(4, {(Mode(A, 0, "+"), Mode(B, 0, "-")): INV_SQRT2})
         for state, space in (
             (make_bell_state(4, BellIndex(0, 0, 0)), path_modes(4)),
-            (make_hyper_state(BellIndex(0, 0, 0)), polarized_modes(4)),
+            (make_hyper_state(BellIndex(0, 0, 0)), polarized_modes(4, POL_LINEAR)),
             (diagonal, polarized_modes(4, POL_DIAGONAL)),
         ):
             assert state.basis == space
@@ -452,7 +463,7 @@ class TestStateRepresentation:
         idx = BellIndex(2, 1, 0)
         assert idx.label == "psi210"
         assert BellIndex.parse("2,1,0") == idx
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 'j,n,m', got '2,1'"):
             BellIndex.parse("2,1")
 
     @pytest.mark.parametrize(
@@ -462,6 +473,12 @@ class TestStateRepresentation:
         # a label is "psi" followed by digits: not "psi0True0" or "psi01.00"
         with pytest.raises(ValueError, match="must be an integer"):
             BellIndex(*jnm)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_mode_order_is_the_canonical_basis_order(self, dim):
+        # (arm, path, polarization label): None first, H before V and + before -
+        for basis in (path_modes(dim), polarized_modes(dim, POL_LINEAR), polarized_modes(dim, POL_DIAGONAL)):
+            assert sorted(reversed(basis)) == list(basis)
 
     @pytest.mark.parametrize("path", [True, False, 1.0, -1, "1"])
     def test_mode_rejects_a_bool_or_non_integer_path(self, path):
