@@ -37,7 +37,7 @@ def main() -> None:
 
     dist = outcome_distribution(state)
     print("\ndetection outcomes (all uniform):")
-    for outcome, p in dist.sorted_items():
+    for outcome, p in dist.items():
         print(f"    {outcome}: {p:.4f}")
 
     print("\n--- full 12-group table ---")

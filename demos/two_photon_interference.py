@@ -25,7 +25,7 @@ def show(title: str, state: TwoPhotonState) -> None:
     for (m1, m2), amp in sorted(out.amps.items(), key=lambda kv: (kv[0][0].label, kv[0][1].label)):
         print(f"    psi({m1.label}, {m2.label}) = {amp.real:+.4f}")
     dist = outcome_distribution(out)
-    strings = ", ".join(f"{o}: {p:.3f}" for o, p in dist.sorted_items())
+    strings = ", ".join(f"{o}: {p:.3f}" for o, p in dist.items())
     print(f"    detection probabilities: {strings}")
     print()
 

@@ -24,7 +24,7 @@ from .states import (
     make_hyper_state,
 )
 from .networks import NetworkSpec, evolve, evolve_all, network_for_setup
-from .detection import OutcomeDistribution, outcome_distribution, sample
+from .detection import outcome_distribution, sample
 from .grouping import GroupTable, StateGroup, channel_capacity, classify
 from .dense_coding import SdcConfig, SdcReport, run_sdc
 from .references import diff_against_reference, load_reference_tables
@@ -35,7 +35,6 @@ __all__ = [
     "BellIndex",
     "GroupTable",
     "NetworkSpec",
-    "OutcomeDistribution",
     "SdcConfig",
     "SdcReport",
     "SinglePhotonUnitary",

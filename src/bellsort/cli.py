@@ -168,7 +168,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     counts = sample(dist, args.shots, args.seed)
 
     rows = []
-    for outcome, p in dist.sorted_items():
+    for outcome, p in dist.items():
         freq = counts.get(outcome, 0) / args.shots
         sigma = math.sqrt(p * (1.0 - p) / args.shots) if 0.0 < p < 1.0 else float("inf")
         z = (freq - p) / sigma if sigma > 0 else 0.0
@@ -185,8 +185,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 rng=RNG_ALGORITHM,
             ),
-            "distribution": dist.to_dict(),
-            "counts": {o: counts.get(o, 0) for o, _ in dist.sorted_items()},
+            "distribution": {"model": args.model, "probs": dist},
+            "counts": {o: counts.get(o, 0) for o in dist},
             "frequencies": {label: freq for label, _, freq, _ in rows},
             "z_scores": {label: z for label, _, _, z in rows},
         }

@@ -4,9 +4,9 @@ The receiver prepares the reference state (the (0,0,0) Bell state, or its
 hyperentangled version for the ancilla-assisted setup) and sends the second
 photon to the sender, who encodes a message by applying one of the local
 unitaries and returns the photon. The receiver measures with the chosen
-setup and decodes the message's group from the detection outcome. With
-ideal detectors the group supports are disjoint, so decoding is error-free;
-messages sharing a group are inherently indistinguishable.
+setup and decodes the message's group from the detected outcome's label.
+With ideal detectors the group supports are disjoint, so decoding is
+error-free; messages sharing a group are inherently indistinguishable.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .detection import MODEL_PNRD, MODELS, _check_shots_and_seed, _draw, outcome_distribution, outcome_table
+from .detection import MODEL_PNRD, MODELS, _check_shots_and_seed, outcome_distribution, outcome_table, sample
 from .grouping import GroupTable, POLICIES, POLICY_STRICT, _partition, channel_capacity
 from .networks import SETUP_FIG1, SETUPS, evolve_all, network_for_setup, prepared_state
 from .states import BellIndex, all_bell_indices, encode
@@ -76,43 +76,39 @@ def run_sdc(config: SdcConfig) -> SdcReport:
     """Send each of the 16 messages ``config.shots`` times and decode by group membership.
 
     The 16 messages are encoded in one ``encode`` call and evolved in one
-    ``evolve_all`` call; each evolved state's outcome distribution feeds
-    both the partition and the message's draw. Per-message sampling uses
-    the derived seed ``config.seed + ordinal`` so runs are reproducible yet
-    messages are independent. Drawn outcomes are decoded by id, through the
-    group supports read once per run.
+    ``evolve_all`` call; the evolved states' outcome ids are partitioned,
+    and each state's outcome distribution is drawn from with ``sample``.
+    Per-message sampling uses the derived seed ``config.seed + ordinal`` so
+    runs are reproducible yet messages are independent. Outcomes are decoded
+    by label through ``table.decoder()``, every outcome of a distribution
+    whether drawn or not, so one missing from every group support fails.
     """
     reference = prepared_state(config.setup, 4, BellIndex(0, 0, 0))
     unitary = network_for_setup(config.setup).unitary
     indices = all_bell_indices(4)
     evolved = evolve_all(encode(reference, indices), unitary)
-    dists = {idx.label: outcome_distribution(state, config.model) for idx, state in zip(indices, evolved)}
-    supports = [(label, dist.ids) for label, dist in dists.items()]
-    outcomes = outcome_table(unitary.out_modes, config.model)
-    table = _partition(supports, outcomes, config.setup, config.policy)
-    by_label = table.decoder()
-    decoder = {i: by_label[outcomes[i]] for _, ids in supports for i in ids.tolist()}  # each id is in a support
+    labels = [idx.label for idx in indices]
+    supports = [(label, state.ids) for label, state in zip(labels, evolved)]
+    table = _partition(supports, outcome_table(unitary.out_modes, config.model), config.setup, config.policy)
+    decoder = table.decoder()
     own_groups = {label: g.index for g in table.groups for label in g.members}
 
     message_counts: dict[str, dict[int, int]] = {}
     correct = 0
-    for ordinal, (label, dist) in enumerate(dists.items()):
-        own_group = own_groups[label]
-        ids, counts = _draw(dist, config.shots, config.seed + ordinal)
+    for ordinal, (label, state) in enumerate(zip(labels, evolved)):
+        dist = outcome_distribution(state, config.model)
+        group_of = {outcome: decoder[outcome] for outcome in dist}
         per_group: dict[int, int] = {}
-        for outcome, count in zip(ids.tolist(), counts.tolist()):
-            if not count:
-                continue
-            gid = decoder[outcome]
+        for outcome, count in sample(dist, config.shots, config.seed + ordinal).items():
+            gid = group_of[outcome]
             per_group[gid] = per_group.get(gid, 0) + count
-            if gid == own_group:
-                correct += count
+        correct += per_group.get(own_groups[label], 0)
         message_counts[label] = per_group
 
     return SdcReport(
         config=config,
         table=table,
         message_counts=message_counts,
-        accuracy=correct / (config.shots * len(dists)),
+        accuracy=correct / (config.shots * len(labels)),
         bits_per_photon=channel_capacity(table),
     )

@@ -13,28 +13,28 @@ space-separated (``A3 B1``, ``A0 A0``, threshold ``A0``). Outcomes of one
 output basis have integer ids: the pair id (see :mod:`bellsort.states`) of
 the detected mode pair under either model, so an evolved state's ``ids``
 are its outcome ids (under the threshold model the pair of mode i with
-itself stands for the single click i). Distributions made by
-:func:`outcome_distribution` keep their outcomes as these ids; an
-:class:`OutcomeTable` turns an id into its label when read.
+itself stands for the single click i); an :class:`OutcomeTable` turns an
+id into its label. :func:`outcome_distribution` returns a plain dict from
+outcome label to probability, in label order.
 
 Sampling uses numpy's seeded PCG64 generator; identical (seed, shots) give
-bit-identical counts. It draws one multinomial over the outcomes in label
-order, which each distribution computes once (``OutcomeDistribution.order``)
-and shares with rendering. :func:`sample` labels the draw's outcomes;
-``run_sdc`` decodes the same draw by outcome id.
+bit-identical counts. :func:`sample` draws one multinomial over a
+distribution's outcomes in the mapping's own order, which for
+:func:`outcome_distribution` is label order; the CLI renders the counts and
+``run_sdc`` decodes them by label.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .modes import ModeBasis, POL_LINEAR, canonical_pair
-from .states import TwoPhotonState, _pair_weights
+from .states import NORM_TOL, TwoPhotonState, _pair_weights
 
 MODEL_PNRD = "pnrd"
 MODEL_THRESHOLD = "threshold"
@@ -80,43 +80,8 @@ class OutcomeTable(dict):
 outcome_table = lru_cache(maxsize=16)(OutcomeTable)
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Exact probability map over detection outcomes for one detector model.
-
-    Stored as arrays: outcome ``table[ids[t]]`` has probability ``p[t]``,
-    and the model is ``table.model``; ``sorted_items`` reads them as
-    (label, probability) pairs. Only :func:`outcome_distribution`
-    makes one; results are written as JSON (``to_dict``) and not parsed back.
-    """
-
-    table: OutcomeTable = field(repr=False)
-    ids: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Positions into ``ids`` and ``p`` in outcome-label order, used for sampling and rendering."""
-        table = self.table
-        labels = [table[i] for i in self.ids.tolist()]
-        order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
-        order.flags.writeable = False
-        return order
-
-    def sorted_items(self) -> list[tuple[str, float]]:
-        """(outcome, probability) pairs in label order."""
-        table, order = self.table, self.order
-        return [(table[i], p) for i, p in zip(self.ids[order].tolist(), self.p[order].tolist())]
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.table.model,
-            "probs": dict(self.sorted_items()),
-        }
-
-
-def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> OutcomeDistribution:
-    """Born-rule outcome probabilities of a post-network two-photon state.
+def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> dict[str, float]:
+    """Born-rule outcome probabilities of a post-network two-photon state: label -> probability, in label order.
 
     PNRD weights: P({m, m}) = |psi(m, m)|**2 and P({m1, m2}) =
     2 |psi(m1, m2)|**2 for distinct modes. The threshold model reports the
@@ -125,12 +90,12 @@ def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> Outc
     constructor and evolution check it), so the norm is not checked again;
     the weights are still normalised by their left-to-right sum in the
     state's (row-major upper-triangle) order, so the probabilities are
-    reproducible to the last bit.
+    reproducible to the last bit, and only then keyed by label and sorted.
     """
     table = outcome_table(state.basis, model)
     weights = _pair_weights(state.ids, len(state.basis)) * np.abs(state.vals) ** 2
     total = sum(weights.tolist())  # the squared norm
-    return OutcomeDistribution(table, state.ids, weights / total)
+    return dict(sorted(zip(map(table.__getitem__, state.ids.tolist()), (weights / total).tolist())))
 
 
 def _has_single_click(ids: Iterable[int], table: OutcomeTable) -> bool:
@@ -153,16 +118,19 @@ def _check_shots_and_seed(shots: int, seed: int) -> None:
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots!r}")
 
 
-def _draw(dist: OutcomeDistribution, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One seeded multinomial draw: the outcome ids in label order and their counts; callers check shots and seed."""
-    order = dist.order
-    pvals = dist.p[order]
-    return dist.ids[order], np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
+def sample(probs: Mapping[str, float], shots: int, seed: int) -> Counter[str]:
+    """Draw ``shots`` i.i.d. outcomes with the module's seeded generator; returns the outcome multiset.
 
-
-def sample(dist: OutcomeDistribution, shots: int, seed: int) -> Counter[str]:
-    """Draw i.i.d. detection outcomes with the module's seeded generator; returns the outcome multiset."""
+    One multinomial over the outcomes of ``probs`` in the mapping's own
+    order, its values normalised by their sum. The values must be finite,
+    >= 0 and sum to 1 within ``NORM_TOL``, so a map of counts is rejected.
+    """
     _check_shots_and_seed(shots, seed)
-    ids, counts = _draw(dist, shots, seed)
-    table = dist.table
-    return Counter({table[i]: c for i, c in zip(ids.tolist(), counts.tolist()) if c})
+    pvals = np.fromiter(probs.values(), dtype=float, count=len(probs))
+    # a negative value gives NaN, so inf - inf is never summed; an empty map sums to 0,
+    # and a NaN or an infinity makes the sum NaN or infinite
+    total = float(pvals.sum()) if min(probs.values(), default=0.0) >= 0 else math.nan
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise ValueError(f"outcome probabilities must be finite, >= 0 and sum to 1 within {NORM_TOL}")
+    counts = np.random.default_rng(seed).multinomial(shots, pvals / total)
+    return Counter({outcome: c for outcome, c in zip(probs, counts.tolist()) if c})

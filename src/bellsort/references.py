@@ -30,6 +30,7 @@ equality.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -87,10 +88,9 @@ def _check_capacities(data) -> dict:
     """The capacities file; a file of another shape raises ValueError naming it."""
     try:
         entries = [data[setup][model] for setup in (SETUP_FIG1, SETUP_FIG2) for model in MODELS]
-        for entry in entries:
-            float(entry["bits_text"])  # verify compares it as a number
-        # `type(...) is`: JSON true is a bool, an int that float() reads as 1.0
-        ok = all(type(e["groups"]) is int and e["groups"] >= 1 and type(e["bits_text"]) is str for e in entries)
+        # `type(...) is`: JSON true is a bool, an int that float() reads as 1.0; verify compares a finite figure
+        ok = all(type(e["groups"]) is int and e["groups"] >= 1 and type(e["bits_text"]) is str
+                 and math.isfinite(float(e["bits_text"])) for e in entries)
     except (KeyError, TypeError, ValueError):
         ok = False
     if not ok:

@@ -105,8 +105,8 @@ def test_criterion_5_worked_example_support_and_uniformity():
         "A0+ A2-", "A0- A2+", "A1+ A3-", "A1- A3+",
         "B0+ B2-", "B0- B2+", "B1+ B3-", "B1- B3+",
     }
-    support_ok = {o for o, _ in dist.sorted_items()} == expected_support
-    uniform_ok = all(abs(p - 0.125) < 1e-10 for _, p in dist.sorted_items())
+    support_ok = set(dist) == expected_support
+    uniform_ok = all(abs(p - 0.125) < 1e-10 for p in dist.values())
     # cross-check uniformity against the first-quantized oracle
     oracle_amps = oracle_evolve(state, network)
     oracle_ok = all(abs(2 * abs(a) ** 2 - 0.125) < 1e-10 for a in oracle_amps.values())
@@ -165,8 +165,8 @@ def test_criterion_7_property_suites():
             d2 = outcome_distribution(
                 evolve(make_hyper_state(idx), network_for_setup("fig2").unitary), model
             )
-            norm_ok = norm_ok and abs(sum(p for _, p in d1.sorted_items()) - 1.0) <= 1e-9
-            norm_ok = norm_ok and abs(sum(p for _, p in d2.sorted_items()) - 1.0) <= 1e-9
+            norm_ok = norm_ok and abs(sum(d1.values()) - 1.0) <= 1e-9
+            norm_ok = norm_ok and abs(sum(d2.values()) - 1.0) <= 1e-9
 
     # encoding the second photon of the reference equals direct construction
     encode_ok = all(
@@ -188,7 +188,7 @@ def test_criterion_8_monte_carlo_and_reproducibility(capsys):
     shots = 100_000
     counts = sample(dist, shots, seed=7)
     sigma = math.sqrt(0.25 * 0.75 / shots)
-    outcomes = [o for o, _ in dist.sorted_items()]
+    outcomes = list(dist)
     stat_ok = len(set(outcomes)) == 4 and all(
         abs(counts[o] / shots - 0.25) < 5 * sigma for o in outcomes
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bellsort import cli, dense_coding, grouping, network_for_setup, networks
+from bellsort import cli, dense_coding, grouping, load_reference_tables, network_for_setup, networks
 from bellsort.cli import main
 from bellsort.networks import labelled_states
 from test_cli_golden import GOLDEN
@@ -193,6 +193,8 @@ class TestVerify:
             ("capacities.json", lambda text: text.replace('"groups": 7', '"groups": true')),
             # float() reads JSON true as 1.0; this verified as "quoted True ... MISMATCH", exit 1
             ("capacities.json", lambda text: text.replace('"bits_text": "2.81"', '"bits_text": true')),
+            # float() reads "nan" as a number; this verified as "quoted nan) MISMATCH", exit 1
+            ("capacities.json", lambda text: text.replace('"bits_text": "2.81"', '"bits_text": "nan"')),
             # the setup and model fields were read by nothing; this verified with exit 0
             ("table1.json", lambda text: text.replace('"setup": "fig1"', '"setup": "fig2"')),
             ("table1.json", lambda text: text.replace('"model": "pnrd"', '"model": "threshold"')),
@@ -204,7 +206,7 @@ class TestVerify:
         ],
         ids=[
             "not-json", "no-groups", "not-an-object", "no-capacity-entries", "bool-ids", "bool-groups",
-            "bool-bits-text", "relabelled-setup", "relabelled-model", "outcome-in-two-groups",
+            "bool-bits-text", "nan-bits-text", "relabelled-setup", "relabelled-model", "outcome-in-two-groups",
             "repeated-member", "repeated-outcome",
         ],
     )
@@ -217,6 +219,33 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and str(tmp_path) in err and name in err
+
+    def test_a_wrong_capacity_figure_is_a_mismatch(self, capsys, tmp_path):
+        # 1 is the least count the schema allows: a well-formed file that disagrees exits 1, not 2
+        copy_references(tmp_path)
+        path = tmp_path / "capacities.json"
+        path.write_text(path.read_text().replace('"groups": 7', '"groups": 1'))
+        code, out = run_cli(capsys, "verify", "--references", str(tmp_path))
+        assert code == 1
+        assert "capacity fig1 pnrd/strict: 2.807 bits (log2(1), quoted 2.81) MISMATCH" in out
+
+    def test_a_file_that_is_not_json_is_reported_as_such(self, tmp_path):
+        # the shape check rejects it too, with a message that hides the parse error
+        copy_references(tmp_path)
+        (tmp_path / "table1.json").write_text('{"groups": [')
+        with pytest.raises(ValueError, match="^table1.json: Expecting value") as caught:
+            load_reference_tables(tmp_path)
+        assert isinstance(caught.value.__cause__, json.JSONDecodeError)
+
+    def test_a_string_where_a_list_belongs_is_a_shape_error(self, tmp_path):
+        # a string is a sequence of strings, which GroupTable would misreport as repeated members
+        copy_references(tmp_path)
+        path = tmp_path / "table1.json"
+        data = json.loads(path.read_text())
+        data["groups"][0]["members"] = data["groups"][0]["members"][0]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r'^table1.json: expected \{"groups"'):
+            load_reference_tables(tmp_path)
 
     def test_process_entry_point_exit_codes(self, tmp_path):
         # python -m bellsort runs entry_point, whose sys.exit carries main's code

@@ -14,6 +14,7 @@ from bellsort import (
     make_hyper_state,
     network_for_setup,
     dense_coding,
+    outcome_distribution,
     run_sdc,
 )
 from bellsort.networks import prepared_state
@@ -44,10 +45,13 @@ class TestConfig:
     def test_defaults(self):
         config = SdcConfig()
         assert (config.setup, config.model, config.policy) == ("fig1", "pnrd", "strict")
+        assert (config.seed, config.shots) == (0, 1000)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown setup 'fig3'"):
             SdcConfig(setup="fig3")
+        with pytest.raises(ValueError, match="unknown detector model 'ideal'"):
+            SdcConfig(model="ideal")
         with pytest.raises(ValueError, match="shots must be an integer >= 1, got 0"):
             SdcConfig(shots=0)
         with pytest.raises(ValueError, match="unknown policy 'lossy'"):
@@ -165,6 +169,19 @@ class TestRoundTrip:
             "encode": 1, "evolve_all": 1, "outcome_distribution": 16
         }
         assert [len(states) for states, _ in calls["evolve_all"]] == [16]
+
+    def test_each_message_is_detected_and_drawn_once(self, monkeypatch):
+        # one distribution per evolved message, drawn once with its derived seed
+        calls = record_calls(monkeypatch, "evolve_all", "outcome_distribution", "sample")
+        report = run_sdc(SdcConfig(setup="fig2", shots=10, seed=3))
+        assert {name: len(args) for name, args in calls.items()} == {
+            "evolve_all": 1, "outcome_distribution": 16, "sample": 16
+        }
+        assert [(shots, seed) for _, shots, seed in calls["sample"]] == [(10, 3 + k) for k in range(16)]
+        assert [dist for dist, _, _ in calls["sample"]] == [
+            outcome_distribution(state, "pnrd") for state, _ in calls["outcome_distribution"]
+        ]
+        assert report.accuracy == 1.0
 
 
 class TestReportSerialization:

@@ -39,8 +39,8 @@ def collapse(outcome):
 
 def label_sorted_sample(dist, shots, seed):
     """Sampling as first written: sort the outcome map by label, normalise, draw."""
-    # the map is read from the arrays, not through the order sampling uses
-    items = sorted(zip(map(dist.table.__getitem__, dist.ids.tolist()), dist.p.tolist()))
+    # sorted here, not read in the map's own order, which is the order sampling uses
+    items = sorted(dist.items())
     pvals = np.array([p for _, p in items])
     pvals = pvals / pvals.sum()
     counts = np.random.default_rng(seed).multinomial(shots, pvals)
@@ -55,7 +55,7 @@ def sampling_mismatches(dists, shots, seed):
         items, expected = label_sorted_sample(dist, shots, seed)
         counts = sample(dist, shots, seed)
         # the decode loop reads the counts in their order
-        if dist.sorted_items() != items or counts != expected or list(counts) != list(expected):
+        if list(dist.items()) != items or counts != expected or list(counts) != list(expected):
             mismatches.append(position)
     return mismatches
 
@@ -130,12 +130,12 @@ class TestDistributions:
         # four outcomes of probability 1/4: A0 A1, B0 B1, A2 A3, B2 B3
         dist = fig1_distribution(BellIndex(1, 0, 0))
         expected = {"A0 A1": 0.25, "B0 B1": 0.25, "A2 A3": 0.25, "B2 B3": 0.25}
-        assert {o: pytest.approx(p) for o, p in dist.sorted_items()} == expected
+        assert dist == pytest.approx(expected)
 
     def test_bunched_state_eighth_each(self):
         dist = fig1_distribution(BellIndex(0, 0, 0))
-        assert len(dist.sorted_items()) == 8
-        for outcome, p in dist.sorted_items():
+        assert len(dist) == 8
+        for outcome, p in dist.items():
             first, second = outcome.split()
             assert first == second
             assert p == pytest.approx(0.125)
@@ -143,19 +143,19 @@ class TestDistributions:
     def test_worked_hyper_example_eighth_each(self):
         state = make_hyper_state(BellIndex(2, 1, 0))
         dist = outcome_distribution(evolve(state, network_for_setup("fig2").unitary))
-        assert {o for o, _ in dist.sorted_items()} == {
+        assert set(dist) == {
             "A0+ A2-", "A0- A2+", "A1+ A3-", "A1- A3+",
             "B0+ B2-", "B0- B2+", "B1+ B3-", "B1- B3+",
         }
-        for _, p in dist.sorted_items():
+        for p in dist.values():
             assert p == pytest.approx(0.125, abs=1e-10)
 
     def test_threshold_collapses_bunched_outcomes(self):
         dist = fig1_distribution(BellIndex(0, 0, 0), model="threshold")
-        assert {o for o, _ in dist.sorted_items()} == {
+        assert set(dist) == {
             "A0", "A1", "A2", "A3", "B0", "B1", "B2", "B3"
         }
-        for _, p in dist.sorted_items():
+        for p in dist.values():
             assert p == pytest.approx(0.125)
 
     def test_threshold_is_probability_preserving_collapse(self):
@@ -163,22 +163,21 @@ class TestDistributions:
             pnrd = fig1_distribution(idx)
             thresh = fig1_distribution(idx, model="threshold")
             merged: dict = {}
-            for o, p in pnrd.sorted_items():
+            for o, p in pnrd.items():
                 key = collapse(o)
                 merged[key] = merged.get(key, 0.0) + p
-            thresh_probs = dict(thresh.sorted_items())
-            assert set(merged) == set(thresh_probs)
+            assert set(merged) == set(thresh)
             for o, p in merged.items():
-                assert thresh_probs[o] == pytest.approx(p)
+                assert thresh[o] == pytest.approx(p)
 
     def test_probabilities_sum_to_one_everywhere(self):
         for idx in all_bell_indices(4):
             for model in ("pnrd", "threshold"):
-                total = sum(p for _, p in fig1_distribution(idx, model).sorted_items())
+                total = sum(fig1_distribution(idx, model).values())
                 assert abs(total - 1.0) < 1e-9
                 state = make_hyper_state(idx)
                 dist = outcome_distribution(evolve(state, network_for_setup("fig2").unitary), model)
-                assert abs(sum(p for _, p in dist.sorted_items()) - 1.0) < 1e-9
+                assert abs(sum(dist.values()) - 1.0) < 1e-9
 
     def test_unnormalized_state_rejected(self):
         # psi(A0, B0) = 0.7, psi(A1, B1) = 0.2: no such state reaches outcome_distribution
@@ -193,13 +192,17 @@ class TestDistributions:
     def test_distribution_round_trip(self):
         # written as JSON and not read back: every probability must survive
         # json exactly (a non-finite one would not compare equal)
-        dist = fig1_distribution(BellIndex(2, 1, 0))
-        data = dist.to_dict()
-        assert json.loads(json.dumps(data)) == data
-        assert data["model"] == "pnrd"
-        # every outcome's probability, read from the arrays rather than through to_dict's order
-        assert data["probs"] == {dist.table[i]: p for i, p in zip(dist.ids.tolist(), dist.p.tolist())}
-        assert list(data["probs"]) == sorted(data["probs"])
+        state = evolve(make_bell_state(4, BellIndex(2, 1, 0)), network_for_setup("fig1", 4).unitary)
+        dist = outcome_distribution(state)
+        assert json.loads(json.dumps(dist)) == dist
+        # one entry per outcome id of the state, keyed by its label
+        table = outcome_table(state.basis, "pnrd")
+        assert sorted(dist) == sorted(map(table.__getitem__, state.ids.tolist()))
+        assert list(dist) == sorted(dist)
+
+    def test_every_guarded_distribution_is_in_label_order(self):
+        for dist in guarded_distributions():
+            assert list(dist) == sorted(dist)
 
 
 def bell_kets(idx, dim, pols=(None,)):
@@ -221,7 +224,7 @@ class TestFockOracle:
     def assert_matches(state, kets, network, model):
         dist = outcome_distribution(evolve(state, network), model)
         expected = fock_outcome_probabilities(kets, network, model)
-        assert dict(dist.sorted_items()) == pytest.approx(expected, abs=1e-12)
+        assert dist == pytest.approx(expected, abs=1e-12)
 
     def test_single_kets(self, model):
         net = network_for_setup("fig1", 4).unitary
@@ -276,7 +279,7 @@ class TestSampling:
         shots = 100_000
         counts = sample(dist, shots, seed=7)
         sigma = math.sqrt(0.25 * 0.75 / shots)
-        for outcome, _ in dist.sorted_items():
+        for outcome in dist:
             freq = counts[outcome] / shots
             assert abs(freq - 0.25) < 5 * sigma
 
@@ -308,6 +311,26 @@ class TestSampling:
             sample(dist, MAX_SHOTS + 1, 0)
         assert sum(sample(dist, MAX_SHOTS, 0).values()) == MAX_SHOTS == 2**63 - 1
 
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            {},
+            {"A0 A0": math.nan, "A1 A1": 1.0},
+            {"A0 A0": math.inf},
+            {"A0 A0": -0.5, "A1 A1": 1.5},  # sums to 1
+            {"A0 A0": 3, "A1 A1": 5},  # counts, not probabilities
+        ],
+        ids=["empty", "nan", "infinite", "negative", "counts"],
+    )
+    def test_a_map_that_is_no_distribution_rejected(self, probs):
+        # any mapping reaches the draw, which would otherwise renormalise it
+        with pytest.raises(ValueError, match="outcome probabilities must be finite, >= 0 and sum to 1 within 1e-09"):
+            sample(probs, 10, 0)
+
+    def test_a_zero_probability_is_valid_and_never_drawn(self):
+        # >= 0, not > 0: a mapping may list an outcome it cannot give
+        assert sample({"A0 A0": 1.0, "A1 A1": 0.0}, 10, 0) == Counter({"A0 A0": 10})
+
     def test_numpy_integers_are_valid(self):
         dist = fig1_distribution(BellIndex(1, 0, 0))
         assert sample(dist, np.int64(1000), np.uint32(7)) == sample(dist, 1000, 7)
@@ -316,7 +339,7 @@ class TestSampling:
         # stat should beat the 0.999 quantile in fewer than 1% of runs
         dist = fig1_distribution(BellIndex(1, 0, 0))
         shots = 100_000
-        items = dist.sorted_items()
+        items = dist.items()
         threshold = chi2.ppf(0.999, df=len(items) - 1)
         exceedances = 0
         for seed in range(100):

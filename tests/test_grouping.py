@@ -35,7 +35,7 @@ REFERENCE = load_reference_tables()
 
 def outcome_labels(state, network):
     """The labels of the outcomes ``state`` can give after ``network``."""
-    return frozenset(o for o, _ in outcome_distribution(evolve(state, network)).sorted_items())
+    return frozenset(outcome_distribution(evolve(state, network)))
 
 
 def as_content(table):
