@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .detection import MODEL_PNRD, MODELS, _check_shots_and_seed, outcome_distribution, outcome_table, sample
+from .detection import MODEL_PNRD, MODELS, _check_shots_and_seed, outcome_distribution, outcome_labels, sample
 from .grouping import GroupTable, POLICIES, POLICY_STRICT, _partition, channel_capacity
 from .networks import SETUP_FIG1, SETUPS, evolve_all, network_for_setup, prepared_state
 from .states import BellIndex, all_bell_indices, encode
@@ -89,7 +89,8 @@ def run_sdc(config: SdcConfig) -> SdcReport:
     evolved = evolve_all(encode(reference, indices), unitary)
     labels = [idx.label for idx in indices]
     supports = [(label, state.ids) for label, state in zip(labels, evolved)]
-    table = _partition(supports, outcome_table(unitary.out_modes, config.model), config.setup, config.policy)
+    id_labels = outcome_labels(unitary.out_modes, config.model)
+    table = _partition(supports, id_labels, config.setup, config.model, config.policy)
     decoder = table.decoder()
     own_groups = {label: g.index for g in table.groups for label in g.members}
 

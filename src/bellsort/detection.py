@@ -12,10 +12,12 @@ An outcome is its label: the clicked modes' labels in mode order,
 space-separated (``A3 B1``, ``A0 A0``, threshold ``A0``). Outcomes of one
 output basis have integer ids: the pair id (see :mod:`bellsort.states`) of
 the detected mode pair under either model, so an evolved state's ``ids``
-are its outcome ids (under the threshold model the pair of mode i with
-itself stands for the single click i); an :class:`OutcomeTable` turns an
-id into its label. :func:`outcome_distribution` returns a plain dict from
-outcome label to probability, in label order.
+are its outcome ids. The detector model is only a relabelling: the
+threshold model reads the pair of mode i with itself as the single click
+i. :func:`outcome_labels`, an array indexed by id, is the one map from id
+to label and the one place the model and the basis are checked.
+:func:`outcome_distribution` returns a plain dict from outcome label to
+probability, in label order.
 
 Sampling uses numpy's seeded PCG64 generator; identical (seed, shots) give
 bit-identical counts. :func:`sample` draws one multinomial over a
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -44,40 +46,27 @@ RNG_ALGORITHM = "PCG64"
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # the largest count numpy's multinomial draws
 
 
-class OutcomeTable(dict):
-    """Outcome id -> outcome label for one output basis and detector model.
+@lru_cache(maxsize=16)
+def outcome_labels(basis: ModeBasis, model: str) -> np.ndarray:
+    """Outcome id -> outcome label for one output basis and detector model, as a read-only object array.
 
-    An outcome id is the pair id of the clicked modes (see
-    :mod:`bellsort.states`). Entries are built on first lookup.
-    ``outcome_table`` shares one table per (basis, model), so each label is
-    built once.
+    Id i * M + k (i <= k) holds the label of modes i and k in mode order,
+    for a network's output basis need not be in mode order; ids below the
+    diagonal hold None. The array is shared per (basis, model).
     """
-
-    def __init__(self, basis: ModeBasis, model: str) -> None:
-        super().__init__()
-        if model not in MODELS:
-            raise ValueError(f"unknown detector model {model!r}")
-        for mode in basis:
-            if mode.pol in POL_LINEAR:
-                raise ValueError(
-                    f"mode {mode.label} is not in a detector basis"
-                    " (apply the 45-degree analyzers first)"
-                )
-        self.basis = basis
-        self.model = model
-
-    def __missing__(self, outcome_id: int) -> str:
-        i, k = divmod(outcome_id, len(self.basis))
-        if i == k and self.model == MODEL_THRESHOLD:
-            clicks = (self.basis[i],)
-        else:
-            # a network's output basis need not be in mode order
-            clicks = canonical_pair(self.basis[i], self.basis[k])
-        label = self[outcome_id] = " ".join([m.label for m in clicks])
-        return label
-
-
-outcome_table = lru_cache(maxsize=16)(OutcomeTable)
+    if model not in MODELS:
+        raise ValueError(f"unknown detector model {model!r}")
+    for mode in basis:
+        if mode.pol in POL_LINEAR:
+            raise ValueError(f"mode {mode.label} is not in a detector basis (apply the 45-degree analyzers first)")
+    size = len(basis)
+    labels = np.full(size * size, None, dtype=object)
+    for i, k in zip(*np.triu_indices(size)):
+        labels[i * size + k] = " ".join([m.label for m in canonical_pair(basis[i], basis[k])])
+    if model == MODEL_THRESHOLD:  # the bunched pair (i, i) clicks once, as mode i
+        labels[:: size + 1] = [mode.label for mode in basis]
+    labels.flags.writeable = False
+    return labels
 
 
 def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> dict[str, float]:
@@ -92,16 +81,10 @@ def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> dict
     state's (row-major upper-triangle) order, so the probabilities are
     reproducible to the last bit, and only then keyed by label and sorted.
     """
-    table = outcome_table(state.basis, model)
+    labels = outcome_labels(state.basis, model)
     weights = _pair_weights(state.ids, len(state.basis)) * np.abs(state.vals) ** 2
     total = sum(weights.tolist())  # the squared norm
-    return dict(sorted(zip(map(table.__getitem__, state.ids.tolist()), (weights / total).tolist())))
-
-
-def _has_single_click(ids: Iterable[int], table: OutcomeTable) -> bool:
-    """Whether any outcome id is a single click: under the threshold model, the id i * M + i."""
-    stride = len(table.basis) + 1
-    return table.model == MODEL_THRESHOLD and any(i % stride == 0 for i in ids)
+    return dict(sorted(zip(labels[state.ids].tolist(), (weights / total).tolist())))
 
 
 def _check_shots_and_seed(shots: int, seed: int) -> None:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detection import MODEL_PNRD, OutcomeTable, _has_single_click, outcome_table
+from .detection import MODEL_PNRD, MODEL_THRESHOLD, outcome_labels
 from .networks import NetworkSpec, evolve, labelled_states, network_for_setup
 from .states import TwoPhotonState
 
@@ -109,16 +109,16 @@ def classify(
 
     ``network`` is the :class:`NetworkSpec` from ``network_for_setup``; the
     table is labelled with its setup. The model and policy are checked
-    before anything is evolved. Each state is evolved once (``evolve``
-    checks its norm) and its support ids are partitioned directly, building
-    no per-state distribution.
+    before anything is evolved, ``outcome_labels`` checking the model. Each
+    state is evolved once (``evolve`` checks its norm) and its support ids
+    are partitioned directly, building no per-state distribution.
     """
     unitary = network.unitary
-    table = outcome_table(unitary.out_modes, model)
+    labels = outcome_labels(unitary.out_modes, model)
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     supports = [(label, evolve(state, unitary).ids) for label, state in states]
-    return _partition(supports, table, network.setup, policy)
+    return _partition(supports, labels, network.setup, model, policy)
 
 
 def compute_table(setup: str, dim: int, model: str, policy: str) -> GroupTable:
@@ -127,27 +127,29 @@ def compute_table(setup: str, dim: int, model: str, policy: str) -> GroupTable:
 
 
 def _partition(
-    supports: Sequence[tuple[str, Sequence[int] | np.ndarray]], table: OutcomeTable, setup: str, policy: str
+    supports: Sequence[tuple[str, Sequence[int] | np.ndarray]], labels: np.ndarray, setup: str, model: str, policy: str
 ) -> GroupTable:
     """Group labelled outcome ids, a list or an integer array per state in any order, by shared ids.
 
-    ``table`` maps an id to its label, and its ``model`` labels the result;
+    ``labels`` is ``outcome_labels`` of the output basis under ``model``;
     callers check ``policy``, and ``GroupTable`` rejects a repeated label.
     Groups are numbered by their first member in input order; members keep
     input order. One ``np.minimum.at`` over the M² outcome slots finds each
     outcome's owner, the first state to have it; union-find joins states to
     owners, in Python only over the distinct links (72 for the 128 fig1
     states at d = 32, against 4,224 ids). A group's support is the outcomes
-    its members own.
+    its members own, labelled by one index into ``labels``. Under the
+    threshold model the id i * (M + 1) is the single click i, which no
+    usable ``loss_conservative`` group holds.
     """
     if not supports:
         raise ValueError("no states to classify")
-    labels = [label for label, _ in supports]
-    count = len(labels)
+    names = [name for name, _ in supports]
+    count = len(names)
 
     ids = np.concatenate([state_ids for _, state_ids in supports])
     state_of = np.repeat(np.arange(count), [len(state_ids) for _, state_ids in supports])
-    first = np.full(len(table.basis) ** 2, count)
+    first = np.full(len(labels), count)
     np.minimum.at(first, ids, state_of)
     owner_of = first[ids]
     # distinct links by a stable sort, whose code the argsort below shares: the first
@@ -171,15 +173,16 @@ def _partition(
         members.setdefault(root, []).append(i)
     outcomes = np.flatnonzero(first < count)
     owner_roots = np.array(roots)[first[outcomes]]
-    grouped = outcomes[np.argsort(owner_roots, kind="stable")].tolist()
+    grouped = outcomes[np.argsort(owner_roots, kind="stable")]
+    grouped_labels = labels[grouped].tolist()
+    quarantine = policy == POLICY_LOSS_CONSERVATIVE and model == MODEL_THRESHOLD
+    single = (grouped % (math.isqrt(len(labels)) + 1) == 0).tolist() if quarantine else []
     ends = np.cumsum(np.bincount(owner_roots, minlength=count)[list(members)]).tolist()
     groups = []
     for index, (group, start, end) in enumerate(zip(members.values(), [0, *ends], ends), start=1):
-        group_ids = grouped[start:end]
-        support = frozenset(map(table.__getitem__, group_ids))
-        quarantined = policy == POLICY_LOSS_CONSERVATIVE and _has_single_click(group_ids, table)
-        groups.append(StateGroup(index, tuple([labels[i] for i in group]), support, quarantined))  # see usable_groups
-    return GroupTable(setup, table.model, policy, tuple(groups))
+        members_of = tuple([names[i] for i in group])  # see usable_groups
+        groups.append(StateGroup(index, members_of, frozenset(grouped_labels[start:end]), any(single[start:end])))
+    return GroupTable(setup, model, policy, tuple(groups))
 
 
 def channel_capacity(table: GroupTable) -> float:

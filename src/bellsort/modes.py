@@ -64,10 +64,13 @@ class Mode:
 
 
 class ModeBasis(tuple):
-    """An ordered single-photon basis: a tuple whose hash is computed once."""
+    """An ordered single-photon basis of distinct modes: a tuple whose hash is computed once."""
 
     def __new__(cls, modes=()) -> "ModeBasis":
         self = super().__new__(cls, modes)
+        if len(set(self)) < len(self):  # a repeated mode would hold a bunched pair as two modes
+            repeated = next(m for i, m in enumerate(self) if m in self[:i])
+            raise ValueError(f"mode {repeated.label} appears twice in the mode basis")
         self._hash = tuple.__hash__(self)
         return self
 

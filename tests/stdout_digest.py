@@ -1,8 +1,9 @@
 """One sha256 over the stdout of a fixed matrix of seeded CLI runs.
 
-Run as ``python tests/stdout_digest.py``; pytest does not collect it. It
-runs ``bellsort.cli.main`` in-process, from the ``src`` directory beside
-this file, over:
+Run as ``python tests/stdout_digest.py``; pytest does not collect it, and
+``tests/test_cli_golden.py`` asserts its digest. It runs
+``bellsort.cli.main`` in-process, from the ``src`` directory beside this
+file, over:
 
 - ``sdc``: both setups x the 4 detector model/policy pairs x text/json x
   3 seeds, at 100,000 shots;
@@ -54,7 +55,8 @@ def runs() -> list[tuple[str, ...]]:
     return argvs + [("verify",)]
 
 
-def main_digest() -> None:
+def stdout_digest() -> tuple[str, int]:
+    """The sha256 hex digest over every run, and the number of runs."""
     digest = hashlib.sha256()
     argvs = runs()
     for argv in argvs:
@@ -62,7 +64,12 @@ def main_digest() -> None:
         with contextlib.redirect_stdout(out):
             code = main(list(argv))
         digest.update(f"{' '.join(argv)}\0{code}\0{out.getvalue()}\0".encode())
-    print(f"{digest.hexdigest()}  {len(argvs)} runs")
+    return digest.hexdigest(), len(argvs)
+
+
+def main_digest() -> None:
+    hexdigest, count = stdout_digest()
+    print(f"{hexdigest}  {count} runs")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,11 @@ The last two (fig2 threshold sdc as text, fig2 threshold sample as csv)
 were recorded from a checkout of the commit before ``encode`` became an
 index permutation and sampling read a cached label order, when ``encode``
 still multiplied dense matrices and ``sample`` sorted an Outcome map.
+
+``STDOUT_DIGEST`` is one sha256 over the 151 seeded runs of
+``tests/stdout_digest.py``, recorded at ``4720504`` and again at
+``5479395``, before the detector model became one label array per output
+basis.
 """
 
 import contextlib
@@ -24,6 +29,7 @@ import io
 import pytest
 
 from bellsort.cli import main
+from stdout_digest import stdout_digest
 
 GOLDEN = [
     (("verify",), "c71d3874f48278b64138da9bcd7855f04f2b65b7791c02723b218cee0eabdcf1"),
@@ -81,6 +87,9 @@ GOLDEN = [
 ]
 
 
+STDOUT_DIGEST = ("8e4798c6c4d5a772ca15c42600b14037d36cdb8745f3a5d2609dd1ed3a5ca2fc", 151)
+
+
 def golden_digest_mismatches(cases=GOLDEN) -> list[tuple[str, ...]]:
     """The argv of every case that exits non-zero or whose stdout digest differs."""
     mismatches = []
@@ -96,3 +105,7 @@ def golden_digest_mismatches(cases=GOLDEN) -> list[tuple[str, ...]]:
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
 def test_stdout_matches_recorded_digest(argv, digest):
     assert golden_digest_mismatches([(argv, digest)]) == []
+
+
+def test_the_seeded_run_matrix_prints_its_recorded_digest():
+    assert stdout_digest() == STDOUT_DIGEST

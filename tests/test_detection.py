@@ -14,13 +14,15 @@ from bellsort import (
     TwoPhotonState,
     all_bell_indices,
     evolve,
+    grouping,
     make_bell_state,
     make_hyper_state,
     network_for_setup,
     outcome_distribution,
     sample,
 )
-from bellsort.detection import MAX_SHOTS, OutcomeTable, _has_single_click, outcome_table
+from bellsort.detection import MAX_SHOTS, outcome_labels
+from bellsort.grouping import compute_table
 from bellsort.modes import POL_DIAGONAL, POL_LINEAR, Mode, path_modes, polarized_modes
 from conftest import cli_pairs, fock_outcome_probabilities, from_kets, random_unitary
 
@@ -35,6 +37,26 @@ def fig1_distribution(idx, model="pnrd", dim=4):
 def collapse(outcome):
     """The threshold-detector view of an outcome label: a repeated click dropped."""
     return " ".join(dict.fromkeys(outcome.split()))
+
+
+def reachable_output_bases():
+    """The output basis of every fig1 network at d = 2 .. 32 and of fig2, and a reversed basis."""
+    bases = [network_for_setup("fig1", dim).unitary.out_modes for dim in range(2, 33)]
+    return [*bases, network_for_setup("fig2").unitary.out_modes, path_modes(4)[::-1]]
+
+
+def relabelling_mismatches(bases):
+    """Positions of the bases whose threshold labels are not the PNRD labels with
+    each bunched pair collapsed to its single click; [] when the gate holds."""
+    mismatches = []
+    for position, basis in enumerate(bases):
+        pnrd, threshold = (outcome_labels(basis, model).tolist() for model in ("pnrd", "threshold"))
+        size = len(basis)
+        bunched = range(0, size * size, size + 1)
+        expected = [collapse(o) if i in bunched else o for i, o in enumerate(pnrd)]
+        if threshold != expected or any(len(pnrd[i].split()) != 2 for i in bunched):
+            mismatches.append(position)
+    return mismatches
 
 
 def label_sorted_sample(dist, shots, seed):
@@ -76,51 +98,70 @@ def guarded_distributions():
 
 
 class TestOutcomeLabels:
-    def test_outcome_table_checks_model_and_basis(self):
-        # OutcomeTable is the one place the detector model is checked
+    def test_outcome_labels_check_model_and_basis(self):
+        # outcome_labels is the one place the detector model is checked
         with pytest.raises(ValueError, match="unknown detector model 'ideal'"):
-            OutcomeTable(path_modes(4), "ideal")
+            outcome_labels(path_modes(4), "ideal")
         state = make_bell_state(4, BellIndex(0, 0, 0))
         with pytest.raises(ValueError, match="unknown detector model 'ideal'"):
             outcome_distribution(state, "ideal")
         with pytest.raises(ValueError, match="A0H is not in a detector basis"):
-            OutcomeTable(polarized_modes(4, POL_LINEAR), "pnrd")
+            outcome_labels(polarized_modes(4, POL_LINEAR), "pnrd")
 
     @pytest.mark.parametrize("model", ["pnrd", "threshold"])
-    def test_every_outcome_table_label_is_distinct(self, model):
+    def test_every_outcome_label_is_distinct(self, model):
         # classify rejects duplicate labels and rendering keys on them
         bases = [path_modes(dim) for dim in (2, 4, 16, 32)] + [polarized_modes(4, POL_DIAGONAL)]
         for basis in bases:
-            table = OutcomeTable(basis, model)
+            table = outcome_labels(basis, model)
             size = len(basis)
             labels = [table[i * size + k] for i in range(size) for k in range(i, size)]
             assert len(set(labels)) == len(labels)
+            # and the ids below the diagonal, which no state holds, hold no label
+            assert [table[i * size + k] for i in range(size) for k in range(i)] == [None] * (size * (size - 1) // 2)
 
     def test_outcome_sorted_canonically(self):
         # reversed bases put the higher mode first, so the table must sort the pair
-        reversed_paths = outcome_table(path_modes(4)[::-1], "pnrd")
+        reversed_paths = outcome_labels(path_modes(4)[::-1], "pnrd")
         assert reversed_paths[2 * 8 + 4] == "A3 B1"  # (B1, A3)
-        reversed_signs = outcome_table(polarized_modes(4, POL_DIAGONAL)[::-1], "pnrd")
+        reversed_signs = outcome_labels(polarized_modes(4, POL_DIAGONAL)[::-1], "pnrd")
         assert reversed_signs[14 * 16 + 15] == "A0+ A0-"  # (A0-, A0+)
-        assert outcome_table(path_modes(16)[::-1], "pnrd")[15 * 32 + 21] == "A10 B0"  # (B0, A10)
-        assert outcome_table(path_modes(16), "pnrd")[2 * 32 + 10] == "A2 A10"  # mode order, not text
-        assert outcome_table(path_modes(4), "threshold")[0] == "A0"
-        assert outcome_table(path_modes(4)[::-1], "threshold")[7 * 8 + 7] == "A0"
+        assert outcome_labels(path_modes(16)[::-1], "pnrd")[15 * 32 + 21] == "A10 B0"  # (B0, A10)
+        assert outcome_labels(path_modes(16), "pnrd")[2 * 32 + 10] == "A2 A10"  # mode order, not text
+        assert outcome_labels(path_modes(4), "threshold")[0] == "A0"
+        assert outcome_labels(path_modes(4)[::-1], "threshold")[7 * 8 + 7] == "A0"
 
     def test_multiplicity_collapse(self):
-        pnrd, threshold = (outcome_table(path_modes(4), model) for model in ("pnrd", "threshold"))
+        pnrd, threshold = (outcome_labels(path_modes(4), model) for model in ("pnrd", "threshold"))
         assert pnrd[0] == "A0 A0"
         assert threshold[0] == collapse(pnrd[0]) == "A0"
         assert threshold[1] == pnrd[1] == collapse(pnrd[1]) == "A0 A1"
+
+    def test_the_threshold_labels_relabel_only_the_bunched_pairs(self):
+        bases = reachable_output_bases()
+        assert len(bases) == 33 and relabelling_mismatches(bases) == []
+
+    def test_labels_are_shared_and_read_only(self):
+        # one array per (basis, model) is shared by every caller, so a write
+        # into it would relabel every later table
+        basis = network_for_setup("fig1", 4).unitary.out_modes
+        labels = outcome_labels(basis, "pnrd")
+        assert outcome_labels(basis, "pnrd") is labels
+        with pytest.raises(ValueError, match="read-only"):
+            labels[1] = "B9 B9"
+        assert labels[1] == "A0 A1"
+        assert "A0 A1" in compute_table("fig1", 4, "pnrd", "strict").groups[1].support
 
     @pytest.mark.parametrize("model", ["pnrd", "threshold"])
     def test_single_clicks_are_read_from_ids(self, model):
         # the quarantine never looks inside a label; the id rule must agree with it
         for basis in (path_modes(4), path_modes(4)[::-1], polarized_modes(4, POL_DIAGONAL)):
-            table = outcome_table(basis, model)
+            table = outcome_labels(basis, model)
             size = len(basis)
             ids = [i * size + k for i in range(size) for k in range(i, size)]
-            flags = [_has_single_click([i], table) for i in ids]
+            singletons = [(str(i), [i]) for i in ids]  # one state, and so one group, per outcome
+            partition = grouping._partition(singletons, table, "fig1", model, "loss_conservative")
+            flags = [group.quarantined for group in partition.groups]
             assert flags == [len(table[i].split()) == 1 for i in ids]
             assert sum(flags) == (size if model == "threshold" else 0)
 
@@ -196,8 +237,8 @@ class TestDistributions:
         dist = outcome_distribution(state)
         assert json.loads(json.dumps(dist)) == dist
         # one entry per outcome id of the state, keyed by its label
-        table = outcome_table(state.basis, "pnrd")
-        assert sorted(dist) == sorted(map(table.__getitem__, state.ids.tolist()))
+        table = outcome_labels(state.basis, "pnrd")
+        assert sorted(dist) == sorted(table[i] for i in state.ids.tolist())
         assert list(dist) == sorted(dist)
 
     def test_every_guarded_distribution_is_in_label_order(self):

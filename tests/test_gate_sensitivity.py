@@ -16,25 +16,26 @@ import numpy as np
 import pytest
 
 from bellsort import (
-    SdcConfig, SinglePhotonUnitary, TwoPhotonState, all_bell_indices, dense_coding, detection, diff_against_reference,
-    evolve, grouping, load_reference_tables, make_bell_state, make_hyper_state, network_for_setup, networks, run_sdc,
-    states,
+    SdcConfig, SinglePhotonUnitary, TwoPhotonState, all_bell_indices, cli, dense_coding, detection,
+    diff_against_reference, evolve, grouping, load_reference_tables, make_bell_state, make_hyper_state,
+    network_for_setup, networks, run_sdc, states,
 )
-from bellsort.detection import MODEL_PNRD, outcome_table
+from bellsort.detection import MODEL_PNRD, outcome_labels
 from bellsort.grouping import compute_table
 from bellsort.modes import ARMS, Mode, path_modes
 from conftest import cli_pairs, evolve_each, evolve_families, from_kets
 from test_builder import builder_defects
 from test_class_bound import class_bound_violations
 from test_cli import copy_references
-from test_cli_golden import golden_digest_mismatches
-from test_detection import guarded_distributions, sampling_mismatches
+from test_cli_golden import STDOUT_DIGEST, golden_digest_mismatches
+from test_detection import guarded_distributions, reachable_output_bases, relabelling_mismatches, sampling_mismatches
 from test_exact_oracle import exact_support_mismatches
 from test_exact_real import complex_evolution_mismatches
 from test_grouping import CLOSED_FORM_CASES, ID_CONTAINERS, closed_form_mismatches, pairwise_search_mismatches
 from test_networks import (
     INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches, oracle_mismatches, random_oracle_cases,
 )
+from stdout_digest import stdout_digest
 
 ONE_ULP_UP = 1 + 2**-52  # the next float64 after 1
 
@@ -173,19 +174,60 @@ def test_kron_oracle_catches_a_table_built_from_rows(monkeypatch):
 
 
 def test_golden_digests_catch_threshold_classify_reading_pnrd_outcomes(monkeypatch):
-    # the PNRD table keeps a bunched pair as two clicks, so classify under the
-    # threshold model sees no single click: nothing is quarantined and the
-    # bunched outcomes are labelled "A0 A0" instead of "A0"
+    # the PNRD labels keep a bunched pair as two clicks, so classify under the
+    # threshold model labels the bunched outcomes "A0 A0" instead of "A0"; the
+    # quarantine reads the ids, so every capacity, and so verify, stays right
     with monkeypatch.context() as patch:
-        patch.setattr(grouping, "outcome_table", lambda basis, model: outcome_table(basis, MODEL_PNRD))
+        patch.setattr(grouping, "outcome_labels", lambda basis, model: outcome_labels(basis, MODEL_PNRD))
         mismatches = golden_digest_mismatches()
-    # the threshold commands that classify; sdc and sample detect through outcome_distribution
-    assert mismatches == [
-        ("verify",),
-        ("tables", "--setup", "fig2", "--model", "threshold", "--policy", "loss-conservative",
-         "--format", "csv"),
+    # the threshold command that prints a table; sdc and sample detect through outcome_distribution
+    threshold_table = (
+        "tables", "--setup", "fig2", "--model", "threshold", "--policy", "loss-conservative", "--format", "csv"
+    )
+    assert mismatches == [threshold_table]
+    # a partition that never quarantines shows in verify's capacities and in sdc's too
+    with monkeypatch.context() as patch:
+        patch.setattr(grouping, "MODEL_THRESHOLD", None)
+        mismatches = golden_digest_mismatches()
+    assert mismatches[:2] == [("verify",), threshold_table]
+    assert [argv[:7] for argv in mismatches[2:]] == [
+        ("sdc", "--setup", setup, "--model", "threshold", "--policy", "loss-conservative") for setup in ("fig2", "fig1")
     ]
     assert golden_digest_mismatches() == []
+
+
+def test_relabelling_gate_catches_threshold_labels_without_single_clicks(monkeypatch):
+    # with no model read as threshold, the threshold array keeps "A0 A0"; the
+    # arrays are cached per (basis, model), so the cache is cleared around it
+    bases = reachable_output_bases()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(detection, "MODEL_THRESHOLD", None)
+            detection.outcome_labels.cache_clear()
+            mismatches = relabelling_mismatches(bases)
+    finally:
+        detection.outcome_labels.cache_clear()
+    assert mismatches == list(range(len(bases)))
+    assert relabelling_mismatches(bases) == []
+
+
+def test_stdout_digest_catches_two_swapped_sampled_counts(monkeypatch):
+    # the counts of a distribution's first two outcomes trade places, so every
+    # distribution keeps its outcomes and its total number of shots
+    draw = detection.sample
+
+    def swapping(probs, shots, seed):
+        counts = draw(probs, shots, seed)
+        first, second, *_ = probs
+        counts[first], counts[second] = counts[second], counts[first]
+        return +counts  # drops a zero count, as the draw does
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dense_coding, "sample", swapping)
+        patch.setattr(cli, "sample", swapping)
+        mutated = stdout_digest()
+    assert mutated[1] == STDOUT_DIGEST[1] and mutated[0] != STDOUT_DIGEST[0]
+    assert stdout_digest() == STDOUT_DIGEST
 
 
 def test_reference_diff_catches_an_outcome_moved_between_groups(tmp_path):

@@ -252,6 +252,14 @@ class TestEvolutionProperties:
         with pytest.raises(ValueError, match="not stored in the network's input basis"):
             evolve(state, random_unitary(basis[::-1], rng))
 
+    def test_a_repeated_input_or_output_mode_is_rejected(self):
+        # output modes (A0, A0) would send |A0 B0> to {'A0 A0': 1.0}, a pair the unitary never makes
+        a0, b0 = Mode(A, 0), Mode(B, 0)
+        with pytest.raises(ValueError, match="mode A0 appears twice in the mode basis"):
+            SinglePhotonUnitary((a0, b0), (a0, a0), np.eye(2))
+        with pytest.raises(ValueError, match="mode B0 appears twice in the mode basis"):
+            SinglePhotonUnitary((b0, b0), (a0, b0), np.eye(2))
+
     @pytest.mark.parametrize("through", [evolve_each, evolve_families], ids=["evolve", "evolve_all"])
     def test_oracle_equivalence_on_the_measurement_networks(self, through):
         # every CLI pair at d <= 4, prepared and encoded, through fig1 and fig2
@@ -451,6 +459,10 @@ class TestSetupDimension:
     def test_fig1_needs_two_paths(self):
         with pytest.raises(ValueError, match="need at least two paths"):
             network_for_setup("fig1", 1)
+
+    def test_an_unknown_setup_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown setup 'fig3', expected one of"):
+            network_for_setup("fig3", 4)
 
 
 class TestIdentitySemantics:

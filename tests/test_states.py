@@ -403,6 +403,13 @@ class TestStateRepresentation:
         with pytest.raises(ValueError, match="the mode basis is empty"):
             TwoPhotonState(1, (), [0], [1.0])
 
+    def test_a_repeated_mode_is_rejected(self):
+        # (A0, A0) would store the bunched pair |A0 A0> as a distinct-mode pair of weight 2
+        with pytest.raises(ValueError, match="mode A0 appears twice in the mode basis"):
+            TwoPhotonState(1, (Mode(A, 0), Mode(A, 0)), [1], [INV_SQRT2])
+        with pytest.raises(ValueError, match="mode B1 appears twice in the mode basis"):
+            TwoPhotonState(2, (*path_modes(2), Mode(B, 1)), [1], [INV_SQRT2])
+
     def test_a_mode_on_path_dim_is_outside_the_dimension(self):
         # path == dim is the boundary; (A0, B2) of the 3-path basis is a unit-norm state
         with pytest.raises(ValueError, match="mode A2 outside dimension 2"):
@@ -479,6 +486,18 @@ class TestStateRepresentation:
         # (arm, path, polarization label): None first, H before V and + before -
         for basis in (path_modes(dim), polarized_modes(dim, POL_LINEAR), polarized_modes(dim, POL_DIAGONAL)):
             assert sorted(reversed(basis)) == list(basis)
+
+    def test_mode_order_is_strict(self):
+        # total_ordering derives <=, > and >= from < and ==, so < must be strict
+        mode = Mode(A, 1, "+")
+        assert not mode < mode and mode <= mode and not mode > mode
+        assert Mode(A, 1) < mode < Mode(A, 1, "-") < Mode(B, 0)
+
+    def test_mode_rejects_an_unknown_arm_or_polarization(self):
+        with pytest.raises(ValueError, match="unknown arm 'C', expected one of"):
+            Mode("C", 0)
+        with pytest.raises(ValueError, match="unknown polarization 'D'"):
+            Mode(A, 0, "D")
 
     @pytest.mark.parametrize("path", [True, False, 1.0, -1, "1"])
     def test_mode_rejects_a_bool_or_non_integer_path(self, path):
