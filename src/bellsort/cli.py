@@ -170,8 +170,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     rows = []
     for outcome, p in dist.items():
         freq = counts.get(outcome, 0) / args.shots
-        sigma = math.sqrt(p * (1.0 - p) / args.shots) if 0.0 < p < 1.0 else float("inf")
-        z = (freq - p) / sigma if sigma > 0 else 0.0
+        sigma = math.sqrt(p * (1.0 - p) / args.shots) if p < 1.0 else float("inf")
+        z = (freq - p) / sigma  # a distribution holds only p > 0, so sigma > 0
         rows.append((outcome, p, freq, z))
 
     if args.format == "json":

@@ -133,14 +133,17 @@ def _partition(
 
     ``labels`` is ``outcome_labels`` of the output basis under ``model``;
     callers check ``policy``, and ``GroupTable`` rejects a repeated label.
-    Groups are numbered by their first member in input order; members keep
-    input order. One ``np.minimum.at`` over the M² outcome slots finds each
-    outcome's owner, the first state to have it; union-find joins states to
-    owners, in Python only over the distinct links (72 for the 128 fig1
-    states at d = 32, against 4,224 ids). A group's support is the outcomes
-    its members own, labelled by one index into ``labels``. Under the
-    threshold model the id i * (M + 1) is the single click i, which no
-    usable ``loss_conservative`` group holds.
+    Groups are the connected components of states sharing ids, numbered by
+    first member, with members in input order, and found by min-label
+    hooking with pointer jumping (Shiloach & Vishkin 1982). Each state
+    starts as its own root. Each round, one ``np.minimum.at`` gives each
+    outcome its states' least root, a second lowers the root of state r to
+    that of any outcome of a state rooted at r, and each state then takes
+    its root's root. Roots only fall and stay state indices, so the rounds
+    end; at the first that changes none, each is its group's least index.
+    A group's support, the outcomes its members own, is labelled by one
+    index into ``labels``. Under the threshold model, id i * (M + 1) is the
+    single click i, which no usable ``loss_conservative`` group holds.
     """
     if not supports:
         raise ValueError("no states to classify")
@@ -149,38 +152,27 @@ def _partition(
 
     ids = np.concatenate([state_ids for _, state_ids in supports])
     state_of = np.repeat(np.arange(count), [len(state_ids) for _, state_ids in supports])
-    first = np.full(len(labels), count)
-    np.minimum.at(first, ids, state_of)
-    owner_of = first[ids]
-    # distinct links by a stable sort, whose code the argsort below shares: the first
-    # call of np.unique adds about 1.9 MB of memory, and of the default sort 0.3 MB
-    links = np.sort((state_of * count + owner_of)[owner_of != state_of], kind="stable")
-    parent = list(range(count))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for link in [*links[:1].tolist(), *links[1:][links[1:] != links[:-1]].tolist()]:
-        pair = find(link // count), find(link % count)
-        parent[max(pair)] = min(pair)  # a root stays its group's smallest member index
-
-    roots = [find(i) for i in range(count)]
+    roots, least = None, np.arange(count)
+    while not np.array_equal(least, roots):  # until a round changes no root
+        roots, first = least, np.full(len(labels), count)
+        id_roots = roots[state_of]
+        np.minimum.at(first, ids, id_roots)
+        least = roots.copy()
+        np.minimum.at(least, id_roots, first[ids])
+        least = least[least]
     members: dict[int, list[int]] = {}  # a root is its group's first index, so keys come in root order
-    for i, root in enumerate(roots):
+    for i, root in enumerate(roots.tolist()):
         members.setdefault(root, []).append(i)
     outcomes = np.flatnonzero(first < count)
-    owner_roots = np.array(roots)[first[outcomes]]
+    owner_roots = first[outcomes]
     grouped = outcomes[np.argsort(owner_roots, kind="stable")]
     grouped_labels = labels[grouped].tolist()
     quarantine = policy == POLICY_LOSS_CONSERVATIVE and model == MODEL_THRESHOLD
     single = (grouped % (math.isqrt(len(labels)) + 1) == 0).tolist() if quarantine else []
     ends = np.cumsum(np.bincount(owner_roots, minlength=count)[list(members)]).tolist()
     groups = []
-    for index, (group, start, end) in enumerate(zip(members.values(), [0, *ends], ends), start=1):
-        members_of = tuple([names[i] for i in group])  # see usable_groups
+    for index, (indices, start, end) in enumerate(zip(members.values(), [0, *ends], ends), start=1):
+        members_of = tuple([names[i] for i in indices])  # see usable_groups
         groups.append(StateGroup(index, members_of, frozenset(grouped_labels[start:end]), any(single[start:end])))
     return GroupTable(setup, model, policy, tuple(groups))
 

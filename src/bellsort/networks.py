@@ -196,10 +196,10 @@ def _evolved(
 ) -> TwoPhotonState:
     """``state`` evolved from its gathered ``keys`` and ``terms``: the sum, check, prune and build of :func:`evolve`."""
     size = len(network.in_modes)
-    keys, bins = keys.ravel(), size * size + 1
-    sums = np.bincount(keys, terms.real.ravel(), bins)
+    keys = keys.ravel()
+    sums = np.bincount(keys, terms.real.ravel())
     if terms.dtype.kind == "c":
-        sums = sums + 1j * np.bincount(keys, terms.imag.ravel(), bins)
+        sums = sums + 1j * np.bincount(keys, terms.imag.ravel())
     diagonal = sums[:: size + 1]  # psi(m, m); the last bin, weight 0 terms only, is off it
     _check_norm(math.sqrt(2 * np.vdot(sums, sums).real - np.vdot(diagonal, diagonal).real))
     ids = (np.abs(sums) >= AMP_PRUNE).nonzero()[0]
@@ -217,18 +217,18 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
     (:class:`~bellsort.states.PairTerms`) and formed as
     (U[o1, i1] psi) U[o2, i2], the rounding of the product's left factor
     first, and one ``bincount`` per real or imaginary part sums the terms
-    per output pair over M² + 1 bins. tests/test_exact_real.py checks these
-    bits against the complex product for every state and network the CLI
-    evolves. For a state of S stored pairs through M modes this takes
-    O(S·w) time for the terms, where w = 2 k² and k is the most nonzeros in
-    a column of U, plus one pass over the bins; the table takes O(M²·w)
-    memory per network, built on the first call. A dense network is
-    therefore costly, and only tests evolve through one, at 16 modes or
-    fewer. Raises ValueError unless ``state.basis == network.in_modes``;
-    ``network.out_modes`` may be in any order. Norm is preserved (checked
-    within 1e-9 over every output amplitude, so a NaN fails it), amplitudes
-    below 1e-12 are pruned, and the result is complex if the state or the
-    network is.
+    per output pair over M² + 1 bins: every row has a dead slot, key M * M.
+    tests/test_exact_real.py checks these bits against the complex product
+    for every state and network the CLI evolves. For a state of S stored
+    pairs through M modes this takes O(S·w) time for the terms, where
+    w = 2 k² and k is the most nonzeros in a column of U, plus one pass over
+    the bins; the table takes O(M²·w) memory per network, built on the first
+    call. A dense network is therefore costly, and only tests evolve through
+    one, at 16 modes or fewer. Raises ValueError unless
+    ``state.basis == network.in_modes``; ``network.out_modes`` may be in any
+    order. Norm is preserved (checked within 1e-9 over every output
+    amplitude, so a NaN fails it), amplitudes below 1e-12 are pruned, and
+    the result is complex if the state or the network is.
     """
     if state.basis != network.in_modes:
         raise ValueError("the state is not stored in the network's input basis")

@@ -82,6 +82,19 @@ def test_usage_errors_do_no_work(argv, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "omitted,given",
+    [
+        (["tables"], ["--setup", "fig1", "--model", "pnrd", "--policy", "strict", "--format", "text", "--dim", "4"]),
+        (["sample", "--state", "1,0,0"], ["--setup", "fig1", "--dim", "4", "--shots", "100000", "--seed", "0"]),
+        (["sdc"], ["--setup", "fig1", "--model", "pnrd", "--policy", "strict", "--shots", "1000", "--seed", "0"]),
+    ],
+    ids=["tables", "sample", "sdc"],
+)
+def test_omitted_flags_take_their_documented_defaults(omitted, given, capsys):
+    assert run_cli(capsys, *omitted) == run_cli(capsys, *omitted, *given)
+
+
 class TestTables:
     def test_fig1_text(self, capsys):
         code, out = run_cli(capsys, "tables", "--setup", "fig1")
@@ -229,6 +242,15 @@ class TestVerify:
         assert code == 1
         assert "capacity fig1 pnrd/strict: 2.807 bits (log2(1), quoted 2.81) MISMATCH" in out
 
+    def test_a_quote_past_the_slack_is_a_mismatch(self, capsys, tmp_path):
+        # 2.807 lies 0.023 from 2.83, past the 0.01 slack of a two-decimal quote
+        copy_references(tmp_path)
+        path = tmp_path / "capacities.json"
+        path.write_text(path.read_text().replace('"2.81"', '"2.83"'))
+        code, out = run_cli(capsys, "verify", "--references", str(tmp_path))
+        assert code == 1
+        assert "capacity fig1 pnrd/strict: 2.807 bits (log2(7), quoted 2.83) MISMATCH" in out
+
     def test_a_file_that_is_not_json_is_reported_as_such(self, tmp_path):
         # the shape check rejects it too, with a message that hides the parse error
         copy_references(tmp_path)
@@ -286,6 +308,20 @@ class TestSample:
         payload = json.loads(out)
         assert payload["meta"]["rng"] == "PCG64"
         assert sum(payload["counts"].values()) == 10
+
+    def test_json_frequencies_are_the_counts_over_shots(self, capsys):
+        # one shot: the outcomes not drawn have frequency 0
+        _, out = run_cli(capsys, "sample", "--state", "1,0,0", "--format", "json", "--shots", "1")
+        payload = json.loads(out)
+        assert sorted(payload["counts"].values()) == [0, 0, 0, 1]
+        assert payload["frequencies"] == {o: float(c) for o, c in payload["counts"].items()}
+
+    def test_a_certain_outcome_has_z_zero(self, capsys, monkeypatch):
+        # no state the CLI samples has an outcome of probability 1 (0.5 is the most),
+        # so one is patched in: its spread is 0, and its z is 0, not a division by zero
+        monkeypatch.setattr(cli, "outcome_distribution", lambda state, model: {"A0 B0": 1.0})
+        _, out = run_cli(capsys, "sample", "--state", "1,0,0", "--format", "json", "--shots", "10")
+        assert json.loads(out)["z_scores"] == {"A0 B0": 0.0}
 
     def test_zero_shots_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -7,6 +7,7 @@ reports a failure. This is mutation testing in
 miniature (DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978).
 """
 
+import inspect
 import json
 import math
 import re
@@ -283,36 +284,24 @@ def test_closed_forms_catch_a_sign_that_ignores_m(monkeypatch):
     assert closed_form_mismatches() == []
 
 
-def test_pairwise_search_catches_a_partition_that_drops_each_states_last_link(monkeypatch):
-    # _partition joins states along their distinct links, sorted by state then
-    # owner as the codes state * count + owner; the mutated sort drops each
-    # state's last distinct one, so a state linked to one owner stays apart
-    partition, count = grouping._partition, []
-
-    def counted(supports, *args):
-        count[:] = [len(supports)]
-        return partition(supports, *args)
-
-    def dropping_sort(links, kind):
-        links = np.sort(links, kind=kind)
-        distinct = links[np.diff(links, prepend=-1) != 0]
-        states = distinct // count[0]
-        return distinct[:-1][states[1:] == states[:-1]]
-
-    class Numpy:
-        sort = staticmethod(dropping_sort)
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
+def test_pairwise_search_catches_a_partition_that_never_passes_roots_down(monkeypatch):
+    # _partition's rounds give each outcome its states' least root; the
+    # mutant gives it their least index in every round, so roots pass only
+    # through an outcome's first state, and its slot ends as that state's
+    # index rather than its group's root
+    passed_down = "np.minimum.at(first, ids, id_roots)"
+    source = inspect.getsource(grouping._partition)
+    assert source.count(passed_down) == 1
+    namespace = {}
+    exec(source.replace(passed_down, "np.minimum.at(first, ids, state_of)"), vars(grouping), namespace)
     with monkeypatch.context() as patch:
-        patch.setattr(grouping, "_partition", counted)
-        patch.setattr(grouping, "np", Numpy())
+        patch.setattr(grouping, "_partition", namespace["_partition"])
         mismatches = {model: pairwise_search_mismatches(model) for model in ("pnrd", "threshold")}
-    # 37 of the 40 random cases, each with its ids in every container
+    # 37 of the 40 random cases and the chain, each with its ids in every container
     for found in mismatches.values():
         cases = sorted({case for case, _ in found})
-        assert len(cases) == 37 and found == [(case, name) for case in cases for name in ID_CONTAINERS]
+        assert len(cases) == 38 and cases[-1] == 40
+        assert found == [(case, name) for case in cases for name in ID_CONTAINERS]
     assert [pairwise_search_mismatches(model) for model in ("pnrd", "threshold")] == [[], []]
 
 

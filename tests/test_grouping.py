@@ -273,26 +273,33 @@ ID_CONTAINERS = {
 
 
 def pairwise_search_mismatches(model):
-    """The random cases, as (case, container), where _partition differs from a pairwise search.
+    """The cases, as (case, container), where _partition differs from a pairwise search.
 
     Forty seeded random families over the outcomes of 16 modes, each with
-    ids in random order and partitioned with the ids as a list, an int32
-    array and an intp array. The search reads the same ids as Python ints,
-    and flags the quarantine by its own rule: a label with no space is a
-    single click.
+    ids in random order, then (case 40) a chain of 100 states, each sharing
+    one outcome with the next, with ids in decreasing order: one group,
+    which takes the partition 8 rounds, more than any random family (1-5).
+    Each is partitioned with the ids as a list, an int32 array and an intp
+    array. The search reads the same ids as Python ints, and flags the
+    quarantine by its own rule: a label with no space is a single click.
     """
     basis = path_modes(8)
     size = len(basis)
     upper = np.array([i * size + k for i in range(size) for k in range(i, size)])
     table = outcome_labels(basis, model)
     rng = np.random.default_rng(9)
-    mismatches = []
-    for case in range(40):
+    families = []
+    for _ in range(40):
         pool = rng.choice(upper, size=rng.integers(4, len(upper)), replace=False)
         labelled = []
         for s in range(rng.integers(1, 40)):
             ids = rng.choice(pool, size=rng.integers(1, 6), replace=False)
             labelled.append((f"s{s}", ids.tolist()))
+        families.append(labelled)
+    chain = upper[100::-1].tolist()
+    families.append([(f"c{s}", chain[s : s + 2]) for s in range(100)])
+    mismatches = []
+    for case, labelled in enumerate(families):
         expected = pairwise_partition(labelled, table)
         quarantined = [model == "threshold" and any(" " not in o for o in support) for _, support in expected]
         for name, container in ID_CONTAINERS.items():

@@ -1,6 +1,7 @@
 """Tests for the Bell family, the hyperentangled states, and the encoders."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from bellsort import (
     make_hyper_state,
 )
 from bellsort.modes import POL_DIAGONAL, POL_LINEAR, Mode, ModeBasis, canonical_pair, path_modes, polarized_modes
-from bellsort.states import NORM_TOL
+from bellsort.states import AMP_PRUNE, NORM_TOL, UNITARY_TOL
 from conftest import approx_equal, encoding_unitary, from_kets, oracle_evolve, oracle_inner, oracle_norm
 
 A, B = "A", "B"
@@ -84,6 +85,10 @@ class TestBellConstruction:
             make_bell_state(2, BellIndex(0, 0, 1))
         with pytest.raises(ValueError, match="n and m must be bits, got n=2, m=0"):
             BellIndex(0, 2, 0)
+        with pytest.raises(ValueError, match="j must be nonnegative, got -1"):
+            BellIndex(-1, 0, 0)
+        with pytest.raises(ValueError, match="pairing index j=4 out of range for dimension 4"):
+            make_hyper_state(BellIndex(4, 0, 0))
         with pytest.raises(ValueError, match="integer power of two >= 2 for the XOR pairing, got 3"):
             make_bell_state(3, BellIndex(0, 0, 0))
 
@@ -188,6 +193,22 @@ class TestEncoding:
             mat = encoding_unitary(4, idx).matrix
             assert np.max(np.abs(mat @ mat.conj().T - np.eye(4))) < 1e-12
 
+    @pytest.mark.parametrize("out_dim,shape", [(1, (2, 4)), (2, (3, 3))])
+    def test_a_matrix_of_another_shape_is_rejected(self, out_dim, shape):
+        # a non-square matrix for unequal bases, or a square one of the wrong size
+        out_modes = path_modes(out_dim)
+        message = f"matrix shape {shape} does not match mode counts ({len(out_modes)}, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SinglePhotonUnitary(path_modes(2), out_modes, np.zeros(shape))
+
+    def test_unitarity_is_checked_at_its_tolerance(self):
+        # the identity scaled by 1 + e has the defect (1 + e)**2 - 1, about 2e
+        SinglePhotonUnitary(path_modes(2), path_modes(2), np.eye(4) * (1 + UNITARY_TOL / 4))
+        # [[1, 0], [t, 1]] times its transpose is [[1, t], [t, 1]] in floats: the defect is t itself
+        SinglePhotonUnitary(path_modes(1), path_modes(1), [[1.0, 0.0], [UNITARY_TOL, 1.0]])
+        with pytest.raises(ValueError, match=r"not unitary \(max defect 2\.0"):
+            SinglePhotonUnitary(path_modes(2), path_modes(2), np.eye(4) * (1 + UNITARY_TOL))
+
     def test_nan_entry_fails_the_unitarity_check(self):
         # a NaN defect compares False against the tolerance either way round
         mat = np.eye(4)
@@ -288,6 +309,12 @@ class TestEncoding:
             encode(ref, indices)
         assert built == []
 
+    def test_encode_keeps_an_amplitude_at_the_prune_threshold(self):
+        # as in the constructors, only |psi| below AMP_PRUNE is dropped
+        amps = {(Mode(A, 0), Mode(B, 0)): HALF, (Mode(A, 1), Mode(B, 1)): HALF, (Mode(A, 2), Mode(B, 2)): AMP_PRUNE}
+        (encoded,) = encode(TwoPhotonState.from_amplitudes(4, amps), [BellIndex(1, 0, 0)])
+        assert sorted(encoded.vals.tolist()) == [AMP_PRUNE, HALF, HALF]
+
     def test_encode_of_no_messages_is_empty(self):
         assert encode(make_bell_state(4, BellIndex(0, 0, 0)), []) == []
 
@@ -304,7 +331,8 @@ class TestEncoding:
         moved = TwoPhotonState(4, shuffled, ids[order], ref.vals[order])
         assert approx_equal(moved, ref, up_to_phase=False)
         two_paths = TwoPhotonState(4, path_modes(2), [2, 7], [HALF, HALF])
-        for state in (moved, two_paths):
+        one_mode = TwoPhotonState(2, ModeBasis([Mode(A, 0)]), [0], [1.0])  # a bunched pair in a basis of one mode
+        for state in (moved, two_paths, one_mode):
             with pytest.raises(ValueError, match="canonical mode space"):
                 encode(state, [BellIndex(1, 0, 0)])
 
@@ -360,6 +388,13 @@ class TestStateRepresentation:
         }
         state = TwoPhotonState.from_amplitudes(4, amps)
         assert len(state.amps) == 2
+        # the threshold itself is kept: only |psi| below it is dropped
+        state = TwoPhotonState.from_amplitudes(4, {**amps, (Mode(A, 2), Mode(B, 2)): AMP_PRUNE})
+        assert len(state.amps) == 3
+
+    def test_duplicate_pairs_rejected(self):
+        with pytest.raises(ValueError, match=r"duplicate amplitude for pair \(A0, B1\)"):
+            TwoPhotonState.from_amplitudes(4, {(Mode(A, 0), Mode(B, 1)): HALF, (Mode(B, 1), Mode(A, 0)): HALF})
 
     def test_keys_canonicalized(self):
         state = TwoPhotonState.from_amplitudes(4, {(Mode(B, 1), Mode(A, 0)): INV_SQRT2})
@@ -472,6 +507,8 @@ class TestStateRepresentation:
         assert BellIndex.parse("2,1,0") == idx
         with pytest.raises(ValueError, match="expected 'j,n,m', got '2,1'"):
             BellIndex.parse("2,1")
+        with pytest.raises(ValueError, match="expected integers in 'j,n,m', got '2,x,0'"):
+            BellIndex.parse("2,x,0")
 
     @pytest.mark.parametrize(
         "jnm", [(0, True, 0), (0, 0, False), (True, 0, 0), (0, 1.0, 0), (1.0, 0, 0), (0, 0, np.int64(1))]
