@@ -150,7 +150,7 @@ def _partition(
     names = [name for name, _ in supports]
     count = len(names)
 
-    ids = np.concatenate([state_ids for _, state_ids in supports])
+    ids = np.concatenate([state_ids for _, state_ids in supports]).astype(np.intp, copy=False)  # [] is float64
     state_of = np.repeat(np.arange(count), [len(state_ids) for _, state_ids in supports])
     roots, least = None, np.arange(count)
     while not np.array_equal(least, roots):  # until a round changes no root

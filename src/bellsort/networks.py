@@ -85,12 +85,12 @@ class NetworkSpec:
 
     @cached_property
     def unitary(self) -> SinglePhotonUnitary:
-        """The stage matrices multiplied in stage order, checked once as one unitary."""
+        """The stages' product in stage order by ``np.einsum``, checked once; a lone stage's own object, uncopied."""
         first, last = self.stages[0].unitary, self.stages[-1].unitary
         product = first.matrix
         for stage in self.stages[1:]:
-            product = stage.unitary.matrix @ product
-        return SinglePhotonUnitary(first.in_modes, last.out_modes, product)
+            product = np.einsum("ik,kj->ij", stage.unitary.matrix, product)
+        return first if len(self.stages) == 1 else SinglePhotonUnitary(first.in_modes, last.out_modes, product)
 
 
 def _stage(

@@ -332,6 +332,8 @@ class SinglePhotonUnitary:
     construction within 1e-10; the matrix is a read-only copy, complex128
     if given complex and float64 otherwise. Equality and hashing are by
     identity, as for :class:`TwoPhotonState`; compare matrices with numpy.
+    U U^dagger is formed by ``np.einsum``, numpy's own loops, never BLAS: the
+    first GEMM of a process costs more memory than these sparse products.
     """
 
     in_modes: ModeBasis
@@ -348,7 +350,9 @@ class SinglePhotonUnitary:
             raise ValueError(f"matrix shape {mat.shape} does not match mode counts ({n_out}, {n_in})")
         if not np.isfinite(mat).all():  # before the product, which would warn on inf
             raise ValueError("matrix is not unitary (non-finite entries)")
-        defect = np.max(np.abs(mat @ mat.conj().T - np.eye(n_in)))
+        gram = np.einsum("ik,jk->ij", mat, mat.conj())
+        gram.flat[:: n_in + 1] -= 1
+        defect = np.max(np.abs(gram))
         if not defect <= UNITARY_TOL:  # a NaN defect fails too
             raise ValueError(f"matrix is not unitary (max defect {defect:.3e})")
         mat.flags.writeable = False
@@ -364,13 +368,14 @@ class SinglePhotonUnitary:
         outs, weights = order.T.astype(np.int32), np.take_along_axis(mat, order, 0).T
         i, j = np.triu_indices(size)
         shape = (len(i), 2, k, k)
-        keys, first, second = np.empty(shape, np.int32), np.empty(shape, mat.dtype), np.empty(shape, mat.dtype)
+        keys, (first, second) = np.full(shape, size * size, np.int32), np.zeros((2, *shape), mat.dtype)  # slots empty
         for o, (a, b, stored) in enumerate(((i, j, i <= j), (j, i, i < j))):  # psi(i, i) is stored once
             p, q = outs[a][:, :, None], outs[b][:, None, :]
             w1, w2 = weights[a][:, :, None], weights[b][:, None, :]
             live = (w1 != 0) & (w2 != 0) & (p <= q) & stored[:, None, None]
-            keys[:, o] = np.where(live, p * size + q, size * size)
-            first[:, o], second[:, o] = np.where(live, w1, 0), np.where(live, w2, 0)
+            np.add(p * size, q, out=keys[:, o], where=live)
+            np.copyto(first[:, o], w1, where=live)
+            np.copyto(second[:, o], w2, where=live)
         row_of = np.zeros(size * size, dtype=np.int32)
         row_of[i * size + j] = np.arange(len(i))
         return PairTerms(*_frozen(row_of, *(array.reshape(len(i), -1) for array in (keys, first, second))))

@@ -222,3 +222,29 @@ def random_unitary(modes: tuple, rng: np.random.Generator) -> SinglePhotonUnitar
     q, r = np.linalg.qr(raw)
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
     return SinglePhotonUnitary(tuple(modes), tuple(modes), q)
+
+
+def where_pair_terms(network: SinglePhotonUnitary) -> tuple[np.ndarray, ...]:
+    """``network.pair_terms`` built with full-size ``np.where`` copies: (row_of, keys, first, second).
+
+    The reference for the library's in-place build, which prefills every
+    slot as empty (key M * M, weights 0) and writes the live ones; this one
+    writes every slot of each orientation from ``np.where``.
+    """
+    mat, size = network.matrix, len(network.in_modes)
+    nonzero = mat != 0
+    k = nonzero.sum(axis=0).max()
+    order = np.argsort(~nonzero, axis=0, kind="stable")[:k]
+    outs, weights = order.T.astype(np.int32), np.take_along_axis(mat, order, 0).T
+    i, j = np.triu_indices(size)
+    shape = (len(i), 2, k, k)
+    keys, first, second = np.empty(shape, np.int32), np.empty(shape, mat.dtype), np.empty(shape, mat.dtype)
+    for o, (a, b, stored) in enumerate(((i, j, i <= j), (j, i, i < j))):
+        p, q = outs[a][:, :, None], outs[b][:, None, :]
+        w1, w2 = weights[a][:, :, None], weights[b][:, None, :]
+        live = (w1 != 0) & (w2 != 0) & (p <= q) & stored[:, None, None]
+        keys[:, o] = np.where(live, p * size + q, size * size)
+        first[:, o], second[:, o] = np.where(live, w1, 0), np.where(live, w2, 0)
+    row_of = np.zeros(size * size, dtype=np.int32)
+    row_of[i * size + j] = np.arange(len(i))
+    return (row_of, *(array.reshape(len(i), -1) for array in (keys, first, second)))

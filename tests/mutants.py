@@ -56,6 +56,7 @@ BOOLEAN = {ast.And: ast.Or, ast.Or: ast.And}
 
 class Mutant(NamedTuple):
     line: int
+    col: int  # 1-based UTF-8 byte column of the replaced span, so two sites on one line differ
     start: int  # byte offsets of the replaced span in the file's UTF-8 source
     end: int
     kind: str
@@ -85,7 +86,7 @@ def mutants(source: str) -> list[Mutant]:
     def site(node: ast.AST, kind: str, replacement: str) -> Mutant:
         start = line_starts[node.lineno - 1] + node.col_offset
         end = line_starts[node.end_lineno - 1] + node.end_col_offset
-        return Mutant(node.lineno, start, end, kind, replacement)
+        return Mutant(node.lineno, node.col_offset + 1, start, end, kind, replacement)
 
     skipped = {id(n) for root in unexecuted(tree) for n in ast.walk(root)}
     found = []
@@ -117,7 +118,7 @@ def mutants(source: str) -> list[Mutant]:
 
 def describe(relative: Path, source: str, mutant: Mutant) -> str:
     before = source.encode()[mutant.start:mutant.end].decode()
-    return f"{relative}:{mutant.line} {mutant.kind}: {before!r} -> {mutant.replacement!r}"
+    return f"{relative}:{mutant.line}:{mutant.col} {mutant.kind}: {before!r} -> {mutant.replacement!r}"
 
 
 def apply(source: str, mutant: Mutant) -> str:

@@ -278,7 +278,9 @@ def pairwise_search_mismatches(model):
     Forty seeded random families over the outcomes of 16 modes, each with
     ids in random order, then (case 40) a chain of 100 states, each sharing
     one outcome with the next, with ids in decreasing order: one group,
-    which takes the partition 8 rounds, more than any random family (1-5).
+    which takes the partition 8 rounds, more than any random family (1-5),
+    and (case 41) an empty state before and after one outcome, each empty
+    state its own group: an empty list of ids is float64 in numpy.
     Each is partitioned with the ids as a list, an int32 array and an intp
     array. The search reads the same ids as Python ints, and flags the
     quarantine by its own rule: a label with no space is a single click.
@@ -298,6 +300,7 @@ def pairwise_search_mismatches(model):
         families.append(labelled)
     chain = upper[100::-1].tolist()
     families.append([(f"c{s}", chain[s : s + 2]) for s in range(100)])
+    families.append([("e0", []), ("e1", chain[:1]), ("e2", [])])
     mismatches = []
     for case, labelled in enumerate(families):
         expected = pairwise_partition(labelled, table)
