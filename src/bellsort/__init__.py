@@ -16,14 +16,13 @@ log2 11.
 
 from .states import (
     BellIndex,
-    SinglePhotonUnitary,
     TwoPhotonState,
     all_bell_indices,
     encode,
     make_bell_state,
     make_hyper_state,
 )
-from .networks import NetworkSpec, evolve, evolve_all, network_for_setup
+from .networks import NetworkSpec, SinglePhotonUnitary, evolve, evolve_all, network_for_setup
 from .detection import outcome_distribution, sample
 from .grouping import GroupTable, StateGroup, channel_capacity, classify
 from .dense_coding import SdcConfig, SdcReport, run_sdc

@@ -33,7 +33,7 @@ from .detection import (
     MODEL_THRESHOLD,
     MODELS,
     RNG_ALGORITHM,
-    _check_shots_and_seed,
+    check_shots_and_seed,
     outcome_distribution,
     sample,
 )
@@ -46,9 +46,7 @@ from .grouping import (
     compute_table,
 )
 from .dense_coding import SdcConfig, run_sdc
-from .networks import (
-    SETUP_FIG1, SETUP_FIG2, SETUPS, _require_fig2_dim, evolve, labelled_states, network_for_setup, prepared_state,
-)
+from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, evolve, labelled_states, network_for_setup, prepared_state
 from .references import load_reference_tables, diff_against_reference
 from .states import BellIndex
 
@@ -206,13 +204,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_sdc(args: argparse.Namespace) -> int:
-    config = SdcConfig(
-        setup=args.setup,
-        model=args.model,
-        policy=args.policy,
-        seed=args.seed,
-        shots=args.shots,
-    )
+    config = args.config  # built and checked by main
     report = run_sdc(config)
     if args.format == "json":
         payload = {"meta": _meta(rng=RNG_ALGORITHM), "report": report.to_dict()}
@@ -303,10 +295,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.policy = args.policy.replace("-", "_")
     # the library's input checks, before any work; a fault inside args.func keeps its traceback
     try:
-        if args.command in ("sample", "sdc"):
-            _check_shots_and_seed(args.shots, args.seed)
-        if getattr(args, "setup", None) == SETUP_FIG2:
-            _require_fig2_dim(getattr(args, "dim", 4))
+        if args.command == "sample":
+            check_shots_and_seed(args.shots, args.seed)
+        if args.command == "sdc":
+            args.config = SdcConfig(args.setup, args.model, args.policy, args.seed, args.shots)  # in field order
+        if hasattr(args, "dim"):  # the network rejects a dimension its setup does not take
+            network_for_setup(args.setup, args.dim)
         if args.command == "sample":
             args.state = BellIndex.parse(args.state)
             args.state.validate_for(args.dim)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .detection import MODEL_PNRD, MODELS, _check_shots_and_seed, outcome_distribution, outcome_labels, sample
-from .grouping import GroupTable, POLICIES, POLICY_STRICT, _partition, channel_capacity
+from .detection import MODEL_PNRD, MODELS, check_shots_and_seed, outcome_distribution, outcome_labels, sample
+from .grouping import GroupTable, POLICIES, POLICY_STRICT, channel_capacity, partition
 from .networks import SETUP_FIG1, SETUPS, evolve_all, network_for_setup, prepared_state
 from .states import BellIndex, all_bell_indices, encode
 
@@ -37,7 +37,7 @@ class SdcConfig:
             raise ValueError(f"unknown detector model {self.model!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        _check_shots_and_seed(self.shots, self.seed)
+        check_shots_and_seed(self.shots, self.seed)
         # numpy integers pass the check but not json.dumps of the report
         object.__setattr__(self, "shots", int(self.shots))
         object.__setattr__(self, "seed", int(self.seed))
@@ -90,7 +90,7 @@ def run_sdc(config: SdcConfig) -> SdcReport:
     labels = [idx.label for idx in indices]
     supports = [(label, state.ids) for label, state in zip(labels, evolved)]
     id_labels = outcome_labels(unitary.out_modes, config.model)
-    table = _partition(supports, id_labels, config.setup, config.model, config.policy)
+    table = partition(supports, id_labels, config.setup, config.model, config.policy)
     decoder = table.decoder()
     own_groups = {label: g.index for g in table.groups for label in g.members}
 

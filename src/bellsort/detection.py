@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from .modes import ModeBasis, POL_LINEAR, canonical_pair
-from .states import NORM_TOL, TwoPhotonState, _pair_weights
+from .states import NORM_TOL, TwoPhotonState, pair_weights
 
 MODEL_PNRD = "pnrd"
 MODEL_THRESHOLD = "threshold"
@@ -82,12 +82,12 @@ def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> dict
     reproducible to the last bit, and only then keyed by label and sorted.
     """
     labels = outcome_labels(state.basis, model)
-    weights = _pair_weights(state.ids, len(state.basis)) * np.abs(state.vals) ** 2
+    weights = pair_weights(state.ids, len(state.basis)) * np.abs(state.vals) ** 2
     total = sum(weights.tolist())  # the squared norm
     return dict(sorted(zip(labels[state.ids].tolist(), (weights / total).tolist())))
 
 
-def _check_shots_and_seed(shots: int, seed: int) -> None:
+def check_shots_and_seed(shots: int, seed: int) -> None:
     """Raise unless ``shots`` is an integer in [1, MAX_SHOTS] and ``seed`` an integer >= 0.
 
     A bool is an int but no count, and a float would be truncated by the
@@ -108,7 +108,7 @@ def sample(probs: Mapping[str, float], shots: int, seed: int) -> Counter[str]:
     order, its values normalised by their sum. The values must be finite,
     >= 0 and sum to 1 within ``NORM_TOL``, so a map of counts is rejected.
     """
-    _check_shots_and_seed(shots, seed)
+    check_shots_and_seed(shots, seed)
     pvals = np.fromiter(probs.values(), dtype=float, count=len(probs))
     # a negative value gives NaN, so inf - inf is never summed; an empty map sums to 0,
     # and a NaN or an infinity makes the sum NaN or infinite

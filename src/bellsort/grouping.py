@@ -6,9 +6,9 @@ groups are the connected components of the confusability graph (states as
 vertices, edges where supports intersect). The channel capacity of the
 resulting superdense-coding scheme is log2 of the number of usable groups.
 
-One function partitions outcome ids (see :mod:`bellsort.detection`):
-:func:`classify` reads them from each evolved state and builds no
-distribution; ``run_sdc`` reads them from the distributions it samples.
+One function, :func:`partition`, groups outcome ids (see
+:mod:`bellsort.detection`); :func:`classify` and ``run_sdc`` read them from
+each evolved state, not from a distribution.
 
 Policies: ``strict`` counts every group. ``loss_conservative`` models
 threshold (non-number-resolving) detectors that cannot certify two-photon
@@ -118,7 +118,7 @@ def classify(
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     supports = [(label, evolve(state, unitary).ids) for label, state in states]
-    return _partition(supports, labels, network.setup, model, policy)
+    return partition(supports, labels, network.setup, model, policy)
 
 
 def compute_table(setup: str, dim: int, model: str, policy: str) -> GroupTable:
@@ -126,7 +126,7 @@ def compute_table(setup: str, dim: int, model: str, policy: str) -> GroupTable:
     return classify(labelled_states(setup, dim), network_for_setup(setup, dim), model, policy)
 
 
-def _partition(
+def partition(
     supports: Sequence[tuple[str, Sequence[int] | np.ndarray]], labels: np.ndarray, setup: str, model: str, policy: str
 ) -> GroupTable:
     """Group labelled outcome ids, a list or an integer array per state in any order, by shared ids.

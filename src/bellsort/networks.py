@@ -1,4 +1,4 @@
-"""The two measurement interferometers and bosonic two-photon evolution.
+"""Linear-optical elements, the two measurement interferometers, and bosonic two-photon evolution.
 
 Setup ``fig1`` is the bare two-photon interference measurement: one 50:50
 beam splitter per path couples the two arms, acting as the Hadamard
@@ -32,23 +32,26 @@ to its (output mode, weight) images, and one helper fills the stage matrix
 from that rule. :func:`prepared_state` and :func:`labelled_states` prepare
 the Bell family as each setup takes it: with the polarization ancilla for fig2.
 
-:func:`evolve` moves a state through a network and states the evolution
-contract; :func:`evolve_all` moves a family to the same bits.
+:class:`SinglePhotonUnitary` is an element or a whole network as a
+single-photon mode map, and caches its :class:`PairTerms` table.
+:func:`evolve` moves a state through one and is the one statement of the
+evolution contract: the sandwich, the table's slots and dead key, and the
+sum. :func:`evolve_all` moves a family to the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .modes import ARMS, Mode, ModeBasis, POL_DIAGONAL, POL_LINEAR, path_modes, polarized_modes
+from .modes import ARMS, Mode, ModeBasis, POL_DIAGONAL, POL_LINEAR, as_basis, path_modes, polarized_modes, positions
 from .states import (
-    AMP_PRUNE, BellIndex, PairTerms, SinglePhotonUnitary, TwoPhotonState, _check_norm, _positions,
-    all_bell_indices, make_bell_state, make_hyper_state,
+    AMP_PRUNE, UNITARY_TOL, BellIndex, TwoPhotonState, all_bell_indices, check_norm, float_or_complex, frozen,
+    make_bell_state, make_hyper_state,
 )
 
 SETUP_FIG1 = "fig1"
@@ -101,7 +104,7 @@ def _stage(
     ``images(m)`` gives the (output mode, weight) pairs of m; every other
     entry of m's column is zero.
     """
-    rows = _positions(modes_out)
+    rows = positions(modes_out)
     mat = np.zeros((len(modes_out), len(modes_in)))
     for i, mode in enumerate(modes_in):
         for out, weight in images(mode):
@@ -184,6 +187,74 @@ def labelled_states(setup: str, dim: int) -> list[tuple[str, TwoPhotonState]]:
     return [(idx.label, prepared_state(setup, dim, idx)) for idx in all_bell_indices(dim)]
 
 
+class PairTerms(NamedTuple):
+    """The pair-term table of a unitary, one row per stored input pair, laid out as :func:`evolve` states."""
+
+    row_of: np.ndarray  # (M * M,) int32, read at upper-triangle pair ids only
+    keys: np.ndarray  # (M * (M + 1) / 2, 2 k²) int32
+    first: np.ndarray  # (M * (M + 1) / 2, 2 k²), the dtype of U
+    second: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SinglePhotonUnitary:
+    """A passive linear-optical element as a single-photon mode map.
+
+    ``matrix[o, i]`` is the amplitude from input mode ``in_modes[i]`` to
+    output mode ``out_modes[o]``. Input and output bases may differ (the
+    polarization analyzers relabel H/V to +/-). Unitarity is enforced at
+    construction within 1e-10; the matrix is a read-only copy, complex128
+    if given complex and float64 otherwise. Equality and hashing are by
+    identity, as for :class:`TwoPhotonState`; compare matrices with numpy.
+    U U^dagger is formed by ``np.einsum``, numpy's own loops, never BLAS: the
+    first GEMM of a process costs more memory than these sparse products.
+    """
+
+    in_modes: ModeBasis
+    out_modes: ModeBasis
+    matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        mat = np.array(float_or_complex(self.matrix))
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "in_modes", as_basis(self.in_modes))
+        object.__setattr__(self, "out_modes", as_basis(self.out_modes))
+        n_in, n_out = len(self.in_modes), len(self.out_modes)
+        if mat.shape != (n_out, n_in) or n_in != n_out:
+            raise ValueError(f"matrix shape {mat.shape} does not match mode counts ({n_out}, {n_in})")
+        if not np.isfinite(mat).all():  # before the product, which would warn on inf
+            raise ValueError("matrix is not unitary (non-finite entries)")
+        gram = np.einsum("ik,jk->ij", mat, mat.conj())
+        gram.flat[:: n_in + 1] -= 1
+        defect = np.max(np.abs(gram))
+        if not defect <= UNITARY_TOL:  # a NaN defect fails too
+            raise ValueError(f"matrix is not unitary (max defect {defect:.3e})")
+        mat.flags.writeable = False
+
+    @cached_property
+    def pair_terms(self) -> PairTerms:
+        """The read-only :class:`PairTerms` of this unitary, built on first use by :func:`evolve`."""
+        mat, size = self.matrix, len(self.in_modes)
+        nonzero = mat != 0
+        k = nonzero.sum(axis=0).max()
+        # the nonzero rows of each column in increasing order, padded with weight 0 to the fullest column
+        order = np.argsort(~nonzero, axis=0, kind="stable")[:k]
+        outs, weights = order.T.astype(np.int32), np.take_along_axis(mat, order, 0).T
+        i, j = np.triu_indices(size)
+        shape = (len(i), 2, k, k)
+        keys, (first, second) = np.full(shape, size * size, np.int32), np.zeros((2, *shape), mat.dtype)  # slots empty
+        for o, (a, b, stored) in enumerate(((i, j, i <= j), (j, i, i < j))):  # psi(i, i) is stored once
+            p, q = outs[a][:, :, None], outs[b][:, None, :]
+            w1, w2 = weights[a][:, :, None], weights[b][:, None, :]
+            live = (w1 != 0) & (w2 != 0) & (p <= q) & stored[:, None, None]
+            np.add(p * size, q, out=keys[:, o], where=live)
+            np.copyto(first[:, o], w1, where=live)
+            np.copyto(second[:, o], w2, where=live)
+        row_of = np.zeros(size * size, dtype=np.int32)
+        row_of[i * size + j] = np.arange(len(i))
+        return PairTerms(*frozen(row_of, *(array.reshape(len(i), -1) for array in (keys, first, second))))
+
+
 def _terms(table: PairTerms, ids: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The output pair keys and terms of stored pairs ``ids`` of amplitudes ``vals``, rounded as in :func:`evolve`."""
     rows = table.row_of[ids]
@@ -201,34 +272,43 @@ def _evolved(
     if terms.dtype.kind == "c":
         sums = sums + 1j * np.bincount(keys, terms.imag.ravel())
     diagonal = sums[:: size + 1]  # psi(m, m); the last bin, weight 0 terms only, is off it
-    _check_norm(math.sqrt(2 * np.vdot(sums, sums).real - np.vdot(diagonal, diagonal).real))
+    check_norm(math.sqrt(2 * np.vdot(sums, sums).real - np.vdot(diagonal, diagonal).real))
     ids = (np.abs(sums) >= AMP_PRUNE).nonzero()[0]
     return TwoPhotonState._build(state.dim, network.out_modes, ids, sums[ids])
 
 
 def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonState:
-    """Propagate a two-photon state through a mode unitary.
+    """Propagate a two-photon state through a mode unitary: the one statement of the evolution contract.
 
     The symmetric amplitude function transforms as
     psi'(o1, o2) = sum over i1, i2 of U[o1, i1] U[o2, i2] psi(i1, i2),
     the matrix sandwich U psi U^T, which makes the bosonic exchange
     statistics (and the bunching interference) automatic. No matrix is
-    formed: each term is read from the cached ``network.pair_terms``
-    (:class:`~bellsort.states.PairTerms`) and formed as
-    (U[o1, i1] psi) U[o2, i2], the rounding of the product's left factor
-    first, and one ``bincount`` per real or imaginary part sums the terms
-    per output pair over M² + 1 bins: every row has a dead slot, key M * M.
-    tests/test_exact_real.py checks these bits against the complex product
-    for every state and network the CLI evolves. For a state of S stored
-    pairs through M modes this takes O(S·w) time for the terms, where
-    w = 2 k² and k is the most nonzeros in a column of U, plus one pass over
-    the bins; the table takes O(M²·w) memory per network, built on the first
-    call. A dense network is therefore costly, and only tests evolve through
-    one, at 16 modes or fewer. Raises ValueError unless
-    ``state.basis == network.in_modes``; ``network.out_modes`` may be in any
-    order. Norm is preserved (checked within 1e-9 over every output
-    amplitude, so a NaN fails it), amplitudes below 1e-12 are pruned, and
-    the result is complex if the state or the network is.
+    formed. The stored psi(i, j), i <= j, feeds the output pairs (p, q),
+    p <= q, by the terms U[p, a] psi(i, j) U[q, b], one for each
+    orientation (a, b) of the pair, (i, j) and, unless i == j, (j, i), and
+    each nonzero U[p, a] and U[q, b]. The cached ``network.pair_terms``
+    (:class:`PairTerms`) holds them: with k the most nonzeros in a column
+    of U, row ``row_of[id]`` of the input pair id has 2 k² slots, for each
+    orientation p over column a's nonzeros in increasing order, then q over
+    column b's, and holds in ``keys`` the output pair id p * M + q of each
+    slot and in ``first`` and ``second`` its weights U[p, a] and U[q, b]. A
+    slot with no term (p > q, the second orientation of i == j, or a column
+    with fewer than k nonzeros) has weights 0 and the dead key M * M, a bin
+    past the last pair id. Each term is formed as (U[p, a] psi) U[q, b],
+    the rounding of the product's left factor first, and one ``bincount``
+    per real or imaginary part sums the terms per output pair over M² + 1
+    bins. tests/test_exact_real.py checks these bits against the complex
+    product for every state and network the CLI evolves. For a state of S
+    stored pairs through M modes this takes O(S·w) time for the terms,
+    where w = 2 k², plus one pass over the bins; the table takes O(M²·w)
+    memory per network, built on the first call. A dense network is
+    therefore costly, and only tests evolve through one, at 16 modes or
+    fewer. Raises ValueError unless ``state.basis == network.in_modes``;
+    ``network.out_modes`` may be in any order. Norm is preserved (checked
+    within 1e-9 over every output amplitude, so a NaN fails it), amplitudes
+    below 1e-12 are pruned, and the result is complex if the state or the
+    network is.
     """
     if state.basis != network.in_modes:
         raise ValueError("the state is not stored in the network's input basis")

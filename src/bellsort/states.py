@@ -17,8 +17,8 @@ States are symmetric amplitude functions over unordered mode pairs. A Fock
 state with photons in distinct modes m1, m2 has psi(m1, m2) = psi(m2, m1) =
 1/sqrt(2); a doubly occupied mode has psi(m, m) = 1. With this convention
 the Born weights are |psi(m, m)|**2 for a bunched pair and
-2*|psi(m1, m2)|**2 otherwise; :func:`~bellsort.networks.evolve` states how
-a single-photon unitary acts on them.
+2*|psi(m1, m2)|**2 otherwise. How a single-photon unitary acts on them
+is stated once, in :func:`bellsort.networks.evolve`.
 
 The pair (basis[i], basis[k]) with i <= k of a basis of M modes has the
 pair id i * M + k: its offset in the row-major M x M matrix, and the id of
@@ -26,8 +26,9 @@ the detector outcome that fires modes i and k. A state is stored as arrays
 over the upper triangle of its mode basis, indexed by pair id; see
 :class:`TwoPhotonState` for the layout and for what is checked where.
 
-Amplitudes and unitary matrices are complex128 if given complex, even with
-every imaginary part zero, and float64 otherwise. The paper's elements and
+Amplitudes, and the unitary matrices of :mod:`bellsort.networks`, are
+complex128 if given complex, even with every imaginary part zero, and
+float64 otherwise (:func:`float_or_complex`). The paper's elements and
 states are real, so they evolve in real arithmetic.
 """
 
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .modes import (
     canonical_pair,
     path_modes,
     polarized_modes,
+    positions,
 )
 
 # Numeric thresholds shared across the package.
@@ -131,19 +133,14 @@ def _require_power_of_two(dim: int) -> None:
         raise ValueError(f"dimension must be an integer power of two >= 2 for the XOR pairing, got {dim!r}")
 
 
-@lru_cache(maxsize=64)
-def _positions(basis: ModeBasis) -> dict:
-    return {m: i for i, m in enumerate(basis)}
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Mark arrays that caches share between callers read-only."""
     for array in arrays:
         array.setflags(write=False)
     return arrays
 
 
-def _float_or_complex(array) -> np.ndarray:
+def float_or_complex(array) -> np.ndarray:
     """``array`` as C-contiguous complex128 if it is complex, else as float64."""
     array = np.asarray(array)
     return np.ascontiguousarray(array, dtype=complex if np.iscomplexobj(array) else float)
@@ -214,13 +211,13 @@ class TwoPhotonState:
             raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "basis", as_basis(self.basis))
         _check_basis(self.basis, self.dim)
-        for name, array in (("ids", _pair_indices(self.ids)), ("vals", _float_or_complex(self.vals))):
+        for name, array in (("ids", _pair_indices(self.ids)), ("vals", float_or_complex(self.vals))):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         ids, size = self.ids, len(self.basis)
         if not ids.ndim == 1 or not ids.shape == self.vals.shape:
             raise ValueError("ids and vals must be 1-d arrays of one length")
-        _check_norm(_norm_of(_pair_weights(ids, size), self.vals))  # an empty state fails here
+        check_norm(_norm_of(pair_weights(ids, size), self.vals))  # an empty state fails here
         rows, cols = np.divmod(ids, size)
         if rows.min() < 0 or (rows > cols).any():
             raise ValueError("pair indices must satisfy 0 <= row <= col < len(basis)")
@@ -238,7 +235,7 @@ class TwoPhotonState:
         onto output modes outside its dimension.
         """
         _check_basis(basis, dim)
-        ids.setflags(write=False)  # inline, not _frozen: this runs for every state built
+        ids.setflags(write=False)  # inline, not frozen: this runs for every state built
         vals.setflags(write=False)
         state = object.__new__(cls)
         vars(state).update(dim=dim, basis=basis, ids=ids, vals=vals)
@@ -261,12 +258,12 @@ class TwoPhotonState:
                 raise ValueError(f"duplicate amplitude for pair ({key[0].label}, {key[1].label})")
             canon[key] = a
         basis = _mode_space(dim, {m.pol for pair in canon for m in pair})
-        index = _positions(basis)
+        index = positions(basis)
         keys = sorted(canon)  # the mode space is sorted, so these pairs are row-major
         if outside := [m for key in keys for m in key if m not in index]:
             raise ValueError(f"mode {outside[0].label} outside dimension {dim}")
         ids = np.array([index[m1] * len(basis) + index[m2] for m1, m2 in keys], dtype=np.intp)
-        vals = _float_or_complex([canon[key] for key in keys])
+        vals = float_or_complex([canon[key] for key in keys])
         keep = ~(np.abs(vals) < AMP_PRUNE)  # a NaN is kept, for the norm check to reject
         return cls(dim, basis, ids[keep], vals[keep])
 
@@ -283,12 +280,12 @@ class TwoPhotonState:
         )
 
 
-def _check_norm(norm: float) -> None:
+def check_norm(norm: float) -> None:
     if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
         raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
 
 
-def _pair_weights(ids: np.ndarray, size: int) -> np.ndarray:
+def pair_weights(ids: np.ndarray, size: int) -> np.ndarray:
     """Norm weight of each pair id over ``size`` modes: 1 for psi(m, m) (id m * (size + 1)), else 2."""
     return np.where(ids % (size + 1) == 0, 1.0, 2.0)
 
@@ -300,96 +297,15 @@ def _norm_of(weights: np.ndarray, vals: np.ndarray) -> float:
     return math.sqrt(float(weights @ squares))
 
 
-class PairTerms(NamedTuple):
-    """A unitary's map of stored two-photon amplitudes, one row per input pair.
-
-    Through U, psi(i, j) with i <= j feeds the output pairs (p, q) with
-    p <= q by the terms U[p, a] psi(i, j) U[q, b], one for each orientation
-    (a, b) of the pair, (i, j) and, unless i == j, (j, i), and each nonzero
-    U[p, a] and U[q, b]. With k the most nonzeros in a column of U, a row
-    has 2 k² slots: for each orientation, p over column a's nonzeros in
-    increasing order, then q over column b's. Row ``row_of[id]`` of the
-    input pair id holds in ``keys`` the output pair id p * M + q of each
-    slot and in ``first`` and ``second`` its weights U[p, a] and U[q, b].
-    A slot with no term (p > q, the second orientation of i == j, or a
-    column with fewer than k nonzeros) has weights 0 and the key M * M, a
-    bin past the last pair id.
-    """
-
-    row_of: np.ndarray  # (M * M,) int32, read at upper-triangle pair ids only
-    keys: np.ndarray  # (M * (M + 1) / 2, 2 k²) int32
-    first: np.ndarray  # (M * (M + 1) / 2, 2 k²), the dtype of U
-    second: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SinglePhotonUnitary:
-    """A passive linear-optical element as a single-photon mode map.
-
-    ``matrix[o, i]`` is the amplitude from input mode ``in_modes[i]`` to
-    output mode ``out_modes[o]``. Input and output bases may differ (the
-    polarization analyzers relabel H/V to +/-). Unitarity is enforced at
-    construction within 1e-10; the matrix is a read-only copy, complex128
-    if given complex and float64 otherwise. Equality and hashing are by
-    identity, as for :class:`TwoPhotonState`; compare matrices with numpy.
-    U U^dagger is formed by ``np.einsum``, numpy's own loops, never BLAS: the
-    first GEMM of a process costs more memory than these sparse products.
-    """
-
-    in_modes: ModeBasis
-    out_modes: ModeBasis
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        mat = np.array(_float_or_complex(self.matrix))
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "in_modes", as_basis(self.in_modes))
-        object.__setattr__(self, "out_modes", as_basis(self.out_modes))
-        n_in, n_out = len(self.in_modes), len(self.out_modes)
-        if mat.shape != (n_out, n_in) or n_in != n_out:
-            raise ValueError(f"matrix shape {mat.shape} does not match mode counts ({n_out}, {n_in})")
-        if not np.isfinite(mat).all():  # before the product, which would warn on inf
-            raise ValueError("matrix is not unitary (non-finite entries)")
-        gram = np.einsum("ik,jk->ij", mat, mat.conj())
-        gram.flat[:: n_in + 1] -= 1
-        defect = np.max(np.abs(gram))
-        if not defect <= UNITARY_TOL:  # a NaN defect fails too
-            raise ValueError(f"matrix is not unitary (max defect {defect:.3e})")
-        mat.flags.writeable = False
-
-    @cached_property
-    def pair_terms(self) -> PairTerms:
-        """The read-only :class:`PairTerms` of this unitary, built on first use by :func:`~bellsort.networks.evolve`."""
-        mat, size = self.matrix, len(self.in_modes)
-        nonzero = mat != 0
-        k = nonzero.sum(axis=0).max()
-        # the nonzero rows of each column in increasing order, padded with weight 0 to the fullest column
-        order = np.argsort(~nonzero, axis=0, kind="stable")[:k]
-        outs, weights = order.T.astype(np.int32), np.take_along_axis(mat, order, 0).T
-        i, j = np.triu_indices(size)
-        shape = (len(i), 2, k, k)
-        keys, (first, second) = np.full(shape, size * size, np.int32), np.zeros((2, *shape), mat.dtype)  # slots empty
-        for o, (a, b, stored) in enumerate(((i, j, i <= j), (j, i, i < j))):  # psi(i, i) is stored once
-            p, q = outs[a][:, :, None], outs[b][:, None, :]
-            w1, w2 = weights[a][:, :, None], weights[b][:, None, :]
-            live = (w1 != 0) & (w2 != 0) & (p <= q) & stored[:, None, None]
-            np.add(p * size, q, out=keys[:, o], where=live)
-            np.copyto(first[:, o], w1, where=live)
-            np.copyto(second[:, o], w2, where=live)
-        row_of = np.zeros(size * size, dtype=np.int32)
-        row_of[i * size + j] = np.arange(len(i))
-        return PairTerms(*_frozen(row_of, *(array.reshape(len(i), -1) for array in (keys, first, second))))
-
-
 # -- Bell family construction ------------------------------------------------
 
 
 @lru_cache(maxsize=128)
 def _xor_positions(basis: ModeBasis, j: int) -> np.ndarray:
     """Position of (B, x XOR j, pol) for each arm-B mode (B, x, pol) of ``basis``; arm-A modes stay."""
-    index = _positions(basis)
+    index = positions(basis)
     moved = [index[Mode(m.arm, m.path ^ (j if m.arm == ARM_SECOND else 0), m.pol)] for m in basis]
-    return _frozen(np.array(moved, dtype=np.intp))[0]
+    return frozen(np.array(moved, dtype=np.intp))[0]
 
 
 @lru_cache(maxsize=128)
@@ -397,20 +313,20 @@ def _arm_signs(basis: ModeBasis, n: int, m: int) -> np.ndarray:
     """(-1)**(n*x0 + m*x1) for each arm-B mode of ``basis``, 1 on arm A."""
     paths = np.array([mode.path for mode in basis])
     on_b = np.array([mode.arm == ARM_SECOND for mode in basis])
-    return _frozen(np.where(on_b, _sign(paths, n, m), 1).astype(float))[0]
+    return frozen(np.where(on_b, _sign(paths, n, m), 1).astype(float))[0]
 
 
 @lru_cache(maxsize=128)
 def _bell_ids(basis: ModeBasis, j: int) -> np.ndarray:
     """Pair ids of |x>_A |x XOR j>_B for every arm-A mode x of ``basis``, in increasing order."""
     half = len(basis) // 2
-    return _frozen(np.arange(half, dtype=np.intp) * len(basis) + _xor_positions(basis, j)[half:])[0]
+    return frozen(np.arange(half, dtype=np.intp) * len(basis) + _xor_positions(basis, j)[half:])[0]
 
 
 @lru_cache(maxsize=128)
 def _bell_values(basis: ModeBasis, n: int, m: int, coeff: float) -> np.ndarray:
     """Stored psi of each :func:`_bell_ids` pair, sign * coeff / sqrt(2): one rounded factor times +-1, exact."""
-    return _frozen(_arm_signs(basis, n, m)[len(basis) // 2 :] * (coeff / math.sqrt(2.0)))[0]
+    return frozen(_arm_signs(basis, n, m)[len(basis) // 2 :] * (coeff / math.sqrt(2.0)))[0]
 
 
 def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, coeff: float) -> TwoPhotonState:
@@ -469,9 +385,9 @@ def encode(state: TwoPhotonState, indices: Iterable[BellIndex]) -> list[TwoPhoto
     keep = np.abs(state.vals) >= AMP_PRUNE  # the signs are +-1, so one mask prunes every message
     rows, cols = np.divmod(state.ids[keep], size)
     signs = np.array([_arm_signs(basis, idx.n, idx.m) for idx in indices]).reshape(-1, size)
-    positions = np.array([_xor_positions(basis, idx.j) for idx in indices], dtype=np.intp).reshape(-1, size)
+    moved = np.array([_xor_positions(basis, idx.j) for idx in indices], dtype=np.intp).reshape(-1, size)
     vals = state.vals[keep] * signs[:, rows] * signs[:, cols]
-    rows, cols = positions[:, rows], positions[:, cols]
+    rows, cols = moved[:, rows], moved[:, cols]
     ids = np.minimum(rows, cols) * size + np.maximum(rows, cols)
     order = np.argsort(ids, axis=1, kind="stable")  # distinct ids; the stable sort is the one the partition pages in
     ids, vals = np.take_along_axis(ids, order, 1), np.take_along_axis(vals, order, 1)

@@ -1,7 +1,11 @@
 """Mutation sweep: does tier-1 fail on each small change to a ``src/bellsort`` module?
 
-Run as ``python tests/mutants.py src/bellsort/detection.py [more files] [--timeout S] [--list]``;
-pytest does not collect it. Only the standard library is used.
+Run as ``python tests/mutants.py src/bellsort/detection.py [more files] [--timeout S] [--list]``,
+or as ``python tests/mutants.py --since REV [--list]`` to mutate only the
+sites on the lines that ``git diff -U0 REV`` adds or changes in
+``src/bellsort`` (a site is on a line when its replaced span covers it);
+files named with ``--since`` narrow it further. pytest does not collect
+it. Only the standard library is used.
 
 Each file is parsed with :mod:`ast`, and every site of these kinds is one
 mutant:
@@ -116,6 +120,30 @@ def mutants(source: str) -> list[Mutant]:
     return sorted(found)
 
 
+def touched_lines(rev: str) -> dict[Path, set[int]]:
+    """Working-tree line numbers that ``git diff -U0 rev`` adds or changes, per ``src/bellsort`` module."""
+    diff = subprocess.run(
+        ["git", "diff", "-U0", "--no-color", "--no-ext-diff", "--src-prefix=a/", "--dst-prefix=b/", rev, "--",
+         "src/bellsort"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    touched: dict[Path, set[int]] = {}
+    path = None
+    for line in diff.splitlines():
+        if line.startswith("+++ "):
+            path = Path(line[6:]) if line.startswith("+++ b/") and line.endswith(".py") else None
+        elif line.startswith("@@ ") and path is not None:
+            start, _, count = line.split()[2][1:].partition(",")  # "+start,count"; count 0 is a deletion
+            touched.setdefault(path, set()).update(range(int(start), int(start) + int(count or 1)))
+    return touched
+
+
+def on_lines(source: str, mutant: Mutant, lines: set[int]) -> bool:
+    """Whether the mutant's replaced span covers any of ``lines``."""
+    last = mutant.line + source.encode()[mutant.start:mutant.end].count(b"\n")
+    return not lines.isdisjoint(range(mutant.line, last + 1))
+
+
 def describe(relative: Path, source: str, mutant: Mutant) -> str:
     before = source.encode()[mutant.start:mutant.end].decode()
     return f"{relative}:{mutant.line}:{mutant.col} {mutant.kind}: {before!r} -> {mutant.replacement!r}"
@@ -138,18 +166,25 @@ def run_tier1(copy: Path, timeout: float) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("files", nargs="+", type=Path, help="modules under src/bellsort to mutate")
+    parser.add_argument("files", nargs="*", type=Path, help="modules under src/bellsort to mutate")
+    parser.add_argument("--since", metavar="REV", help="mutate only the lines changed since this git revision")
     parser.add_argument("--timeout", type=float, default=120.0, help="seconds per tier-1 run")
     parser.add_argument("--list", action="store_true", help="print the sites without running tier-1")
     args = parser.parse_args()
+    if not args.files and args.since is None:
+        parser.error("name the files to mutate, or --since REV")
 
+    relatives = [path.resolve().relative_to(ROOT) for path in args.files]
+    touched = None if args.since is None else touched_lines(args.since)
+    if touched is not None:
+        relatives = [r for r in relatives or sorted(touched) if r in touched]
     sites = []
-    for path in args.files:
-        relative = path.resolve().relative_to(ROOT)
+    for relative in relatives:
         source = (ROOT / relative).read_text(encoding="utf-8")
-        sites += [(relative, source, m) for m in mutants(source)]
-    print(f"{len(sites)} mutants in {len(args.files)} files")
-    if args.list:
+        lines = None if touched is None else touched[relative]
+        sites += [(relative, source, m) for m in mutants(source) if lines is None or on_lines(source, m, lines)]
+    print(f"{len(sites)} mutants in {len(relatives)} files")
+    if args.list or not sites:
         for relative, source, m in sites:
             print(describe(relative, source, m))
         return 0

@@ -160,7 +160,7 @@ class TestOutcomeLabels:
             size = len(basis)
             ids = [i * size + k for i in range(size) for k in range(i, size)]
             singletons = [(str(i), [i]) for i in ids]  # one state, and so one group, per outcome
-            partition = grouping._partition(singletons, table, "fig1", model, "loss_conservative")
+            partition = grouping.partition(singletons, table, "fig1", model, "loss_conservative")
             flags = [group.quarantined for group in partition.groups]
             assert flags == [len(table[i].split()) == 1 for i in ids]
             assert sum(flags) == (size if model == "threshold" else 0)

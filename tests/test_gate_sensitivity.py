@@ -11,13 +11,14 @@ import inspect
 import json
 import math
 import re
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bellsort import (
-    SdcConfig, SinglePhotonUnitary, TwoPhotonState, all_bell_indices, cli, dense_coding, detection,
+    NetworkSpec, SdcConfig, SinglePhotonUnitary, TwoPhotonState, all_bell_indices, cli, dense_coding, detection,
     diff_against_reference, evolve, grouping, load_reference_tables, make_bell_state, make_hyper_state,
     network_for_setup, networks, run_sdc, states,
 )
@@ -33,6 +34,7 @@ from test_detection import guarded_distributions, reachable_output_bases, relabe
 from test_exact_oracle import exact_support_mismatches
 from test_exact_real import complex_evolution_mismatches
 from test_grouping import CLOSED_FORM_CASES, ID_CONTAINERS, closed_form_mismatches, pairwise_search_mismatches
+from test_laws import COMPOSITION_FAMILIES, HOM_ANGLES, composition_mismatches, hom_mismatches
 from test_networks import (
     INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches, oracle_mismatches, random_oracle_cases,
 )
@@ -174,6 +176,40 @@ def test_kron_oracle_catches_a_table_built_from_rows(monkeypatch):
         assert oracle_mismatches(cases, through) == []
 
 
+def test_hom_sweep_catches_an_evolution_that_drops_the_imaginary_sum(monkeypatch):
+    # the coincidence amplitude is real at every phase; the bunched ones are
+    # complex at phase 0.7, so dropping their imaginary parts breaks the norm
+    # wherever the photons can bunch: every angle but the two ends
+    dropped = "sums = sums + 1j * np.bincount(keys, terms.imag.ravel())"
+    source = inspect.getsource(networks._evolved)
+    assert source.count(dropped) == 1
+    namespace = {}
+    exec(source.replace(dropped, "pass"), vars(networks), namespace)
+    with monkeypatch.context() as patch:
+        patch.setattr(networks, "_evolved", namespace["_evolved"])
+        mismatches = hom_mismatches()
+    assert mismatches == [(theta, 0.7) for theta in HOM_ANGLES[1:-1]]
+    assert hom_mismatches() == []
+
+
+def test_composition_law_catches_a_stage_product_in_reverse_order(monkeypatch):
+    # U1 U2 for U2 U1; the law's networks are new specs, so no cached product
+    # hides the mutation, and the cached setups keep the products they hold
+    in_order = 'np.einsum("ik,kj->ij", stage.unitary.matrix, product)'
+    source = textwrap.dedent(inspect.getsource(NetworkSpec.unitary.func))
+    assert source.count(in_order) == 1
+    namespace = {}
+    exec(source.replace(in_order, 'np.einsum("ik,kj->ij", product, stage.unitary.matrix)'), vars(networks), namespace)
+    reversed_product = namespace["unitary"]
+    reversed_product.__set_name__(NetworkSpec, "unitary")
+    with monkeypatch.context() as patch:
+        patch.setattr(NetworkSpec, "unitary", reversed_product)
+        mismatches = composition_mismatches()
+    # every state of every family, in both cases
+    assert len(mismatches) == 2 * sum(len(all_bell_indices(dim)) for _, dim in COMPOSITION_FAMILIES) == 72
+    assert composition_mismatches() == []
+
+
 def test_golden_digests_catch_threshold_classify_reading_pnrd_outcomes(monkeypatch):
     # the PNRD labels keep a bunched pair as two clicks, so classify under the
     # threshold model labels the bunched outcomes "A0 A0" instead of "A0"; the
@@ -285,17 +321,17 @@ def test_closed_forms_catch_a_sign_that_ignores_m(monkeypatch):
 
 
 def test_pairwise_search_catches_a_partition_that_never_passes_roots_down(monkeypatch):
-    # _partition's rounds give each outcome its states' least root; the
+    # partition's rounds give each outcome its states' least root; the
     # mutant gives it their least index in every round, so roots pass only
     # through an outcome's first state, and its slot ends as that state's
     # index rather than its group's root
     passed_down = "np.minimum.at(first, ids, id_roots)"
-    source = inspect.getsource(grouping._partition)
+    source = inspect.getsource(grouping.partition)
     assert source.count(passed_down) == 1
     namespace = {}
     exec(source.replace(passed_down, "np.minimum.at(first, ids, state_of)"), vars(grouping), namespace)
     with monkeypatch.context() as patch:
-        patch.setattr(grouping, "_partition", namespace["_partition"])
+        patch.setattr(grouping, "partition", namespace["partition"])
         mismatches = {model: pairwise_search_mismatches(model) for model in ("pnrd", "threshold")}
     # 37 of the 40 random cases and the chain, each with its ids in every container
     for found in mismatches.values():
@@ -308,7 +344,7 @@ def test_pairwise_search_catches_a_partition_that_never_passes_roots_down(monkey
 def test_sdc_decoder_catches_an_outcome_missing_from_every_group_support(monkeypatch):
     # a message outcome that no group support holds means the evolution and
     # the partition disagree; the decoder must fail on it, not decode it
-    partition, dropped = dense_coding._partition, []
+    partition, dropped = dense_coding.partition, []
 
     def dropping_an_outcome(*args):
         table = partition(*args)
@@ -317,7 +353,7 @@ def test_sdc_decoder_catches_an_outcome_missing_from_every_group_support(monkeyp
         return replace(table, groups=(replace(first, support=first.support - {dropped[0]}), *rest))
 
     with monkeypatch.context() as patch:
-        patch.setattr(dense_coding, "_partition", dropping_an_outcome)
+        patch.setattr(dense_coding, "partition", dropping_an_outcome)
         with pytest.raises(KeyError) as caught:
             run_sdc(SdcConfig(shots=1))
     assert caught.value.args == (dropped[0],)

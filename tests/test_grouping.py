@@ -238,7 +238,7 @@ def closed_form_mismatches(cases=CLOSED_FORM_CASES, shuffled=False):
 def pairwise_partition(labelled, table):
     """(members, support) per group, by searching every pair of supports for a shared outcome.
 
-    Groups are found from their first member in input order, as _partition numbers them.
+    Groups are found from their first member in input order, as grouping.partition numbers them.
     """
     supports = [frozenset(table[i] for i in ids) for _, ids in labelled]
     placed: set[int] = set()
@@ -273,7 +273,7 @@ ID_CONTAINERS = {
 
 
 def pairwise_search_mismatches(model):
-    """The cases, as (case, container), where _partition differs from a pairwise search.
+    """The cases, as (case, container), where grouping.partition differs from a pairwise search.
 
     Forty seeded random families over the outcomes of 16 modes, each with
     ids in random order, then (case 40) a chain of 100 states, each sharing
@@ -306,7 +306,7 @@ def pairwise_search_mismatches(model):
         expected = pairwise_partition(labelled, table)
         quarantined = [model == "threshold" and any(" " not in o for o in support) for _, support in expected]
         for name, container in ID_CONTAINERS.items():
-            got = grouping._partition(
+            got = grouping.partition(
                 [(label, container(ids)) for label, ids in labelled], table, "fig1", model, "loss_conservative"
             )
             if [(g.members, g.support) for g in got.groups] != expected or [

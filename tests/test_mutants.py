@@ -1,4 +1,9 @@
-"""The mutation sweep's site list (``tests/mutants.py``): one description per site."""
+"""The mutation sweep's site list (``tests/mutants.py``): one description per site, and ``--since``."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import mutants
 
@@ -12,3 +17,30 @@ def test_listed_descriptions_are_unique():
         described += [mutants.describe(path.relative_to(mutants.ROOT), source, m) for m in mutants.mutants(source)]
     assert len(described) > 400
     assert sorted({d for d in described if described.count(d) > 1}) == []
+
+
+def test_since_lists_only_the_sites_on_changed_lines(tmp_path):
+    # in a committed copy: a clean tree has no site, and one appended line has exactly its own
+    copy = tmp_path / "repo"
+    package = Path("src", "bellsort")
+    shutil.copytree(mutants.ROOT / package, copy / package, ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "tests").mkdir()
+    shutil.copy(mutants.ROOT / "tests" / "mutants.py", copy / "tests")
+    git = ["git", "-C", str(copy), "-c", "user.name=mutants", "-c", "user.email=mutants@localhost"]
+    git += ["-c", "commit.gpgsign=false"]
+    for command in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run([*git, *command], check=True, capture_output=True)
+
+    def listed():
+        command = [sys.executable, str(copy / "tests" / "mutants.py"), "--list", "--since", "HEAD"]
+        return subprocess.run(command, check=True, capture_output=True, text=True).stdout.splitlines()
+
+    assert listed() == ["0 mutants in 0 files"]
+    relative = package / "modes.py"
+    source = (copy / relative).read_text(encoding="utf-8")
+    edited = source + "SYNTHETIC = (1 + 2) < 4\n"
+    (copy / relative).write_text(edited, encoding="utf-8")
+    added = len(edited.splitlines())
+    expected = [mutants.describe(relative, edited, m) for m in mutants.mutants(edited) if m.line == added]
+    assert len(expected) == 5  # the comparison, the sum and its three constants
+    assert listed() == ["5 mutants in 1 files", *expected]

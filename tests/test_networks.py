@@ -448,9 +448,14 @@ class TestPairTerms:
         assert (table.row_of.dtype, table.keys.dtype, table.first.dtype) == (np.int32, np.int32, np.float64)
         assert not any(array.flags.writeable for array in table)
 
-    @pytest.mark.parametrize("setup", ["fig1", "fig2"])
+    @pytest.mark.parametrize("setup", ["fig1", "fig2", "uneven"])
     def test_empty_slots_feed_the_bin_past_the_last_pair_with_weight_zero(self, setup):
-        unitary = network_for_setup(setup, 4).unitary
+        if setup == "uneven":  # a beam splitter on path 0 only: columns of 2 and of 1 nonzeros, so padded slots
+            s = INV_SQRT2
+            matrix = [[s, 0, s, 0], [0, 1, 0, 0], [s, 0, -s, 0], [0, 0, 0, 1]]
+            unitary = SinglePhotonUnitary(path_modes(2), path_modes(2), matrix)
+        else:
+            unitary = network_for_setup(setup, 4).unitary
         table = unitary.pair_terms
         size = len(unitary.in_modes)
         empty = table.keys == size * size

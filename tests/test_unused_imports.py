@@ -9,7 +9,8 @@ way: the names it imports must be exactly its ``__all__``, and each must be
 read in another package module, so no export exists for tests alone. A
 third check finds private helpers nothing calls: every single-underscore
 module-level name and method of the package must be read somewhere in it
-outside its own definition.
+outside its own definition. A fourth keeps each private name in its module:
+no package module imports a single-underscore name from another.
 """
 
 import ast
@@ -150,3 +151,28 @@ def test_no_orphaned_private_helpers():
 def test_the_orphan_check_reports_a_helper_only_its_own_body_reads():
     source = "_used = 1\ndef _orphan(): return _orphan, _used\n"
     assert orphaned_private_names({"m.py": source}) == ["m.py: _orphan"]
+
+
+def private_imports(source: str) -> list[str]:
+    """``line N: _name from .module`` for each single-underscore name a package-relative import takes."""
+    return [
+        f"line {alias.lineno}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=module_id)
+def test_no_module_imports_a_private_name_from_another(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_the_private_import_check_reports_a_name_inside_parentheses():
+    # a public name under a private alias and a dunder stay allowed
+    source = (
+        "from .states import (\n    AMP_PRUNE,\n    _check_norm,\n)\n"
+        "from .modes import Mode as _Mode\nfrom . import __version__, _x\n"
+    )
+    assert private_imports(source) == ["line 3: _check_norm from .states", "line 6: _x from ."]
