@@ -80,11 +80,19 @@ class NetworkSpec:
     single-photon map that classification and sampling evolve through.
     Specs and stages compare and hash by their fields and a unitary by
     identity, so two specs are equal when they hold the same stage objects.
+    There must be a stage, and each must take the modes the one before gives.
     """
 
     setup: str
     dim: int
     stages: tuple[NetworkStage, ...]
+
+    def __post_init__(self) -> None:
+        if not self.stages:
+            raise ValueError("a network needs at least one stage")
+        for before, after in zip(self.stages, self.stages[1:]):
+            if after.unitary.in_modes != before.unitary.out_modes:
+                raise ValueError(f"stage {after.kind!r} does not take the output modes of stage {before.kind!r}")
 
     @cached_property
     def unitary(self) -> SinglePhotonUnitary:
@@ -96,9 +104,7 @@ class NetworkSpec:
         return first if len(self.stages) == 1 else SinglePhotonUnitary(first.in_modes, last.out_modes, product)
 
 
-def _stage(
-    modes_in: ModeBasis, modes_out: ModeBasis, images: Callable[[Mode], _Images]
-) -> SinglePhotonUnitary:
+def _stage(modes_in: ModeBasis, modes_out: ModeBasis, images: Callable[[Mode], _Images]) -> SinglePhotonUnitary:
     """The stage matrix of a per-mode rule: input mode m goes to the weighted ``images(m)``.
 
     ``images(m)`` gives the (output mode, weight) pairs of m; every other

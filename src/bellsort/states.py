@@ -11,7 +11,8 @@ with x0, x1 the low/high bits of x; for d = 2 the four standard Bell states
 (m is fixed to 0). :func:`encode` applies the same XOR pairing to the second
 photon (arm B), the one the sender of superdense coding holds, as the local
 map |x> -> (-1)**(n*x0 + m*x1) |x XOR j>; on the reference state
-|psi(0, 0, 0)> it gives any other member of the family.
+|psi(0, 0, 0)> it gives any other member of the family. The builders and
+encode read rows j and n + 2m of one cached table per mode basis.
 
 States are symmetric amplitude functions over unordered mode pairs. A Fock
 state with photons in distinct modes m1, m2 has psi(m1, m2) = psi(m2, m1) =
@@ -35,7 +36,7 @@ states are real, so they evolve in real arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -147,11 +148,11 @@ def float_or_complex(array) -> np.ndarray:
 
 
 def _pair_indices(array) -> np.ndarray:
-    """``array`` as intp; raises unless it holds integers (an empty list passes)."""
+    """A new intp copy of ``array``; raises unless it holds integers (an empty list passes)."""
     array = np.asarray(array)
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"pair indices must be integers, got dtype {array.dtype}")
-    return array.astype(np.intp, copy=False)
+    return array.astype(np.intp)
 
 
 def _pol_family(pols: set) -> tuple[str, str] | None:
@@ -193,11 +194,11 @@ class TwoPhotonState:
     sum over m of |psi(m, m)|**2.
     Every basis mode must have path < dim, and all must share one
     polarization family (none, H/V or +/-). The arrays are read-only.
-    Calling the class checks the arrays and rejects a norm off 1 by more
-    than 1e-9 (or NaN); nothing rescales. :meth:`from_amplitudes` also
-    prunes amplitudes below 1e-12. The package's own builders skip the
-    checks through the private :meth:`_build`; tests/test_builder.py runs
-    what they make back through the class.
+    Calling the class checks copies of the arrays, so the caller's stay
+    theirs, and rejects a norm off 1 by more than 1e-9 (or NaN); nothing
+    rescales. :meth:`from_amplitudes` also prunes amplitudes below 1e-12.
+    The package's own builders skip the checks through the private
+    :meth:`_build`; tests/test_builder.py re-checks what they make.
     Equality and hashing are by identity.
     """
 
@@ -211,7 +212,7 @@ class TwoPhotonState:
             raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "basis", as_basis(self.basis))
         _check_basis(self.basis, self.dim)
-        for name, array in (("ids", _pair_indices(self.ids)), ("vals", float_or_complex(self.vals))):
+        for name, array in (("ids", _pair_indices(self.ids)), ("vals", np.array(float_or_complex(self.vals)))):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         ids, size = self.ids, len(self.basis)
@@ -300,42 +301,34 @@ def _norm_of(weights: np.ndarray, vals: np.ndarray) -> float:
 # -- Bell family construction ------------------------------------------------
 
 
-@lru_cache(maxsize=128)
-def _xor_positions(basis: ModeBasis, j: int) -> np.ndarray:
-    """Position of (B, x XOR j, pol) for each arm-B mode (B, x, pol) of ``basis``; arm-A modes stay."""
-    index = positions(basis)
-    moved = [index[Mode(m.arm, m.path ^ (j if m.arm == ARM_SECOND else 0), m.pol)] for m in basis]
-    return frozen(np.array(moved, dtype=np.intp))[0]
+@lru_cache(maxsize=16)
+def _xor_table(basis: ModeBasis) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The XOR pairing on ``basis``, ordered arm, path, slot, as read-only (moved, signs, ids, vals).
 
-
-@lru_cache(maxsize=128)
-def _arm_signs(basis: ModeBasis, n: int, m: int) -> np.ndarray:
-    """(-1)**(n*x0 + m*x1) for each arm-B mode of ``basis``, 1 on arm A."""
-    paths = np.array([mode.path for mode in basis])
-    on_b = np.array([mode.arm == ARM_SECOND for mode in basis])
-    return frozen(np.where(on_b, _sign(paths, n, m), 1).astype(float))[0]
-
-
-@lru_cache(maxsize=128)
-def _bell_ids(basis: ModeBasis, j: int) -> np.ndarray:
-    """Pair ids of |x>_A |x XOR j>_B for every arm-A mode x of ``basis``, in increasing order."""
-    half = len(basis) // 2
-    return frozen(np.arange(half, dtype=np.intp) * len(basis) + _xor_positions(basis, j)[half:])[0]
-
-
-@lru_cache(maxsize=128)
-def _bell_values(basis: ModeBasis, n: int, m: int, coeff: float) -> np.ndarray:
-    """Stored psi of each :func:`_bell_ids` pair, sign * coeff / sqrt(2): one rounded factor times +-1, exact."""
-    return frozen(_arm_signs(basis, n, m)[len(basis) // 2 :] * (coeff / math.sqrt(2.0)))[0]
-
-
-def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis, coeff: float) -> TwoPhotonState:
-    """The state sum_x (-1)**(n*x0 + m*x1) coeff |x>_A |x XOR j>_B in every slot of ``basis``.
-
-    ``basis`` is ordered arm, path, slot: arm-A mode p pairs with arm-B mode
-    p + half, which has the same path sign and moves as :func:`encode` moves it.
+    ``moved[j]`` is the position of (B, x XOR j, pol) for each arm-B mode
+    (B, x, pol), arm-A modes kept, and ``signs[n + 2m]`` is (-1)**(n*x0 +
+    m*x1) on arm B and 1 on arm A: the map :func:`encode` applies. Arm-A
+    mode p pairs with arm-B mode p + half, so ``ids[j]`` are the increasing
+    pair ids of |x>_A |x XOR j>_B in every slot and ``vals[n + 2m]`` their
+    psi, sign * (1/sqrt(M/2)) / sqrt(2), exact. Both are tuples of rows, so
+    that equal indices share one array.
     """
-    return TwoPhotonState._build(dim, basis, _bell_ids(basis, idx.j), _bell_values(basis, idx.n, idx.m, coeff))
+    size, half, index = len(basis), len(basis) // 2, positions(basis)
+    paths = np.array([mode.path for mode in basis])
+    flips = ([replace(m, path=m.path ^ j) if m.arm == ARM_SECOND else m for m in basis] for j in range(paths[-1] + 1))
+    moved = np.array([[index[m] for m in flipped] for flipped in flips], dtype=np.intp)
+    signs = np.where(np.arange(size) < half, 1.0, [_sign(paths, n, m) for m in (0, 1) for n in (0, 1)])
+    ids = np.arange(half, dtype=np.intp) * size + moved[:, half:]
+    vals = signs[:, half:] * (1.0 / math.sqrt(half) / math.sqrt(2.0))
+    frozen(moved, signs, ids, vals)
+    return moved, signs, tuple(ids), tuple(vals)
+
+
+def _xor_paired(dim: int, idx: BellIndex, basis: ModeBasis) -> TwoPhotonState:
+    """Bell state ``idx``, checked against ``dim``, over every slot of ``basis``: one row of :func:`_xor_table`."""
+    idx.validate_for(dim)
+    _, _, ids, vals = _xor_table(basis)
+    return TwoPhotonState._build(dim, basis, ids[idx.j], vals[idx.n + 2 * idx.m])
 
 
 def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
@@ -347,14 +340,12 @@ def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
     bits x0 and x1: :func:`all_bell_indices` says which states that gives.
     """
     _require_power_of_two(dim)
-    idx.validate_for(dim)
-    return _xor_paired(dim, idx, path_modes(dim), 1.0 / math.sqrt(dim))
+    return _xor_paired(dim, idx, path_modes(dim))
 
 
 def make_hyper_state(idx: BellIndex) -> TwoPhotonState:
     """A d=4 path Bell state tensored with the polarization pair (|HH>+|VV>)/sqrt(2)."""
-    idx.validate_for(4)
-    return _xor_paired(4, idx, polarized_modes(4, POL_LINEAR), 1.0 / (2.0 * math.sqrt(2.0)))
+    return _xor_paired(4, idx, polarized_modes(4, POL_LINEAR))
 
 
 def encode(state: TwoPhotonState, indices: Iterable[BellIndex]) -> list[TwoPhotonState]:
@@ -384,8 +375,8 @@ def encode(state: TwoPhotonState, indices: Iterable[BellIndex]) -> list[TwoPhoto
         raise ValueError("encode needs a state stored in the full canonical mode space of its dimension")
     keep = np.abs(state.vals) >= AMP_PRUNE  # the signs are +-1, so one mask prunes every message
     rows, cols = np.divmod(state.ids[keep], size)
-    signs = np.array([_arm_signs(basis, idx.n, idx.m) for idx in indices]).reshape(-1, size)
-    moved = np.array([_xor_positions(basis, idx.j) for idx in indices], dtype=np.intp).reshape(-1, size)
+    moved, signs, _, _ = _xor_table(basis)
+    moved, signs = moved[[idx.j for idx in indices]], signs[[idx.n + 2 * idx.m for idx in indices]]
     vals = state.vals[keep] * signs[:, rows] * signs[:, cols]
     rows, cols = moved[:, rows], moved[:, cols]
     ids = np.minimum(rows, cols) * size + np.maximum(rows, cols)

@@ -34,7 +34,10 @@ from test_detection import guarded_distributions, reachable_output_bases, relabe
 from test_exact_oracle import exact_support_mismatches
 from test_exact_real import complex_evolution_mismatches
 from test_grouping import CLOSED_FORM_CASES, ID_CONTAINERS, closed_form_mismatches, pairwise_search_mismatches
-from test_laws import COMPOSITION_FAMILIES, HOM_ANGLES, composition_mismatches, hom_mismatches
+from test_laws import (
+    COMPOSITION_FAMILIES, HOM_ANGLES, MULTIPORT_DIMS, RELABELLED_FAMILIES, composition_mismatches, hom_mismatches,
+    relabelled_group_mismatches, zero_transmission_mismatches,
+)
 from test_networks import (
     INV_SQRT2, NETWORK_DIGESTS, network_digest_mismatches, oracle_mismatches, random_oracle_cases,
 )
@@ -70,16 +73,16 @@ def test_builder_gate_catches_built_states_of_norm_two(monkeypatch):
             make_hyper_state(idx) for idx in all_bell_indices(4)
         ]
 
-    # _bell_values caches the scaled signs, and a warm cache would hide the
+    # _xor_table caches the scaled signs, and a warm cache would hide the
     # mutation, or keep it after the undo
-    arm_signs = states._arm_signs
+    sign = states._sign
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(states, "_arm_signs", lambda *key: 2 * arm_signs(*key))
-            states._bell_values.cache_clear()
+            patch.setattr(states, "_sign", lambda x, n, m: 2 * sign(x, n, m))
+            states._xor_table.cache_clear()
             defects = [builder_defects(state) for state in built()]
     finally:
-        states._bell_values.cache_clear()
+        states._xor_table.cache_clear()
     norms = [float(d[0].split()[3]) for d in defects if len(d) == 1 and d[0].startswith("rejected: state norm")]
     assert len(norms) == 32 and np.allclose(norms, 2.0)
     assert [builder_defects(state) for state in built()] == [[]] * 32
@@ -192,6 +195,59 @@ def test_hom_sweep_catches_an_evolution_that_drops_the_imaginary_sum(monkeypatch
     assert hom_mismatches() == []
 
 
+def test_relabelled_groups_catch_an_evolution_that_drops_the_imaginary_sum(monkeypatch):
+    # the appended phases make every product complex, so dropping the
+    # imaginary sums breaks the norm on every relabelled network
+    dropped = "sums = sums + 1j * np.bincount(keys, terms.imag.ravel())"
+    source = inspect.getsource(networks._evolved)
+    assert source.count(dropped) == 1
+    namespace = {}
+    exec(source.replace(dropped, "pass"), vars(networks), namespace)
+    with monkeypatch.context() as patch:
+        patch.setattr(networks, "_evolved", namespace["_evolved"])
+        mismatches = relabelled_group_mismatches()
+    assert mismatches == [(setup, dim, case) for setup, dim in RELABELLED_FAMILIES for case in range(5)]
+    assert relabelled_group_mismatches() == []
+
+
+def test_hom_sweep_catches_conjugated_second_weights(monkeypatch):
+    # evolve then forms U psi U^dagger: the coincidence probability becomes
+    # c^4 + s^4 - 2 c^2 s^2 cos(2 phi), off cos²(2 theta) wherever phi = 0.7
+    # and the photons can bunch. The zero-transmission law and the appended
+    # relabelling cannot see it: on the Fourier multiport it turns
+    # exp(2 pi i q a / M) into exp(-2 pi i q a / M) and keeps every magnitude,
+    # and after a real network it changes only phases
+    cached = SinglePhotonUnitary.pair_terms
+
+    def conjugated(u):
+        table = cached.__get__(u)
+        return table._replace(second=table.second.conj())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SinglePhotonUnitary, "pair_terms", property(conjugated))
+        mismatches = hom_mismatches()
+    assert mismatches == [(theta, 0.7) for theta in HOM_ANGLES[1:-1]]
+    assert hom_mismatches() == []
+
+
+def test_zero_transmission_law_catches_an_antisymmetric_evolution(monkeypatch):
+    # the second orientation's terms with a minus sign: fermions in place of
+    # bosons, whose pairs leave the multiport by exactly the odd sums
+    cached = SinglePhotonUnitary.pair_terms
+
+    def antisymmetric(u):
+        table = cached.__get__(u)
+        second = table.second.copy()
+        second[:, second.shape[1] // 2 :] *= -1  # each row holds orientation (i, j)'s slots, then (j, i)'s
+        return table._replace(second=second)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SinglePhotonUnitary, "pair_terms", property(antisymmetric))
+        mismatches = zero_transmission_mismatches()
+    assert mismatches == [(dim, a) for dim in MULTIPORT_DIMS for a in range(dim)]
+    assert zero_transmission_mismatches() == []
+
+
 def test_composition_law_catches_a_stage_product_in_reverse_order(monkeypatch):
     # U1 U2 for U2 U1; the law's networks are new specs, so no cached product
     # hides the mutation, and the cached setups keep the products they hold
@@ -302,19 +358,16 @@ def test_sampling_guard_catches_a_draw_in_outcome_id_order(monkeypatch):
 
 def test_closed_forms_catch_a_sign_that_ignores_m(monkeypatch):
     # psi<j><n>0 and psi<j><n>1 become one state, so every group split by m
-    # merges: fig1's for j1 = 1 and fig2's for j >= 2. _arm_signs and
-    # _bell_values cache the signs, and a warm cache would hide the mutation,
-    # or keep it after the undo
+    # merges: fig1's for j1 = 1 and fig2's for j >= 2. _xor_table caches the
+    # signs, and a warm cache would hide the mutation, or keep it after the undo
     sign = states._sign
     try:
         with monkeypatch.context() as patch:
             patch.setattr(states, "_sign", lambda x, n, m: sign(x, n, 0))
-            states._arm_signs.cache_clear()
-            states._bell_values.cache_clear()
+            states._xor_table.cache_clear()
             mismatches = closed_form_mismatches()
     finally:
-        states._arm_signs.cache_clear()
-        states._bell_values.cache_clear()
+        states._xor_table.cache_clear()
     # every fig1 case and the fig2 one
     assert mismatches == CLOSED_FORM_CASES
     assert closed_form_mismatches() == []

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -520,3 +521,19 @@ class TestIdentitySemantics:
         same = NetworkSpec(spec.setup, spec.dim, spec.stages)
         assert spec == same and hash(spec) == hash(same)
         assert len({spec, same, network_for_setup("fig1", 8), network_for_setup("fig2")}) == 3
+
+
+class TestNetworkSpecChecks:
+    def test_a_spec_needs_a_stage(self):
+        with pytest.raises(ValueError, match="a network needs at least one stage"):
+            NetworkSpec("x", 4, ())
+
+    def test_stages_must_take_the_modes_the_stage_before_gives(self):
+        # the analyzer gives +/- modes and the beam splitters take H/V; the
+        # product was labelled H/V -> H/V
+        full = network_for_setup("fig2")
+        message = "stage 'bs_hadamard' does not take the output modes of stage 'pbs45_basis_change'"
+        with pytest.raises(ValueError, match=message):
+            NetworkSpec("x", 4, (full.stages[2], full.stages[1]))
+        prefix = replace(full, stages=full.stages[:2])
+        assert prefix.unitary.out_modes == full.stages[1].unitary.out_modes

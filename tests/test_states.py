@@ -475,6 +475,18 @@ class TestStateRepresentation:
         state = TwoPhotonState(2, path_modes(2), np.array([2], dtype=np.uint8), [INV_SQRT2])
         assert state.ids.dtype == np.intp
 
+    @pytest.mark.parametrize("start", [0, 1], ids=["whole", "slice"])
+    def test_constructor_copies_the_callers_arrays(self, start):
+        # intp ids and float64 vals passed whole were frozen in place, and a
+        # slice was kept as a view of the caller's base array
+        bell = make_bell_state(4, BellIndex(2, 1, 0))
+        ids, vals = np.array([0, *bell.ids], dtype=np.intp), np.array([0.0, *bell.vals])
+        state = TwoPhotonState(4, bell.basis, ids[start:], vals[start:])
+        expected = ids[start:].copy(), vals[start:].copy()
+        assert ids.flags.writeable and vals.flags.writeable
+        ids[:], vals[:] = 63, 5.0
+        assert np.array_equal(state.ids, expected[0]) and np.array_equal(state.vals, expected[1])
+
     def test_mode_space_tracks_polarization(self):
         # encode works in the canonical mode space of the state's polarization family
         diagonal = TwoPhotonState.from_amplitudes(4, {(Mode(A, 0, "+"), Mode(B, 0, "-")): INV_SQRT2})
