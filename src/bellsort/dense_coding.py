@@ -11,12 +11,12 @@ error-free; messages sharing a group are inherently indistinguishable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from .detection import MODEL_PNRD, MODELS, check_shots_and_seed, outcome_distribution, outcome_labels, sample
 from .grouping import GroupTable, POLICIES, POLICY_STRICT, channel_capacity, partition
-from .networks import SETUP_FIG1, SETUPS, evolve_all, network_for_setup, prepared_state
+from .networks import SETUP_FIG1, check_setup, evolve_all, network_for_setup, prepared_state
 from .states import BellIndex, all_bell_indices, encode
 
 
@@ -31,8 +31,7 @@ class SdcConfig:
     shots: int = 1000
 
     def __post_init__(self) -> None:
-        if self.setup not in SETUPS:
-            raise ValueError(f"unknown setup {self.setup!r}")
+        check_setup(self.setup)
         if self.model not in MODELS:
             raise ValueError(f"unknown detector model {self.model!r}")
         if self.policy not in POLICIES:
@@ -55,13 +54,7 @@ class SdcReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "setup": self.config.setup,
-                "model": self.config.model,
-                "policy": self.config.policy,
-                "seed": self.config.seed,
-                "shots": self.config.shots,
-            },
+            "config": asdict(self.config),
             "table": self.table.to_dict(),
             "message_counts": {
                 label: {str(gid): c for gid, c in sorted(counts.items())}
@@ -80,8 +73,8 @@ def run_sdc(config: SdcConfig) -> SdcReport:
     and each state's outcome distribution is drawn from with ``sample``.
     Per-message sampling uses the derived seed ``config.seed + ordinal`` so
     runs are reproducible yet messages are independent. Outcomes are decoded
-    by label through ``table.decoder()``, every outcome of a distribution
-    whether drawn or not, so one missing from every group support fails.
+    by label through the groups' outcome -> group map, every outcome of a
+    distribution whether drawn or not, so one in no group support fails.
     """
     reference = prepared_state(config.setup, 4, BellIndex(0, 0, 0))
     unitary = network_for_setup(config.setup).unitary
@@ -91,7 +84,7 @@ def run_sdc(config: SdcConfig) -> SdcReport:
     supports = [(label, state.ids) for label, state in zip(labels, evolved)]
     id_labels = outcome_labels(unitary.out_modes, config.model)
     table = partition(supports, id_labels, config.setup, config.model, config.policy)
-    decoder = table.decoder()
+    decoder = {outcome: g.index for g in table.groups for outcome in g.support}
     own_groups = {label: g.index for g in table.groups for label in g.members}
 
     message_counts: dict[str, dict[int, int]] = {}

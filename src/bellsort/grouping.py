@@ -78,10 +78,6 @@ class GroupTable:
         # final size, which only a full garbage collection empties.
         return tuple([g for g in self.groups if not g.quarantined])
 
-    def decoder(self) -> dict[str, int]:
-        """Outcome label -> group index map; total over the union of supports."""
-        return {o: g.index for g in self.groups for o in g.support}
-
     def to_dict(self) -> dict:
         return {
             "setup": self.setup,

@@ -142,6 +142,12 @@ def _analyzer(mode: Mode) -> _Images:
     return ((plus, _INV_SQRT2), (minus, sign * _INV_SQRT2))
 
 
+def check_setup(setup: str) -> None:
+    """Raise unless ``setup`` names one of :data:`SETUPS`."""
+    if setup not in SETUPS:
+        raise ValueError(f"unknown setup {setup!r}, expected one of {SETUPS}")
+
+
 def _require_fig2_dim(dim: int) -> None:
     if dim != 4:
         raise ValueError("the ancilla-assisted setup is defined for dimension 4")
@@ -157,6 +163,7 @@ def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
     basis). The result is shared between callers and immutable: frozen
     stages with read-only matrices, and a product composed once.
     """
+    check_setup(setup)
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError(f"dimension must be an integer, got {dim!r}")
     if setup == SETUP_FIG1:
@@ -164,7 +171,7 @@ def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
             raise ValueError(f"need at least two paths, got dimension {dim}")
         modes = path_modes(dim)
         stages = (NetworkStage("bs_hadamard", _stage(modes, modes, _beam_splitter)),)
-    elif setup == SETUP_FIG2:
+    else:
         _require_fig2_dim(dim)
         linear, diagonal = polarized_modes(dim, POL_LINEAR), polarized_modes(dim, POL_DIAGONAL)
         stages = (
@@ -172,16 +179,15 @@ def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
             NetworkStage("bs_hadamard", _stage(linear, linear, _beam_splitter)),
             NetworkStage("pbs45_basis_change", _stage(linear, diagonal, _analyzer)),
         )
-    else:
-        raise ValueError(f"unknown setup {setup!r}, expected one of {SETUPS}")
     return NetworkSpec(setup, dim, stages)
 
 
 def prepared_state(setup: str, dim: int, idx: BellIndex) -> TwoPhotonState:
     """Bell state ``idx`` as a setup takes it: with the polarization ancilla for fig2.
 
-    fig2 takes only ``dim`` 4, and rejects another as ``network_for_setup`` does.
+    An unknown setup, or fig2 at a ``dim`` other than 4, raises as in ``network_for_setup``.
     """
+    check_setup(setup)
     if setup == SETUP_FIG2:
         _require_fig2_dim(dim)
         return make_hyper_state(idx)

@@ -218,7 +218,7 @@ class TwoPhotonState:
         ids, size = self.ids, len(self.basis)
         if not ids.ndim == 1 or not ids.shape == self.vals.shape:
             raise ValueError("ids and vals must be 1-d arrays of one length")
-        check_norm(_norm_of(pair_weights(ids, size), self.vals))  # an empty state fails here
+        check_norm(math.sqrt(pair_weights(ids, size) @ np.abs(self.vals) ** 2))  # an empty state fails here
         rows, cols = np.divmod(ids, size)
         if rows.min() < 0 or (rows > cols).any():
             raise ValueError("pair indices must satisfy 0 <= row <= col < len(basis)")
@@ -289,13 +289,6 @@ def check_norm(norm: float) -> None:
 def pair_weights(ids: np.ndarray, size: int) -> np.ndarray:
     """Norm weight of each pair id over ``size`` modes: 1 for psi(m, m) (id m * (size + 1)), else 2."""
     return np.where(ids % (size + 1) == 0, 1.0, 2.0)
-
-
-def _norm_of(weights: np.ndarray, vals: np.ndarray) -> float:
-    squares = vals.real**2
-    if np.iscomplexobj(vals):
-        squares += vals.imag**2
-    return math.sqrt(float(weights @ squares))
 
 
 # -- Bell family construction ------------------------------------------------

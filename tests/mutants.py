@@ -21,13 +21,14 @@ mutant:
 - a numeric constant n made n + 1 (bools are left alone);
 - a ``raise`` statement replaced by ``pass``.
 
-Sites inside f-strings (messages only) and annotations (never evaluated
-under ``from __future__ import annotations``) are skipped. The repository
-is copied once to a temporary directory, and each mutant is written into
-the copy's file, run under tier-1 with ``-x`` and a timeout, and undone,
-so the checkout itself is never changed. A mutant is killed
-when tier-1 fails or times out, and survives when it passes; the script
-prints one line per mutant, then the score and the survivors.
+Sites inside f-strings (messages only), annotations (never evaluated
+under ``from __future__ import annotations``) and the arguments of an
+``lru_cache(...)`` call (a cache bound changes no result) are skipped.
+The repository is copied once to a temporary directory, and each mutant
+is written into the copy's file, run under tier-1 with ``-x`` and a
+timeout, and undone, so the checkout itself is never changed. A mutant is
+killed when tier-1 fails or times out, and survives when it passes; the
+script prints one line per mutant, then the score and the survivors.
 """
 
 from __future__ import annotations
@@ -67,12 +68,14 @@ class Mutant(NamedTuple):
     replacement: str
 
 
-def unexecuted(tree: ast.Module) -> list[ast.AST]:
-    """The f-strings, which change messages only, and the annotations, which no code evaluates."""
+def unmutated(tree: ast.Module) -> list[ast.AST]:
+    """The f-strings, which change messages only, the annotations, which no code evaluates, and cache bounds."""
     roots = []
     for node in ast.walk(tree):
         if isinstance(node, ast.JoinedStr):
             roots.append(node)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("lru_cache", "functools.lru_cache"):
+            roots += [*node.args, *(keyword.value for keyword in node.keywords)]
         elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
             roots.append(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
@@ -92,7 +95,7 @@ def mutants(source: str) -> list[Mutant]:
         end = line_starts[node.end_lineno - 1] + node.end_col_offset
         return Mutant(node.lineno, node.col_offset + 1, start, end, kind, replacement)
 
-    skipped = {id(n) for root in unexecuted(tree) for n in ast.walk(root)}
+    skipped = {id(n) for root in unmutated(tree) for n in ast.walk(root)}
     found = []
     for node in ast.walk(tree):
         if id(node) in skipped:

@@ -186,6 +186,27 @@ class TestVerify:
         assert "1/2 tables match" in out
         assert "reference group 4 (psi200, psi210): missing outcomes ['A0 B0']; unexpected outcomes ['A0 A2']" in out
 
+    def test_a_merged_reference_group_is_a_membership_mismatch(self, capsys, tmp_path):
+        # table1 with groups 2 and 3 as one row: fig1 computes them apart
+        copy_references(tmp_path)
+        path = tmp_path / "table1.json"
+        data = json.loads(path.read_text())
+        second, third = data["groups"][1], data["groups"].pop(2)
+        for key in ("members", "outcomes"):
+            second[key] += third[key]
+        path.write_text(json.dumps(data))
+
+        code, out = run_cli(capsys, "verify", "--references", str(tmp_path))
+        assert code == 1
+        assert out.splitlines()[:6] == [
+            "table1 (fig1): MISMATCH",
+            "  group count differs: computed 7, reference 6",
+            "  reference group 2 (psi100, psi101, psi110, psi111): no computed group has this membership",
+            "  computed group (psi100, psi101) matches no reference row",
+            "  computed group (psi110, psi111) matches no reference row",
+            "table2 (fig2): OK (12 groups)",
+        ]
+
     def test_missing_reference_directory_is_a_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "nowhere"
         code = main(["verify", "--references", str(missing)])

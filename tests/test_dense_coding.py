@@ -48,7 +48,7 @@ class TestConfig:
         assert (config.seed, config.shots) == (0, 1000)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="unknown setup 'fig3'"):
+        with pytest.raises(ValueError, match=r"^unknown setup 'fig3', expected one of \('fig1', 'fig2'\)$"):
             SdcConfig(setup="fig3")
         with pytest.raises(ValueError, match="unknown detector model 'ideal'"):
             SdcConfig(model="ideal")

@@ -44,3 +44,18 @@ def test_since_lists_only_the_sites_on_changed_lines(tmp_path):
     expected = [mutants.describe(relative, edited, m) for m in mutants.mutants(edited) if m.line == added]
     assert len(expected) == 5  # the comparison, the sum and its three constants
     assert listed() == ["5 mutants in 1 files", *expected]
+
+
+def test_list_gives_no_site_on_an_lru_cache_line():
+    # a cache bound changes no result, so maxsize n -> n + 1 can only survive
+    package = mutants.ROOT / "src" / "bellsort"
+    cached = {
+        f"{path.relative_to(mutants.ROOT)}:{number}"
+        for path in package.glob("*.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if line.startswith("@lru_cache(")
+    }
+    command = [sys.executable, str(mutants.ROOT / "tests" / "mutants.py"), "--list", *sorted(package.glob("*.py"))]
+    listed = subprocess.run(command, check=True, capture_output=True, text=True).stdout.splitlines()[1:]
+    assert len(cached) == 9 and len(listed) > 400
+    assert [line for line in listed if line.split(" ")[0].rsplit(":", 1)[0] in cached] == []

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from bellsort import (
     all_bell_indices,
     evolve,
     evolve_all,
+    grouping,
     make_bell_state,
     make_hyper_state,
     network_for_setup,
@@ -499,6 +501,26 @@ class TestSetupDimension:
     def test_an_unknown_setup_is_rejected(self):
         with pytest.raises(ValueError, match="unknown setup 'fig3', expected one of"):
             network_for_setup("fig3", 4)
+
+    @pytest.mark.parametrize(
+        "prepare",
+        [
+            lambda: networks.labelled_states("fig3", 4),
+            lambda: networks.prepared_state("FIG2", 4, BellIndex(1, 0, 0)),
+            lambda: grouping.compute_table("fig3", 4, "pnrd", "strict"),
+        ],
+        ids=["labelled_states", "prepared_state", "compute_table"],
+    )
+    def test_an_unknown_setup_prepares_no_state(self, prepare, monkeypatch):
+        # these returned or built path-only fig1 states before anything checked the setup name
+        built = []
+        for name in ("make_bell_state", "make_hyper_state"):
+            real = getattr(networks, name)
+            monkeypatch.setattr(networks, name, lambda *args, real=real: built.append(args) or real(*args))
+        message = re.escape("unknown setup ") + r"'(fig3|FIG2)'" + re.escape(", expected one of ('fig1', 'fig2')")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            prepare()
+        assert built == []
 
 
 class TestIdentitySemantics:

@@ -1,7 +1,11 @@
 """Tests for the Bell family, the hyperentangled states, and the encoders."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +448,22 @@ class TestStateRepresentation:
             TwoPhotonState(1, (Mode(A, 0), Mode(A, 0)), [1], [INV_SQRT2])
         with pytest.raises(ValueError, match="mode B1 appears twice in the mode basis"):
             TwoPhotonState(2, (*path_modes(2), Mode(B, 1)), [1], [INV_SQRT2])
+
+    def test_a_basis_pickled_in_another_process_hashes_as_its_tuple(self):
+        # str hashes differ between hash seeds; a basis that kept its pickled
+        # hash would hash unlike tuple(basis) and miss as a dict key
+        header = "import pickle, sys; from bellsort.modes import path_modes; "
+        dump = header + "sys.stdout.buffer.write(pickle.dumps(path_modes(4)))"
+        load = header + (
+            "basis = pickle.loads(sys.stdin.buffer.read()); "
+            "print(type(basis).__name__, hash(basis) == hash(tuple(basis)), basis in {path_modes(4): 0})"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        output = b""
+        for seed, code in (("1", dump), ("2", load)):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            output = subprocess.run([sys.executable, "-c", code], input=output, env=env, capture_output=True).stdout
+        assert output.split() == [b"ModeBasis", b"True", b"True"]
 
     def test_a_mode_on_path_dim_is_outside_the_dimension(self):
         # path == dim is the boundary; (A0, B2) of the 3-path basis is a unit-norm state
