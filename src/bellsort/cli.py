@@ -39,6 +39,7 @@ from .detection import (
 )
 from .grouping import (
     GroupTable,
+    POLICIES,
     POLICY_LOSS_CONSERVATIVE,
     POLICY_STRICT,
     channel_capacity,
@@ -46,7 +47,9 @@ from .grouping import (
     compute_table,
 )
 from .dense_coding import SdcConfig, run_sdc
-from .networks import SETUP_FIG1, SETUP_FIG2, SETUPS, evolve, labelled_states, network_for_setup, prepared_state
+from .networks import (
+    SETUP_FIG1, SETUP_FIG2, SETUPS, check_setup, evolve, labelled_states, network_for_setup, prepared_state,
+)
 from .references import load_reference_tables, diff_against_reference
 from .states import BellIndex
 
@@ -254,11 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--setup", choices=SETUPS, default=SETUP_FIG1)
         p.add_argument("--model", choices=MODELS, default=MODEL_PNRD)
         if with_policy:
-            p.add_argument(
-                "--policy",
-                choices=["strict", "loss-conservative"],
-                default="strict",
-            )
+            p.add_argument("--policy", choices=[name.replace("_", "-") for name in POLICIES], default=POLICY_STRICT)
         p.add_argument("--format", choices=formats, default="text")
 
     p_tables = sub.add_parser("tables", help="recompute a distinguishability table")
@@ -299,8 +298,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             check_shots_and_seed(args.shots, args.seed)
         if args.command == "sdc":
             args.config = SdcConfig(args.setup, args.model, args.policy, args.seed, args.shots)  # in field order
-        if hasattr(args, "dim"):  # the network rejects a dimension its setup does not take
-            network_for_setup(args.setup, args.dim)
+        if hasattr(args, "dim"):
+            check_setup(args.setup, args.dim)
         if args.command == "sample":
             args.state = BellIndex.parse(args.state)
             args.state.validate_for(args.dim)

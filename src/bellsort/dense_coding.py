@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
-from .detection import MODEL_PNRD, MODELS, check_shots_and_seed, outcome_distribution, outcome_labels, sample
-from .grouping import GroupTable, POLICIES, POLICY_STRICT, channel_capacity, partition
+from .detection import MODEL_PNRD, check_model, check_shots_and_seed, outcome_distribution, outcome_labels, sample
+from .grouping import GroupTable, POLICY_STRICT, channel_capacity, check_policy, partition
 from .networks import SETUP_FIG1, check_setup, evolve_all, network_for_setup, prepared_state
 from .states import BellIndex, all_bell_indices, encode
 
@@ -31,11 +31,9 @@ class SdcConfig:
     shots: int = 1000
 
     def __post_init__(self) -> None:
-        check_setup(self.setup)
-        if self.model not in MODELS:
-            raise ValueError(f"unknown detector model {self.model!r}")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
+        check_setup(self.setup, 4)  # the dimension run_sdc prepares and builds at
+        check_model(self.model)
+        check_policy(self.policy)
         check_shots_and_seed(self.shots, self.seed)
         # numpy integers pass the check but not json.dumps of the report
         object.__setattr__(self, "shots", int(self.shots))

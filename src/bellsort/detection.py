@@ -14,10 +14,10 @@ output basis have integer ids: the pair id (see :mod:`bellsort.states`) of
 the detected mode pair under either model, so an evolved state's ``ids``
 are its outcome ids. The detector model is only a relabelling: the
 threshold model reads the pair of mode i with itself as the single click
-i. :func:`outcome_labels`, an array indexed by id, is the one map from id
-to label and the one place the model and the basis are checked.
-:func:`outcome_distribution` returns a plain dict from outcome label to
-probability, in label order.
+i. :func:`check_model` is the one check of a model name.
+:func:`outcome_labels`, an array indexed by id, is the one map from id to
+label, and checks the model and the basis. :func:`outcome_distribution`
+returns a plain dict from outcome label to probability, in label order.
 
 Sampling uses numpy's seeded PCG64 generator; identical (seed, shots) give
 bit-identical counts. :func:`sample` draws one multinomial over a
@@ -46,6 +46,12 @@ RNG_ALGORITHM = "PCG64"
 MAX_SHOTS = int(np.iinfo(np.int64).max)  # the largest count numpy's multinomial draws
 
 
+def check_model(model: str) -> None:
+    """Raise unless ``model`` is one of :data:`MODELS`."""
+    if model not in MODELS:
+        raise ValueError(f"unknown detector model {model!r}")
+
+
 @lru_cache(maxsize=16)
 def outcome_labels(basis: ModeBasis, model: str) -> np.ndarray:
     """Outcome id -> outcome label for one output basis and detector model, as a read-only object array.
@@ -54,8 +60,7 @@ def outcome_labels(basis: ModeBasis, model: str) -> np.ndarray:
     for a network's output basis need not be in mode order; ids below the
     diagonal hold None. The array is shared per (basis, model).
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown detector model {model!r}")
+    check_model(model)
     for mode in basis:
         if mode.pol in POL_LINEAR:
             raise ValueError(f"mode {mode.label} is not in a detector basis (apply the 45-degree analyzers first)")

@@ -35,6 +35,12 @@ POLICY_LOSS_CONSERVATIVE = "loss_conservative"
 POLICIES = (POLICY_STRICT, POLICY_LOSS_CONSERVATIVE)
 
 
+def check_policy(policy: str) -> None:
+    """Raise unless ``policy`` is one of :data:`POLICIES`."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+
+
 @dataclass(frozen=True)
 class StateGroup:
     """One distinguishable group: its members and their shared outcome support."""
@@ -111,8 +117,7 @@ def classify(
     """
     unitary = network.unitary
     labels = outcome_labels(unitary.out_modes, model)
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
+    check_policy(policy)
     supports = [(label, evolve(state, unitary).ids) for label, state in states]
     return partition(supports, labels, network.setup, model, policy)
 

@@ -4,21 +4,21 @@ A photon occupies one mode identified by (arm, path, polarization). The two
 input arms are labelled "A" and "B"; after the beam-splitter stage the same
 labels denote the two output ports. Detectors are output modes: one sits on
 each, and a click is recorded as the output mode that fired, with its label.
-Paths are integers in ``[0, d)``. Polarization is ``None`` for path-only
+Paths are integers in ``[0, d)``. Polarization is ``""`` for path-only
 states, ``"H"``/``"V"`` in the linear basis, and ``"+"``/``"-"`` in the
 diagonal basis used by the polarization analyzers.
 
-Modes are totally ordered by (arm, path, polarization label), which puts
-None first, H before V and + before -, so that unordered photon pairs have a
-canonical storage order. An ordered basis of modes is a :class:`ModeBasis`,
-a tuple that hashes in constant time, so the lookup tables derived from a
-basis can be cached per basis.
+Modes are totally ordered by their fields (arm, path, polarization), which
+puts "" first, + before -, and H before V, so that unordered photon pairs
+have a canonical storage order. An ordered basis of modes is a
+:class:`ModeBasis`, a tuple that hashes in constant time, so the lookup
+tables derived from a basis can be cached per basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 ARM_FIRST = "A"
 ARM_SECOND = "B"
@@ -28,14 +28,13 @@ POL_LINEAR = ("H", "V")
 POL_DIAGONAL = ("+", "-")
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Mode:
     """One bosonic mode: which arm, which path, which polarization slot."""
 
     arm: str
     path: int
-    pol: str | None = None
+    pol: str = ""
 
     def __post_init__(self) -> None:
         if self.arm not in ARMS:
@@ -43,21 +42,12 @@ class Mode:
         # a bool is an int, but would print into the label as "True"
         if isinstance(self.path, bool) or not isinstance(self.path, int) or self.path < 0:
             raise ValueError(f"path index must be a nonnegative integer, got {self.path!r}")
-        if self.pol not in (None, "H", "V", "+", "-"):
+        if self.pol not in ("", "H", "V", "+", "-"):
             raise ValueError(f"unknown polarization {self.pol!r}")
 
     @property
-    def sort_key(self) -> tuple:
-        return (self.arm, self.path, self.pol or "")
-
-    def __lt__(self, other: "Mode") -> bool:
-        if not isinstance(other, Mode):
-            return NotImplemented
-        return self.sort_key < other.sort_key
-
-    @property
     def label(self) -> str:
-        return f"{self.arm}{self.path}{self.pol or ''}"
+        return f"{self.arm}{self.path}{self.pol}"
 
     def __repr__(self) -> str:
         return f"Mode({self.label})"

@@ -23,9 +23,10 @@ three stages:
    shows up as same-sign (+/+, -/-) versus opposite-sign (+/-) detector
    pairs.
 
-:func:`network_for_setup` is the one way to get either network. It returns
-a cached :class:`NetworkSpec` that names its setup, so the code that
-classifies with it need not guess the setup; ``NetworkSpec.stages`` is for
+:func:`check_setup` says which networks exist, and :func:`network_for_setup`
+is the one way to get either network. It returns a cached
+:class:`NetworkSpec` that names its setup, so the code that classifies
+with it need not guess the setup; ``NetworkSpec.stages`` is for
 inspecting the layers one at a time and ``NetworkSpec.unitary`` is their
 product. Every stage is written as a per-mode rule, mapping one input mode
 to its (output mode, weight) images, and one helper fills the stage matrix
@@ -142,14 +143,15 @@ def _analyzer(mode: Mode) -> _Images:
     return ((plus, _INV_SQRT2), (minus, sign * _INV_SQRT2))
 
 
-def check_setup(setup: str) -> None:
-    """Raise unless ``setup`` names one of :data:`SETUPS`."""
+def check_setup(setup: str, dim: int) -> None:
+    """Raise unless ``setup`` is one of :data:`SETUPS` with a network at integer ``dim``: fig1 at 2 up, fig2 at 4."""
     if setup not in SETUPS:
         raise ValueError(f"unknown setup {setup!r}, expected one of {SETUPS}")
-
-
-def _require_fig2_dim(dim: int) -> None:
-    if dim != 4:
+    if isinstance(dim, bool) or not isinstance(dim, int):  # a bool is an int, and 4.0 == 4
+        raise ValueError(f"dimension must be an integer, got {dim!r}")
+    if setup == SETUP_FIG1 and dim < 2:
+        raise ValueError(f"need at least two paths, got dimension {dim}")
+    if setup == SETUP_FIG2 and dim != 4:
         raise ValueError("the ancilla-assisted setup is defined for dimension 4")
 
 
@@ -163,16 +165,11 @@ def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
     basis). The result is shared between callers and immutable: frozen
     stages with read-only matrices, and a product composed once.
     """
-    check_setup(setup)
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValueError(f"dimension must be an integer, got {dim!r}")
+    check_setup(setup, dim)
     if setup == SETUP_FIG1:
-        if dim < 2:
-            raise ValueError(f"need at least two paths, got dimension {dim}")
         modes = path_modes(dim)
         stages = (NetworkStage("bs_hadamard", _stage(modes, modes, _beam_splitter)),)
     else:
-        _require_fig2_dim(dim)
         linear, diagonal = polarized_modes(dim, POL_LINEAR), polarized_modes(dim, POL_DIAGONAL)
         stages = (
             NetworkStage("pbs0_rail_swap", _stage(linear, linear, _rail_swap)),
@@ -183,15 +180,9 @@ def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
 
 
 def prepared_state(setup: str, dim: int, idx: BellIndex) -> TwoPhotonState:
-    """Bell state ``idx`` as a setup takes it: with the polarization ancilla for fig2.
-
-    An unknown setup, or fig2 at a ``dim`` other than 4, raises as in ``network_for_setup``.
-    """
-    check_setup(setup)
-    if setup == SETUP_FIG2:
-        _require_fig2_dim(dim)
-        return make_hyper_state(idx)
-    return make_bell_state(dim, idx)
+    """Bell state ``idx`` as a setup takes it, with the polarization ancilla for fig2, once ``check_setup`` passes."""
+    check_setup(setup, dim)
+    return make_hyper_state(idx) if setup == SETUP_FIG2 else make_bell_state(dim, idx)
 
 
 def labelled_states(setup: str, dim: int) -> list[tuple[str, TwoPhotonState]]:

@@ -156,13 +156,13 @@ def _pair_indices(array) -> np.ndarray:
 
 
 def _pol_family(pols: set) -> tuple[str, str] | None:
-    if pols <= {None}:
+    if pols <= {""}:
         return None
     if pols <= set(POL_LINEAR):
         return POL_LINEAR
     if pols <= set(POL_DIAGONAL):
         return POL_DIAGONAL
-    raise ValueError(f"mixed polarization labelling {sorted(map(str, pols))}")
+    raise ValueError(f"mixed polarization labelling {sorted(pols)}")
 
 
 def _mode_space(dim: int, pols: set) -> ModeBasis:

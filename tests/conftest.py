@@ -93,6 +93,19 @@ def evolve_families(pairs) -> list:
     return results
 
 
+def amplitudes(state: TwoPhotonState) -> dict:
+    """Canonical mode pair -> complex psi(m1, m2), read from the state's ``basis``, ``ids`` and ``vals``.
+
+    The map ``TwoPhotonState.amps`` gives; tests read amplitudes here, and
+    test_states.py checks that the two agree on every CLI pair.
+    """
+    size = len(state.basis)
+    return {
+        canonical_pair(state.basis[t // size], state.basis[t % size]): complex(a)
+        for t, a in zip(state.ids.tolist(), state.vals.tolist())
+    }
+
+
 def from_kets(dim: int, kets) -> TwoPhotonState:
     """A state from Fock-ket terms c |1_m1, 1_m2>, or c |2_m> when m1 == m2; repeated pairs add up."""
     amps: dict = {}
@@ -124,16 +137,17 @@ def approx_equal(
     """
     if a.dim != b.dim:
         return False
+    amps_a, amps_b = amplitudes(a), amplitudes(b)
     phase_a = phase_b = 1.0 + 0.0j
     if up_to_phase:
-        ref = max(a.amps, key=lambda k: abs(a.amps[k]))
-        va, vb = a.amps[ref], b.amps.get(ref, 0.0)
+        ref = max(amps_a, key=lambda k: abs(amps_a[k]))
+        va, vb = amps_a[ref], amps_b.get(ref, 0.0)
         if abs(vb) < AMP_PRUNE:
             return False
         phase_a, phase_b = va / abs(va), vb / abs(vb)
     return all(
-        abs(a.amps.get(key, 0.0) / phase_a - b.amps.get(key, 0.0) / phase_b) <= tol
-        for key in set(a.amps) | set(b.amps)
+        abs(amps_a.get(key, 0.0) / phase_a - amps_b.get(key, 0.0) / phase_b) <= tol
+        for key in set(amps_a) | set(amps_b)
     )
 
 
@@ -142,7 +156,7 @@ def first_quantized_vector(state: TwoPhotonState, basis: tuple[Mode, ...]) -> np
     size = len(basis)
     index = {m: i for i, m in enumerate(basis)}
     vec = np.zeros(size * size, dtype=complex)
-    for (m1, m2), amp in state.amps.items():
+    for (m1, m2), amp in amplitudes(state).items():
         i, k = index[m1], index[m2]
         vec[i * size + k] = amp
         vec[k * size + i] = amp

@@ -70,7 +70,11 @@ USAGE_ERRORS = [
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
 def test_usage_errors_do_no_work(argv, capsys, monkeypatch):
     calls = []
-    for module, name in ((grouping, "evolve"), (cli, "evolve"), (dense_coding, "evolve_all"), (dense_coding, "encode")):
+    # nor is a network built: check_setup rejects a dimension before one is
+    for module, name in (
+        (grouping, "evolve"), (cli, "evolve"), (dense_coding, "evolve_all"), (dense_coding, "encode"),
+        (cli, "network_for_setup"), (grouping, "network_for_setup"),
+    ):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real: calls.append(args) or real(*args))
     with pytest.raises(SystemExit) as excinfo:

@@ -246,7 +246,7 @@ class TestDistributions:
             assert list(dist) == sorted(dist)
 
 
-def bell_kets(idx, dim, pols=(None,)):
+def bell_kets(idx, dim, pols=("",)):
     """Bell state ``idx`` as Fock kets, from its definition: every x and pol of
     (-1)**(n*x0 + m*x1) |1_(A, x, pol), 1_(B, x XOR j, pol)>, normalised."""
     c = 1 / math.sqrt(dim * len(pols))
@@ -285,7 +285,7 @@ class TestFockOracle:
     def test_every_d4_bell_state_through_fig1_and_fig2(self, model):
         # every CLI pair at d <= 4, prepared and encoded; an encoded message is its Bell state
         for p in cli_pairs(4):
-            kets = bell_kets(p.idx, p.state.dim, ("H", "V") if p.setup == "fig2" else (None,))
+            kets = bell_kets(p.idx, p.state.dim, ("H", "V") if p.setup == "fig2" else ("",))
             self.assert_matches(p.state, kets, p.network, model)
 
     def test_random_unitaries(self, model):

@@ -26,7 +26,7 @@ from bellsort import (
 from bellsort.modes import Mode, canonical_pair, path_modes, polarized_modes
 from bellsort.networks import NetworkSpec, NetworkStage
 from conftest import (
-    approx_equal, cli_pairs, evolve_each, evolve_families, from_kets, oracle_evolve, oracle_norm,
+    amplitudes, approx_equal, cli_pairs, evolve_each, evolve_families, from_kets, oracle_evolve, oracle_norm,
     random_two_photon_state, random_unitary, where_pair_terms,
 )
 
@@ -85,7 +85,7 @@ def oracle_mismatches(cases, through=evolve_each):
         if isinstance(evolved, ValueError):
             mismatches.append(position)
             continue
-        evolved = evolved.amps
+        evolved = amplitudes(evolved)
         expected = {canonical_pair(*key): a for key, a in oracle_evolve(state, net).items()}
         keys = set(evolved) | set(expected)
         if any(abs(evolved.get(key, 0.0) - expected.get(key, 0.0)) >= 1e-10 for key in keys):
@@ -126,7 +126,7 @@ class TestFig1Structure:
     def test_spec_stages(self):
         spec = network_for_setup("fig1", 4)
         assert [s.kind for s in spec.stages] == ["bs_hadamard"]
-        assert all(m.pol is None for m in spec.stages[0].unitary.in_modes)
+        assert all(m.pol == "" for m in spec.stages[0].unitary.in_modes)
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
     def test_the_unitary_is_the_one_stage_itself(self, dim):
@@ -139,21 +139,21 @@ class TestEvolutionArchetypes:
     def test_identical_paths_bunch(self, x):
         # |x>_A |x>_B -> |x>_a|x>_a - |x>_b|x>_b, probability 1/2 each side
         state = from_kets(4, [(Mode(A, x), Mode(B, x), 1.0)])
-        out = evolve(state, network_for_setup("fig1", 4).unitary)
-        assert set(out.amps) == {
+        out = amplitudes(evolve(state, network_for_setup("fig1", 4).unitary))
+        assert set(out) == {
             (Mode(A, x), Mode(A, x)),
             (Mode(B, x), Mode(B, x)),
         }
-        assert out.amps.get(canonical_pair(Mode(A, x), Mode(A, x)), 0) == pytest.approx(INV_SQRT2)
-        assert out.amps.get(canonical_pair(Mode(B, x), Mode(B, x)), 0) == pytest.approx(-INV_SQRT2)
+        assert out.get(canonical_pair(Mode(A, x), Mode(A, x)), 0) == pytest.approx(INV_SQRT2)
+        assert out.get(canonical_pair(Mode(B, x), Mode(B, x)), 0) == pytest.approx(-INV_SQRT2)
 
     @pytest.mark.parametrize("x,y", [(0, 1), (0, 2), (1, 3), (2, 3)])
     def test_symmetric_pairs_stay_same_arm(self, x, y):
         state = from_kets(
             4, [(Mode(A, x), Mode(B, y), INV_SQRT2), (Mode(A, y), Mode(B, x), INV_SQRT2)]
         )
-        out = evolve(state, network_for_setup("fig1", 4).unitary)
-        assert set(out.amps) == {
+        out = amplitudes(evolve(state, network_for_setup("fig1", 4).unitary))
+        assert set(out) == {
             (Mode(A, x), Mode(A, y)),
             (Mode(B, x), Mode(B, y)),
         }
@@ -163,8 +163,8 @@ class TestEvolutionArchetypes:
         state = from_kets(
             4, [(Mode(A, x), Mode(B, y), INV_SQRT2), (Mode(A, y), Mode(B, x), -INV_SQRT2)]
         )
-        out = evolve(state, network_for_setup("fig1", 4).unitary)
-        assert set(out.amps) == {
+        out = amplitudes(evolve(state, network_for_setup("fig1", 4).unitary))
+        assert set(out) == {
             (Mode(A, x), Mode(B, y)),
             (Mode(A, y), Mode(B, x)),
         }
@@ -237,11 +237,11 @@ class TestEvolutionProperties:
         net = network_for_setup("fig1", dim).unitary
         for idx in all_bell_indices(dim):
             state = make_bell_state(dim, idx)
-            evolved = evolve(state, net)
+            evolved = amplitudes(evolve(state, net))
             expected = oracle_evolve(state, net)
-            assert set(evolved.amps) == set(expected)
+            assert set(evolved) == set(expected)
             for key, amp in expected.items():
-                assert abs(evolved.amps[key] - amp) < 1e-10
+                assert abs(evolved[key] - amp) < 1e-10
 
     def test_output_basis_in_another_order(self):
         # the network may list its output modes in any order; its input basis
@@ -252,9 +252,10 @@ class TestEvolutionProperties:
         state = make_bell_state(4, BellIndex(3, 1, 1))
         evolved = evolve(state, net)
         expected = {canonical_pair(*key): a for key, a in oracle_evolve(state, net).items()}
-        assert set(evolved.amps) == set(expected)
+        amps = amplitudes(evolved)
+        assert set(amps) == set(expected)
         for key, amp in expected.items():
-            assert abs(evolved.amps[key] - amp) < 1e-10
+            assert abs(amps[key] - amp) < 1e-10
         # outcome labels keep canonical click order on the reversed output basis
         labels = {" ".join([m1.label, m2.label]) for m1, m2 in expected}
         assert set(outcome_distribution(evolved)) == labels
@@ -278,8 +279,7 @@ class TestEvolutionProperties:
         net = network_for_setup("fig1", 4).unitary
         for x in range(4):
             state = from_kets(4, [(Mode(A, x), Mode(B, x), 1.0)])
-            out = evolve(state, net)
-            assert all(m1.arm == m2.arm for (m1, m2) in out.amps)
+            assert all(m1.arm == m2.arm for (m1, m2) in amplitudes(evolve(state, net)))
 
     def test_exchange_symmetry_dichotomy_over_component_pairs(self):
         # (|xy> + s|yx>)/sqrt(2): same-arm support iff s=+1, cross-arm iff s=-1
@@ -291,7 +291,7 @@ class TestEvolutionProperties:
                         4,
                         [(Mode(A, x), Mode(B, y), INV_SQRT2), (Mode(A, y), Mode(B, x), s * INV_SQRT2)],
                     )
-                    patterns = {arm_pattern(p) for p in evolve(state, net).amps}
+                    patterns = {arm_pattern(p) for p in amplitudes(evolve(state, net))}
                     assert patterns == ({(A, A), (B, B)} if s > 0 else {(A, B)})
 
     def test_exchange_symmetry_dichotomy_over_bell_states(self):
@@ -302,11 +302,11 @@ class TestEvolutionProperties:
                 4,
                 {
                     (Mode(B if m1.arm == A else A, m1.path), Mode(B if m2.arm == A else A, m2.path)): a
-                    for (m1, m2), a in state.amps.items()
+                    for (m1, m2), a in amplitudes(state).items()
                 },
             )
             symmetric = approx_equal(state, swapped, up_to_phase=False)
-            patterns = {arm_pattern(p) for p in evolve(state, net).amps}
+            patterns = {arm_pattern(p) for p in amplitudes(evolve(state, net))}
             if symmetric:
                 assert patterns <= {(A, A), (B, B)}
             else:
@@ -327,7 +327,7 @@ class TestEvolutionProperties:
         swapped = SinglePhotonUnitary(modes, modes, mat)
         for idx in all_bell_indices(4):
             state = make_bell_state(4, idx)
-            assert set(evolve(state, plus_first).amps) == set(evolve(state, swapped).amps)
+            assert set(amplitudes(evolve(state, plus_first))) == set(amplitudes(evolve(state, swapped)))
 
 
 def test_networks_are_bit_identical_to_the_pinned_digests():
@@ -362,10 +362,10 @@ class TestFig2Network:
         # pair |HH> + |VV> to |HH> - |VV> with all path amplitudes untouched.
         stage = network_for_setup("fig2").stages[0].unitary
         state = make_hyper_state(BellIndex(2, 1, 0))
-        out = evolve(state, stage)
-        for (m1, m2), amp in state.amps.items():
+        out = amplitudes(evolve(state, stage))
+        for (m1, m2), amp in amplitudes(state).items():
             sign = -1.0 if m1.pol == "V" else 1.0
-            assert out.amps.get(canonical_pair(m1, m2), 0) == pytest.approx(sign * amp)
+            assert out.get(canonical_pair(m1, m2), 0) == pytest.approx(sign * amp)
 
     def test_rail_swap_preserves_ancilla_sign_for_even_phase_bit(self):
         stage = network_for_setup("fig2").stages[0].unitary
@@ -497,6 +497,17 @@ class TestSetupDimension:
     def test_fig1_needs_two_paths(self):
         with pytest.raises(ValueError, match="need at least two paths"):
             network_for_setup("fig1", 1)
+
+    @pytest.mark.parametrize(
+        "setup,dim", [("fig1", 1), ("fig1", 4.0), ("fig1", True), ("fig2", 2), ("fig2", 4.0), ("fig2", np.int64(4))]
+    )
+    def test_a_state_is_prepared_only_where_a_network_exists(self, setup, dim):
+        # fig1 at 1 or 4.0 raised the XOR pairing's power-of-two message, and fig2 at 4.0 built the d=4 state
+        with pytest.raises(ValueError) as network_error:
+            network_for_setup(setup, dim)
+        with pytest.raises(ValueError) as state_error:
+            networks.prepared_state(setup, dim, BellIndex(0, 0, 0))
+        assert str(state_error.value) == str(network_error.value)
 
     def test_an_unknown_setup_is_rejected(self):
         with pytest.raises(ValueError, match="unknown setup 'fig3', expected one of"):

@@ -21,7 +21,9 @@ from bellsort import (
 )
 from bellsort.modes import POL_DIAGONAL, POL_LINEAR, Mode, ModeBasis, canonical_pair, path_modes, polarized_modes
 from bellsort.states import AMP_PRUNE, NORM_TOL, UNITARY_TOL
-from conftest import approx_equal, encoding_unitary, from_kets, oracle_evolve, oracle_inner, oracle_norm
+from conftest import (
+    amplitudes, approx_equal, cli_pairs, encoding_unitary, from_kets, oracle_evolve, oracle_inner, oracle_norm,
+)
 
 A, B = "A", "B"
 HALF = 0.5
@@ -79,8 +81,9 @@ class TestBellConstruction:
 
     def test_exchange_symmetric_by_representation(self):
         state = make_bell_state(4, BellIndex(3, 1, 1))
-        for (m1, m2) in set(state.amps):
-            assert state.amps.get(canonical_pair(m1, m2), 0) == state.amps.get(canonical_pair(m2, m1), 0)
+        amps = amplitudes(state)
+        for (m1, m2) in set(amps):
+            assert amps.get(canonical_pair(m1, m2), 0) == amps.get(canonical_pair(m2, m1), 0)
 
     def test_invalid_indices_rejected(self):
         with pytest.raises(ValueError, match="pairing index j=4 out of range for dimension 4"):
@@ -171,7 +174,7 @@ class TestHyperState:
         # Factoring out the polarization pair must leave the path Bell state.
         hyper = make_hyper_state(idx)
         path_amps = {}
-        for (m1, m2), amp in hyper.amps.items():
+        for (m1, m2), amp in amplitudes(hyper).items():
             if m1.pol == "H" and m2.pol == "H":
                 key = (Mode(m1.arm, m1.path), Mode(m2.arm, m2.path))
                 path_amps[key] = amp * math.sqrt(2.0)
@@ -391,10 +394,10 @@ class TestStateRepresentation:
             (Mode(A, 2), Mode(B, 2)): 1e-13,
         }
         state = TwoPhotonState.from_amplitudes(4, amps)
-        assert len(state.amps) == 2
+        assert len(amplitudes(state)) == 2
         # the threshold itself is kept: only |psi| below it is dropped
         state = TwoPhotonState.from_amplitudes(4, {**amps, (Mode(A, 2), Mode(B, 2)): AMP_PRUNE})
-        assert len(state.amps) == 3
+        assert len(amplitudes(state)) == 3
 
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(ValueError, match=r"duplicate amplitude for pair \(A0, B1\)"):
@@ -402,13 +405,13 @@ class TestStateRepresentation:
 
     def test_keys_canonicalized(self):
         state = TwoPhotonState.from_amplitudes(4, {(Mode(B, 1), Mode(A, 0)): INV_SQRT2})
-        ((m1, m2),) = set(state.amps)
+        ((m1, m2),) = set(amplitudes(state))
         assert (m1.arm, m2.arm) == (A, B)
 
     def test_equality_up_to_global_phase(self):
         state = make_bell_state(4, BellIndex(2, 1, 0))
-        flipped = TwoPhotonState.from_amplitudes(4, {k: -v for k, v in state.amps.items()})
-        rotated = TwoPhotonState.from_amplitudes(4, {k: 1j * v for k, v in state.amps.items()})
+        flipped = TwoPhotonState.from_amplitudes(4, {k: -v for k, v in amplitudes(state).items()})
+        rotated = TwoPhotonState.from_amplitudes(4, {k: 1j * v for k, v in amplitudes(state).items()})
         assert approx_equal(state, flipped)
         assert approx_equal(state, rotated)
         assert not approx_equal(state, flipped, up_to_phase=False)
@@ -436,6 +439,11 @@ class TestStateRepresentation:
             TwoPhotonState(4, state.basis, cols * size + rows, state.vals)
         with pytest.raises(ValueError, match="pair indices must satisfy 0 <= row <= col"):
             TwoPhotonState(4, state.basis, state.ids - size, state.vals)
+
+    def test_amps_is_the_array_form_read_as_mode_pairs(self):
+        # tests read amplitudes through conftest.amplitudes, built from the arrays alone
+        for pair in cli_pairs():
+            assert dict(pair.state.amps) == amplitudes(pair.state)
 
     def test_an_empty_basis_is_rejected(self):
         # np.divmod by zero modes would read id 0 as the pair (0, 0)
@@ -525,7 +533,7 @@ class TestStateRepresentation:
         with pytest.raises(ValueError, match="deviates from 1 by more than 1e-09"):
             TwoPhotonState(4, state.basis, state.ids, state.vals * scale)
         with pytest.raises(ValueError, match="deviates from 1 by more than 1e-09"):
-            TwoPhotonState.from_amplitudes(4, {k: v * scale for k, v in state.amps.items()})
+            TwoPhotonState.from_amplitudes(4, {k: v * scale for k, v in amplitudes(state).items()})
 
     def test_constructor_accepts_a_norm_within_the_tolerance(self):
         state = make_bell_state(4, BellIndex(2, 1, 0))
@@ -552,12 +560,12 @@ class TestStateRepresentation:
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_mode_order_is_the_canonical_basis_order(self, dim):
-        # (arm, path, polarization label): None first, H before V and + before -
+        # (arm, path, polarization label): "" first, H before V and + before -
         for basis in (path_modes(dim), polarized_modes(dim, POL_LINEAR), polarized_modes(dim, POL_DIAGONAL)):
             assert sorted(reversed(basis)) == list(basis)
 
     def test_mode_order_is_strict(self):
-        # total_ordering derives <=, > and >= from < and ==, so < must be strict
+        # the dataclass order compares (arm, path, pol) tuples, so < must be strict
         mode = Mode(A, 1, "+")
         assert not mode < mode and mode <= mode and not mode > mode
         assert Mode(A, 1) < mode < Mode(A, 1, "-") < Mode(B, 0)
@@ -567,6 +575,12 @@ class TestStateRepresentation:
             Mode("C", 0)
         with pytest.raises(ValueError, match="unknown polarization 'D'"):
             Mode(A, 0, "D")
+        with pytest.raises(ValueError, match="^unknown polarization None$"):  # "" is no polarization
+            Mode(A, 0, None)
+
+    def test_mode_repr_is_its_label(self):
+        assert repr(Mode(A, 0, "+")) == "Mode(A0+)"
+        assert repr(Mode(B, 3)) == "Mode(B3)"
 
     @pytest.mark.parametrize("path", [True, False, 1.0, -1, "1"])
     def test_mode_rejects_a_bool_or_non_integer_path(self, path):
