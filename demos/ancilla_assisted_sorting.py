@@ -30,7 +30,7 @@ def main() -> None:
     print(f"input: {idx.label} tensored with (|HH> + |VV>)/sqrt(2)")
     print_amps(state)
 
-    for stage in network_for_setup("fig2").stages:
+    for stage in network_for_setup("fig2", 4).stages:
         state = evolve(state, stage.unitary)
         print(f"\nafter {stage.kind}:")
         print_amps(state)

@@ -75,7 +75,7 @@ def run_sdc(config: SdcConfig) -> SdcReport:
     distribution whether drawn or not, so one in no group support fails.
     """
     reference = prepared_state(config.setup, 4, BellIndex(0, 0, 0))
-    unitary = network_for_setup(config.setup).unitary
+    unitary = network_for_setup(config.setup, 4).unitary
     indices = all_bell_indices(4)
     evolved = evolve_all(encode(reference, indices), unitary)
     labels = [idx.label for idx in indices]

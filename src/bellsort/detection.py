@@ -80,11 +80,12 @@ def outcome_distribution(state: TwoPhotonState, model: str = MODEL_PNRD) -> dict
     PNRD weights: P({m, m}) = |psi(m, m)|**2 and P({m1, m2}) =
     2 |psi(m1, m2)|**2 for distinct modes. The threshold model reports the
     bunched pair {m, m} as the single click m; each outcome still comes
-    from exactly one mode pair. Every state has unit norm within 1e-9 (its
-    constructor and evolution check it), so the norm is not checked again;
-    the weights are still normalised by their left-to-right sum in the
-    state's (row-major upper-triangle) order, so the probabilities are
-    reproducible to the last bit, and only then keyed by label and sorted.
+    from exactly one mode pair. Every state has unit norm within
+    ``NORM_TOL`` (its constructor and evolution check it), so the norm is
+    not checked again; the weights are still normalised by their
+    left-to-right sum in the state's (row-major upper-triangle) order, so
+    the probabilities are reproducible to the last bit, and only then keyed
+    by label and sorted.
     """
     labels = outcome_labels(state.basis, model)
     weights = pair_weights(state.ids, len(state.basis)) * np.abs(state.vals) ** 2

@@ -87,9 +87,8 @@ def polarized_modes(dim: int, basis: tuple[str, str]) -> ModeBasis:
     return ModeBasis(Mode(arm, x, p) for arm in ARMS for x in range(dim) for p in basis)
 
 
-@lru_cache(maxsize=64)
 def positions(basis: ModeBasis) -> dict:
-    """Mode -> its index in ``basis``, cached per basis and shared between callers."""
+    """Mode -> its index in ``basis``, a new dict on each call, so no caller's write reaches another."""
     return {m: i for i, m in enumerate(basis)}
 
 

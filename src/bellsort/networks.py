@@ -28,9 +28,9 @@ is the one way to get either network. It returns a cached
 :class:`NetworkSpec` that names its setup, so the code that classifies
 with it need not guess the setup; ``NetworkSpec.stages`` is for
 inspecting the layers one at a time and ``NetworkSpec.unitary`` is their
-product. Every stage is written as a per-mode rule, mapping one input mode
-to its (output mode, weight) images, and one helper fills the stage matrix
-from that rule. :func:`prepared_state` and :func:`labelled_states` prepare
+product. Every stage matrix is a Kronecker product over the (arm, path,
+pol) factors of the canonical mode order, such as H (x) 1_d, the Hadamard
+on the arm, for the beam splitters of fig1. :func:`prepared_state` and :func:`labelled_states` prepare
 the Bell family as each setup takes it: with the polarization ancilla for fig2.
 
 :class:`SinglePhotonUnitary` is an element or a whole network as a
@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable, NamedTuple
+from functools import cached_property, lru_cache, reduce
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .modes import ARMS, Mode, ModeBasis, POL_DIAGONAL, POL_LINEAR, as_basis, path_modes, polarized_modes, positions
+from .modes import ModeBasis, POL_DIAGONAL, POL_LINEAR, as_basis, path_modes, polarized_modes
 from .states import (
     AMP_PRUNE, UNITARY_TOL, BellIndex, TwoPhotonState, all_bell_indices, check_norm, float_or_complex, frozen,
     make_bell_state, make_hyper_state,
@@ -59,9 +59,11 @@ SETUP_FIG1 = "fig1"
 SETUP_FIG2 = "fig2"
 SETUPS = (SETUP_FIG1, SETUP_FIG2)
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-_Images = tuple[tuple[Mode, float], ...]  # a mode's (output mode, weight) pairs
+# The 50:50 beam splitter on the arms and the PBS at 45 degrees on the
+# polarization, [out, in]: the first input carries the + superposition and the
+# second the - superposition; all derived supports are invariant under moving
+# the minus sign to the first input instead.
+(_HADAMARD,) = frozen(np.array([[1.0, 1.0], [1.0, -1.0]]) * (1.0 / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -105,42 +107,9 @@ class NetworkSpec:
         return first if len(self.stages) == 1 else SinglePhotonUnitary(first.in_modes, last.out_modes, product)
 
 
-def _stage(modes_in: ModeBasis, modes_out: ModeBasis, images: Callable[[Mode], _Images]) -> SinglePhotonUnitary:
-    """The stage matrix of a per-mode rule: input mode m goes to the weighted ``images(m)``.
-
-    ``images(m)`` gives the (output mode, weight) pairs of m; every other
-    entry of m's column is zero.
-    """
-    rows = positions(modes_out)
-    mat = np.zeros((len(modes_out), len(modes_in)))
-    for i, mode in enumerate(modes_in):
-        for out, weight in images(mode):
-            mat[rows[out], i] = weight
-    return SinglePhotonUnitary(modes_in, modes_out, mat)
-
-
-def _beam_splitter(mode: Mode) -> _Images:
-    """Beam splitter between the arms on the mode's (path, pol) rail.
-
-    Convention: the first arm carries the + superposition and the second
-    the - superposition; all derived supports are invariant under moving
-    the minus sign to the first arm instead.
-    """
-    sign = 1.0 if mode.arm == ARMS[0] else -1.0
-    a, b = (Mode(arm, mode.path, mode.pol) for arm in ARMS)
-    return ((a, _INV_SQRT2), (b, sign * _INV_SQRT2))
-
-
-def _rail_swap(mode: Mode) -> _Images:
-    """PBS at 0 degrees between paired rails: H stays, V hops path x -> x XOR 1."""
-    return ((mode if mode.pol == "H" else Mode(mode.arm, mode.path ^ 1, "V"), 1.0),)
-
-
-def _analyzer(mode: Mode) -> _Images:
-    """PBS at 45 degrees: H -> (|+> + |->)/sqrt(2), V -> (|+> - |->)/sqrt(2)."""
-    sign = 1.0 if mode.pol == "H" else -1.0
-    plus, minus = (Mode(mode.arm, mode.path, pol) for pol in POL_DIAGONAL)
-    return ((plus, _INV_SQRT2), (minus, sign * _INV_SQRT2))
+def _kron(*factors) -> np.ndarray:
+    """The Kronecker product of ``factors``, its -0.0 entries made +0.0: the network digests hash the bytes."""
+    return reduce(np.kron, factors) + 0.0
 
 
 def check_setup(setup: str, dim: int) -> None:
@@ -156,7 +125,7 @@ def check_setup(setup: str, dim: int) -> None:
 
 
 @lru_cache(maxsize=16, typed=True)  # typed, so that 4.0 or True is no hit for 4 or 1
-def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
+def network_for_setup(setup: str, dim: int, /) -> NetworkSpec:
     """The measurement network of a setup, built once per (setup, dim).
 
     fig1 is the beam-splitter array on d paths (2d modes); fig2 maps the 16
@@ -168,13 +137,17 @@ def network_for_setup(setup: str, dim: int = 4) -> NetworkSpec:
     check_setup(setup, dim)
     if setup == SETUP_FIG1:
         modes = path_modes(dim)
-        stages = (NetworkStage("bs_hadamard", _stage(modes, modes, _beam_splitter)),)
+        stages = (NetworkStage("bs_hadamard", SinglePhotonUnitary(modes, modes, _kron(_HADAMARD, np.eye(dim)))),)
     else:
         linear, diagonal = polarized_modes(dim, POL_LINEAR), polarized_modes(dim, POL_DIAGONAL)
+        rails = np.eye(2 * dim)  # identity on (arm, path) or on (path, pol)
+        # H stays and V hops to the partner rail, path x -> x XOR 1: X on the low path bit, under the
+        # identity on the arm and the high path bit, 2 * d/2 = d rails
+        swap = _kron(rails, np.diag([1.0, 0.0])) + _kron(np.eye(dim), [[0.0, 1.0], [1.0, 0.0]], np.diag([0.0, 1.0]))
         stages = (
-            NetworkStage("pbs0_rail_swap", _stage(linear, linear, _rail_swap)),
-            NetworkStage("bs_hadamard", _stage(linear, linear, _beam_splitter)),
-            NetworkStage("pbs45_basis_change", _stage(linear, diagonal, _analyzer)),
+            NetworkStage("pbs0_rail_swap", SinglePhotonUnitary(linear, linear, swap)),
+            NetworkStage("bs_hadamard", SinglePhotonUnitary(linear, linear, _kron(_HADAMARD, rails))),
+            NetworkStage("pbs45_basis_change", SinglePhotonUnitary(linear, diagonal, _kron(rails, _HADAMARD))),
         )
     return NetworkSpec(setup, dim, stages)
 
@@ -206,11 +179,12 @@ class SinglePhotonUnitary:
     ``matrix[o, i]`` is the amplitude from input mode ``in_modes[i]`` to
     output mode ``out_modes[o]``. Input and output bases may differ (the
     polarization analyzers relabel H/V to +/-). Unitarity is enforced at
-    construction within 1e-10; the matrix is a read-only copy, complex128
-    if given complex and float64 otherwise. Equality and hashing are by
-    identity, as for :class:`TwoPhotonState`; compare matrices with numpy.
-    U U^dagger is formed by ``np.einsum``, numpy's own loops, never BLAS: the
-    first GEMM of a process costs more memory than these sparse products.
+    construction within ``UNITARY_TOL``; the matrix is a read-only copy,
+    complex128 if given complex and float64 otherwise. Equality and hashing
+    are by identity, as for :class:`TwoPhotonState`; compare matrices with
+    numpy. U U^dagger is formed by ``np.einsum``, numpy's own loops, never
+    BLAS: the first GEMM of a process costs more memory than these sparse
+    products.
     """
 
     in_modes: ModeBasis
@@ -309,9 +283,9 @@ def evolve(state: TwoPhotonState, network: SinglePhotonUnitary) -> TwoPhotonStat
     therefore costly, and only tests evolve through one, at 16 modes or
     fewer. Raises ValueError unless ``state.basis == network.in_modes``;
     ``network.out_modes`` may be in any order. Norm is preserved (checked
-    within 1e-9 over every output amplitude, so a NaN fails it), amplitudes
-    below 1e-12 are pruned, and the result is complex if the state or the
-    network is.
+    within ``NORM_TOL`` over every output amplitude, so a NaN fails it),
+    amplitudes below ``AMP_PRUNE`` are pruned, and the result is complex if
+    the state or the network is.
     """
     if state.basis != network.in_modes:
         raise ValueError("the state is not stored in the network's input basis")

@@ -195,8 +195,9 @@ class TwoPhotonState:
     Every basis mode must have path < dim, and all must share one
     polarization family (none, H/V or +/-). The arrays are read-only.
     Calling the class checks copies of the arrays, so the caller's stay
-    theirs, and rejects a norm off 1 by more than 1e-9 (or NaN); nothing
-    rescales. :meth:`from_amplitudes` also prunes amplitudes below 1e-12.
+    theirs, and rejects a norm off 1 by more than ``NORM_TOL`` (or NaN);
+    nothing rescales. :meth:`from_amplitudes` also prunes amplitudes below
+    ``AMP_PRUNE``.
     The package's own builders skip the checks through the private
     :meth:`_build`; tests/test_builder.py re-checks what they make.
     Equality and hashing are by identity.
@@ -249,7 +250,7 @@ class TwoPhotonState:
         """Build a state from symmetric-wavefunction values.
 
         Keys may be given in either order; duplicates of the same unordered
-        pair are rejected. The norm must already be 1 within 1e-9. The
+        pair are rejected. The norm must already be 1 within ``NORM_TOL``. The
         state lives in the canonical mode space of its modes' polarization.
         """
         canon: dict[tuple[Mode, Mode], complex] = {}

@@ -99,7 +99,7 @@ def test_criterion_4_two_dimensional_baseline():
 
 def test_criterion_5_worked_example_support_and_uniformity():
     state = make_hyper_state(BellIndex(2, 1, 0))
-    network = network_for_setup("fig2").unitary
+    network = network_for_setup("fig2", 4).unitary
     dist = outcome_distribution(evolve(state, network))
     expected_support = {
         "A0+ A2-", "A0- A2+", "A1+ A3-", "A1- A3+",
@@ -163,7 +163,7 @@ def test_criterion_7_property_suites():
                 evolve(make_bell_state(4, idx), network_for_setup("fig1", 4).unitary), model
             )
             d2 = outcome_distribution(
-                evolve(make_hyper_state(idx), network_for_setup("fig2").unitary), model
+                evolve(make_hyper_state(idx), network_for_setup("fig2", 4).unitary), model
             )
             norm_ok = norm_ok and abs(sum(d1.values()) - 1.0) <= 1e-9
             norm_ok = norm_ok and abs(sum(d2.values()) - 1.0) <= 1e-9
@@ -212,7 +212,7 @@ def test_criterion_9_superdense_coding_round_trip():
         ok = ok and rep.accuracy == 1.0 and len(rep.message_counts) == 16
 
         # messages inside one group are pairwise support-indistinguishable
-        network = network_for_setup(setup).unitary
+        network = network_for_setup(setup, 4).unitary
         ref = prepared_state(setup, 4, BellIndex(0, 0, 0))
         index_of = {idx.label: idx for idx in all_bell_indices(4)}
         for group in rep.table.groups:

@@ -148,7 +148,7 @@ class TestRoundTrip:
         # messages sharing a group produce the same empirical outcome sets
         from bellsort import encode, evolve, network_for_setup, outcome_distribution, sample
 
-        network = network_for_setup(setup).unitary
+        network = network_for_setup(setup, 4).unitary
         ref = prepared_state(setup, 4, REFERENCE)
         report = run_sdc(SdcConfig(setup=setup, shots=1))
         shots = 10_000

@@ -42,7 +42,7 @@ def collapse(outcome):
 def reachable_output_bases():
     """The output basis of every fig1 network at d = 2 .. 32 and of fig2, and a reversed basis."""
     bases = [network_for_setup("fig1", dim).unitary.out_modes for dim in range(2, 33)]
-    return [*bases, network_for_setup("fig2").unitary.out_modes, path_modes(4)[::-1]]
+    return [*bases, network_for_setup("fig2", 4).unitary.out_modes, path_modes(4)[::-1]]
 
 
 def relabelling_mismatches(bases):
@@ -93,7 +93,7 @@ def guarded_distributions():
             for idx in all_bell_indices(dim):
                 yield fig1_distribution(idx, model, dim)
         for idx in all_bell_indices(4):
-            network = network_for_setup("fig2").unitary
+            network = network_for_setup("fig2", 4).unitary
             yield outcome_distribution(evolve(make_hyper_state(idx), network), model)
 
 
@@ -183,7 +183,7 @@ class TestDistributions:
 
     def test_worked_hyper_example_eighth_each(self):
         state = make_hyper_state(BellIndex(2, 1, 0))
-        dist = outcome_distribution(evolve(state, network_for_setup("fig2").unitary))
+        dist = outcome_distribution(evolve(state, network_for_setup("fig2", 4).unitary))
         assert set(dist) == {
             "A0+ A2-", "A0- A2+", "A1+ A3-", "A1- A3+",
             "B0+ B2-", "B0- B2+", "B1+ B3-", "B1- B3+",
@@ -217,7 +217,7 @@ class TestDistributions:
                 total = sum(fig1_distribution(idx, model).values())
                 assert abs(total - 1.0) < 1e-9
                 state = make_hyper_state(idx)
-                dist = outcome_distribution(evolve(state, network_for_setup("fig2").unitary), model)
+                dist = outcome_distribution(evolve(state, network_for_setup("fig2", 4).unitary), model)
                 assert abs(sum(dist.values()) - 1.0) < 1e-9
 
     def test_unnormalized_state_rejected(self):

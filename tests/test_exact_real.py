@@ -121,7 +121,7 @@ class TestBitIdentityWithComplexEvolution:
         assert complex_evolution_mismatches(pairs) == []
 
     def test_fig2_network_matches_complex_composition(self):
-        spec = network_for_setup("fig2")
+        spec = network_for_setup("fig2", 4)
         stages = [stage.unitary.matrix.astype(np.complex128) for stage in spec.stages]
         composed = stages[0]
         for mat in stages[1:]:
@@ -208,7 +208,7 @@ class TestDtypeRule:
         assert all(make_bell_state(dim, idx).vals.dtype == np.float64 for idx in all_bell_indices(dim))
 
     def test_fig2_network_and_hyper_states_are_real(self):
-        assert network_for_setup("fig2").unitary.matrix.dtype == np.float64
+        assert network_for_setup("fig2", 4).unitary.matrix.dtype == np.float64
         assert all(make_hyper_state(idx).vals.dtype == np.float64 for idx in all_bell_indices(4))
 
     @pytest.mark.parametrize("setup", ["fig1", "fig2"])

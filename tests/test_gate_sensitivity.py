@@ -13,6 +13,7 @@ import math
 import re
 import textwrap
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,14 +25,14 @@ from bellsort import (
 )
 from bellsort.detection import MODEL_PNRD, outcome_labels
 from bellsort.grouping import compute_table
-from bellsort.modes import ARMS, Mode, path_modes
+from bellsort.modes import path_modes
 from conftest import cli_pairs, evolve_each, evolve_families, from_kets
 from test_builder import builder_defects
 from test_class_bound import class_bound_violations
 from test_cli import copy_references
 from test_cli_golden import STDOUT_DIGEST, golden_digest_mismatches
 from test_detection import guarded_distributions, reachable_output_bases, relabelling_mismatches, sampling_mismatches
-from test_exact_oracle import exact_support_mismatches
+from test_exact_oracle import exact_support_mismatches, stage_matrix_mismatches
 from test_exact_real import complex_evolution_mismatches
 from test_grouping import CLOSED_FORM_CASES, ID_CONTAINERS, closed_form_mismatches, pairwise_search_mismatches
 from test_laws import (
@@ -46,24 +47,39 @@ from stdout_digest import stdout_digest
 ONE_ULP_UP = 1 + 2**-52  # the next float64 after 1
 
 
-def minus_on_first_arm(mode):
-    """The beam splitter with its minus sign moved to the first arm: still unitary."""
-    first, second = (Mode(arm, mode.path, mode.pol) for arm in ARMS)
-    sign = -1.0 if mode.arm == ARMS[0] else 1.0
-    return ((first, sign * INV_SQRT2), (second, INV_SQRT2))
+def network_gates_under(patch, name, value):
+    """The network digest and stage matrix mismatches with ``networks.<name>`` set to ``value``, built afresh."""
+    network_for_setup.cache_clear()
+    try:
+        with patch.context() as mutated:
+            mutated.setattr(networks, name, value)
+            return network_digest_mismatches(), stage_matrix_mismatches()
+    finally:
+        network_for_setup.cache_clear()
 
 
 def test_network_digests_catch_a_moved_beam_splitter_sign(monkeypatch):
-    network_for_setup.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(networks, "_beam_splitter", minus_on_first_arm)
-            mismatches = network_digest_mismatches()
-    finally:
-        network_for_setup.cache_clear()
+    # still unitary; the analyzer shares the 2 x 2 block, so its minus sign moves too
+    digests, stages = network_gates_under(monkeypatch, "_HADAMARD", np.array([[-1.0, 1.0], [1.0, 1.0]]) * INV_SQRT2)
     # every network has a beam-splitter stage
-    assert mismatches == list(NETWORK_DIGESTS)
-    assert network_digest_mismatches() == []
+    assert digests == list(NETWORK_DIGESTS)
+    assert stages == [
+        ("fig1", 2, "bs_hadamard"), ("fig1", 4, "bs_hadamard"),
+        ("fig2", 4, "bs_hadamard"), ("fig2", 4, "pbs45_basis_change"),
+    ]
+    assert network_digest_mismatches() == [] and stage_matrix_mismatches() == []
+
+
+def test_network_and_stage_gates_catch_kronecker_factors_in_the_wrong_order(monkeypatch):
+    # every stage stays unitary, with its factors acting on the wrong modes
+    swapped = SimpleNamespace(**{**vars(np), "kron": lambda first, second: np.kron(second, first)})
+    digests, stages = network_gates_under(monkeypatch, "np", swapped)
+    assert digests == list(NETWORK_DIGESTS)
+    assert stages == [
+        ("fig1", 2, "bs_hadamard"), ("fig1", 4, "bs_hadamard"),
+        ("fig2", 4, "pbs0_rail_swap"), ("fig2", 4, "bs_hadamard"), ("fig2", 4, "pbs45_basis_change"),
+    ]
+    assert network_digest_mismatches() == [] and stage_matrix_mismatches() == []
 
 
 def test_builder_gate_catches_built_states_of_norm_two(monkeypatch):

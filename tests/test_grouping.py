@@ -136,7 +136,7 @@ class TestPartitionProperties:
 
     @pytest.mark.parametrize("setup", ["fig1", "fig2"])
     def test_members_of_a_group_share_their_support(self, setup):
-        network = network_for_setup(setup).unitary
+        network = network_for_setup(setup, 4).unitary
         states = dict(labelled_states(setup, 4))
         table = compute_table(setup, 4, "pnrd", "strict")
         for group in table.groups:
@@ -166,7 +166,7 @@ class TestPartitionProperties:
         # across the split, i.e. each group is connected in the
         # confusability graph
         for setup in ("fig1", "fig2"):
-            network = network_for_setup(setup).unitary
+            network = network_for_setup(setup, 4).unitary
             states = dict(labelled_states(setup, 4))
             table = compute_table(setup, 4, "pnrd", "strict")
             for group in table.groups:

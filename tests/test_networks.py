@@ -37,7 +37,8 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # sha256 over every stage of a network (its kind, input and output mode
 # labels, matrix dtype and matrix bytes) and then over its composed unitary,
 # recorded from the networks as they were built before every stage became a
-# per-mode rule filled in by one helper.
+# per-mode rule filled in by one helper, and held since through the stages'
+# rebuild as Kronecker products.
 NETWORK_DIGESTS = {
     ("fig1", 2): "d2d3acb1ed0827dcae5b26dfee86da1f3a926b7976648a0dec589705e1c0f697",
     ("fig1", 4): "7cc14189005490bacc3914d3c36d15c4688515ea403ac50b5bddbb061713a268",
@@ -336,18 +337,22 @@ def test_networks_are_bit_identical_to_the_pinned_digests():
 
 class TestFig2Network:
     def test_network_for_setup_is_built_once_and_read_only(self):
-        net = network_for_setup("fig2")
-        assert network_for_setup("fig2") is net
+        # a default or a keyword dim would key the cache on the spelling, one network per spelling
+        for args, kwargs in ((("fig2",), {}), (("fig2",), {"dim": 4}), ((), {"setup": "fig2", "dim": 4})):
+            with pytest.raises(TypeError):
+                network_for_setup(*args, **kwargs)
+        net = network_for_setup("fig2", 4)
+        assert network_for_setup("fig2", 4) is net
         with pytest.raises(ValueError, match="read-only"):
             net.unitary.matrix[0, 0] = 0.0
 
     def test_composed_matrix_unitary(self):
-        net = network_for_setup("fig2").unitary
+        net = network_for_setup("fig2", 4).unitary
         assert len(net.in_modes) == 16
         assert np.max(np.abs(net.matrix @ net.matrix.conj().T - np.eye(16))) < 1e-10
 
     def test_stage_order_and_bases(self):
-        spec = network_for_setup("fig2")
+        spec = network_for_setup("fig2", 4)
         assert [s.kind for s in spec.stages] == [
             "pbs0_rail_swap",
             "bs_hadamard",
@@ -360,7 +365,7 @@ class TestFig2Network:
     def test_rail_swap_flips_ancilla_sign_exactly_for_odd_phase_bit(self):
         # On the worked-example state the first stage sends the polarization
         # pair |HH> + |VV> to |HH> - |VV> with all path amplitudes untouched.
-        stage = network_for_setup("fig2").stages[0].unitary
+        stage = network_for_setup("fig2", 4).stages[0].unitary
         state = make_hyper_state(BellIndex(2, 1, 0))
         out = amplitudes(evolve(state, stage))
         for (m1, m2), amp in amplitudes(state).items():
@@ -368,7 +373,7 @@ class TestFig2Network:
             assert out.get(canonical_pair(m1, m2), 0) == pytest.approx(sign * amp)
 
     def test_rail_swap_preserves_ancilla_sign_for_even_phase_bit(self):
-        stage = network_for_setup("fig2").stages[0].unitary
+        stage = network_for_setup("fig2", 4).stages[0].unitary
         state = make_hyper_state(BellIndex(2, 0, 0))
         assert approx_equal(evolve(state, stage), state, up_to_phase=False)
 
@@ -389,7 +394,7 @@ class TestFig2Network:
         expected = from_kets(
             4, [(Mode(*m1), Mode(*m2), c) for m1, m2, c in terms]
         )
-        out = evolve(make_hyper_state(BellIndex(2, 1, 0)), network_for_setup("fig2").unitary)
+        out = evolve(make_hyper_state(BellIndex(2, 1, 0)), network_for_setup("fig2", 4).unitary)
         assert approx_equal(out, expected, up_to_phase=False, tol=1e-10)
 
 
@@ -553,7 +558,7 @@ class TestIdentitySemantics:
         spec = network_for_setup("fig1", 4)
         same = NetworkSpec(spec.setup, spec.dim, spec.stages)
         assert spec == same and hash(spec) == hash(same)
-        assert len({spec, same, network_for_setup("fig1", 8), network_for_setup("fig2")}) == 3
+        assert len({spec, same, network_for_setup("fig1", 8), network_for_setup("fig2", 4)}) == 3
 
 
 class TestNetworkSpecChecks:
@@ -564,7 +569,7 @@ class TestNetworkSpecChecks:
     def test_stages_must_take_the_modes_the_stage_before_gives(self):
         # the analyzer gives +/- modes and the beam splitters take H/V; the
         # product was labelled H/V -> H/V
-        full = network_for_setup("fig2")
+        full = network_for_setup("fig2", 4)
         message = "stage 'bs_hadamard' does not take the output modes of stage 'pbs45_basis_change'"
         with pytest.raises(ValueError, match=message):
             NetworkSpec("x", 4, (full.stages[2], full.stages[1]))

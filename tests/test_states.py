@@ -19,7 +19,9 @@ from bellsort import (
     make_bell_state,
     make_hyper_state,
 )
-from bellsort.modes import POL_DIAGONAL, POL_LINEAR, Mode, ModeBasis, canonical_pair, path_modes, polarized_modes
+from bellsort.modes import (
+    POL_DIAGONAL, POL_LINEAR, Mode, ModeBasis, canonical_pair, path_modes, polarized_modes, positions,
+)
 from bellsort.states import AMP_PRUNE, NORM_TOL, UNITARY_TOL
 from conftest import (
     amplitudes, approx_equal, cli_pairs, encoding_unitary, from_kets, oracle_evolve, oracle_inner, oracle_norm,
@@ -456,6 +458,12 @@ class TestStateRepresentation:
             TwoPhotonState(1, (Mode(A, 0), Mode(A, 0)), [1], [INV_SQRT2])
         with pytest.raises(ValueError, match="mode B1 appears twice in the mode basis"):
             TwoPhotonState(2, (*path_modes(2), Mode(B, 1)), [1], [INV_SQRT2])
+
+    def test_a_write_into_one_positions_map_reaches_no_later_call(self):
+        # a shared map would move A0 for every later lookup in the basis
+        basis = path_modes(4)
+        positions(basis)[Mode(A, 0)] = 3
+        assert positions(basis) == {mode: i for i, mode in enumerate(basis)}
 
     def test_a_basis_pickled_in_another_process_hashes_as_its_tuple(self):
         # str hashes differ between hash seeds; a basis that kept its pickled
