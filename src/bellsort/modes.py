@@ -87,11 +87,6 @@ def polarized_modes(dim: int, basis: tuple[str, str]) -> ModeBasis:
     return ModeBasis(Mode(arm, x, p) for arm in ARMS for x in range(dim) for p in basis)
 
 
-def positions(basis: ModeBasis) -> dict:
-    """Mode -> its index in ``basis``, a new dict on each call, so no caller's write reaches another."""
-    return {m: i for i, m in enumerate(basis)}
-
-
 def canonical_pair(m1: Mode, m2: Mode) -> tuple[Mode, Mode]:
     """Order an unordered photon pair canonically (m1 <= m2)."""
     return (m1, m2) if m1 <= m2 else (m2, m1)

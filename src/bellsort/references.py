@@ -48,7 +48,7 @@ class ReferenceTables:
     capacities: dict
 
 
-_PACKAGED = files("bellsort") / "references"  # resolved once: each resolution interns new path strings
+_PACKAGED = files(__package__) / "references"  # resolved once: each resolution interns new path strings
 _TABLE_SHAPE = '{"groups": [{"id": int, "members": [str], "outcomes": [str]}, ...]}'
 _CAPACITIES_SHAPE = '{"fig1"|"fig2": {"pnrd"|"threshold": {"groups": int >= 1, "bits_text": "2.81"}}}'
 

@@ -8,11 +8,15 @@ block. For d = 4 this gives the 16 states
     |psi(j, n, m)> = (1/2) * sum_x (-1)**(n*x0 + m*x1) |x>_A |x XOR j>_B
 
 with x0, x1 the low/high bits of x; for d = 2 the four standard Bell states
-(m is fixed to 0). :func:`encode` applies the same XOR pairing to the second
-photon (arm B), the one the sender of superdense coding holds, as the local
-map |x> -> (-1)**(n*x0 + m*x1) |x XOR j>; on the reference state
-|psi(0, 0, 0)> it gives any other member of the family. The builders and
-encode read rows j and n + 2m of one cached table per mode basis.
+(m is fixed to 0). The phase is row p = n + 2m of the Sylvester-Hadamard
+matrix, (-1)**popcount(p & x). :func:`encode` applies the same XOR pairing
+to the second photon (arm B), the one the sender of superdense coding
+holds, as the local map |x> -> (-1)**(n*x0 + m*x1) |x XOR j>; on the
+reference state |psi(0, 0, 0)> it gives any other member of the family.
+The builders and encode read rows j and n + 2m of one cached table per mode
+basis, built by index arithmetic on rails (each arm's modes numbered path *
+npol + slot). It holds d sign rows, of which a :class:`BellIndex` reaches
+only p = n + 2m < 4.
 
 States are symmetric amplitude functions over unordered mode pairs. A Fock
 state with photons in distinct modes m1, m2 has psi(m1, m2) = psi(m2, m1) =
@@ -36,15 +40,14 @@ states are real, so they evolve in real arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .modes import (
-    ARM_SECOND,
     Mode,
     ModeBasis,
     POL_DIAGONAL,
@@ -53,7 +56,6 @@ from .modes import (
     canonical_pair,
     path_modes,
     polarized_modes,
-    positions,
 )
 
 # Numeric thresholds shared across the package.
@@ -113,19 +115,16 @@ class BellIndex:
 def all_bell_indices(dim: int) -> tuple[BellIndex, ...]:
     """Enumeration order used everywhere: j major, then n, then m.
 
-    n and m are single bits, so this is the full d² Bell basis only for
-    d = 2 (m = 0) and d = 4. For d ≥ 8 it is the 4·d states with bits n and
-    m, not the d² of the full basis. The dimension must be a power of two,
-    as for :func:`make_bell_state`.
+    n and m are single bits, so a state reads Sylvester row n + 2m < 4, and
+    this is the full d² Bell basis only for d = 2 (m = 0) and d = 4. For
+    d ≥ 8 it is the 4·d states with bits n and m, not the d² of the full
+    basis, although the table the states are read from holds all d sign
+    rows. The dimension must be a power of two, as for
+    :func:`make_bell_state`.
     """
     _require_power_of_two(dim)
     ms = (0,) if dim == 2 else (0, 1)
     return tuple(BellIndex(j, n, m) for j in range(dim) for n in (0, 1) for m in ms)
-
-
-def _sign(x, n: int, m: int):
-    """(-1)**(n*x0 + m*x1) for a path index x or an integer array of them."""
-    return 1 - 2 * ((n * (x & 1) + m * ((x >> 1) & 1)) & 1)
 
 
 def _require_power_of_two(dim: int) -> None:
@@ -142,8 +141,10 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def float_or_complex(array) -> np.ndarray:
-    """``array`` as C-contiguous complex128 if it is complex, else as float64."""
+    """``array`` as C-contiguous complex128 if it is complex, else as float64; a non-numeric dtype raises ValueError."""
     array = np.asarray(array)
+    if array.dtype.kind not in "biufc":  # numpy would parse "0.7" as a number, and a timedelta as its count
+        raise ValueError(f"amplitudes and matrix entries must be numbers, got dtype {array.dtype}")
     return np.ascontiguousarray(array, dtype=complex if np.iscomplexobj(array) else float)
 
 
@@ -260,7 +261,7 @@ class TwoPhotonState:
                 raise ValueError(f"duplicate amplitude for pair ({key[0].label}, {key[1].label})")
             canon[key] = a
         basis = _mode_space(dim, {m.pol for pair in canon for m in pair})
-        index = positions(basis)
+        index = {m: i for i, m in enumerate(basis)}
         keys = sorted(canon)  # the mode space is sorted, so these pairs are row-major
         if outside := [m for key in keys for m in key if m not in index]:
             raise ValueError(f"mode {outside[0].label} outside dimension {dim}")
@@ -295,24 +296,33 @@ def pair_weights(ids: np.ndarray, size: int) -> np.ndarray:
 # -- Bell family construction ------------------------------------------------
 
 
+def _sylvester(dim: int) -> np.ndarray:
+    """The unnormalized Sylvester-Hadamard matrix of order ``dim`` >= 2: entry (p, x) is (-1)**popcount(p & x)."""
+    return reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * (dim.bit_length() - 1))
+
+
 @lru_cache(maxsize=16)
 def _xor_table(basis: ModeBasis) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The XOR pairing on ``basis``, ordered arm, path, slot, as read-only (moved, signs, ids, vals).
+    """The XOR pairing on the canonical ``basis``, as read-only (moved, signs, ids, vals).
 
-    ``moved[j]`` is the position of (B, x XOR j, pol) for each arm-B mode
-    (B, x, pol), arm-A modes kept, and ``signs[n + 2m]`` is (-1)**(n*x0 +
-    m*x1) on arm B and 1 on arm A: the map :func:`encode` applies. Arm-A
-    mode p pairs with arm-B mode p + half, so ``ids[j]`` are the increasing
-    pair ids of |x>_A |x XOR j>_B in every slot and ``vals[n + 2m]`` their
-    psi, sign * (1/sqrt(M/2)) / sqrt(2), exact. Both are tuples of rows, so
-    that equal indices share one array.
+    Each arm's M/2 modes are rails r = path * npol + slot, for d paths and
+    npol polarization slots. ``moved[j]`` keeps arm A and sends arm-B rail r
+    to rail r XOR j*npol, so path x goes to x XOR j in every slot.
+    ``signs[p]`` is 1 on arm A and row p of :func:`_sylvester` (d) on arm B,
+    repeated over the slots: (-1)**popcount(p & x) for path x, so row
+    n + 2m is (-1)**(n*x0 + m*x1). These are the maps :func:`encode`
+    applies. ``ids[j]`` pairs arm-A rail r with arm-B rail r XOR j*npol:
+    the increasing pair ids of |x>_A |x XOR j>_B in every slot, and
+    ``vals[p]`` their psi, sign of path x * (1/sqrt(M/2)) / sqrt(2), exact.
+    The table holds d sign rows; a :class:`BellIndex` reads only rows
+    n + 2m < 4. Both are tuples of rows, so that equal indices share one
+    array.
     """
-    size, half, index = len(basis), len(basis) // 2, positions(basis)
-    paths = np.array([mode.path for mode in basis])
-    flips = ([replace(m, path=m.path ^ j) if m.arm == ARM_SECOND else m for m in basis] for j in range(paths[-1] + 1))
-    moved = np.array([[index[m] for m in flipped] for flipped in flips], dtype=np.intp)
-    signs = np.where(np.arange(size) < half, 1.0, [_sign(paths, n, m) for m in (0, 1) for n in (0, 1)])
-    ids = np.arange(half, dtype=np.intp) * size + moved[:, half:]
+    size, half, dim = len(basis), len(basis) // 2, basis[-1].path + 1
+    rails, npol = np.arange(half, dtype=np.intp), half // dim
+    moved = np.hstack([np.tile(rails, (dim, 1)), half + (rails ^ npol * np.arange(dim)[:, None])])
+    signs = np.hstack([np.ones((dim, half)), np.kron(_sylvester(dim), np.ones(npol))])
+    ids = rails * size + moved[:, half:]
     vals = signs[:, half:] * (1.0 / math.sqrt(half) / math.sqrt(2.0))
     frozen(moved, signs, ids, vals)
     return moved, signs, tuple(ids), tuple(vals)
@@ -329,9 +339,10 @@ def make_bell_state(dim: int, idx: BellIndex) -> TwoPhotonState:
     """The (j, n, m) Bell state of the XOR-paired family in dimension d.
 
     Component kets are |x>_A |x XOR j>_B with coefficient
-    (-1)**(n*x0 + m*x1) / sqrt(d). The dimension must be a power of two
-    (the XOR pairing is not closed otherwise). The phase reads only path
-    bits x0 and x1: :func:`all_bell_indices` says which states that gives.
+    (-1)**(n*x0 + m*x1) / sqrt(d): Sylvester row n + 2m over the rails of
+    the path basis. The dimension must be a power of two (the XOR pairing
+    is not closed otherwise). The phase reads only path bits x0 and x1, as
+    n and m are bits: :func:`all_bell_indices` says which states that gives.
     """
     _require_power_of_two(dim)
     return _xor_paired(dim, idx, path_modes(dim))
@@ -360,6 +371,8 @@ def encode(state: TwoPhotonState, indices: Iterable[BellIndex]) -> list[TwoPhoto
     _require_power_of_two(state.dim)
     indices = tuple(indices)  # read once, so an iterator is not used up by the checks
     for position, idx in enumerate(indices):
+        if not isinstance(idx, BellIndex):
+            raise ValueError(f"message {position} ({idx!r}): expected a BellIndex, got {type(idx).__name__}")
         try:
             idx.validate_for(state.dim)
         except ValueError as exc:

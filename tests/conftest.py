@@ -12,12 +12,15 @@ itself one of the required properties.
 The Fock oracle shares not even the storage convention: it starts from
 Fock-ket terms and the single-photon matrix and returns outcome label ->
 probability from two-boson permanents. The encoding oracle is the dense path
-matrix of ``encode``, its sign computed here.
+matrix of ``encode``, its sign computed here. The per-mode XOR table is the
+Bell-family table as it was built before the rail arithmetic: mode by mode,
+from each arm-B mode's flipped path and the sign of its low two path bits.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +28,7 @@ import numpy as np
 from bellsort import (
     BellIndex, SinglePhotonUnitary, TwoPhotonState, all_bell_indices, encode, evolve, evolve_all, network_for_setup,
 )
-from bellsort.modes import Mode, canonical_pair
+from bellsort.modes import ARM_SECOND, Mode, canonical_pair
 from bellsort.networks import prepared_state
 from bellsort.states import AMP_PRUNE
 
@@ -125,6 +128,28 @@ def encoding_unitary(dim: int, idx: BellIndex) -> SinglePhotonUnitary:
     mat = np.zeros((dim, dim))
     mat[x ^ idx.j, x] = (-1.0) ** (idx.n * (x & 1) + idx.m * ((x >> 1) & 1))
     return SinglePhotonUnitary(tuple(range(dim)), tuple(range(dim)), mat)
+
+
+def _sign(x, n: int, m: int):
+    """(-1)**(n*x0 + m*x1) for a path index x or an integer array of them."""
+    return 1 - 2 * ((n * (x & 1) + m * ((x >> 1) & 1)) & 1)
+
+
+def per_mode_xor_table(basis) -> tuple[np.ndarray, ...]:
+    """The XOR pairing on a canonical ``basis`` built mode by mode: (moved, signs, ids, vals) as 2-d arrays.
+
+    ``moved[j]`` looks up each arm-B mode with its path XOR j, and
+    ``signs[n + 2m]`` is (-1)**(n*x0 + m*x1) on arm B: four sign rows at
+    every dimension. The reference for the library's rail table.
+    """
+    size, half, index = len(basis), len(basis) // 2, {m: i for i, m in enumerate(basis)}
+    paths = np.array([mode.path for mode in basis])
+    flips = ([replace(m, path=m.path ^ j) if m.arm == ARM_SECOND else m for m in basis] for j in range(paths[-1] + 1))
+    moved = np.array([[index[m] for m in flipped] for flipped in flips], dtype=np.intp)
+    signs = np.where(np.arange(size) < half, 1.0, [_sign(paths, n, m) for m in (0, 1) for n in (0, 1)])
+    ids = np.arange(half, dtype=np.intp) * size + moved[:, half:]
+    vals = signs[:, half:] * (1.0 / math.sqrt(half) / math.sqrt(2.0))
+    return moved, signs, ids, vals
 
 
 def approx_equal(

@@ -14,6 +14,9 @@ file, over:
 Each run's argv, exit code and stdout feed one digest, so a change that
 must keep every output byte prints the same line before and after. Copy
 the script into another checkout's ``tests/`` to digest that checkout.
+The line ends with the numpy version: the ``sample`` and ``sdc`` runs draw
+from ``Generator.multinomial``, whose stream NEP 19 does not promise to
+keep across numpy releases, so a digest is comparable only on one version.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import io
 import sys
 from itertools import product
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -69,7 +74,7 @@ def stdout_digest() -> tuple[str, int]:
 
 def main_digest() -> None:
     hexdigest, count = stdout_digest()
-    print(f"{hexdigest}  {count} runs")
+    print(f"{hexdigest}  {count} runs  numpy {np.__version__}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Tests for the command-line surface: flags, formats, exit codes, round trips."""
 
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -293,6 +294,28 @@ class TestVerify:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=r'^table1.json: expected \{"groups"'):
             load_reference_tables(tmp_path)
+
+    def test_a_renamed_copy_of_the_package_loads_its_own_references(self, tmp_path, monkeypatch):
+        # the copy resolves its packaged files by its own name, not by "bellsort"
+        shutil.copytree(
+            Path(__file__).resolve().parents[1] / "src" / "bellsort",
+            tmp_path / "bellsort_copy",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        capacities = tmp_path / "bellsort_copy" / "references" / "capacities.json"
+        capacities.write_text(capacities.read_text().replace('"2.81"', '"2.83"'))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            copy = importlib.import_module("bellsort_copy").load_reference_tables()
+        finally:
+            for name in [name for name in sys.modules if name.partition(".")[0] == "bellsort_copy"]:
+                del sys.modules[name]
+        original = load_reference_tables()
+        assert {setup: table.to_dict() for setup, table in copy.tables.items()} == {
+            setup: table.to_dict() for setup, table in original.tables.items()
+        }
+        assert copy.capacities["fig1"]["pnrd"]["bits_text"] == "2.83"
+        assert original.capacities["fig1"]["pnrd"]["bits_text"] == "2.81"
 
     def test_process_entry_point_exit_codes(self, tmp_path):
         # python -m bellsort runs entry_point, whose sys.exit carries main's code

@@ -19,7 +19,11 @@ still multiplied dense matrices and ``sample`` sorted an Outcome map.
 ``STDOUT_DIGEST`` is one sha256 over the 151 seeded runs of
 ``tests/stdout_digest.py``, recorded at ``4720504`` and again at
 ``5479395``, before the detector model became one label array per output
-basis.
+basis. It was pinned on numpy 2.4.6: the seeded runs draw from
+``Generator.multinomial``, and NEP 19 does not promise that its stream
+stays the same across numpy releases, so on another numpy a mismatch may
+be the draw rather than the code. The script prints the numpy version it
+ran on.
 """
 
 import contextlib

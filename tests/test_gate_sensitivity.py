@@ -91,10 +91,10 @@ def test_builder_gate_catches_built_states_of_norm_two(monkeypatch):
 
     # _xor_table caches the scaled signs, and a warm cache would hide the
     # mutation, or keep it after the undo
-    sign = states._sign
+    sylvester = states._sylvester
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(states, "_sign", lambda x, n, m: 2 * sign(x, n, m))
+            patch.setattr(states, "_sylvester", lambda dim: 2 * sylvester(dim))
             states._xor_table.cache_clear()
             defects = [builder_defects(state) for state in built()]
     finally:
@@ -376,10 +376,11 @@ def test_closed_forms_catch_a_sign_that_ignores_m(monkeypatch):
     # psi<j><n>0 and psi<j><n>1 become one state, so every group split by m
     # merges: fig1's for j1 = 1 and fig2's for j >= 2. _xor_table caches the
     # signs, and a warm cache would hide the mutation, or keep it after the undo
-    sign = states._sign
+    sylvester = states._sylvester
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(states, "_sign", lambda x, n, m: sign(x, n, 0))
+            # row n + 2m becomes row n: the m bit of the row index is dropped
+            patch.setattr(states, "_sylvester", lambda dim: sylvester(dim)[np.arange(dim) & ~2])
             states._xor_table.cache_clear()
             mismatches = closed_form_mismatches()
     finally:

@@ -18,13 +18,15 @@ from bellsort import (
     encode,
     make_bell_state,
     make_hyper_state,
+    states,
 )
 from bellsort.modes import (
-    POL_DIAGONAL, POL_LINEAR, Mode, ModeBasis, canonical_pair, path_modes, polarized_modes, positions,
+    POL_DIAGONAL, POL_LINEAR, Mode, ModeBasis, canonical_pair, path_modes, polarized_modes,
 )
 from bellsort.states import AMP_PRUNE, NORM_TOL, UNITARY_TOL
 from conftest import (
     amplitudes, approx_equal, cli_pairs, encoding_unitary, from_kets, oracle_evolve, oracle_inner, oracle_norm,
+    per_mode_xor_table,
 )
 
 A, B = "A", "B"
@@ -112,6 +114,24 @@ def array_bytes(state):
 
 
 class TestCachedBellArrays:
+    @pytest.mark.parametrize(
+        "basis",
+        [path_modes(2**k) for k in range(1, 7)] + [polarized_modes(4, POL_LINEAR), polarized_modes(4, POL_DIAGONAL)],
+        ids=lambda basis: f"d{basis[-1].path + 1}{basis[0].pol}",
+    )
+    def test_the_rail_table_has_the_bits_of_the_per_mode_table(self, basis):
+        moved, signs, ids, vals = states._xor_table(basis)
+        expected = per_mode_xor_table(basis)
+        shared = min(len(signs), 4)  # d sign rows here, 4 in the per-mode table
+        assert [(a.dtype, a.tobytes()) for a in (moved, np.array(ids), signs[:shared], np.array(vals[:shared]))] == [
+            (a.dtype, a.tobytes()) for a in (expected[0], expected[2], expected[1][:shared], expected[3][:shared])
+        ]
+        half = len(basis) // 2
+        paths = [mode.path for mode in basis[half:]]
+        for p in range(len(signs)):
+            row = [1.0] * half + [(-1.0) ** (p & x).bit_count() for x in paths]
+            assert signs[p].tolist() == row, p
+
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
     def test_bell_states_have_the_bits_of_the_ket_oracle(self, dim):
         for idx in all_bell_indices(dim):
@@ -201,6 +221,11 @@ class TestEncoding:
         for idx in all_bell_indices(4):
             mat = encoding_unitary(4, idx).matrix
             assert np.max(np.abs(mat @ mat.conj().T - np.eye(4))) < 1e-12
+
+    def test_a_matrix_of_strings_is_rejected(self):
+        # numpy would parse the strings as numbers
+        with pytest.raises(ValueError, match="must be numbers, got dtype <U1"):
+            SinglePhotonUnitary((0, 1), (0, 1), [["1", "0"], ["0", "1"]])
 
     @pytest.mark.parametrize("out_dim,shape", [(1, (2, 4)), (2, (3, 3))])
     def test_a_matrix_of_another_shape_is_rejected(self, out_dim, shape):
@@ -318,6 +343,11 @@ class TestEncoding:
             encode(ref, indices)
         assert built == []
 
+    def test_a_message_that_is_no_bell_index_is_named(self):
+        ref = make_bell_state(4, BellIndex(0, 0, 0))
+        with pytest.raises(ValueError, match=r"^message 1 \(\(0, 0, 0\)\): expected a BellIndex, got tuple$"):
+            encode(ref, [BellIndex(1, 0, 0), (0, 0, 0)])
+
     def test_encode_keeps_an_amplitude_at_the_prune_threshold(self):
         # as in the constructors, only |psi| below AMP_PRUNE is dropped
         amps = {(Mode(A, 0), Mode(B, 0)): HALF, (Mode(A, 1), Mode(B, 1)): HALF, (Mode(A, 2), Mode(B, 2)): AMP_PRUNE}
@@ -389,6 +419,22 @@ class TestStateRepresentation:
         with pytest.raises(ValueError, match="state norm 1.414.* deviates from 1 by more than 1e-09"):
             TwoPhotonState.from_amplitudes(4, {(Mode(A, 0), Mode(B, 0)): 1.0})
 
+    @pytest.mark.parametrize(
+        "ids,vals",
+        [
+            ([1], ["0.7071067811865476"]),
+            ([1], [b"0.7071067811865476"]),
+            ([1], np.array([INV_SQRT2], dtype=object)),
+            ([0], np.array([1], dtype="m8[s]")),  # psi(A0, A0) = one second
+        ],
+        ids=["str", "bytes", "object", "timedelta"],
+    )
+    def test_amplitudes_that_are_not_numbers_are_rejected(self, ids, vals):
+        # numpy would parse the strings as numbers, read a timedelta as its count,
+        # and an object array may hold anything
+        with pytest.raises(ValueError, match="must be numbers, got dtype"):
+            TwoPhotonState(2, path_modes(2), ids, vals)
+
     def test_tiny_amplitudes_pruned(self):
         amps = {
             (Mode(A, 0), Mode(B, 0)): HALF,
@@ -458,12 +504,6 @@ class TestStateRepresentation:
             TwoPhotonState(1, (Mode(A, 0), Mode(A, 0)), [1], [INV_SQRT2])
         with pytest.raises(ValueError, match="mode B1 appears twice in the mode basis"):
             TwoPhotonState(2, (*path_modes(2), Mode(B, 1)), [1], [INV_SQRT2])
-
-    def test_a_write_into_one_positions_map_reaches_no_later_call(self):
-        # a shared map would move A0 for every later lookup in the basis
-        basis = path_modes(4)
-        positions(basis)[Mode(A, 0)] = 3
-        assert positions(basis) == {mode: i for i, mode in enumerate(basis)}
 
     def test_a_basis_pickled_in_another_process_hashes_as_its_tuple(self):
         # str hashes differ between hash seeds; a basis that kept its pickled
